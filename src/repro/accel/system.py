@@ -69,12 +69,6 @@ class Accelerator:
 
     # -- transfers ------------------------------------------------------------
 
-    def send(
-        self, src: Coord, dst: Coord, size_bytes: int, start_ns: float
-    ) -> float:
-        """NoC transfer; returns delivery time."""
-        return self.noc.delivery_time(src, dst, size_bytes, start_ns)
-
     def memory_read(
         self, vertex: int, size_bytes: int, start_ns: float, dest: Coord
     ) -> float:
@@ -86,16 +80,16 @@ class Accelerator:
         the last byte arrives.
         """
         controller, mem_coord = self.memory_of(vertex)
-        request_arrival = self.send(dest, mem_coord, 0, start_ns)
+        request_arrival = self.noc.delivery_time(dest, mem_coord, 0, start_ns)
         data_ready = controller.request(size_bytes, request_arrival)
-        return self.send(mem_coord, dest, size_bytes, data_ready)
+        return self.noc.delivery_time(mem_coord, dest, size_bytes, data_ready)
 
     def memory_write(
         self, vertex: int, size_bytes: int, start_ns: float, src: Coord
     ) -> float:
         """Write a result back to the vertex's memory node."""
         controller, mem_coord = self.memory_of(vertex)
-        arrival = self.send(src, mem_coord, size_bytes, start_ns)
+        arrival = self.noc.delivery_time(src, mem_coord, size_bytes, start_ns)
         return controller.request(size_bytes, arrival, write=True)
 
     def gather_read(
@@ -119,11 +113,13 @@ class Accelerator:
             if share == 0:
                 continue
             mem_coord = self._mem_coords[index]
-            request_arrival = self.send(dest, mem_coord, 0, start_ns)
+            request_arrival = self.noc.delivery_time(
+                dest, mem_coord, 0, start_ns
+            )
             data_ready = controller.request_scatter(
                 share, size_each_bytes, request_arrival
             )
-            arrival = self.send(
+            arrival = self.noc.delivery_time(
                 mem_coord, dest, share * size_each_bytes, data_ready
             )
             last_arrival = max(last_arrival, arrival)

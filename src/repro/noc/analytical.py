@@ -38,11 +38,9 @@ What it still models faithfully:
 from __future__ import annotations
 
 from repro.noc.config import NocConfig, NOC_CONFIG
-from repro.noc.links import LinkLedgerBase
+from repro.noc.links import Link, LinkLedgerBase
 from repro.noc.model import TrackerListener
 from repro.noc.topology import Coord, Mesh
-
-Link = tuple[Coord, Coord]
 
 
 class AnalyticalNetwork(LinkLedgerBase):
@@ -50,9 +48,6 @@ class AnalyticalNetwork(LinkLedgerBase):
 
     def __init__(self, mesh: Mesh, config: NocConfig = NOC_CONFIG) -> None:
         super().__init__(mesh, config)
-        # (src, dst) -> the route's directed links, memoised (the mesh is
-        # static, so each pair routes identically forever).
-        self._routes: dict[tuple[Coord, Coord], tuple[Link, ...]] = {}
         # (src, dst) -> total serialization time sent over that route.
         # This is the authoritative busy accounting: per-link busy time
         # is the sum over routes crossing the link, expanded lazily.
@@ -64,48 +59,6 @@ class AnalyticalNetwork(LinkLedgerBase):
         # True once any fault reservation exists: only then can a
         # message be delayed, so only then does the hot path walk links.
         self._delays_possible = False
-        # (src, dst, size) -> precomputed per-message terms.  Message
-        # shapes repeat endlessly in a sweep (same feature sizes over the
-        # same routes), so everything derivable from the key — flit
-        # count, hop count, and the two latency addends of the zero-load
-        # formula — is computed once.  The addends are stored separately
-        # and summed in the original left-to-right order so the result is
-        # bit-identical to the inline arithmetic.
-        self._message_memo: dict[
-            tuple[Coord, Coord, int],
-            tuple[int, int, float, float, float],
-        ] = {}
-
-    def _message_terms(
-        self, src: Coord, dst: Coord, size_bytes: int
-    ) -> tuple[int, int, float, float, float]:
-        """Memoized ``(flits, hops, serialization, hop_term, flit_term)``."""
-        key = (src, dst, size_bytes)
-        terms = self._message_memo.get(key)
-        if terms is None:
-            self.mesh.validate_node(src)
-            self.mesh.validate_node(dst)
-            config = self.config
-            cycle = config.cycle_ns
-            flits = config.flits_for(size_bytes)
-            hops = self.mesh.distance(src, dst)
-            terms = (
-                flits,
-                hops,
-                flits * cycle,
-                hops * (config.hop_cycles * cycle),
-                (flits - 1) * cycle,
-            )
-            self._message_memo[key] = terms
-        return terms
-
-    def _route(self, src: Coord, dst: Coord) -> tuple[Link, ...]:
-        key = (src, dst)
-        links = self._routes.get(key)
-        if links is None:
-            links = tuple(self.mesh.route_links(src, dst))
-            self._routes[key] = links
-        return links
 
     def delivery_time(
         self,
@@ -115,34 +68,27 @@ class AnalyticalNetwork(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Zero-load tail-arrival time, delayed only by fault blackouts."""
-        flits, hops, serialization, hop_term, flit_term = \
-            self._message_terms(src, dst, size_bytes)
-        counters = self.stats._counters
-        counters["packets"] = counters.get("packets", 0.0) + 1.0
-        counters["flits"] = counters.get("flits", 0.0) + flits
-        counters["bytes"] = counters.get("bytes", 0.0) + max(size_bytes, 0)
-        counters["flit_hops"] = counters.get("flit_hops", 0.0) + flits * hops
-        config = self.config
-        cycle = config.cycle_ns
+        shape = self._account(src, dst, size_bytes)
         if src == dst:
             # Local delivery through the tile crossbar: one routing pass.
-            return start_ns + config.routing_delay_cycles * cycle
+            return start_ns + self._local_ns
 
+        serialization = shape.serialization_ns
         route_busy = self._route_busy_ns
         key = (src, dst)
         route_busy[key] = route_busy.get(key, 0.0) + serialization
 
-        zero_load = start_ns + hop_term + flit_term
+        zero_load = start_ns + shape.hop_term_ns + shape.tail_ns
         observed = self._tracker_listener is not None
         if not observed and not self._delays_possible:
             # Hot path: no observer, no fault reservations — nothing can
             # delay the message and nobody needs per-hop spans.
             return zero_load
 
-        hop = config.hop_cycles * cycle
+        hop = self._hop_ns
         head = start_ns
         delayed = False
-        for link in self._route(src, dst):
+        for link in shape.links:
             tracker = self._link(*link) if observed else self._links.get(link)
             if tracker is not None:
                 if tracker.busy_until > head:
@@ -159,7 +105,7 @@ class AnalyticalNetwork(LinkLedgerBase):
             # associativity; return the closed form so every caller sees
             # the exact packet-model zero-load number.
             return zero_load
-        return head + (flits - 1) * cycle
+        return head + shape.tail_ns
 
     def reserve_link(
         self, src: Coord, dst: Coord, start_ns: float, duration_ns: float

@@ -19,10 +19,10 @@ analytical zero-contention closed form        sweep-scale speed when NoC
 
 Adding a backend is three lines: implement the
 :class:`~repro.noc.model.NocModel` protocol (inherit
-:class:`~repro.noc.links.LinkLedgerBase` for the bookkeeping half) and
-call :func:`register_backend`.  The backend name is part of the
-result-cache fingerprint (it is a field of ``AcceleratorConfig``), so
-two backends never share cached reports.
+:class:`~repro.noc.links.LinkLedgerBase` for the bookkeeping half and
+the memoized per-message prologue) and call :func:`register_backend`.
+The backend name is part of the result-cache fingerprint (it is a field
+of ``AcceleratorConfig``), so two backends never share cached reports.
 """
 
 from __future__ import annotations

@@ -16,6 +16,14 @@ This is the default :class:`~repro.noc.model.NocModel` backend
 fault blackouts, stalled-link diagnosis, utilization reporting, the
 observability listener — lives in the shared
 :class:`~repro.noc.links.LinkLedgerBase`.
+
+Why it is fast: the base memoizes every ``(src, dst, size_bytes)``
+message shape — validated nodes, flit and hop counts, the route — and
+this model binds each shape's route to its link ledgers on the first
+message that reserves them.  A delivery then costs one memo lookup and
+one :meth:`~repro.sim.stats.BusyTracker.occupy` per hop.  The ledgers
+are the base's own trackers, so fault blackouts reserved later and
+listeners attached later see exactly what a hop-by-hop walk would.
 """
 
 from __future__ import annotations
@@ -43,27 +51,24 @@ class PacketNetwork(LinkLedgerBase):
         Reserves serialization time on every XY-route link, so later
         packets crossing the same links queue behind this one.
         """
-        self.mesh.validate_node(src)
-        self.mesh.validate_node(dst)
-        cycle = self.config.cycle_ns
-        flits = self.config.flits_for(size_bytes)
-        serialization = flits * cycle
-        hop = self.config.hop_cycles * cycle
-        links = self.mesh.route_links(src, dst)
-        self.stats.add("packets")
-        self.stats.add("flits", flits)
-        self.stats.add("bytes", max(size_bytes, 0))
-        self.stats.add("flit_hops", flits * len(links))
+        shape = self._account(src, dst, size_bytes)
         if src == dst:
             # Local delivery through the tile crossbar: one routing pass.
-            return start_ns + self.config.routing_delay_cycles * cycle
+            return start_ns + self._local_ns
 
-        head = start_ns
-        for link_src, link_dst in links:
-            granted_start, _ = self._link(link_src, link_dst).occupy(
-                head, serialization
+        trackers = shape.trackers
+        if trackers is None:
+            # Bind the live ledgers once; _link creates missing ones and
+            # tells an attached listener about them.
+            trackers = shape.trackers = tuple(
+                self._link(*link) for link in shape.links
             )
+        serialization = shape.serialization_ns
+        hop = self._hop_ns
+        head = start_ns
+        for tracker in trackers:
+            granted_start, _ = tracker.occupy(head, serialization)
             # The head flit crosses this hop as soon as the link grants it.
             head = granted_start + hop
         # The tail follows the head by the remaining serialization time.
-        return head + (flits - 1) * cycle
+        return head + shape.tail_ns

@@ -82,20 +82,14 @@ class FlitNetworkAdapter(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Tail-arrival time from a batch replay of overlapping traffic."""
-        self.mesh.validate_node(src)
-        self.mesh.validate_node(dst)
-        config = self.config
-        cycle = config.cycle_ns
-        flits = config.flits_for(size_bytes)
-        links = self.mesh.route_links(src, dst)
-        self.stats.add("packets")
-        self.stats.add("flits", flits)
-        self.stats.add("bytes", max(size_bytes, 0))
-        self.stats.add("flit_hops", flits * len(links))
+        shape = self._account(src, dst, size_bytes)
         if src == dst:
             # Local delivery through the tile crossbar: one routing pass.
-            return start_ns + config.routing_delay_cycles * cycle
+            return start_ns + self._local_ns
 
+        config = self.config
+        cycle = config.cycle_ns
+        links = shape.links
         # Fault blackouts delay injection past any wedged route link.
         head_ns = start_ns
         if self._links:
@@ -113,14 +107,14 @@ class FlitNetworkAdapter(LinkLedgerBase):
         message = _Message(src, dst, size_bytes, start_cycle, 0)
         if not self._window:
             # Lone packet: the wormhole pipeline's exact zero-load latency.
-            latency = len(links) * config.hop_cycles + flits - 1
+            latency = shape.hops * config.hop_cycles + shape.flits - 1
         else:
             latency = self._replay(message)
         message.end_cycle = start_cycle + latency
         self._window.append(message)
 
-        serialization = flits * cycle
-        hop = config.hop_cycles * cycle
+        serialization = shape.serialization_ns
+        hop = self._hop_ns
         for index, link in enumerate(links):
             # Reporting spans at zero-load head offsets; contention shows
             # up in the returned latency, not in the span placement.

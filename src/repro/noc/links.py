@@ -8,6 +8,15 @@ blackouts (:meth:`reserve_link`), wedge detection
 listener hook — so the backends differ only in how
 :meth:`~repro.noc.model.NocModel.delivery_time` spends time on those
 ledgers (FIFO reservations, flit simulation, or a closed form).
+
+It also owns every message's prologue (:meth:`_account`): node
+validation, flit and hop counts, the route, and the ``packets`` /
+``flits`` / ``bytes`` / ``flit_hops`` counters.  Message shapes repeat
+endlessly in a simulation — the same feature sizes over the same few
+routes — so everything derivable from ``(src, dst, size_bytes)`` is
+computed once per shape (:class:`MessageShape`) and a delivery costs one
+dict lookup plus one folded counter update before its backend spends
+time.
 """
 
 from __future__ import annotations
@@ -16,6 +25,40 @@ from repro.noc.config import NocConfig, NOC_CONFIG
 from repro.noc.model import TrackerListener
 from repro.noc.topology import Coord, Mesh
 from repro.sim.stats import BusyTracker, StatSet
+
+Link = tuple[Coord, Coord]
+
+
+class MessageShape:
+    """The time-independent terms of one ``(src, dst, size_bytes)`` message.
+
+    The latency terms are the products the backends' formulas used
+    inline, computed the same way, so summing them in the formula's
+    order gives bit-identical arrival times.
+    """
+
+    __slots__ = ("flits", "hops", "bytes", "serialization_ns",
+                 "hop_term_ns", "tail_ns", "links", "trackers")
+
+    def __init__(
+        self, config: NocConfig, size_bytes: int, links: tuple[Link, ...]
+    ) -> None:
+        cycle = config.cycle_ns
+        flits = config.flits_for(size_bytes)
+        hops = len(links)
+        self.flits = flits
+        self.hops = hops
+        self.bytes = max(size_bytes, 0)
+        #: Time the message occupies each link of its route.
+        self.serialization_ns = flits * cycle
+        #: Head latency at zero load: ``hops`` pipeline stages.
+        self.hop_term_ns = hops * (config.hop_cycles * cycle)
+        #: Tail-behind-head latency: the remaining flits.
+        self.tail_ns = (flits - 1) * cycle
+        self.links = links
+        #: The route's ledgers, bound on the first message that reserves
+        #: them (the same objects as in ``LinkLedgerBase._links``).
+        self.trackers: tuple[BusyTracker, ...] | None = None
 
 
 class LinkLedgerBase:
@@ -28,9 +71,45 @@ class LinkLedgerBase:
     def __init__(self, mesh: Mesh, config: NocConfig = NOC_CONFIG) -> None:
         self.mesh = mesh
         self.config = config
-        self._links: dict[tuple[Coord, Coord], BusyTracker] = {}
+        self._links: dict[Link, BusyTracker] = {}
         self._tracker_listener: TrackerListener | None = None
         self.stats = StatSet()
+        # (src, dst) -> the route's directed links; the mesh is static,
+        # so each pair routes identically forever.
+        self._routes: dict[tuple[Coord, Coord], tuple[Link, ...]] = {}
+        # (src, dst, size_bytes) -> MessageShape.  Only validated nodes
+        # ever get an entry, so a bad node raises on every call.
+        self._shapes: dict[tuple[Coord, Coord, int], MessageShape] = {}
+        self._hop_ns = config.hop_cycles * config.cycle_ns
+        self._local_ns = config.routing_delay_cycles * config.cycle_ns
+
+    def _account(
+        self, src: Coord, dst: Coord, size_bytes: int
+    ) -> MessageShape:
+        """Count one message in :attr:`stats` and return its shape."""
+        shape = self._shapes.get((src, dst, size_bytes))
+        if shape is None:
+            self.mesh.validate_node(src)
+            self.mesh.validate_node(dst)
+            shape = MessageShape(self.config, size_bytes,
+                                 self._route(src, dst))
+            self._shapes[(src, dst, size_bytes)] = shape
+        counters = self.stats._counters
+        counters["packets"] = counters.get("packets", 0.0) + 1.0
+        counters["flits"] = counters.get("flits", 0.0) + shape.flits
+        counters["bytes"] = counters.get("bytes", 0.0) + shape.bytes
+        counters["flit_hops"] = (
+            counters.get("flit_hops", 0.0) + shape.flits * shape.hops
+        )
+        return shape
+
+    def _route(self, src: Coord, dst: Coord) -> tuple[Link, ...]:
+        """The directed links of the ``src`` -> ``dst`` route, memoized."""
+        key = (src, dst)
+        links = self._routes.get(key)
+        if links is None:
+            links = self._routes[key] = tuple(self.mesh.route_links(src, dst))
+        return links
 
     def _link(self, src: Coord, dst: Coord) -> BusyTracker:
         key = (src, dst)
@@ -69,10 +148,15 @@ class LinkLedgerBase:
 
         Fault-injection hook: packets routed over the link after the
         reservation are delayed behind it, exactly as if the router were
-        wedged for ``duration_ns``.
+        wedged for ``duration_ns``.  Raises :class:`ValueError` unless
+        ``src`` -> ``dst`` is a link of the mesh (torus wraparound
+        included): a blackout of any other pair would delay nothing yet
+        show up in every link report.
         """
         self.mesh.validate_node(src)
         self.mesh.validate_node(dst)
+        if dst not in self.mesh.neighbors(src):
+            raise ValueError(f"{src}->{dst} is not a link of {self.mesh}")
         self._link(src, dst).occupy(start_ns, duration_ns)
 
     def any_link_busy(self, now_ns: float) -> bool:

@@ -82,14 +82,6 @@ class Mesh:
         """Directed links of the minimal dimension-ordered route."""
         return route_links(src, dst)
 
-    def distance(self, src: Coord, dst: Coord) -> int:
-        """Hop count of the minimal route (``len(route_links(...))``).
-
-        O(1); the analytical NoC backend's hot path uses it to avoid
-        materialising the route.
-        """
-        return abs(dst[0] - src[0]) + abs(dst[1] - src[1])
-
 
 @dataclass(frozen=True)
 class Torus(Mesh):
@@ -124,16 +116,6 @@ class Torus(Mesh):
             links.append((current, nxt))
             current = nxt
         return links
-
-    def distance(self, src: Coord, dst: Coord) -> int:
-        """Hop count taking the shorter way around each ring."""
-        return sum(
-            min((end - begin) % size, (begin - end) % size)
-            for begin, end, size in (
-                (src[0], dst[0], self.width),
-                (src[1], dst[1], self.height),
-            )
-        )
 
     def neighbors(self, node: Coord) -> list[Coord]:
         """Ring-adjacent coordinates (always four when size > 2)."""

@@ -136,7 +136,8 @@ class TestZeroLoadAgreement:
             src, dst = rng.sample(nodes, 2)
             size = rng.choice((0, 64, 256, 1024))
             start = index * 10_000.0  # far apart: never in flight together
-            expected = zero_load_ns(config, mesh.distance(src, dst), size)
+            hops = len(mesh.route_links(src, dst))
+            expected = zero_load_ns(config, hops, size)
             assert backend.delivery_time(src, dst, size, start) == pytest.approx(
                 start + expected
             )
@@ -210,7 +211,8 @@ class TestContentionBand:
             backend = create_backend(name, mesh, config)
             for src, dst, size, start in messages:
                 latency = backend.delivery_time(src, dst, size, start) - start
-                floor = zero_load_ns(config, mesh.distance(src, dst), size)
+                hops = len(mesh.route_links(src, dst))
+                floor = zero_load_ns(config, hops, size)
                 assert latency >= floor - 1e-9, (name, src, dst)
 
 
@@ -264,12 +266,68 @@ class TestBookkeepingAcrossBackends:
         assert backend.stalled_links(0.0, 1e6) == []
 
     @pytest.mark.parametrize("name", BACKENDS)
+    def test_reserve_link_rejects_a_pair_that_is_not_a_link(self, name):
+        """(0,0)->(2,0) skips a router on a 3x1 mesh: wedging it would
+        delay nothing yet name a phantom link in every link report."""
+        mesh, config = Mesh(3, 1), NocConfig()
+        backend = create_backend(name, mesh, config)
+        with pytest.raises(ValueError, match=r"\(0, 0\)->\(2, 0\)"):
+            backend.reserve_link((0, 0), (2, 0), 0.0, 1000.0)
+        assert backend.links_used == 0
+        assert backend.stalled_links(0.0, 10.0) == []
+        assert backend.delivery_time((0, 0), (2, 0), 64, 0.0) == \
+            zero_load_ns(config, 2, 64)
+        backend.reserve_link((0, 0), (1, 0), 0.0, 1000.0)
+        assert backend.delivery_time((0, 0), (2, 0), 64, 0.0) >= 1000.0
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_blackout_after_memoization_still_delays(self, name):
+        """A memoized route holds the live link ledgers, not a snapshot:
+        a blackout reserved after the route carried traffic delays its
+        next message, whichever of the route's links it wedges.  A first
+        blackout off the route makes every backend walk the route before
+        the second one lands."""
+        for wedged in (((0, 0), (1, 0)), ((1, 0), (2, 0))):
+            backend = create_backend(name, Mesh(3, 1), NocConfig())
+            backend.reserve_link((2, 0), (1, 0), 0.0, 10.0)
+            for start in (0.0, 50.0):
+                backend.delivery_time((0, 0), (2, 0), 64, start)
+            backend.reserve_link(*wedged, start_ns=100.0, duration_ns=500.0)
+            assert backend.delivery_time((0, 0), (2, 0), 64, 100.0) >= 600.0
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_out_of_mesh_node_raises_on_every_call(self, name):
+        backend = create_backend(name, Mesh(2, 2), NocConfig())
+        backend.delivery_time((0, 0), (1, 1), 64, 0.0)  # memoize (0, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                backend.delivery_time((0, 0), (2, 0), 64, 10.0)
+            with pytest.raises(ValueError):
+                backend.delivery_time((2, 0), (0, 0), 64, 10.0)
+        assert backend.stats.get("packets") == 1  # rejected calls count nothing
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_listener_attached_after_traffic_sees_later_spans(self, name):
+        backend = create_backend(name, Mesh(3, 1), NocConfig())
+        backend.delivery_time((0, 0), (2, 0), 64, 0.0)
+        sinks = {}
+
+        def listen(link, tracker):
+            sinks[link] = []
+            tracker.attach_span_sink(sinks[link])
+
+        backend.attach_tracker_listener(listen)
+        backend.delivery_time((0, 0), (2, 0), 64, 100.0)
+        assert sorted(sinks) == [((0, 0), (1, 0)), ((1, 0), (2, 0))]
+        assert all(len(spans) == 1 for spans in sinks.values())
+
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_stats_counters_cover_the_energy_model_inputs(self, name):
         mesh, config = Mesh(3, 2), NocConfig()
         backend = create_backend(name, mesh, config)
         backend.delivery_time((0, 0), (2, 1), 256, 0.0)
         counters = backend.stats.as_dict()
-        hops = mesh.distance((0, 0), (2, 1))
+        hops = len(mesh.route_links((0, 0), (2, 1)))
         assert counters["packets"] == 1
         assert counters["flits"] == config.flits_for(256)
         assert counters["bytes"] == 256

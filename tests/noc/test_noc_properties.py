@@ -2,7 +2,15 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.noc import FlitNetwork, Mesh, NOC_CONFIG, Packet, PacketNetwork
+from repro.noc import (
+    FlitNetwork,
+    Mesh,
+    NOC_CONFIG,
+    Packet,
+    PacketNetwork,
+    Torus,
+)
+from repro.sim.stats import BusyTracker, StatSet
 
 coords = st.tuples(st.integers(0, 3), st.integers(0, 3))
 packet_specs = st.lists(
@@ -78,3 +86,72 @@ def test_packet_model_monotone_in_size(src, dst, size, start):
         src, dst, size + 64, start
     )
     assert large >= small
+
+
+class ReferencePacketNetwork:
+    """The packet model computed hop by hop with no memo: the loop
+    version the memoized one must match exactly."""
+
+    def __init__(self, mesh, config=NOC_CONFIG):
+        self.mesh, self.config = mesh, config
+        self.links, self.stats = {}, StatSet()
+
+    def delivery_time(self, src, dst, size_bytes, start_ns):
+        self.mesh.validate_node(src)
+        self.mesh.validate_node(dst)
+        cycle = self.config.cycle_ns
+        flits = self.config.flits_for(size_bytes)
+        links = self.mesh.route_links(src, dst)
+        self.stats.add("packets")
+        self.stats.add("flits", flits)
+        self.stats.add("bytes", max(size_bytes, 0))
+        self.stats.add("flit_hops", flits * len(links))
+        if src == dst:
+            return start_ns + self.config.routing_delay_cycles * cycle
+        head = start_ns
+        for link in links:
+            tracker = self.links.setdefault(link, BusyTracker())
+            granted_start, _ = tracker.occupy(head, flits * cycle)
+            head = granted_start + self.config.hop_cycles * cycle
+        return head + (flits - 1) * cycle
+
+    def reserve_link(self, src, dst, start_ns, duration_ns):
+        tracker = self.links.setdefault((src, dst), BusyTracker())
+        tracker.occupy(start_ns, duration_ns)
+
+
+@st.composite
+def traffic(draw):
+    """A 4x4 mesh or torus and a message sequence with a few blackouts
+    of real links mixed in (the same shapes recur, as in a simulation)."""
+    mesh = draw(st.sampled_from([Mesh(4, 4), Torus(4, 4)]))
+    links = [(a, b) for a in mesh.nodes() for b in mesh.neighbors(a)]
+    send = st.tuples(st.just("send"), coords, coords,
+                     st.sampled_from([0, 1, 64, 200, 512]),
+                     st.floats(0, 2e3))
+    fault = st.tuples(st.just("fault"), st.sampled_from(links),
+                      st.floats(0, 2e3), st.floats(0, 500))
+    ops = draw(st.lists(st.one_of(send, send, send, fault), max_size=40))
+    return mesh, ops
+
+
+@given(traffic(), st.floats(1, 1e4))
+@settings(max_examples=60, deadline=None)
+def test_memoized_packet_model_matches_the_per_hop_reference(case, elapsed):
+    mesh, ops = case
+    fast, reference = PacketNetwork(mesh), ReferencePacketNetwork(mesh)
+    for op in ops:
+        if op[0] == "send":
+            _, src, dst, size, start = op
+            assert fast.delivery_time(src, dst, size, start) == \
+                reference.delivery_time(src, dst, size, start)
+        else:
+            _, (src, dst), start, duration = op
+            fast.reserve_link(src, dst, start, duration)
+            reference.reserve_link(src, dst, start, duration)
+    assert fast.stats.as_dict() == reference.stats.as_dict()
+    assert fast.links_used == len(reference.links)
+    assert fast.link_utilization(elapsed) == {
+        link: tracker.utilization(elapsed)
+        for link, tracker in reference.links.items()
+    }

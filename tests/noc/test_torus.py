@@ -74,6 +74,13 @@ class TestPacketNetworkOnTorus:
         net.delivery_time((0, 0), (7, 0), 64, 0.0)
         assert net.stats.get("flit_hops") == 1
 
+    def test_wraparound_link_can_be_wedged(self):
+        torus_net = PacketNetwork(Torus(8, 1))
+        torus_net.reserve_link((0, 0), (7, 0), 0.0, 1000.0)
+        assert torus_net.delivery_time((0, 0), (7, 0), 64, 0.0) >= 1000.0
+        with pytest.raises(ValueError, match="not a link"):
+            PacketNetwork(Mesh(8, 1)).reserve_link((0, 0), (7, 0), 0.0, 1.0)
+
     def test_mean_latency_improves_under_uniform_traffic(self):
         config = NocConfig()
         nodes = Mesh(6, 6).nodes()
