@@ -21,7 +21,7 @@ allocation, DNQ slots, data arrivals).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -179,12 +179,14 @@ class RuntimeEngine:
         self._plan: _LayerPlan | None = None
         # Fast-forward state (config.fast_forward): a FIFO of inline
         # continuations drained iteratively so closed-form chains never
-        # recurse through the whole thread waitlist, plus the engine's
-        # own notion of "now" while draining (sim.now is stale inline).
+        # recurse through the whole thread waitlist, the engine's own
+        # notion of "now" while draining (sim.now is stale inline), and
+        # whether a layer start still has tasks left to offer.
         self._ff = accel.config.fast_forward
         self._inline_q: deque = deque()
         self._draining = False
         self._inline_now: float | None = None
+        self._offering = False
 
     def _now_ns(self) -> float:
         """Current time: the inline clock while fast-forwarding, else sim.now."""
@@ -231,23 +233,21 @@ class RuntimeEngine:
     # -- one layer ------------------------------------------------------------
 
     def _run_layer(self, layer: LayerProgram, start_ns: float) -> float:
+        """Run one layer to completion; returns its end time.
+
+        The layer starts with one event, :meth:`_offer_tasks`, and ends
+        when the queue drains.  A layer that drains with tasks unfinished
+        is a :class:`DeadlockError`; one that finishes them but leaves a
+        thread, DNQ slot or AGG entry held fails :meth:`_check_drained`.
+        """
         for tile in self.accel.tiles:
             tile.configure_layer(layer.dnq_entry_bytes, layer.agg_width_values)
         self._layer_end = start_ns
         self._tasks_remaining = len(layer.tasks)
         self._plan = _LayerPlan(self, layer)
-        # All tasks enqueue at the same timestamp, so the whole storm is
-        # one bulk schedule: a single heap entry drained in one dispatch,
-        # preserving per-task order exactly.
-        enqueue = self._enqueue_task
-        tile_of = self.accel.tile_of
-        self.sim.post_bulk(
-            max(start_ns, self.sim.now),
-            [
-                (enqueue, (tile_of(task.vertex), task, layer, i))
-                for i, task in enumerate(layer.tasks)
-            ],
-        )
+        if layer.tasks:
+            self.sim.post_at(max(start_ns, self.sim.now), self._offer_tasks,
+                             layer)
         watchdog = self.accel.config.watchdog.build()
         try:
             self.sim.run(watchdog=watchdog, profiler=self._profiler)
@@ -265,7 +265,85 @@ class RuntimeEngine:
                 layer,
                 kind=DeadlockError,
             )
+        self._check_drained(layer)
         return self._layer_end
+
+    def _offer_tasks(self, layer: LayerProgram) -> None:
+        """Layer start: offer every task to its tile's thread pool.
+
+        Tasks are offered in work-queue order, all at this event's time.
+        Each tile gets one feeder that starts the tile's next task, in
+        task order, on every thread grant: the first ``gpe_threads``
+        offers to a tile start at once, and the rest wait in the pool as
+        references to that same feeder.  Grants are FIFO, so a tile's
+        k-th grant starts its k-th task, exactly as if every task waited
+        on a callback of its own — but the layer's live objects stay
+        O(threads), not O(tasks), and no per-task object outlives this
+        event.
+
+        Fast-forward inlines nothing until the last task is offered: the
+        offers still to come belong to this instant, so they precede any
+        continuation, but the kernel cannot see them in its queue.
+        """
+        tile_of = self.accel.tile_of
+        owners = [tile_of(task.vertex) for task in layer.tasks]
+        queues: dict[Tile, list[int]] = {tile: [] for tile in self.accel.tiles}
+        for i, tile in enumerate(owners):
+            queues[tile].append(i)
+        feeders = {
+            tile: self._feeder(tile, layer, indices)
+            for tile, indices in queues.items()
+        }
+        last = owners.pop()
+        self._offering = True
+        for tile in owners:
+            tile.gpe.acquire_thread_at(feeders[tile])
+        self._offering = False
+        last.gpe.acquire_thread_at(feeders[last])
+
+    def _feeder(
+        self, tile: Tile, layer: LayerProgram, indices: list[int]
+    ) -> Callable[[float], None]:
+        """Thread-grant callback starting ``tile``'s tasks in order."""
+        tasks = layer.tasks
+        next_index = iter(indices).__next__
+        start = self._start_task
+
+        def feed(grant_ns: float) -> None:
+            i = next_index()
+            start(tile, tasks[i], layer, i, grant_ns)
+
+        return feed
+
+    def _check_drained(self, layer: LayerProgram) -> None:
+        """End-of-layer conservation: every unit is back to idle.
+
+        Each tile must have all its GPE threads free with nobody waiting,
+        no DNQ slot in use and no AGG entry in flight.  A leak would
+        otherwise shrink the next layer's pools silently, or surface only
+        as a bare error when the next layer reconfigures the unit.
+        """
+        leaks: list[str] = []
+        for tile in self.accel.tiles:
+            gpe, dnq, agg = tile.gpe, tile.dnq, tile.agg
+            threads = gpe.config.gpe_threads
+            if gpe.free_threads != threads or gpe.waiting_threads:
+                leaks.append(
+                    f"{gpe.name}: {gpe.free_threads} of {threads} threads "
+                    f"free, {gpe.waiting_threads} tasks waiting"
+                )
+            if dnq.slots_in_use:
+                leaks.append(f"{dnq.name}: {dnq.slots_in_use} slot(s) in use")
+            if agg.in_flight:
+                leaks.append(
+                    f"{agg.name}: {agg.in_flight} aggregation(s) in flight"
+                )
+        if leaks:
+            raise self._failure(
+                f"layer {layer.name!r} finished with units still held",
+                layer,
+                suspects=leaks,
+            )
 
     # -- failure diagnosis ------------------------------------------------------
 
@@ -275,8 +353,10 @@ class RuntimeEngine:
         layer: LayerProgram,
         diagnosis: WatchdogDiagnosis | None = None,
         kind: type[SimulationFailure] = SimulationFailure,
+        suspects: list[str] | None = None,
     ) -> SimulationFailure:
-        suspects = tuple(self._suspects())
+        """A classified failure naming the suspects (probed by default)."""
+        suspects = tuple(self._suspects() if suspects is None else suspects)
         detail = "; ".join(suspects) if suspects else "no suspect module"
         text = f"{message} [suspects: {detail}]"
         if diagnosis is not None:
@@ -341,13 +421,6 @@ class RuntimeEngine:
             )
         return suspects
 
-    def _enqueue_task(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int
-    ) -> None:
-        tile.gpe.acquire_thread_at(
-            lambda grant_ns: self._start_task(tile, task, layer, i, grant_ns)
-        )
-
     # -- one vertex program ------------------------------------------------------
 
     def _at(self, t: float, callback, *args) -> None:
@@ -360,11 +433,12 @@ class RuntimeEngine:
         issued (in real time) before it.
 
         Fast-forward mode (``AcceleratorConfig.fast_forward``) skips the
-        event round-trip when doing so cannot change what runs next: the
-        continuation must be the kernel's very next dispatch anyway
+        event round-trip when doing so cannot change what runs next: no
+        task of the layer may be left to offer (:meth:`_offer_tasks`),
+        the continuation must be the kernel's very next dispatch anyway
         (:meth:`~repro.sim.kernel.Simulator.inline_safe` — strictly
-        earlier than the heap head, no bulk-dispatch remainder in
-        flight) and no contention may be visible (:meth:`_ff_ok`).
+        earlier than the heap head) and no contention may be visible
+        (:meth:`_ff_ok`).
         Eligible continuations run inline at their closed-form
         timestamp, queued through a FIFO drained iteratively by the
         outermost frame so a chain of back-to-back tasks (thread grant →
@@ -380,9 +454,7 @@ class RuntimeEngine:
         fire = t if t > now else now
         queue = self._inline_q
         if self._ff and (
-            (not queue or fire >= queue[-1][0])
-            and sim.inline_safe(fire)
-            and self._ff_ok()
+            (not queue or fire >= queue[-1][0]) and self._inline_ok(fire)
         ):
             queue.append((fire, callback, args))
             if not self._draining:
@@ -390,7 +462,7 @@ class RuntimeEngine:
                 try:
                     while queue:
                         at, cb, cb_args = queue.popleft()
-                        if sim.inline_safe(at) and self._ff_ok():
+                        if self._inline_ok(at):
                             self._inline_now = at
                             cb(*cb_args)
                         else:
@@ -400,6 +472,11 @@ class RuntimeEngine:
                     self._inline_now = None
             return
         sim.post_at(fire, callback, *args)
+
+    def _inline_ok(self, t: float) -> bool:
+        """True when a continuation at ``t`` may run inline right now."""
+        return (not self._offering and self.sim.inline_safe(t)
+                and self._ff_ok())
 
     def _ff_ok(self) -> bool:
         """True when closed-form advancement is currently contention-free.

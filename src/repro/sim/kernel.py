@@ -11,25 +11,23 @@ Fast path
 The kernel has two mechanically different but observably identical
 execution modes:
 
-* the **fast path** (default) — slotted events drawn from a free-list,
-  same-timestamp bulk schedules (:meth:`Simulator.post_bulk`) stored as
-  one heap entry and drained in one dispatch, and a run loop specialised
-  for the common flag combinations;
+* the **fast path** (default) — slotted events drawn from a free-list
+  and a run loop specialised for the common flag combinations;
 * the **reference path** (``Simulator(fastpath=False)`` or
-  ``$REPRO_SIM_FASTPATH=0``) — the seed per-event loop: one heap entry
-  per event, no recycling, no batching.
+  ``$REPRO_SIM_FASTPATH=0``) — the seed per-event loop: a fresh event
+  per schedule, no recycling.
 
 Both paths fire the same callbacks in the same order at the same
 simulated timestamps (``tests/sim/test_fastpath_identity.py`` proves
 reports field-for-field identical; ``tests/sim/test_event_queue_properties.py``
 property-tests the ordering on adversarial schedules).
 
-Free-list contract: only events created through :meth:`Simulator.post`,
-:meth:`Simulator.post_at`, and :meth:`Simulator.post_bulk` — calls that
-never hand the event object to the caller — are recycled.  Events
-returned by :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
-are never reused, so a held reference stays valid for
-:meth:`Event.cancel` forever.
+Free-list contract: only events created through :meth:`Simulator.post`
+and :meth:`Simulator.post_at` — calls that never hand the event object
+to the caller — are recycled.  Events returned by
+:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` are never
+reused, so a held reference stays valid for :meth:`Event.cancel`
+forever.
 """
 
 from __future__ import annotations
@@ -175,15 +173,8 @@ class Simulator:
         self._events_fired = 0
         self._running = False
         self.fastpath = default_fastpath() if fastpath is None else fastpath
-        # Free-list of recyclable events (post/post_at/post_bulk only).
+        # Free-list of recyclable events (post/post_at only).
         self._free: list[Event] = []
-        # Items of the currently-draining bulk dispatch still waiting to
-        # run (excluding the one executing); see :meth:`inline_safe`.
-        self._batch_pending = 0
-        # Single bound-method instance marking bulk-post heap entries:
-        # accessing ``self._run_batch`` creates a fresh bound object each
-        # time, so identity checks must go through this stable reference.
-        self._batch_marker = self._run_batch
 
     @property
     def now(self) -> float:
@@ -192,7 +183,7 @@ class Simulator:
 
     @property
     def events_fired(self) -> int:
-        """Number of events executed so far (batch items count singly)."""
+        """Number of events executed so far."""
         return self._events_fired
 
     @property
@@ -201,23 +192,13 @@ class Simulator:
 
         Cancelled events stay queued until their timestamp is reached and
         the kernel pops (and skips) them, so this counts them too; use
-        :meth:`pending_active` to exclude them.  A bulk schedule counts
-        once per undispatched item.
+        :meth:`pending_active` to exclude them.
         """
-        return sum(self._event_weight(event) for event in self._queue)
+        return len(self._queue)
 
     def pending_active(self) -> int:
         """Number of queued events that will actually fire."""
-        return sum(
-            self._event_weight(event)
-            for event in self._queue
-            if not event.cancelled
-        )
-
-    def _event_weight(self, event: Event) -> int:
-        if event.callback is self._batch_marker:
-            return len(event.args[0])
-        return 1
+        return sum(1 for event in self._queue if not event.cancelled)
 
     def pending_by_owner(self) -> dict[str, int]:
         """Non-cancelled queued events grouped by owning component.
@@ -232,11 +213,6 @@ class Simulator:
         counts: dict[str, int] = {}
         for event in self._queue:
             if event.cancelled:
-                continue
-            if event.callback is self._batch_marker:
-                for callback, _args in event.args[0]:
-                    owner = describe_callback(callback)
-                    counts[owner] = counts.get(owner, 0) + 1
                 continue
             owner = describe_callback(event.callback)
             counts[owner] = counts.get(owner, 0) + 1
@@ -300,50 +276,16 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, event)
 
-    def post_bulk(
-        self,
-        time: float,
-        items: list[tuple[Callable[..., None], tuple[Any, ...]]],
-    ) -> None:
-        """Schedule many ``callback(*args)`` items at one timestamp.
-
-        Semantically identical to ``post_at(time, cb, *args)`` per item in
-        list order.  On the fast path the whole run is stored as a single
-        heap entry and drained in one dispatch: because any event
-        scheduled *after* this call receives a larger ``seq``, every item
-        of the batch is ordered before it, so draining the batch without
-        consulting the heap between items preserves the global
-        (time, seq) order exactly.
-        """
-        if not items:
-            return
-        if not self.fastpath:
-            for callback, args in items:
-                self.post_at(time, callback, *args)
-            return
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} ns; current time is {self._now} ns"
-            )
-        event = Event(time, self._seq, self._batch_marker, (items,))
-        # One seq per item keeps later individually-scheduled events
-        # ordered after the whole batch, exactly as per-item posts would.
-        self._seq += len(items)
-        heapq.heappush(self._queue, event)
-
     def inline_safe(self, time: float) -> bool:
         """True if running a callback at ``time`` *right now* cannot
         reorder anything the kernel has queued.
 
-        Holds when no same-batch items are still waiting to dispatch and
-        ``time`` is strictly earlier than the next heap entry (or the
-        heap is empty) — i.e. the callback would be the very next thing
-        the run loop dispatched anyway.  The engine's fast-forward mode
-        uses this to run continuation chains inline without changing the
-        global (time, seq) dispatch order.
+        Holds when ``time`` is strictly earlier than the next heap entry
+        (or the heap is empty) — i.e. the callback would be the very next
+        thing the run loop dispatched anyway.  The engine's fast-forward
+        mode uses this to run continuation chains inline without changing
+        the global (time, seq) dispatch order.
         """
-        if self._batch_pending:
-            return False
         queue = self._queue
         return not queue or time < queue[0].time
 
@@ -412,7 +354,6 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         free = self._free
-        batch = self._batch_marker
         fired = 0
         try:
             if watchdog is None:
@@ -430,11 +371,8 @@ class Simulator:
                         event.args = ()
                         event.cancelled = False
                         free.append(event)
-                    if callback is batch:
-                        fired += self._dispatch_batch(args[0], None)
-                    else:
-                        callback(*args)
-                        fired += 1
+                    callback(*args)
+                    fired += 1
                 return
             before_event = watchdog.before_event
             while queue:
@@ -452,13 +390,8 @@ class Simulator:
                     event.args = ()
                     event.cancelled = False
                     free.append(event)
-                if callback is batch:
-                    # The first item's budget check just ran.
-                    fired += self._dispatch_batch(args[0], watchdog,
-                                                  first_checked=True)
-                else:
-                    callback(*args)
-                    fired += 1
+                callback(*args)
+                fired += 1
         finally:
             self._events_fired += fired
 
@@ -471,15 +404,14 @@ class Simulator:
     ) -> None:
         """Reference-shaped loop covering every flag combination.
 
-        With ``fastpath=False`` this *is* the seed event loop (bulk posts
-        degrade to per-item events and nothing is recycled), which is
-        what the differential identity tier runs against.
+        With ``fastpath=False`` this *is* the seed event loop (nothing is
+        recycled), which is what the differential identity tier runs
+        against.
         """
         queue = self._queue
         stop_at = _INF if until is None else until
         limit = max_events
         fired = 0
-        batch = self._batch_marker
         try:
             while queue:
                 event = queue[0]
@@ -495,24 +427,22 @@ class Simulator:
                 self._now = event.time
                 callback = event.callback
                 args = event.args
-                if event._recycle:
-                    self._recycle(event)
-                if callback is batch:
-                    fired += self._dispatch_batch(
-                        args[0], watchdog,
-                        first_checked=watchdog is not None,
-                        profiler=profiler,
-                    )
-                elif profiler is None:
+                if profiler is None:
+                    if event._recycle:
+                        self._recycle(event)
                     callback(*args)
-                    fired += 1
                 else:
                     handler_start = perf_counter()
                     callback(*args)
                     profiler.after_event(
                         event, perf_counter() - handler_start, len(queue)
                     )
-                    fired += 1
+                    # Recycled only once the profiler has read its
+                    # callback, so a post made by the handler cannot
+                    # reuse the event and take the attribution.
+                    if event._recycle:
+                        self._recycle(event)
+                fired += 1
                 if limit is not None and fired >= limit:
                     return
             if until is not None and until > self._now:
@@ -532,72 +462,10 @@ class Simulator:
         if event._recycle:
             self._recycle(event)
 
-    def _run_batch(
-        self,
-        items: list[tuple[Callable[..., None], tuple[Any, ...]]],
-    ) -> None:  # pragma: no cover - dispatched via _dispatch_batch
-        """Marker callback identifying a bulk-post heap entry.
-
-        Never invoked directly: the run loops compare ``event.callback``
-        against this bound method and hand the item list to
-        :meth:`_dispatch_batch` so per-item watchdog/profiler bookkeeping
-        matches the per-event loops.
-        """
-        raise SimulationError("batch events are dispatched by the run loop")
-
-    def _dispatch_batch(
-        self,
-        items: list[tuple[Callable[..., None], tuple[Any, ...]]],
-        watchdog: "SupportsWatchdog | None",
-        first_checked: bool = False,
-        profiler: "SupportsProfiler | None" = None,
-    ) -> int:
-        """Drain one same-timestamp batch; returns how many items fired.
-
-        Items were scheduled before anything currently in the heap with
-        the same timestamp (monotone ``seq``), so running them back to
-        back without re-consulting the heap preserves event order.  The
-        watchdog still sees one ``before_event`` per item (stall and
-        event budgets count batch items exactly like loose events).
-        """
-        fired = 0
-        probe: Event | None = None
-        remaining = len(items)
-        try:
-            for callback, args in items:
-                remaining -= 1
-                self._batch_pending = remaining
-                if watchdog is not None:
-                    if first_checked:
-                        first_checked = False
-                    else:
-                        if probe is None:
-                            probe = Event(self._now, self._seq, callback, args)
-                        probe.callback = callback
-                        probe.args = args
-                        watchdog.before_event(self, probe)
-                if profiler is None:
-                    callback(*args)
-                else:
-                    probe = probe or Event(self._now, self._seq, callback, args)
-                    probe.callback = callback
-                    probe.args = args
-                    handler_start = perf_counter()
-                    callback(*args)
-                    profiler.after_event(
-                        probe, perf_counter() - handler_start, len(self._queue)
-                    )
-                fired += 1
-        finally:
-            self._batch_pending = 0
-        return fired
-
     def step(self) -> bool:
         """Execute the single next non-cancelled event.
 
         Returns True if an event fired, False if the queue was empty.
-        Bulk posts are not steppable item-by-item; the whole batch counts
-        as the next event and drains in one step.
         """
         queue = self._queue
         while queue:
@@ -610,11 +478,8 @@ class Simulator:
             args = event.args
             if event._recycle:
                 self._recycle(event)
-            if callback is self._batch_marker:
-                self._events_fired += self._dispatch_batch(args[0], None)
-            else:
-                callback(*args)
-                self._events_fired += 1
+            callback(*args)
+            self._events_fired += 1
             return True
         return False
 

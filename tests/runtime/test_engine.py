@@ -1,20 +1,33 @@
 """Tests for the Algorithm 1 execution engine."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
-from repro.accel import Accelerator, AcceleratorConfig, CPU_ISO_BW
+from repro.accel import (
+    Accelerator,
+    AcceleratorConfig,
+    Aggregator,
+    CPU_ISO_BW,
+    DnnQueue,
+    GraphPE,
+)
 from repro.graphs import citation_graph
 from repro.models import GCN, PGNN
 from repro.runtime import (
     AcceleratorProgram,
     LayerProgram,
     RuntimeEngine,
+    SimulationFailure,
     TraversalRound,
     VertexTask,
     compile_model,
     simulate,
 )
+from repro.runtime.serialize import report_to_dict
+from repro.sim.watchdog import WatchdogConfig
 
 
 def tiny_config(clock=2.4) -> AcceleratorConfig:
@@ -26,6 +39,13 @@ def single_task_program(**task_kwargs) -> AcceleratorProgram:
     return AcceleratorProgram(
         name="single", layers=[LayerProgram(name="layer", tasks=[task])]
     )
+
+
+def gcn_program(num_nodes: int, num_edges: int, seed: int):
+    """A 4-layer GCN over a random citation graph with 8-wide features."""
+    graph = citation_graph(num_nodes, num_edges, seed=seed)
+    graph.node_features = np.zeros((num_nodes, 8), dtype=np.float32)
+    return compile_model(GCN(8, 8, 4), graph)
 
 
 @pytest.fixture
@@ -181,3 +201,83 @@ class TestEndToEnd:
         assert report.benchmark == "GCN"
         assert report.config_name == "CPU iso-BW"
         assert report.clock_ghz == 1.2
+
+
+class TestTaskFeed:
+    """A layer's tasks reach the thread pools on demand, not as a pile."""
+
+    def test_large_layer_does_not_look_stalled(self):
+        # Four layers of 3,000 tasks: offering them is one event, so a
+        # tight forward-progress window sees no same-timestamp pile-up.
+        program = gcn_program(3000, 7000, seed=2)
+        default = simulate(program, tiny_config())
+        strict = simulate(program, dataclasses.replace(
+            tiny_config(), watchdog=WatchdogConfig(stall_events=2000)
+        ))
+        assert default.latency_ns == 241900.96509806052
+        assert report_to_dict(strict) == report_to_dict(default)
+
+    def test_live_heap_does_not_grow_with_task_count(self):
+        # Per-task objects would pile up until the cyclic collector runs
+        # (hundreds of young and a full collection on this program).
+        program = gcn_program(5000, 10000, seed=3)
+        engine = RuntimeEngine(Accelerator(tiny_config()))
+        collections = [0, 0, 0]
+
+        def count(phase, info):
+            if phase == "start":
+                collections[info["generation"]] += 1
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            engine.run(program)
+        finally:
+            gc.callbacks.remove(count)
+        assert collections[2] == 0
+        assert collections[0] <= 5
+
+
+class TestLayerConservation:
+    """Every layer hands back all its threads, DNQ slots and AGG entries."""
+
+    @pytest.mark.parametrize("unit,method,waiters,held", [
+        pytest.param(GraphPE, "release_thread", "waiting_threads",
+                     r"tile\(0, 0\)\.gpe: 15 of 16 threads free",
+                     id="gpe-thread"),
+        pytest.param(DnnQueue, "_release_slot", "waiting_reservations",
+                     r"tile\(0, 0\)\.dnq: 1 slot", id="dnq-slot"),
+    ])
+    def test_lost_release_fails_the_layer(self, monkeypatch, unit, method,
+                                          waiters, held):
+        # The first release on a unit without waiters goes missing.
+        original = getattr(unit, method)
+        dropped = []
+
+        def leaky(self, *args, **kwargs):
+            if not dropped and not getattr(self, waiters):
+                dropped.append(self.name)
+                return None
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(unit, method, leaky)
+        with pytest.raises(SimulationFailure, match=held) as exc:
+            simulate(gcn_program(300, 700, seed=2), tiny_config())
+        assert exc.value.layer == "gcn0.project"
+        assert exc.value.tasks_remaining == 0
+
+    def test_orphaned_agg_entry_fails_the_layer(self, monkeypatch):
+        original = Aggregator.alloc
+        orphaned = []
+
+        def alloc(self, expected_inputs, on_grant, now=None):
+            if not orphaned:
+                # An entry whose requester never contributes to it.
+                orphaned.append(self.name)
+                original(self, 1, lambda grant_ns, agg_id: None, now)
+            original(self, expected_inputs, on_grant, now)
+
+        monkeypatch.setattr(Aggregator, "alloc", alloc)
+        with pytest.raises(SimulationFailure,
+                           match=r"tile\(0, 0\)\.agg: 1 aggregation"):
+            simulate(gcn_program(300, 700, seed=2), tiny_config())

@@ -1,8 +1,8 @@
 """Property tests pitting the kernel fast path against the seed loop.
 
-Hypothesis builds adversarial schedules — duplicate timestamps, bulk
-posts interleaved with loose events, cancel-and-reschedule at the
-current tick, zero-delay self-posts — and runs each one on both kernel
+Hypothesis builds adversarial schedules — duplicate timestamps,
+recyclable posts interleaved with held events, cancel-and-reschedule at
+the current tick, zero-delay self-posts — and runs each one on both kernel
 modes (``Simulator(fastpath=True)`` vs ``fastpath=False``).  The
 observable execution — every callback's (time, tag) in firing order,
 the events-fired counter, the final clock — must be identical.
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.kernel import Simulator
 
 #: Coarse time grid so generated schedules collide on timestamps often —
-#: duplicate-time ordering is exactly what the batching refactor risks.
+#: duplicate-time ordering is exactly what event recycling risks.
 times = st.integers(0, 12).map(lambda k: k * 0.5)
 
 
@@ -28,7 +28,7 @@ def schedules(draw):
     ops = []
     for _ in range(n):
         kind = draw(st.sampled_from(
-            ["schedule", "post", "bulk", "cancel_same_tick", "self_post"]
+            ["schedule", "post", "cancel_same_tick", "self_post"]
         ))
         ops.append((kind, draw(times), draw(st.integers(1, 3))))
     return ops
@@ -61,10 +61,6 @@ def build_schedule(ops, sim, base=0.0):
             sim.schedule_at(t, fire, f"s{idx}")
         elif kind == "post":
             sim.post_at(t, fire, f"p{idx}")
-        elif kind == "bulk":
-            sim.post_bulk(
-                t, [(fire, (f"b{idx}.{j}",)) for j in range(extra)]
-            )
         elif kind == "cancel_same_tick":
             # The canceller is scheduled first, so it fires first at t
             # and cancels a victim queued for the same timestamp; the
@@ -102,8 +98,8 @@ def test_fastpath_preserves_observable_order(ops):
 @given(schedules())
 @settings(max_examples=100, deadline=None)
 def test_fastpath_matches_reference_under_watchdog(ops):
-    """The watchdog-instrumented fast loop (per-item budget probes on
-    batch dispatch) must not change the observable execution either."""
+    """The watchdog-instrumented fast loop must not change the
+    observable execution either."""
     from repro.sim.watchdog import Watchdog, WatchdogConfig
 
     def run(fastpath):

@@ -1,7 +1,7 @@
 """Differential bit-identity tier: fast path vs. the seed event loop.
 
-The kernel's fast path (event free-list, bulk same-timestamp dispatch,
-specialised run loop) and the engine's vectorised accounting claim to be
+The kernel's fast path (event free-list, specialised run loop) and the
+engine's vectorised accounting claim to be
 *observably identical* to the seed per-event implementation.  This tier
 proves it the only way that matters: run every benchmark on both
 implementations and require the resulting :class:`SimulationReport`

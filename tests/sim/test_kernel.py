@@ -231,3 +231,27 @@ def test_cancel_at_current_timestamp_honoured_before_dispatch():
                 f"fastpath={fastpath} watchdog={with_watchdog}: {fired}"
             )
             assert sim.now == 5.0
+
+
+def test_profiler_sees_the_callback_that_ran():
+    """A recycled event reaches the profiler before its callback is
+    cleared or its slot is reused by a post the handler makes."""
+    from repro.obs import KernelProfiler
+    from repro.sim.kernel import describe_callback
+
+    sim = Simulator(fastpath=True)
+
+    def ping(n):
+        if n:
+            sim.post(1.0, pong, n - 1)
+
+    def pong(n):
+        if n:
+            sim.post(1.0, ping, n - 1)
+
+    sim.post(0.0, ping, 10)
+    profiler = KernelProfiler(owner_sample_every=1)
+    sim.run(profiler=profiler)
+    assert profiler.profile().owner_events == {
+        describe_callback(ping): 6, describe_callback(pong): 5,
+    }
