@@ -87,24 +87,18 @@ class Aggregator(Module):
     # -- allocation -----------------------------------------------------------
 
     def alloc(
-        self,
-        expected_inputs: int,
-        on_grant: Callable[[float, int], None],
-        now: float | None = None,
+        self, expected_inputs: int, on_grant: Callable[[float, int], None]
     ) -> None:
         """Allocate an aggregation expecting ``expected_inputs`` packets.
 
         ``on_grant(grant_ns, agg_id)`` fires when an entry is available
         (scratchpad allocation takes one cycle).  Zero-input aggregations
         complete immediately upon first use, so they are rejected here.
-        ``now`` overrides the request time for callers that track time
-        themselves (the fast-forward engine); it defaults to ``sim.now``.
         """
         if expected_inputs < 1:
             raise ValueError("aggregation needs at least one input")
         if len(self._active) + len(self._alloc_waitlist) < self._capacity:
-            self._grant(expected_inputs, on_grant,
-                        self.now if now is None else now)
+            self._grant(expected_inputs, on_grant, self.now)
         else:
             self.stats.add("alloc_stalls")
             self._alloc_waitlist.append((expected_inputs, on_grant))

@@ -139,15 +139,6 @@ class AcceleratorConfig:
     # different backends never share cache entries.
     noc_backend: str = field(default_factory=default_backend_name)
     clock_ghz: float = 2.4
-    # Fast-forward mode: the runtime engine advances the clock in closed
-    # form (inline phase continuations instead of kernel events) whenever
-    # the profiler-visible state shows no contention — no AGG/DNQ
-    # waiters, no busy or stalled NoC links, no saturated memory queues.
-    # Approximate (reservation interleaving can shift latency slightly;
-    # see docs/architecture.md), so it is opt-in and — like every field
-    # except ``watchdog`` — part of the result-cache fingerprint: normal
-    # and fast-forward runs never share cache entries.
-    fast_forward: bool = False
     # Execution budgets for runs of this configuration.  Budgets bound
     # *termination*, never results: a run either completes (identically,
     # watchdog or not) or raises a diagnosable failure — which is why
@@ -195,10 +186,6 @@ class AcceleratorConfig:
         the registered backends.
         """
         return dataclasses.replace(self, noc_backend=noc_backend)
-
-    def with_fast_forward(self, fast_forward: bool = True) -> "AcceleratorConfig":
-        """The same configuration with fast-forward mode toggled."""
-        return dataclasses.replace(self, fast_forward=fast_forward)
 
 
 #: Table VI row 1: one tile and one memory node, 68 GBps (CPU-matched).

@@ -101,9 +101,7 @@ class GraphPE(Module):
 
         ``grant_ns`` is the simulated time of the grant: the current time
         for an immediate grant, or the release time passed to
-        :meth:`release_thread` for a deferred one.  On an event-driven
-        run both equal ``sim.now`` at the moment the callback runs; the
-        fast-forward engine threads its own clock through instead.
+        :meth:`release_thread` for a deferred one.
         """
         if self._free_threads > 0:
             self._free_threads -= 1

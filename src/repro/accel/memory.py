@@ -150,19 +150,6 @@ class MemoryController(Module):
         )
         return completion
 
-    def queue_full(self, now: float) -> bool:
-        """True if the in-order queue would delay a request issued at ``now``.
-
-        Contention probe for the engine's fast-forward eligibility check:
-        a full queue means new requests serialize behind outstanding
-        completions, so their acceptance order matters.
-        """
-        completions = self._completions
-        depth = self.config.queue_depth
-        return (
-            len(completions) >= depth and completions[-depth] > now
-        )
-
     # -- reporting ---------------------------------------------------------
 
     def bytes_serviced(self) -> float:

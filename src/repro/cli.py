@@ -312,7 +312,6 @@ def _cmd_sweep(args) -> int:
             clocks=tuple(args.clocks),
             configs=tuple(args.configs) or None,
             noc_backend=args.noc_backend,
-            fast_forward=args.fast_forward,
         )
     else:
         from repro.models import BENCHMARKS
@@ -411,7 +410,6 @@ def _cmd_dse(args) -> int:
         jobs=jobs,
         cache=cache,
         noc_backend=args.noc_backend,
-        fast_forward=args.fast_forward,
         policy=policy,
         progress=progress if not args.quiet else None,
     )
@@ -554,8 +552,7 @@ def _cmd_simulate(args) -> int:
     from repro.eval.accelerator import run_benchmark
 
     report = run_benchmark(args.benchmark, args.config, args.clock,
-                           noc_backend=args.noc_backend,
-                           fast_forward=args.fast_forward)
+                           noc_backend=args.noc_backend)
     print(f"{report.benchmark} on {report.config_name} @ "
           f"{report.clock_ghz} GHz")
     print(f"  latency: {report.latency_ms:.3f} ms")
@@ -842,11 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="NoC model: packet (default), flit, analytical — see "
              "'repro noc-backends'",
     )
-    simulate.add_argument(
-        "--fast-forward", action="store_true",
-        help="approximate contention-free scheduling (faster, cached "
-             "separately from exact runs)",
-    )
     profile = sub.add_parser(
         "profile",
         help="simulate one benchmark with full observability attached",
@@ -914,12 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
              "analytical — part of the cache key",
     )
     sweep.add_argument(
-        "--fast-forward", action="store_true",
-        help="approximate contention-free scheduling on every point "
-             "(part of the cache key; exact and approximate runs never "
-             "share entries)",
-    )
-    sweep.add_argument(
         "--system", default=None, metavar="NAME",
         help=system_help + "; non-accel systems ignore --configs/--clocks",
     )
@@ -957,11 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--noc-backend", default=None, metavar="NAME",
         help="NoC model for every point: packet (default), flit, "
              "analytical — part of the cache key",
-    )
-    dse.add_argument(
-        "--fast-forward", action="store_true",
-        help="approximate contention-free scheduling on every point "
-             "(part of the cache key)",
     )
     dse.add_argument(
         "--timeout", type=float, default=None, metavar="S",

@@ -105,7 +105,6 @@ class DseResult:
     seed: int
     budget: int
     noc_backend: str
-    fast_forward: bool
     evaluations: list[Evaluation] = field(default_factory=list)
     init_count: int = 0
     generations: int = 0
@@ -163,7 +162,6 @@ class DseResult:
             "seed": self.seed,
             "budget": self.budget,
             "noc_backend": self.noc_backend,
-            "fast_forward": self.fast_forward,
             "objectives": list(OBJECTIVES),
             "counts": {
                 "evaluated": len(self.evaluations),
@@ -198,7 +196,6 @@ class _Evaluator:
         jobs: int,
         cache: object,
         noc_backend: str | None,
-        fast_forward: bool,
         policy: Any,
         progress: Callable[[Evaluation], None] | None,
     ) -> None:
@@ -206,7 +203,6 @@ class _Evaluator:
         self.jobs = jobs
         self.cache = cache
         self.noc_backend = noc_backend
-        self.fast_forward = fast_forward
         self.policy = policy
         self.progress = progress
         self.seen: dict[tuple, Evaluation] = {}
@@ -216,8 +212,6 @@ class _Evaluator:
         config = point.config()
         if self.noc_backend is not None:
             config = config.with_noc_backend(self.noc_backend)
-        if self.fast_forward:
-            config = config.with_fast_forward()
         return config
 
     def __call__(self, points: list[SpacePoint]) -> list[Evaluation]:
@@ -373,7 +367,6 @@ def run_dse(
     jobs: int = 1,
     cache: object = DEFAULT_CACHE,
     noc_backend: str | None = None,
-    fast_forward: bool = False,
     policy: Any = None,
     progress: Callable[[Evaluation], None] | None = None,
 ) -> DseResult:
@@ -397,8 +390,7 @@ def run_dse(
     driver_fn = resolve_driver(driver)
 
     evaluator = _Evaluator(
-        benchmark_key, jobs, cache, noc_backend, fast_forward, policy,
-        progress,
+        benchmark_key, jobs, cache, noc_backend, policy, progress,
     )
     init_count = 0
 
@@ -417,7 +409,6 @@ def run_dse(
         seed=seed,
         budget=points,
         noc_backend=noc_backend or default_backend_name(),
-        fast_forward=fast_forward,
         evaluations=evaluator.evaluations,
         init_count=init_count,
         generations=generations,

@@ -40,7 +40,6 @@ def resolve_benchmark_config(
     config_name: str = "CPU iso-BW",
     clock_ghz: float = 2.4,
     noc_backend: str | None = None,
-    fast_forward: bool = False,
 ) -> tuple[Benchmark, AcceleratorConfig]:
     """Resolve user-facing names to registry objects, in one place.
 
@@ -56,8 +55,6 @@ def resolve_benchmark_config(
     config = resolve_config(config_name).with_clock(clock_ghz)
     if noc_backend is not None:
         config = config.with_noc_backend(noc_backend)
-    if fast_forward:
-        config = config.with_fast_forward()
     return benchmark, config
 
 
@@ -107,7 +104,6 @@ def run_benchmark(
     clock_ghz: float = 2.4,
     observer: "Observer | None" = None,
     noc_backend: str | None = None,
-    fast_forward: bool = False,
 ) -> SimulationReport:
     """Simulate one benchmark on one Table VI configuration.
 
@@ -120,12 +116,9 @@ def run_benchmark(
     configuration's own (default: ``"packet"``, or
     ``$REPRO_NOC_BACKEND``).  The backend is part of the cache
     fingerprint, so fidelities never share cached reports.
-    ``fast_forward`` enables the engine's approximate contention-free
-    scheduling mode; it is part of the fingerprint too, so approximate
-    runs never shadow exact ones.
     """
     _, config = resolve_benchmark_config(
-        benchmark_key, config_name, clock_ghz, noc_backend, fast_forward
+        benchmark_key, config_name, clock_ghz, noc_backend
     )
     return run_config(benchmark_key, config, observer=observer)
 

@@ -18,11 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.accel.config import AcceleratorConfig, configuration_by_name
+from repro.accel.config import AcceleratorConfig
 from repro.exp.cache import DEFAULT_CACHE
 from repro.exp.runner import Point, run_sweep
 from repro.partition.methods import DEFAULT_METHOD, validate_method
-from repro.systems.accel import DEFAULT_CLOCK_GHZ, DEFAULT_CONFIG_NAME
+from repro.systems.accel import (
+    DEFAULT_CLOCK_GHZ,
+    DEFAULT_CONFIG_NAME,
+    resolve_accel_config,
+)
 from repro.systems.base import SystemReport
 
 #: Version stamp of the JSON document ``scaling_document`` emits.
@@ -67,10 +71,7 @@ def resolve_sweep_config(
 ) -> AcceleratorConfig:
     """The per-chip accelerator configuration of a scaling sweep,
     resolved exactly like the ``multichip`` backend resolves it."""
-    config = configuration_by_name(config_name).with_clock(clock_ghz)
-    if noc_backend is not None:
-        config = config.with_noc_backend(noc_backend)
-    return config
+    return resolve_accel_config(config_name, clock_ghz, noc_backend)
 
 
 def scaling_points(

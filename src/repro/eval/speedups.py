@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.accel.config import configuration_by_name
 from repro.exp.cache import DEFAULT_CACHE
 from repro.exp.runner import (
     FIGURE8_CLOCKS,
     FIGURE8_GROUPS,
-    Point,
+    figure8_points,
     run_sweep,
 )
 from repro.models.registry import BENCHMARKS
@@ -71,10 +70,7 @@ def figure8(
         for key in keys
         for clock in clocks
     ]
-    points = [
-        Point(key, configuration_by_name(config_name), clock)
-        for config_name, _, key, clock in grid
-    ]
+    points = figure8_points(keys, clocks, [name for name, _ in groups])
     reports = run_sweep(points, jobs=jobs, cache=cache)
     baselines = {
         (system, key): run_system(system, key, cache=cache).latency_ms

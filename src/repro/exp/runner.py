@@ -451,16 +451,19 @@ def _classify_failure(exc: BaseException) -> tuple[str, str]:
     return status, f"{type(exc).__name__}: {exc}"
 
 
-def _attempt_inline(
-    point: Point, policy: RetryPolicy, collect_metrics: bool = False
+def _attempt(
+    point: Point, timeout_s: float | None, collect_metrics: bool = False
 ) -> PointResult:
-    """One in-process attempt, classified instead of propagated."""
+    """One attempt at ``point`` under the wall budget ``timeout_s``,
+    classified instead of propagated.
+
+    The single attempt body: serial sweeps use its result as is, and
+    :func:`_resilient_worker` ships it across the process boundary.
+    """
     observer = _sweep_observer() if collect_metrics else None
     try:
         if point.system == ACCEL_SYSTEM:
-            config = _config_with_wall_budget(
-                point.resolved_config, policy.timeout_s
-            )
+            config = _config_with_wall_budget(point.resolved_config, timeout_s)
             if observer is None:
                 report = simulate_point(point, config)
             else:
@@ -474,46 +477,28 @@ def _attempt_inline(
     return PointResult(point, "ok", report, attempts=1, metrics=metrics)
 
 
-def _worker(point: Point) -> dict[str, Any]:
-    """Pool worker: execute and return kind-tagged serialized data.
-
-    Reports cross the process boundary through
-    :func:`repro.runtime.serialize` / :mod:`repro.systems.serialize` —
-    the exact representations the persistent cache stores — so a
-    parallel result is byte-for-byte what a cache hit of the same point
-    would yield.
-    """
-    return _serialize_report(execute_point(point))
-
-
 def _resilient_worker(
     point: Point, timeout_s: float | None, collect_metrics: bool = False
 ) -> dict[str, Any]:
-    """Pool worker that classifies failures instead of raising them.
+    """Pool worker: :func:`_attempt` as plain data.
 
     Returning plain data sidesteps exception pickling entirely; only a
     dead process (crash, kill, OOM) surfaces as a future exception in
-    the parent.  The metrics snapshot is already plain data, so it rides
-    along the same way.
+    the parent.  Reports cross the process boundary through
+    :mod:`repro.runtime.serialize` / :mod:`repro.systems.serialize` —
+    the exact representations the persistent cache stores — so a
+    parallel result is byte-for-byte what a cache hit of the same point
+    would yield.  The metrics snapshot is already plain data, so it
+    rides along the same way.
     """
-    observer = _sweep_observer() if collect_metrics else None
-    try:
-        if point.system == ACCEL_SYSTEM:
-            config = _config_with_wall_budget(
-                point.resolved_config, timeout_s
-            )
-            if observer is None:
-                report = simulate_point(point, config)
-            else:
-                report = simulate_point(point, config, observer=observer)
-        else:
-            report = execute_point(point, observer=observer)
-    except Exception as exc:
-        status, message = _classify_failure(exc)
-        return {"ok": False, "status": status, "error": message}
-    payload: dict[str, Any] = {"ok": True, "report": _serialize_report(report)}
-    if observer is not None:
-        payload["metrics"] = observer.snapshot()
+    result = _attempt(point, timeout_s, collect_metrics)
+    if not result.ok:
+        return {"ok": False, "status": result.status, "error": result.error}
+    payload: dict[str, Any] = {
+        "ok": True, "report": _serialize_report(result.report)
+    }
+    if result.metrics is not None:
+        payload["metrics"] = result.metrics
     return payload
 
 
@@ -596,7 +581,7 @@ def run_sweep_detailed(
     if missing:
         if jobs <= 1 or len(missing) == 1:
             for point in missing:
-                finalize(_attempt_inline(point, policy, collect_metrics))
+                finalize(_attempt(point, policy.timeout_s, collect_metrics))
         else:
             _run_parallel(missing, jobs, finalize, policy, collect_metrics)
 
@@ -669,7 +654,8 @@ def _run_parallel(
 
     def run_serially(pending_points: Iterable[_Pending]) -> None:
         for pending in pending_points:
-            result = _attempt_inline(pending.point, policy, collect_metrics)
+            result = _attempt(pending.point, policy.timeout_s,
+                              collect_metrics)
             result.attempts += pending.attempts
             finalize(result)
 
@@ -841,16 +827,13 @@ def figure8_points(
     clocks: Sequence[float] = FIGURE8_CLOCKS,
     configs: Sequence[str] | None = None,
     noc_backend: str | None = None,
-    fast_forward: bool = False,
 ) -> list[Point]:
     """The Figure 8 sweep grid: configs x benchmarks x clocks.
 
     ``noc_backend`` pins every point to one registered NoC backend;
     ``None`` keeps each configuration's own (the ``"packet"`` default,
-    or ``$REPRO_NOC_BACKEND``).  ``fast_forward`` enables the engine's
-    approximate contention-free scheduling mode on every point.  Both
-    are part of each point's cache key, so exact and approximate runs
-    never share entries.
+    or ``$REPRO_NOC_BACKEND``).  The backend is part of each point's
+    cache key, so runs on different backends never share entries.
     """
     from repro.models.registry import BENCHMARKS
     from repro.space import resolve_config
@@ -862,8 +845,6 @@ def figure8_points(
         config = resolve_config(name)
         if noc_backend is not None:
             config = config.with_noc_backend(noc_backend)
-        if fast_forward:
-            config = config.with_fast_forward()
         return config
 
     return [

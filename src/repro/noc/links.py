@@ -159,21 +159,6 @@ class LinkLedgerBase:
             raise ValueError(f"{src}->{dst} is not a link of {self.mesh}")
         self._link(src, dst).occupy(start_ns, duration_ns)
 
-    def any_link_busy(self, now_ns: float) -> bool:
-        """True if any directed link is reserved beyond ``now_ns``.
-
-        Cheap contention probe for the engine's fast-forward eligibility
-        check: a busy link means in-flight serialization (packet model)
-        or a fault blackout (any model), either of which can reorder
-        deliveries, so closed-form time advancement is not safe.  The
-        analytical backend creates no trackers on its hot path, so this
-        is O(1)-empty there unless faults were injected.
-        """
-        for tracker in self._links.values():
-            if tracker.busy_until > now_ns:
-                return True
-        return False
-
     def stalled_links(
         self, now_ns: float, horizon_ns: float
     ) -> list[tuple[tuple[Coord, Coord], float]]:

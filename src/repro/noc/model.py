@@ -71,10 +71,6 @@ class NocModel(Protocol):
         """Blackout one directed link for ``duration_ns`` (fault hook)."""
         ...
 
-    def any_link_busy(self, now_ns: float) -> bool:
-        """True if any link is reserved beyond ``now_ns`` (contention probe)."""
-        ...
-
     def stalled_links(
         self, now_ns: float, horizon_ns: float
     ) -> list[tuple[tuple[Coord, Coord], float]]:

@@ -20,7 +20,6 @@ allocation, DNQ slots, data arrivals).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -177,21 +176,6 @@ class RuntimeEngine:
         # (the degree distribution), so issue durations memoize by count.
         self._visit_memo: dict[int, float] = {}
         self._plan: _LayerPlan | None = None
-        # Fast-forward state (config.fast_forward): a FIFO of inline
-        # continuations drained iteratively so closed-form chains never
-        # recurse through the whole thread waitlist, the engine's own
-        # notion of "now" while draining (sim.now is stale inline), and
-        # whether a layer start still has tasks left to offer.
-        self._ff = accel.config.fast_forward
-        self._inline_q: deque = deque()
-        self._draining = False
-        self._inline_now: float | None = None
-        self._offering = False
-
-    def _now_ns(self) -> float:
-        """Current time: the inline clock while fast-forwarding, else sim.now."""
-        inline = self._inline_now
-        return self.sim.now if inline is None else inline
 
     def _trace(self, layer, task, phase: str, tile, t: float) -> None:
         if self.tracer is not None:
@@ -280,10 +264,6 @@ class RuntimeEngine:
         on a callback of its own — but the layer's live objects stay
         O(threads), not O(tasks), and no per-task object outlives this
         event.
-
-        Fast-forward inlines nothing until the last task is offered: the
-        offers still to come belong to this instant, so they precede any
-        continuation, but the kernel cannot see them in its queue.
         """
         tile_of = self.accel.tile_of
         owners = [tile_of(task.vertex) for task in layer.tasks]
@@ -294,12 +274,8 @@ class RuntimeEngine:
             tile: self._feeder(tile, layer, indices)
             for tile, indices in queues.items()
         }
-        last = owners.pop()
-        self._offering = True
         for tile in owners:
             tile.gpe.acquire_thread_at(feeders[tile])
-        self._offering = False
-        last.gpe.acquire_thread_at(feeders[last])
 
     def _feeder(
         self, tile: Tile, layer: LayerProgram, indices: list[int]
@@ -431,72 +407,9 @@ class RuntimeEngine:
         reservations happen at their true issue time; reserving a unit at
         a far-future timestamp would falsely head-of-line block requests
         issued (in real time) before it.
-
-        Fast-forward mode (``AcceleratorConfig.fast_forward``) skips the
-        event round-trip when doing so cannot change what runs next: no
-        task of the layer may be left to offer (:meth:`_offer_tasks`),
-        the continuation must be the kernel's very next dispatch anyway
-        (:meth:`~repro.sim.kernel.Simulator.inline_safe` — strictly
-        earlier than the heap head) and no contention may be visible
-        (:meth:`_ff_ok`).
-        Eligible continuations run inline at their closed-form
-        timestamp, queued through a FIFO drained iteratively by the
-        outermost frame so a chain of back-to-back tasks (thread grant →
-        phases → retire → next grant) advances the clock without either
-        kernel events or unbounded recursion.  Every condition is
-        re-checked per drained item — a chain that posts heap events or
-        creates contention falls back to the event queue mid-stream.
-        Callbacks receive their fire time as an argument and the
-        engine's inline clock stands in for ``sim.now``.
         """
-        sim = self.sim
-        now = sim.now
-        fire = t if t > now else now
-        queue = self._inline_q
-        if self._ff and (
-            (not queue or fire >= queue[-1][0]) and self._inline_ok(fire)
-        ):
-            queue.append((fire, callback, args))
-            if not self._draining:
-                self._draining = True
-                try:
-                    while queue:
-                        at, cb, cb_args = queue.popleft()
-                        if self._inline_ok(at):
-                            self._inline_now = at
-                            cb(*cb_args)
-                        else:
-                            sim.post_at(at, cb, *cb_args)
-                finally:
-                    self._draining = False
-                    self._inline_now = None
-            return
-        sim.post_at(fire, callback, *args)
-
-    def _inline_ok(self, t: float) -> bool:
-        """True when a continuation at ``t`` may run inline right now."""
-        return (not self._offering and self.sim.inline_safe(t)
-                and self._ff_ok())
-
-    def _ff_ok(self) -> bool:
-        """True when closed-form advancement is currently contention-free.
-
-        Thread-pool queueing is deliberately *not* contention: grants are
-        timestamped explicitly, and the serial GPE core folds queued
-        tasks FIFO either way.  What disqualifies fast-forward is any
-        state where the *order* requests reach a shared unit changes the
-        result: AGG entries or DNQ slots with waiters, a NoC link
-        reserved into the future (packet serialization or a fault
-        blackout), or a memory controller whose in-order queue is full.
-        """
-        now = self._now_ns()
-        for tile in self.accel.tiles:
-            if tile.agg._alloc_waitlist or tile.dnq._reserve_waitlist:
-                return False
-        for memory in self.accel.memories:
-            if memory.queue_full(now):
-                return False
-        return not self.accel.noc.any_link_busy(now)
+        now = self.sim.now
+        self.sim.post_at(t if t > now else now, callback, *args)
 
     def _start_task(
         self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
@@ -504,8 +417,7 @@ class RuntimeEngine:
     ) -> None:
         """Phases 1-2: control and the asynchronous structure read.
 
-        ``t`` is the thread-grant time (equal to ``sim.now`` on an
-        event-driven run).
+        ``t`` is the thread-grant time.
         """
         plan = self._plan
         self._trace(layer, task, "start", tile, t)
@@ -547,7 +459,7 @@ class RuntimeEngine:
         rounds = len(traversal)
         while index < rounds and traversal[index].count == 0:
             index += 1
-        now = self._now_ns()
+        now = self.sim.now
         if t < now:
             t = now
         if index < rounds:
@@ -609,7 +521,7 @@ class RuntimeEngine:
 
         # The allocation-bus request goes out at the current event time
         # (the issue above is queued work, not a dependency).
-        tile.agg.alloc(task.expected_inputs, on_grant, now=self._now_ns())
+        tile.agg.alloc(task.expected_inputs, on_grant)
 
     def _dna_phase(
         self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
@@ -624,7 +536,7 @@ class RuntimeEngine:
         dna_ns = self._plan.dna_ns[i]
 
         def on_slot() -> None:
-            fetch_start = max(issue_done, self._now_ns())
+            fetch_start = max(issue_done, self.sim.now)
             if task.feature_bytes:
                 arrival = self.accel.memory_read(
                     task.vertex, task.feature_bytes, fetch_start, tile.coord

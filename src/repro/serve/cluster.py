@@ -14,11 +14,11 @@ Two service-time modes exist per benchmark:
 * **exact** — the system's default single-run latency;
 * **approx** — the graceful-degradation latency: for the accelerator,
   the same benchmark re-priced on the zero-contention ``analytical``
-  NoC backend with ``fast_forward`` scheduling (the two approximate
-  modes of PR 4/PR 6); for the baseline machines, which have no
-  approximate variant, the exact value with ``approximate_backend``
-  left ``None`` so reports never claim a degradation that did not
-  happen.
+  NoC backend.  When there is no cheaper mode — the baseline machines,
+  or an accelerator whose exact column already runs the ``analytical``
+  NoC — the approx column mirrors the exact one with
+  ``approximate_backend`` left ``None``, so reports never claim a
+  degradation that did not happen.
 
 Instance faults follow the :mod:`repro.accel.faults` conventions:
 frozen, validated specs; seed-addressed :func:`random_instance_fault`
@@ -31,7 +31,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.accel.config import AcceleratorConfig
 
 #: Injectable instance-level fault kinds: a crashed instance (drops its
 #: in-flight batch, serves nothing until recovery) and a degraded one
@@ -154,9 +157,9 @@ class ServiceTimes:
     """Per-benchmark service times of one system, exact and approximate.
 
     ``approximate_backend`` documents where the approx column came from
-    (``"analytical+fast_forward"`` for the accelerator) or ``None`` when
-    the system has no cheaper mode and the approx column simply mirrors
-    the exact one.
+    (the ``"analytical"`` NoC for the accelerator) or ``None`` when the
+    system has no cheaper mode and the approx column simply mirrors the
+    exact one.
     """
 
     system: str
@@ -181,8 +184,9 @@ class ServiceTimes:
         }
 
 
-#: How the accelerator's graceful-degradation latency is priced.
-ACCEL_APPROX_BACKEND = "analytical+fast_forward"
+#: The NoC backend that prices the accelerator's graceful-degradation
+#: latency.
+ACCEL_APPROX_BACKEND = "analytical"
 
 
 def measure_service_times(
@@ -194,10 +198,11 @@ def measure_service_times(
     """Price every benchmark on ``system`` through the cached run path.
 
     ``noc_backend`` overrides the accelerator's *exact* interconnect
-    model (the approximate column always uses ``analytical``).  Results
-    come from :func:`repro.systems.run_system`, so repeated serving
-    experiments are cache hits and bit-identical across processes and
-    ``--jobs`` settings.
+    model; the approximate column runs :data:`ACCEL_APPROX_BACKEND`, and
+    mirrors the exact column untagged when that is the same config.
+    Results come from :func:`repro.systems.run_system`, so repeated
+    serving experiments are cache hits and bit-identical across
+    processes and ``--jobs`` settings.
     """
     from repro.exp.cache import DEFAULT_CACHE
     from repro.systems import run_system
@@ -210,11 +215,10 @@ def measure_service_times(
         exact[key] = run_system(
             system, key, cache=cache, noc_backend=noc_backend
         ).latency_ms
-    if system == "accel":
+    if system == "accel" and len(_accel_configs(noc_backend)) > 1:
         for key in exact:
             approx[key] = run_system(
-                system, key, cache=cache,
-                noc_backend="analytical", fast_forward=True,
+                system, key, cache=cache, noc_backend=ACCEL_APPROX_BACKEND,
             ).latency_ms
         return ServiceTimes(
             system=system, exact_ms=exact, approx_ms=approx,
@@ -242,45 +246,35 @@ def warm_service_cache(
     whatever ``jobs`` was — the parallelism only moves wall-clock time.
 
     Accelerator pairs warm both service modes (the exact config, on
-    ``noc_backend`` if given, and the ``analytical`` + ``fast_forward``
-    degradation config), using the exact cache keys ``run_system`` will
-    look up.  Unsupported (system, benchmark) pairs fail their warm-up
-    point quietly here and loudly later in
-    :func:`measure_service_times` if actually used.
+    ``noc_backend`` if given, and the :data:`ACCEL_APPROX_BACKEND`
+    degradation config; one point when they coincide), using the exact
+    cache keys ``run_system`` will look up.  Unsupported (system,
+    benchmark) pairs fail their warm-up point quietly here and loudly
+    later in :func:`measure_service_times` if actually used.
     """
     from repro.exp.cache import DEFAULT_CACHE
     from repro.exp.runner import Point, run_sweep_detailed
 
     if cache is None:
         cache = DEFAULT_CACHE
+    accel_configs = _accel_configs(noc_backend) if "accel" in systems else []
     points: list[Point] = []
     for system in dict.fromkeys(systems):
         for key in dict.fromkeys(benchmarks):
             if system == "accel":
-                exact, approx = _accel_service_configs(noc_backend)
-                points.append(Point(key, exact))
-                points.append(Point(key, approx))
+                points.extend(Point(key, config) for config in accel_configs)
             else:
                 points.append(Point(key, system=system))
     run_sweep_detailed(points, jobs=jobs, cache=cache)
 
 
-def _accel_service_configs(noc_backend: str | None):
-    """The accelerator configs the two service-time modes resolve to —
-    exactly what ``run_system("accel", ...)`` builds, so warm-up points
-    and measurement share cache keys."""
-    from repro.accel.config import configuration_by_name
-    from repro.systems.accel import DEFAULT_CLOCK_GHZ, DEFAULT_CONFIG_NAME
+def _accel_configs(noc_backend: str | None) -> list["AcceleratorConfig"]:
+    """The distinct accelerator configs of the exact and approximate
+    service modes, exact first — built by the ``accel`` system itself,
+    so warm-up points and measurement share cache keys."""
+    from repro.systems import create_system
 
-    exact = configuration_by_name(DEFAULT_CONFIG_NAME).with_clock(
-        DEFAULT_CLOCK_GHZ
-    )
-    if noc_backend is not None:
-        exact = exact.with_noc_backend(noc_backend)
-    approx = (
-        configuration_by_name(DEFAULT_CONFIG_NAME)
-        .with_clock(DEFAULT_CLOCK_GHZ)
-        .with_noc_backend("analytical")
-        .with_fast_forward()
-    )
-    return exact, approx
+    return list(dict.fromkeys(
+        create_system("accel", noc_backend=backend).config
+        for backend in (noc_backend, ACCEL_APPROX_BACKEND)
+    ))

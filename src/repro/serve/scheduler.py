@@ -28,7 +28,7 @@ Robustness machinery, in the order a request meets it:
    instead of hanging.
 5. **Graceful degradation** — when the queue backlog reaches
    ``degrade_queue``, dispatches switch to the approximate service
-   times (accelerator: ``analytical`` NoC + ``fast_forward``), and every
+   times (accelerator: the ``analytical`` NoC), and every
    request so served is counted and flagged in the report.
 
 Determinism: the event queue is ordered by ``(time, sequence)`` with

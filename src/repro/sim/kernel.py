@@ -276,19 +276,6 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._queue, event)
 
-    def inline_safe(self, time: float) -> bool:
-        """True if running a callback at ``time`` *right now* cannot
-        reorder anything the kernel has queued.
-
-        Holds when ``time`` is strictly earlier than the next heap entry
-        (or the heap is empty) — i.e. the callback would be the very next
-        thing the run loop dispatched anyway.  The engine's fast-forward
-        mode uses this to run continuation chains inline without changing
-        the global (time, seq) dispatch order.
-        """
-        queue = self._queue
-        return not queue or time < queue[0].time
-
     def _recycle(self, event: Event) -> None:
         """Reset a fired recyclable event and return it to the free-list.
 

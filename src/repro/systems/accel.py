@@ -28,21 +28,32 @@ DEFAULT_CONFIG_NAME = "CPU iso-BW"
 DEFAULT_CLOCK_GHZ = 2.4
 
 
+def resolve_accel_config(
+    config_name: str | None = None,
+    clock_ghz: float | None = None,
+    noc_backend: str | None = None,
+) -> AcceleratorConfig:
+    """The accelerator recipe every caller shares: the Table VI row by
+    name (:func:`repro.space.resolve_config`), then the tile clock, then
+    the NoC backend.  ``None`` keeps the default row, the default clock
+    and the row's own backend (``"packet"``, or ``$REPRO_NOC_BACKEND``).
+    """
+    config = resolve_config(config_name or DEFAULT_CONFIG_NAME)
+    config = config.with_clock(clock_ghz or DEFAULT_CLOCK_GHZ)
+    if noc_backend is not None:
+        config = config.with_noc_backend(noc_backend)
+    return config
+
+
 class AcceleratorSystem:
     """The paper's proposed accelerator, simulated event by event."""
 
     name = "accel"
 
     def __init__(self, options: SystemOptions = SystemOptions()) -> None:
-        config = resolve_config(
-            options.config_name or DEFAULT_CONFIG_NAME
+        self._config = resolve_accel_config(
+            options.config_name, options.clock_ghz, options.noc_backend
         )
-        config = config.with_clock(options.clock_ghz or DEFAULT_CLOCK_GHZ)
-        if options.noc_backend is not None:
-            config = config.with_noc_backend(options.noc_backend)
-        if options.fast_forward:
-            config = config.with_fast_forward()
-        self._config = config
 
     @property
     def config(self) -> AcceleratorConfig:

@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.accel.config import AcceleratorConfig, configuration_by_name
+from repro.accel.config import AcceleratorConfig
 from repro.models.workload import BYTES_PER_VALUE
 from repro.partition.methods import DEFAULT_METHOD, validate_method
-from repro.systems.accel import DEFAULT_CLOCK_GHZ, DEFAULT_CONFIG_NAME
+from repro.systems.accel import resolve_accel_config
 from repro.systems.base import ExecutionPlan, SystemReport, Workload
 from repro.systems.registry import SystemOptions
 
@@ -102,15 +102,9 @@ class MultiChipSystem:
     name = "multichip"
 
     def __init__(self, options: SystemOptions = SystemOptions()) -> None:
-        config = configuration_by_name(
-            options.config_name or DEFAULT_CONFIG_NAME
+        self._config = resolve_accel_config(
+            options.config_name, options.clock_ghz, options.noc_backend
         )
-        config = config.with_clock(options.clock_ghz or DEFAULT_CLOCK_GHZ)
-        if options.noc_backend is not None:
-            config = config.with_noc_backend(options.noc_backend)
-        if options.fast_forward:
-            config = config.with_fast_forward()
-        self._config = config
         self._multichip = options.multichip or MultiChipConfig()
 
     @property

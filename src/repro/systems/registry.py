@@ -64,20 +64,16 @@ class SystemOptions:
     accelerator tile clock (and the Eyeriss array clock), ``measured``
     switches the CPU/GPU baselines between the paper's measured
     Table VII latencies (the default, what Figure 8 normalizes against)
-    and the analytical machine-model prediction, and ``fast_forward``
-    enables the accelerator's approximate contention-free scheduling
-    mode (part of the cache fingerprint — exact and approximate runs
-    never share entries).  ``multichip`` carries the partition and
-    inter-chip-link configuration of the ``multichip`` system
-    (:class:`repro.systems.multichip.MultiChipConfig`); every other
-    backend ignores it.
+    and the analytical machine-model prediction.  ``multichip`` carries
+    the partition and inter-chip-link configuration of the ``multichip``
+    system (:class:`repro.systems.multichip.MultiChipConfig`); every
+    other backend ignores it.
     """
 
     config_name: str | None = None
     clock_ghz: float | None = None
     noc_backend: str | None = None
     measured: bool = True
-    fast_forward: bool = False
     multichip: "Any | None" = None
 
 

@@ -168,13 +168,6 @@ class TestAcceleratorConfig:
         with pytest.raises(UnknownBackendError):
             CPU_ISO_BW.with_noc_backend("booksim")
 
-    def test_with_fast_forward_preserves_everything_else(self):
-        fast = CPU_ISO_BW.with_fast_forward()
-        assert fast.fast_forward is True
-        assert fast.with_fast_forward(False).fast_forward is False
-        assert fast.name == CPU_ISO_BW.name
-        assert fast.memory == CPU_ISO_BW.memory
-
     def test_noc_runs_at_fixed_2p4_ghz(self):
         # Section VI-B: the clock sweep keeps NoC bandwidth identical.
         assert CPU_ISO_BW.noc.clock_ghz == 2.4

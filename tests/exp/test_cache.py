@@ -86,10 +86,6 @@ class TestPointKey:
             "analytical" if c.noc_backend != "analytical" else "packet"
         ),
         "clock_ghz": lambda c: c.with_clock(c.clock_ghz / 2),
-        # Fast-forward is an approximation (closed-form advancement when
-        # no contention is visible), so its reports must never be served
-        # from a default-path run's cache entry or vice versa.
-        "fast_forward": lambda c: c.with_fast_forward(not c.fast_forward),
     }
 
     #: Fields deliberately excluded from the fingerprint: execution

@@ -270,12 +270,12 @@ class TestLayerConservation:
         original = Aggregator.alloc
         orphaned = []
 
-        def alloc(self, expected_inputs, on_grant, now=None):
+        def alloc(self, expected_inputs, on_grant):
             if not orphaned:
                 # An entry whose requester never contributes to it.
                 orphaned.append(self.name)
-                original(self, 1, lambda grant_ns, agg_id: None, now)
-            original(self, expected_inputs, on_grant, now)
+                original(self, 1, lambda grant_ns, agg_id: None)
+            original(self, expected_inputs, on_grant)
 
         monkeypatch.setattr(Aggregator, "alloc", alloc)
         with pytest.raises(SimulationFailure,

@@ -29,7 +29,7 @@ def test_dropped_agg_grant_is_detected(program, monkeypatch):
     """An AGG that never grants allocations deadlocks the layer; the
     engine must raise rather than return."""
     monkeypatch.setattr(
-        Aggregator, "alloc", lambda self, expected, on_grant, now=None: None
+        Aggregator, "alloc", lambda self, expected, on_grant: None
     )
     engine = RuntimeEngine(Accelerator(CPU_ISO_BW))
     with pytest.raises(RuntimeError, match="deadlocked"):

@@ -7,11 +7,14 @@ import pytest
 from repro.exp.cache import ResultCache, clear_memo
 from repro.serve import (
     ACCEL_APPROX_BACKEND,
+    ArrivalSpec,
     InstanceFault,
+    ServePolicy,
     ServiceTimes,
     measure_service_times,
     parse_instance_fault,
     random_instance_fault,
+    simulate_serving,
     warm_service_cache,
 )
 
@@ -114,14 +117,57 @@ class TestMeasureServiceTimes:
         clear_memo()
         assert warmed == cold
 
-    @pytest.mark.slow
     def test_accel_approx_column_is_tagged_and_cheaper(self, tmp_path):
         clear_memo()
         cache = ResultCache(tmp_path)
         table = measure_service_times(
-            "accel", ["pgnn-dblp_1"], cache=cache, noc_backend="analytical"
+            "accel", ["pgnn-dblp_1"], cache=cache, noc_backend="packet"
         )
         clear_memo()
         assert table.approximate_backend == ACCEL_APPROX_BACKEND
         assert table.approx_ms["pgnn-dblp_1"] <= table.exact_ms["pgnn-dblp_1"]
         assert math.isfinite(table.approx_ms["pgnn-dblp_1"])
+
+    def test_accel_on_the_approximate_noc_has_no_cheaper_mode(self, tmp_path):
+        """An exact column already on the approximate NoC is mirrored
+        untagged, so overload never claims a degradation."""
+        clear_memo()
+        cache = ResultCache(tmp_path)
+        table = measure_service_times(
+            "accel", ["pgnn-dblp_1"], cache=cache,
+            noc_backend=ACCEL_APPROX_BACKEND,
+        )
+        clear_memo()
+        assert table.approximate_backend is None
+        assert table.approx_ms == table.exact_ms
+        # Three times one instance's capacity, degrading from a
+        # one-request backlog if the table offered a cheaper mode.
+        rate_qps = 3 * 1_000 / table.exact_ms["pgnn-dblp_1"]
+        trace = ArrivalSpec(rate_qps=rate_qps, duration_ms=200,
+                            seed=2).generate(["pgnn-dblp_1"])
+        report = simulate_serving(
+            trace, table, instances=1,
+            policy=ServePolicy(slo_ms=20.0, queue_bound=200,
+                               degrade_queue=1),
+        )
+        assert report.completed > 0
+        assert report.completed_approx == 0
+        assert not report.degraded
+
+    @pytest.mark.parametrize("noc_backend, backends", [
+        ("packet", ["packet", ACCEL_APPROX_BACKEND]),
+        (ACCEL_APPROX_BACKEND, [ACCEL_APPROX_BACKEND]),
+    ], ids=["packet", "approximate"])
+    def test_accel_warm_up_queues_each_distinct_config_once(
+        self, monkeypatch, noc_backend, backends
+    ):
+        import repro.exp.runner as runner
+
+        queued = []
+        monkeypatch.setattr(
+            runner, "run_sweep_detailed",
+            lambda points, **_: queued.extend(points),
+        )
+        warm_service_cache(["accel"], ["pgnn-dblp_1"],
+                           noc_backend=noc_backend)
+        assert [p.config.noc_backend for p in queued] == backends

@@ -14,6 +14,7 @@ import pytest
 
 from repro.exp.cache import ResultCache, clear_memo
 from repro.serve import (
+    ACCEL_APPROX_BACKEND,
     ArrivalSpec,
     InstanceFault,
     ServePolicy,
@@ -26,7 +27,7 @@ from repro.serve import (
 
 TABLE = ServiceTimes(
     system="toy", exact_ms={"bench": 2.0}, approx_ms={"bench": 0.5},
-    approximate_backend="analytical+fast_forward",
+    approximate_backend=ACCEL_APPROX_BACKEND,
 )
 SPEC = ArrivalSpec(rate_qps=600, duration_ms=400, seed=9)
 POLICY = ServePolicy(slo_ms=25.0, queue_bound=40, timeout_ms=100.0)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.exp.errors import ServeError
 from repro.obs import MetricsRegistry
 from repro.serve import (
+    ACCEL_APPROX_BACKEND,
     ArrivalSpec,
     InstanceFault,
     ServePolicy,
@@ -26,7 +27,7 @@ from repro.serve import (
 #: 500 qps exact / 2000 qps approximate.
 TABLE = ServiceTimes(
     system="toy", exact_ms={"bench": 2.0}, approx_ms={"bench": 0.5},
-    approximate_backend="analytical+fast_forward",
+    approximate_backend=ACCEL_APPROX_BACKEND,
 )
 #: A table with no cheaper mode: degradation must never engage.
 FLAT_TABLE = ServiceTimes(
@@ -201,7 +202,7 @@ class TestGracefulDegradation:
         report = self.overload(TABLE)
         assert report.completed_approx > 0
         assert report.degraded
-        assert report.approximate_backend == "analytical+fast_forward"
+        assert report.approximate_backend == ACCEL_APPROX_BACKEND
         assert any(inst.approx_batches for inst in report.per_instance)
 
     def test_without_cheaper_mode_degradation_never_engages(self):

@@ -2,11 +2,12 @@
 one injected crash, analytical NoC, SLO attainment inside a checked-in
 golden band.
 
-Marked slow: the first run prices QM9 on the accelerator (exact
-``analytical`` plus the ``fast_forward`` degradation config) before the
-serving replay itself finishes in milliseconds.  The JSON report is
-written to ``$REPRO_SERVE_REPORT`` when set (the CI job uploads it as
-an artifact on failure) or to the test's tmp dir otherwise.
+Marked slow: the first run prices QM9 on the accelerator (on the
+``analytical`` NoC, which is also the degradation config, so one
+simulation) before the serving replay itself finishes in milliseconds.
+The JSON report is written to ``$REPRO_SERVE_REPORT`` when set (the CI
+job uploads it as an artifact on failure) or to the test's tmp dir
+otherwise.
 """
 
 import json
