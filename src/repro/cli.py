@@ -448,7 +448,11 @@ def _cmd_dse(args) -> int:
 
 def _run_on_system(command: str, system: str, args,
                    observe: bool = False) -> int:
-    """Execute one benchmark on a non-accel backend and print its report."""
+    """Execute one benchmark on a non-accel backend and print its report.
+
+    The accelerator options go along: ``multichip`` simulates its chips
+    on ``--config``/``--noc-backend``; cpu, gpu and eyeriss ignore them.
+    """
     from repro.systems import UnsupportedWorkloadError, run_system
 
     observer = None
@@ -459,7 +463,9 @@ def _run_on_system(command: str, system: str, args,
                            kernel_profile=False)
     try:
         report = run_system(
-            system, args.benchmark, clock_ghz=args.clock, observer=observer
+            system, args.benchmark, config_name=args.config,
+            clock_ghz=args.clock, noc_backend=args.noc_backend,
+            observer=observer,
         )
     except UnsupportedWorkloadError as exc:
         print(f"repro {command}: {exc}", file=sys.stderr)
@@ -799,6 +805,13 @@ def _cmd_partition_sweep(args) -> int:
     return 0
 
 
+def _shared(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one option several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -825,49 +838,84 @@ def build_parser() -> argparse.ArgumentParser:
         "systems",
         help="list registered execution systems",
     )
-    system_help = ("execution system: accel (default), cpu, gpu, eyeriss "
-                   "— see 'repro systems'; default honours $REPRO_SYSTEM")
-    simulate = sub.add_parser("simulate", help="simulate one benchmark")
-    simulate.add_argument("benchmark", help="e.g. gcn-cora")
-    simulate.add_argument("--config", default="CPU iso-BW")
-    simulate.add_argument("--clock", type=float, default=2.4)
-    simulate.add_argument(
-        "--system", default=None, metavar="NAME", help=system_help,
+
+    config = _shared(
+        "--config", default="CPU iso-BW",
+        help="Table VI row of the simulated accelerator, per chip on "
+             "multichip (default: CPU iso-BW)",
     )
-    simulate.add_argument(
+    clock = _shared(
+        "--clock", type=float, default=2.4, metavar="GHZ",
+        help="tile clock (default: 2.4)",
+    )
+    system = _shared(
+        "--system", default=None, metavar="NAME",
+        help="execution system: accel (default), cpu, gpu, eyeriss, "
+             "multichip — see 'repro systems'; default honours "
+             "$REPRO_SYSTEM; a system ignores accelerator options it "
+             "has no use for",
+    )
+    noc_backend = _shared(
         "--noc-backend", default=None, metavar="NAME",
-        help="NoC model: packet (default), flit, analytical — see "
-             "'repro noc-backends'",
+        help="NoC model of the accelerator simulations: packet "
+             "(default), flit, analytical — see 'repro noc-backends'; "
+             "part of the cache key (serve-sim's degraded mode always "
+             "prices on analytical)",
     )
+    jobs = _shared(
+        "--jobs", type=int, default=None, metavar="N",
+        help="parallel worker processes; never changes a result, only "
+             "wall time (default: all cores; serve-sim: serial)",
+    )
+    cache_dir = _shared(
+        "--cache-dir", default=None, metavar="PATH",
+        help="persistent cache root (default: $REPRO_CACHE_DIR or "
+             "~/.cache/repro)",
+    )
+    no_cache = _shared(
+        "--no-cache", action="store_true",
+        help="skip the persistent result cache entirely",
+    )
+    timeout = _shared(
+        "--timeout", type=float, default=None, metavar="S",
+        help="per-point wall-clock budget in seconds "
+             "(default: $REPRO_SWEEP_TIMEOUT or unlimited)",
+    )
+    retries = _shared(
+        "--retries", type=int, default=None, metavar="N",
+        help="extra attempts after a worker crash "
+             "(default: $REPRO_SWEEP_RETRIES or 2)",
+    )
+    output = _shared(
+        "--output", default=None, metavar="PATH",
+        help="also write the report to PATH (JSON; compare writes its "
+             "table)",
+    )
+
+    simulate = sub.add_parser(
+        "simulate", help="simulate one benchmark",
+        parents=[config, clock, system, noc_backend],
+    )
+    simulate.add_argument("benchmark", help="e.g. gcn-cora")
     profile = sub.add_parser(
         "profile",
         help="simulate one benchmark with full observability attached",
+        parents=[clock, system, noc_backend],
     )
     profile.add_argument("benchmark", help="e.g. gcn-cora")
     profile.add_argument(
         "config", nargs="?", default="CPU iso-BW",
         help="Table VI configuration name (default: CPU iso-BW)",
     )
-    profile.add_argument("--clock", type=float, default=2.4, metavar="GHZ")
-    profile.add_argument(
-        "--system", default=None, metavar="NAME", help=system_help,
-    )
     profile.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome trace_event JSON timeline to PATH",
     )
-    profile.add_argument(
-        "--noc-backend", default=None, metavar="NAME",
-        help="NoC model: packet (default), flit, analytical — see "
-             "'repro noc-backends'",
-    )
     sweep = sub.add_parser(
         "sweep",
         help="run a benchmark x config x clock grid, parallel and cached",
-    )
-    sweep.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: all cores)",
+        parents=[jobs, cache_dir, no_cache, timeout, retries, noc_backend,
+                 system],
     )
     sweep.add_argument(
         "--benchmarks", nargs="*", default=(), metavar="KEY",
@@ -881,38 +929,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--clocks", nargs="*", type=float, default=(1.2, 2.4),
         metavar="GHZ", help="tile clocks (default: 1.2 2.4)",
     )
-    sweep.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent cache root (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the persistent result cache entirely",
-    )
-    sweep.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-point wall-clock budget in seconds "
-             "(default: $REPRO_SWEEP_TIMEOUT or unlimited)",
-    )
-    sweep.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="extra attempts after a worker crash "
-             "(default: $REPRO_SWEEP_RETRIES or 2)",
-    )
-    sweep.add_argument(
-        "--noc-backend", default=None, metavar="NAME",
-        help="NoC model for every point: packet (default), flit, "
-             "analytical — part of the cache key",
-    )
-    sweep.add_argument(
-        "--system", default=None, metavar="NAME",
-        help=system_help + "; non-accel systems ignore --configs/--clocks",
-    )
     dse = sub.add_parser(
         "dse",
         help="design-space search over a hardware parameter space, "
              "emitting a Pareto frontier (latency vs ALUs vs bandwidth)",
+        parents=[jobs, noc_backend, timeout, retries, cache_dir, no_cache,
+                 output],
     )
     dse.add_argument(
         "benchmark", help="benchmark key or dataset shorthand (e.g. "
@@ -936,68 +958,24 @@ def build_parser() -> argparse.ArgumentParser:
              "byte-identical report (default: 0)",
     )
     dse.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: all cores)",
-    )
-    dse.add_argument(
-        "--noc-backend", default=None, metavar="NAME",
-        help="NoC model for every point: packet (default), flit, "
-             "analytical — part of the cache key",
-    )
-    dse.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-point wall-clock budget in seconds "
-             "(default: $REPRO_SWEEP_TIMEOUT or unlimited)",
-    )
-    dse.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="extra attempts after a worker crash "
-             "(default: $REPRO_SWEEP_RETRIES or 2)",
-    )
-    dse.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent cache root (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
-    dse.add_argument(
-        "--no-cache", action="store_true",
-        help="skip the persistent result cache entirely",
-    )
-    dse.add_argument(
         "--quiet", action="store_true",
         help="suppress the per-point progress lines",
-    )
-    dse.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the schema-v1 Pareto report as JSON to PATH",
     )
     compare = sub.add_parser(
         "compare",
         help="one benchmark across execution systems, with speedups",
+        parents=[config, clock, noc_backend, output],
     )
     compare.add_argument("benchmark", help="e.g. gcn-cora")
     compare.add_argument(
         "--systems", nargs="*", default=(), metavar="NAME",
         help="systems to compare (default: all registered)",
     )
-    compare.add_argument(
-        "--config", default="CPU iso-BW",
-        help="Table VI row for the accel system (default: CPU iso-BW, "
-             "the iso-bandwidth comparison)",
-    )
-    compare.add_argument("--clock", type=float, default=2.4, metavar="GHZ")
-    compare.add_argument(
-        "--noc-backend", default=None, metavar="NAME",
-        help="NoC model for the accel system",
-    )
-    compare.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="also write the comparison table to PATH",
-    )
     serve = sub.add_parser(
         "serve-sim",
         help="serve a seeded request stream on N simulated instances "
              "(Table VII as a service)",
+        parents=[jobs, noc_backend, cache_dir, output],
     )
     serve.add_argument(
         "benchmarks", nargs="+", metavar="BENCHMARK",
@@ -1058,32 +1036,14 @@ def build_parser() -> argparse.ArgumentParser:
              "(repeatable)",
     )
     serve.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parallel workers for warming the service-time cache "
-             "(never changes the report, only wall-clock time)",
-    )
-    serve.add_argument(
-        "--noc-backend", default=None, metavar="NAME",
-        help="NoC model for the accel system's exact service times "
-             "(degraded mode always prices on analytical)",
-    )
-    serve.add_argument(
         "--no-saturation", action="store_true",
         help="skip the saturation-throughput search",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent cache root (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
-    serve.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the JSON serving report(s) to PATH",
     )
     psweep = sub.add_parser(
         "partition-sweep",
         help="multi-chip scaling curve: speedup and communication volume "
              "vs chip count",
+        parents=[config, clock, noc_backend, jobs, cache_dir, output],
     )
     psweep.add_argument(
         "benchmark", help="benchmark key or dataset shorthand (e.g. pubmed)",
@@ -1101,36 +1061,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition seed; part of every cache key (default: 0)",
     )
     psweep.add_argument(
-        "--config", default="CPU iso-BW",
-        help="Table VI row simulated per chip (default: CPU iso-BW)",
-    )
-    psweep.add_argument("--clock", type=float, default=2.4, metavar="GHZ")
-    psweep.add_argument(
-        "--noc-backend", default=None, metavar="NAME",
-        help="NoC model for every shard simulation: packet (default), "
-             "flit, analytical",
-    )
-    psweep.add_argument(
         "--link-bandwidth-gbps", type=float, default=None, metavar="GBPS",
         help="inter-chip link bandwidth (default: 100)",
     )
     psweep.add_argument(
         "--link-latency-us", type=float, default=None, metavar="US",
         help="per-exchange-round link latency (default: 1)",
-    )
-    psweep.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="parallel workers for the shard simulations "
-             "(default: all cores)",
-    )
-    psweep.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="persistent cache root (default: $REPRO_CACHE_DIR or "
-             "~/.cache/repro)",
-    )
-    psweep.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the scaling curve as JSON to PATH",
     )
     return parser
 

@@ -1,7 +1,9 @@
 """Cached accelerator simulation entry point for the evaluation drivers.
 
-Every simulation request resolves to a content-hashed operating point
-(:func:`repro.exp.cache.point_key`) and goes through two layers:
+Every simulation request — the whole graph or one shard of a partitioned
+input — resolves to a content-hashed operating point
+(:func:`repro.exp.cache.point_key`) and goes through the one
+cache-through run (:func:`repro.exp.cache.run_cached`):
 
 * the per-process memo — repeat lookups return the identical object;
 * the persistent :class:`~repro.exp.cache.ResultCache` — repeat runs of
@@ -18,21 +20,16 @@ import functools
 from typing import TYPE_CHECKING
 
 from repro.accel.config import AcceleratorConfig
-from repro.exp.cache import DEFAULT_CACHE, clear_memo, lookup, point_key, store
+from repro.exp.cache import DEFAULT_CACHE, clear_memo, point_key, run_cached
 from repro.models.registry import Benchmark, benchmark_by_key, load_benchmark
 from repro.runtime.compiler import compile_model
 from repro.runtime.engine import simulate
 from repro.runtime.report import SimulationReport
-from repro.space import resolve_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
-
-#: Dict-backed registry lookups, kept under their historical names —
-#: the CLI, energy driver, and tests import them from here.  Unknown
-#: names raise ``KeyError`` listing every valid key.
-_benchmark_by_key = benchmark_by_key
-_config_by_name = resolve_config
+    from repro.partition.core import ShardSpec
+    from repro.runtime.program import AcceleratorProgram
 
 
 def resolve_benchmark_config(
@@ -43,19 +40,17 @@ def resolve_benchmark_config(
 ) -> tuple[Benchmark, AcceleratorConfig]:
     """Resolve user-facing names to registry objects, in one place.
 
-    The single source of truth for name resolution: the CLI's exit-2
-    paths, :func:`run_benchmark`, and the :mod:`repro.systems` accel
-    backend all funnel through :func:`repro.space.resolve_config` (the
-    named points of the default parameter space — bit-identical to the
-    historical literals) and the benchmark registry, so an unknown
-    benchmark or configuration always raises the same ``KeyError``
-    listing the valid names.
+    The benchmark comes from the registry and the configuration from
+    :func:`repro.systems.accel.resolve_accel_config` (name, then clock,
+    then NoC backend) — the recipe every accelerator consumer shares —
+    so an unknown benchmark or configuration always raises the same
+    ``KeyError`` listing the valid names.
     """
+    from repro.systems.accel import resolve_accel_config
+
     benchmark = benchmark_by_key(benchmark_key)
-    config = resolve_config(config_name).with_clock(clock_ghz)
-    if noc_backend is not None:
-        config = config.with_noc_backend(noc_backend)
-    return benchmark, config
+    return benchmark, resolve_accel_config(config_name, clock_ghz,
+                                           noc_backend)
 
 
 @functools.lru_cache(maxsize=None)
@@ -65,37 +60,45 @@ def _compiled_program(benchmark_key: str):
     return compile_model(model, data)
 
 
+def program_for(
+    benchmark_key: str, shard: "ShardSpec | None" = None
+) -> "AcceleratorProgram":
+    """The compiled (memoized) program of the whole benchmark input, or
+    of one shard's induced subgraph."""
+    if shard is None:
+        return _compiled_program(benchmark_key)
+    from repro.partition.shards import compiled_shard_program
+
+    return compiled_shard_program(benchmark_key, shard)
+
+
 def run_config(
     benchmark_key: str,
     config: AcceleratorConfig,
     cache: object = DEFAULT_CACHE,
     observer: "Observer | None" = None,
+    shard: "ShardSpec | None" = None,
 ) -> SimulationReport:
     """Simulate one benchmark on one fully-resolved configuration.
 
     The caching layers key on the configuration's *contents* (every
     field, hashed), so two configs that differ in any parameter never
     share an entry, and equal configs always do — whatever they are
-    named.
+    named.  ``shard`` simulates one shard of a partitioned input instead
+    of the whole graph, under the shard-extended key.
 
-    ``observer`` attaches the :mod:`repro.obs` layer.  Metrics only
-    exist for a run that actually executes, so an observed request
-    always simulates — but it stores its (bit-identical) report under
-    the *same* cache key a bare run would use: observer attachment is
-    excluded from the cache fingerprint, like the watchdog budgets.
+    ``observer`` attaches the :mod:`repro.obs` layer.  An observed
+    request always simulates, but stores its (bit-identical) report
+    under the key a bare run would use.
     """
     benchmark_by_key(benchmark_key)  # validate early, before hashing
-    key = point_key(benchmark_key, config)
-    if observer is not None:
-        report = simulate(_compiled_program(benchmark_key), config,
-                          observer=observer)
-        store(key, report, cache)
-        return report
-    report = lookup(key, cache)
-    if report is None:
-        report = simulate(_compiled_program(benchmark_key), config)
-        store(key, report, cache)
-    return report
+    return run_cached(
+        point_key(benchmark_key, config, shard),
+        lambda observer: simulate(program_for(benchmark_key, shard), config,
+                                  observer=observer),
+        cache,
+        observer,
+    )
 
 
 def run_benchmark(

@@ -17,7 +17,7 @@ from repro.accel.energy import (
     estimate_energy,
 )
 from repro.baselines.table7 import TABLE7_MEASURED_MS
-from repro.eval.accelerator import _compiled_program, _config_by_name
+from repro.eval.accelerator import _compiled_program
 from repro.models.registry import BENCHMARKS
 from repro.runtime.engine import simulate_detailed
 
@@ -50,11 +50,14 @@ def energy_table(
 ) -> tuple[EnergyRow, ...]:
     """Energy of every benchmark on one accelerator configuration.
 
-    Name resolution rides :func:`repro.space.resolve_config` (via the
-    shared ``_config_by_name`` alias) — unknown names raise the same
+    The configuration resolves through
+    :func:`repro.systems.accel.resolve_accel_config`, the recipe every
+    accelerator consumer shares — unknown names raise the same
     valid-names ``KeyError`` every other consumer reports.
     """
-    config = _config_by_name(config_name).with_clock(clock_ghz)
+    from repro.systems.accel import resolve_accel_config
+
+    config = resolve_accel_config(config_name, clock_ghz)
     rows = []
     for benchmark in BENCHMARKS:
         program = _compiled_program(benchmark.key)

@@ -6,9 +6,12 @@ Every evaluation driver funnels simulations through two caching layers:
 * a **persistent on-disk store** (:class:`~repro.exp.cache.ResultCache`,
   shared across processes and invocations),
 
-both keyed by a content hash of the benchmark key plus every
-:class:`~repro.accel.config.AcceleratorConfig` field
-(:func:`~repro.exp.cache.point_key`).  On top of that,
+both keyed by a content hash: for the simulated accelerator, the
+benchmark key plus every :class:`~repro.accel.config.AcceleratorConfig`
+field and, for one shard of a partitioned input, its shard identity
+(:func:`~repro.exp.cache.point_key`).  Single runs go through one
+cache-through function (:func:`~repro.exp.cache.run_cached`: look up,
+else execute, then store) under the caller's cache.  On top of that,
 :func:`~repro.exp.runner.run_sweep` fans cache misses out to a
 ``ProcessPoolExecutor`` so design-space sweeps use every core.
 

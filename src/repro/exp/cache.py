@@ -21,11 +21,20 @@ of:
   names — so search drivers ride this cache with no layer in between
   knowing a parameter space exists.
 
-Cross-system entries (CPU/GPU baselines, the Eyeriss dataflow mapper)
-hash an :class:`~repro.systems.base.ExecutionPlan` fingerprint instead —
+* ``shard`` — only for one shard of a partitioned input (the
+  :class:`~repro.partition.core.ShardSpec` fingerprint); whole-graph
+  documents carry no such stanza.
+
+Cross-system entries (CPU/GPU baselines, the Eyeriss dataflow mapper,
+the multi-chip composition) hash an
+:class:`~repro.systems.base.ExecutionPlan` fingerprint instead —
 ``system`` + shared :class:`~repro.systems.base.Workload` content + the
 system's own parameters — and store a serialized
 :class:`~repro.systems.base.SystemReport` tagged ``"kind": "system"``.
+
+Every cached run goes through one function, :func:`run_cached`: look
+up, else execute, then store.  An observed run always executes and
+stores under the key an unobserved run would use.
 
 Keyword-argument order, environment variables, dict iteration order, and
 anything else outside those inputs do not affect the key (canonical JSON:
@@ -48,7 +57,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.accel.config import AcceleratorConfig
 from repro.runtime.report import SimulationReport
@@ -74,6 +83,8 @@ DEFAULT_CACHE = object()
 ACCEL_SYSTEM = "accel"
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.observer import Observer
+    from repro.partition.core import ShardSpec
     from repro.systems.base import SystemReport
 
 #: What the caching layers hold: simulated accelerator reports plus
@@ -101,7 +112,9 @@ def config_fingerprint(config: AcceleratorConfig) -> dict[str, Any]:
 
 
 def point_fingerprint(
-    benchmark_key: str, config: AcceleratorConfig
+    benchmark_key: str,
+    config: AcceleratorConfig,
+    shard: "ShardSpec | None" = None,
 ) -> dict[str, Any]:
     """The canonical document behind :func:`point_key`.
 
@@ -112,26 +125,37 @@ def point_fingerprint(
     ``ir`` stanza is the benchmark's layer-IR content digest
     (:func:`repro.models.registry.benchmark_ir_digest`): a re-sized
     model, a re-generated dataset, or an IR-schema revision each change
-    the digest and invalidate stale entries.
+    the digest and invalidate stale entries.  A ``shard`` adds its
+    :meth:`~repro.partition.core.ShardSpec.fingerprint`, so a shard
+    never shares an entry with the whole graph, and two partitions that
+    differ in method, seed, chip count, or index never share a shard.
     """
     from repro.models.registry import benchmark_ir_digest
 
-    return {
+    document = {
         "schema": SCHEMA_VERSION,
         "system": ACCEL_SYSTEM,
         "benchmark": benchmark_key,
         "ir": benchmark_ir_digest(benchmark_key),
         "config": config_fingerprint(config),
     }
+    if shard is not None:
+        document["shard"] = shard.fingerprint()
+    return document
 
 
-def point_key(benchmark_key: str, config: AcceleratorConfig) -> str:
-    """Content hash identifying one (benchmark, resolved config) point.
+def point_key(
+    benchmark_key: str,
+    config: AcceleratorConfig,
+    shard: "ShardSpec | None" = None,
+) -> str:
+    """Content hash identifying one (benchmark, resolved config[, shard])
+    point.
 
     ``config`` carries the operating clock (``config.clock_ghz``); use
     :meth:`AcceleratorConfig.with_clock` to key a clock-sweep point.
     """
-    return content_key(point_fingerprint(benchmark_key, config))
+    return content_key(point_fingerprint(benchmark_key, config, shard))
 
 
 class ResultCache:
@@ -300,14 +324,6 @@ def disabled() -> Iterator[None]:
         _default, _default_set = saved
 
 
-def memo_get(key: str) -> "SimulationReport | SystemReport | None":
-    return _MEMO.get(key)
-
-
-def memo_put(key: str, report: "SimulationReport | SystemReport") -> None:
-    _MEMO[key] = report
-
-
 def clear_memo() -> None:
     """Drop the per-process memo (persistent entries survive)."""
     _MEMO.clear()
@@ -338,3 +354,27 @@ def store(
     persistent = resolve_cache(cache)
     if persistent is not None:
         persistent.put(key, report)
+
+
+def run_cached(
+    key: str,
+    execute: Callable[["Observer | None"], Any],
+    cache: object = DEFAULT_CACHE,
+    observer: "Observer | None" = None,
+) -> Any:
+    """The one cache-through run: look up ``key``, else execute, then
+    store.
+
+    ``execute(observer)`` produces the report.  Metrics only exist for a
+    run that actually executes, so an observed request always executes —
+    but it stores its (bit-identical) report under the same ``key`` a
+    bare run would use: observer attachment is excluded from every
+    cache fingerprint, like the watchdog budgets.
+    """
+    if observer is None:
+        report = lookup(key, cache)
+        if report is not None:
+            return report
+    report = execute(observer)
+    store(key, report, cache)
+    return report

@@ -45,8 +45,10 @@ from repro.accel.config import AcceleratorConfig
 from repro.exp.cache import (
     ACCEL_SYSTEM,
     DEFAULT_CACHE,
+    ResultCache,
     lookup,
     point_key,
+    resolve_cache,
     store,
 )
 from repro.exp.errors import STATUS_ERRORS, PointError, SweepFailed
@@ -83,10 +85,10 @@ class Point:
     ``shard`` (a :class:`repro.partition.core.ShardSpec`, accel points
     only) restricts the point to one shard of a partitioned input: the
     shard's induced subgraph is compiled and simulated instead of the
-    whole graph, under a cache key extended with the shard identity.
-    This is how partition scaling sweeps parallelize — each shard is an
-    independent point flowing through the same pool, retry policy, and
-    cache layers as every whole-graph point.
+    whole graph, under :func:`repro.exp.cache.point_key` with the shard
+    stanza.  This is how partition scaling sweeps parallelize — each
+    shard is an independent point flowing through the same pool, retry
+    policy, and cache layers as every whole-graph point.
     """
 
     benchmark_key: str
@@ -137,22 +139,16 @@ class Point:
     def key(self) -> str:
         """Content-hash cache key.
 
-        Accelerator points keep :func:`repro.exp.cache.point_key` — the
-        exact key direct ``run_config`` calls use, so sweeps and single
-        runs share entries.  Shard points use the shard-extended key
-        (:func:`repro.partition.shards.shard_point_key`) — the exact key
-        direct ``run_shard`` calls use.  Cross-system points hash their
+        Accelerator points (whole graph or one shard) keep
+        :func:`repro.exp.cache.point_key` — the exact key direct
+        ``run_config`` calls use, so sweeps and single runs share
+        entries.  Cross-system points hash their
         :meth:`~repro.systems.base.ExecutionPlan.fingerprint`; every
         fingerprint names its system, so systems never collide.
         """
         if self.system == ACCEL_SYSTEM:
-            if self.shard is not None:
-                from repro.partition.shards import shard_point_key
-
-                return shard_point_key(
-                    self.benchmark_key, self.resolved_config, self.shard
-                )
-            return point_key(self.benchmark_key, self.resolved_config)
+            return point_key(self.benchmark_key, self.resolved_config,
+                             self.shard)
         from repro.systems import UnsupportedWorkloadError
 
         try:
@@ -377,28 +373,26 @@ def simulate_point(
     compile the shard's induced subgraph (memoized the same way)
     instead of the whole benchmark input.
     """
-    from repro.eval.accelerator import _compiled_program
+    from repro.eval.accelerator import program_for
     from repro.runtime.engine import simulate
 
-    if point.shard is not None:
-        from repro.partition.shards import compiled_shard_program
-
-        program = compiled_shard_program(point.benchmark_key, point.shard)
-    else:
-        program = _compiled_program(point.benchmark_key)
     return simulate(
-        program,
+        program_for(point.benchmark_key, point.shard),
         config if config is not None else point.resolved_config,
         observer=observer,
     )
 
 
-def execute_point(point: Point, observer: Any = None) -> Any:
-    """Run one point on its execution system (no caching, no budgets).
+def execute_point(
+    point: Point, observer: Any = None, cache: object = DEFAULT_CACHE
+) -> Any:
+    """Run one point on its execution system (no point caching, no
+    budgets).
 
     Accelerator points go through :func:`simulate_point`; cross-system
     points prepare and execute on their registered
-    :mod:`repro.systems` backend.
+    :mod:`repro.systems` backend, whose inner simulations (``multichip``
+    shards) read and store through ``cache``.
     """
     if point.system == ACCEL_SYSTEM:
         return simulate_point(point, observer=observer)
@@ -406,7 +400,7 @@ def execute_point(point: Point, observer: Any = None) -> Any:
 
     backend = create_system(point.system, clock_ghz=point.clock_ghz)
     plan = backend.prepare(resolve_workload(point.benchmark_key))
-    return backend.execute(plan, observer=observer)
+    return backend.execute(plan, observer=observer, cache=cache)
 
 
 def _serialize_report(report: Any) -> dict[str, Any]:
@@ -452,13 +446,18 @@ def _classify_failure(exc: BaseException) -> tuple[str, str]:
 
 
 def _attempt(
-    point: Point, timeout_s: float | None, collect_metrics: bool = False
+    point: Point,
+    timeout_s: float | None,
+    collect_metrics: bool = False,
+    cache: ResultCache | None = None,
 ) -> PointResult:
     """One attempt at ``point`` under the wall budget ``timeout_s``,
     classified instead of propagated.
 
     The single attempt body: serial sweeps use its result as is, and
     :func:`_resilient_worker` ships it across the process boundary.
+    ``cache`` is the sweep's resolved store, handed to cross-system
+    points for their inner simulations.
     """
     observer = _sweep_observer() if collect_metrics else None
     try:
@@ -469,7 +468,7 @@ def _attempt(
             else:
                 report = simulate_point(point, config, observer=observer)
         else:
-            report = execute_point(point, observer=observer)
+            report = execute_point(point, observer=observer, cache=cache)
     except Exception as exc:
         status, message = _classify_failure(exc)
         return PointResult(point, status, attempts=1, error=message)
@@ -478,7 +477,10 @@ def _attempt(
 
 
 def _resilient_worker(
-    point: Point, timeout_s: float | None, collect_metrics: bool = False
+    point: Point,
+    timeout_s: float | None,
+    collect_metrics: bool = False,
+    cache: ResultCache | None = None,
 ) -> dict[str, Any]:
     """Pool worker: :func:`_attempt` as plain data.
 
@@ -491,7 +493,7 @@ def _resilient_worker(
     would yield.  The metrics snapshot is already plain data, so it
     rides along the same way.
     """
-    result = _attempt(point, timeout_s, collect_metrics)
+    result = _attempt(point, timeout_s, collect_metrics, cache)
     if not result.ok:
         return {"ok": False, "status": result.status, "error": result.error}
     payload: dict[str, Any] = {
@@ -552,8 +554,14 @@ def run_sweep_detailed(
     ``metrics=None`` (there was no execution to observe), and the cache
     keys themselves are untouched — observer attachment is excluded from
     the point fingerprint exactly like the watchdog budgets.
+
+    ``cache`` also holds the inner simulations of cross-system points
+    (``multichip`` shards).  It is resolved here, in the parent: the
+    :data:`~repro.exp.cache.DEFAULT_CACHE` sentinel does not survive
+    pickling into pool workers, a :class:`ResultCache` or ``None`` does.
     """
     policy = policy if policy is not None else RetryPolicy.from_env()
+    cache = resolve_cache(cache)
     points = list(points)
     keys = [p.key for p in points]
     by_key: dict[str, PointResult] = {}
@@ -581,9 +589,11 @@ def run_sweep_detailed(
     if missing:
         if jobs <= 1 or len(missing) == 1:
             for point in missing:
-                finalize(_attempt(point, policy.timeout_s, collect_metrics))
+                finalize(_attempt(point, policy.timeout_s, collect_metrics,
+                                  cache))
         else:
-            _run_parallel(missing, jobs, finalize, policy, collect_metrics)
+            _run_parallel(missing, jobs, finalize, policy, collect_metrics,
+                          cache)
 
     return SweepOutcome([by_key[key] for key in keys])
 
@@ -613,6 +623,7 @@ def _run_parallel(
     finalize: Callable[[PointResult], None],
     policy: RetryPolicy,
     collect_metrics: bool = False,
+    cache: ResultCache | None = None,
 ) -> None:
     """Fan points out to worker processes; parent persists the results.
 
@@ -622,30 +633,17 @@ def _run_parallel(
     by killing the pool, and falls back to serial execution when a pool
     cannot be created at all.
     """
-    # Compile each distinct accelerator benchmark (and partitioned
-    # shard) once in the parent before the pool starts: fork-based
-    # workers inherit the warm program memo instead of all re-compiling
-    # (and re-generating datasets / re-partitioning) independently.
-    # Cross-system points need no compilation.
-    from repro.eval.accelerator import _compiled_program
+    # Compile each distinct accelerator program (whole graph or
+    # partitioned shard) once in the parent before the pool starts:
+    # fork-based workers inherit the warm program memo instead of all
+    # re-compiling (and re-generating datasets / re-partitioning)
+    # independently.  Cross-system points need no compilation.
+    from repro.eval.accelerator import program_for
 
-    accel_benchmarks = dict.fromkeys(
-        p.benchmark_key
-        for p in missing
-        if p.system == ACCEL_SYSTEM and p.shard is None
-    )
-    for benchmark_key in accel_benchmarks:
-        _compiled_program(benchmark_key)
-    shard_points = dict.fromkeys(
-        (p.benchmark_key, p.shard)
-        for p in missing
-        if p.system == ACCEL_SYSTEM and p.shard is not None
-    )
-    if shard_points:
-        from repro.partition.shards import compiled_shard_program
-
-        for benchmark_key, shard in shard_points:
-            compiled_shard_program(benchmark_key, shard)
+    for benchmark_key, shard in dict.fromkeys(
+        (p.benchmark_key, p.shard) for p in missing if p.system == ACCEL_SYSTEM
+    ):
+        program_for(benchmark_key, shard)
 
     workers = min(jobs, len(missing))
     queue: deque[_Pending] = deque(_Pending(point) for point in missing)
@@ -655,7 +653,7 @@ def _run_parallel(
     def run_serially(pending_points: Iterable[_Pending]) -> None:
         for pending in pending_points:
             result = _attempt(pending.point, policy.timeout_s,
-                              collect_metrics)
+                              collect_metrics, cache)
             result.attempts += pending.attempts
             finalize(result)
 
@@ -714,7 +712,7 @@ def _run_parallel(
                 try:
                     future = pool.submit(
                         _resilient_worker, pending.point, policy.timeout_s,
-                        collect_metrics,
+                        collect_metrics, cache,
                     )
                 except Exception as exc:
                     if inflight or pending.attempts <= policy.retries + 1:

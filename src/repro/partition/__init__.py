@@ -9,8 +9,9 @@ boundary traffic the split creates:
   induced subgraphs, halo-node maps, cut-edge statistics, invariants.
 * :mod:`repro.partition.comm` — closed-form inter-chip communication
   volumes (Guirado et al. model): per-cut-edge and deduplicated halo.
-* :mod:`repro.partition.shards` — cached per-shard simulation on the
-  existing ``accel`` path, content-keyed like every other point.
+* :mod:`repro.partition.shards` — memoized partitions and compiled
+  shard programs; a shard simulates through
+  :func:`repro.eval.accelerator.run_config` with ``shard=``.
 
 The ``multichip`` execution system (:mod:`repro.systems.multichip`)
 composes these into cross-system :class:`~repro.systems.base.SystemReport`s.
@@ -41,10 +42,6 @@ from repro.partition.methods import (
 from repro.partition.shards import (
     clear_partition_memo,
     partition_benchmark,
-    run_shard,
-    shard_point_fingerprint,
-    shard_point_key,
-    simulate_shard,
 )
 
 __all__ = [
@@ -65,9 +62,5 @@ __all__ = [
     "metis_assignment",
     "partition_benchmark",
     "partition_graph",
-    "run_shard",
-    "shard_point_fingerprint",
-    "shard_point_key",
-    "simulate_shard",
     "validate_method",
 ]

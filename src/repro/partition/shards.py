@@ -1,14 +1,12 @@
-"""Cached per-shard accelerator simulation.
+"""Memoized partitions and compiled shard programs.
 
 The multi-chip system simulates each shard on the *existing* ``accel``
-path — same compiler, same engine, same report format — under a cache
-key that mirrors :func:`repro.exp.cache.point_fingerprint` plus a
+path — same compiler, same engine, same report format, same
+cache-through run: :func:`repro.eval.accelerator.run_config` with
+``shard=`` keys the shard as :func:`repro.exp.cache.point_key` plus a
 ``shard`` stanza (:meth:`~repro.partition.core.ShardSpec.fingerprint`).
-Because the key is content-addressed exactly like whole-graph points,
-shard simulations ride every existing layer unchanged: the per-process
-memo, the persistent :class:`~repro.exp.cache.ResultCache`, and — via
-the ``shard=`` field on :class:`repro.exp.runner.Point` — the parallel
-sweep pool with its retry/timeout machinery.
+Via the ``shard=`` field on :class:`repro.exp.runner.Point`, shards also
+ride the parallel sweep pool with its retry/timeout machinery.
 
 Partitions and compiled shard programs are memoized per process, so a
 scaling sweep partitions each benchmark once per (chips, method, seed)
@@ -18,23 +16,8 @@ and compiles each shard once.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Any
 
-from repro.exp.cache import (
-    ACCEL_SYSTEM,
-    DEFAULT_CACHE,
-    SCHEMA_VERSION,
-    config_fingerprint,
-    content_key,
-    lookup,
-    store,
-)
 from repro.partition.core import Partition, ShardSpec, partition_graph
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.accel.config import AcceleratorConfig
-    from repro.obs.observer import Observer
-    from repro.runtime.report import SimulationReport
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,76 +50,6 @@ def compiled_shard_program(benchmark_key: str, spec: ShardSpec):
         benchmark_key, spec.chips, spec.method, spec.seed
     )
     return compile_model(model, partition.shards[spec.index].data)
-
-
-def shard_point_fingerprint(
-    benchmark_key: str, config: "AcceleratorConfig", spec: ShardSpec
-) -> dict[str, Any]:
-    """The canonical cache document of one per-shard operating point.
-
-    Identical to :func:`repro.exp.cache.point_fingerprint` plus the
-    ``shard`` stanza, so per-shard entries can never collide with
-    whole-graph accelerator entries — and two partitions differing in
-    method, seed, chip count, or index never share a shard report.
-    """
-    from repro.models.registry import benchmark_ir_digest
-
-    return {
-        "schema": SCHEMA_VERSION,
-        "system": ACCEL_SYSTEM,
-        "benchmark": benchmark_key,
-        "ir": benchmark_ir_digest(benchmark_key),
-        "config": config_fingerprint(config),
-        "shard": spec.fingerprint(),
-    }
-
-
-def shard_point_key(
-    benchmark_key: str, config: "AcceleratorConfig", spec: ShardSpec
-) -> str:
-    """Content hash identifying one (benchmark, config, shard) point."""
-    return content_key(shard_point_fingerprint(benchmark_key, config, spec))
-
-
-def simulate_shard(
-    benchmark_key: str,
-    spec: ShardSpec,
-    config: "AcceleratorConfig",
-    observer: "Observer | None" = None,
-) -> "SimulationReport":
-    """Simulate one shard (no caching) on the accel event engine."""
-    from repro.runtime.engine import simulate
-
-    return simulate(
-        compiled_shard_program(benchmark_key, spec), config,
-        observer=observer,
-    )
-
-
-def run_shard(
-    benchmark_key: str,
-    spec: ShardSpec,
-    config: "AcceleratorConfig",
-    cache: object = DEFAULT_CACHE,
-    observer: "Observer | None" = None,
-) -> "SimulationReport":
-    """Cached per-shard sibling of :func:`repro.eval.accelerator.run_config`.
-
-    Same layering, same observer semantics: an observed request always
-    simulates but stores its (bit-identical) report under the same key a
-    bare run would use.
-    """
-    key = shard_point_key(benchmark_key, config, spec)
-    if observer is not None:
-        report = simulate_shard(benchmark_key, spec, config,
-                                observer=observer)
-        store(key, report, cache)
-        return report
-    report = lookup(key, cache)
-    if report is None:
-        report = simulate_shard(benchmark_key, spec, config)
-        store(key, report, cache)
-    return report
 
 
 def clear_partition_memo() -> None:

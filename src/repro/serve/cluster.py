@@ -247,10 +247,13 @@ def warm_service_cache(
 
     Accelerator pairs warm both service modes (the exact config, on
     ``noc_backend`` if given, and the :data:`ACCEL_APPROX_BACKEND`
-    degradation config; one point when they coincide), using the exact
-    cache keys ``run_system`` will look up.  Unsupported (system,
-    benchmark) pairs fail their warm-up point quietly here and loudly
-    later in :func:`measure_service_times` if actually used.
+    degradation config; one point when they coincide).  Their points
+    warm the simulation entry that ``run_system``'s inner
+    :func:`~repro.eval.accelerator.run_config` reads — not
+    ``run_system``'s own ``SystemReport`` key, which the first
+    measurement then stores from that cached simulation.  Unsupported
+    (system, benchmark) pairs fail their warm-up point quietly here and
+    loudly later in :func:`measure_service_times` if actually used.
     """
     from repro.exp.cache import DEFAULT_CACHE
     from repro.exp.runner import Point, run_sweep_detailed

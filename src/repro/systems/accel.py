@@ -3,9 +3,12 @@
 A thin protocol adapter over the existing compile-and-simulate path:
 ``prepare`` resolves the Table VI configuration (clock and NoC backend
 applied) and ``execute`` delegates to
-:func:`repro.eval.accelerator.run_config`, so reports are bit-identical
-to the pre-refactor ``run_benchmark`` path — same compiler memo, same
-simulation-report cache keys, same observer semantics.
+:func:`repro.eval.accelerator.run_config` through
+:func:`simulated_system_report`, so reports are bit-identical to the
+``run_benchmark`` path — same compiler memo, same simulation-report
+cache keys, same observer semantics.  The inner simulation honours the
+caller's ``cache``: ``run_system("accel", ..., cache=None)`` persists
+nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.accel.config import AcceleratorConfig
+from repro.exp.cache import DEFAULT_CACHE, config_fingerprint
 from repro.space import resolve_config
 from repro.systems.base import ExecutionPlan, SystemReport, Workload
 from repro.systems.registry import SystemOptions
@@ -61,8 +65,6 @@ class AcceleratorSystem:
         return self._config
 
     def prepare(self, workload: Workload) -> ExecutionPlan:
-        from repro.exp.cache import config_fingerprint
-
         return ExecutionPlan(
             system=self.name,
             workload=workload,
@@ -71,23 +73,46 @@ class AcceleratorSystem:
         )
 
     def execute(
-        self, plan: ExecutionPlan, observer: "Observer | None" = None
+        self,
+        plan: ExecutionPlan,
+        observer: "Observer | None" = None,
+        cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
-        from repro.eval.accelerator import run_config
+        return simulated_system_report(
+            self.name, plan.workload.benchmark_key, plan.payload, cache,
+            observer,
+        )
 
-        report = run_config(
-            plan.workload.benchmark_key, plan.payload, observer=observer
-        )
-        return SystemReport(
-            system=self.name,
-            benchmark=plan.workload.benchmark_key,
-            latency_ms=report.latency_ms,
-            breakdown={
-                "bandwidth_utilization": report.bandwidth_utilization,
-                "dna_utilization": report.dna_utilization,
-                "gpe_utilization": report.gpe_utilization,
-                "agg_utilization": report.agg_utilization,
-                "dram_mb": report.dram_bytes / 1e6,
-            },
-            detail=report,
-        )
+
+def simulated_system_report(
+    system: str,
+    benchmark_key: str,
+    config: AcceleratorConfig,
+    cache: object = DEFAULT_CACHE,
+    observer: "Observer | None" = None,
+) -> SystemReport:
+    """One whole-graph accelerator simulation as a :class:`SystemReport`
+    named ``system``, carrying the full
+    :class:`~repro.runtime.report.SimulationReport` as its detail.
+
+    The simulation itself runs through
+    :func:`repro.eval.accelerator.run_config` under the standard accel
+    point key and the caller's ``cache``.
+    """
+    from repro.eval.accelerator import run_config
+
+    report = run_config(benchmark_key, config, cache=cache,
+                        observer=observer)
+    return SystemReport(
+        system=system,
+        benchmark=benchmark_key,
+        latency_ms=report.latency_ms,
+        breakdown={
+            "bandwidth_utilization": report.bandwidth_utilization,
+            "dna_utilization": report.dna_utilization,
+            "gpe_utilization": report.gpe_utilization,
+            "agg_utilization": report.agg_utilization,
+            "dram_mb": report.dram_bytes / 1e6,
+        },
+        detail=report,
+    )

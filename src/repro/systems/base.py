@@ -19,14 +19,15 @@ shared vocabulary that lets all of them flow through one harness:
   :class:`~repro.runtime.report.SimulationReport` for simulated systems.
 * :class:`ExecutionBackend` — the protocol every system implements:
   ``prepare(workload) -> ExecutionPlan`` then
-  ``execute(plan, observer=None) -> SystemReport``.
+  ``execute(plan, observer=None, cache=DEFAULT_CACHE) -> SystemReport``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
+from repro.exp.cache import DEFAULT_CACHE, SCHEMA_VERSION, content_key
 from repro.graphs.datasets import DATASETS
 from repro.models.registry import benchmark_by_key, benchmark_model_config
 
@@ -169,8 +170,6 @@ class ExecutionPlan:
     @property
     def key(self) -> str:
         """Content-hash result-cache key for executions of this plan."""
-        from repro.exp.cache import SCHEMA_VERSION, content_key
-
         return content_key({"schema": SCHEMA_VERSION, **self.fingerprint()})
 
 
@@ -212,7 +211,10 @@ class ExecutionBackend(Protocol):
     for workloads the system cannot map); ``execute`` runs the plan and
     returns a :class:`SystemReport`.  ``observer`` attaches the
     :mod:`repro.obs` layer — executing with one never changes the
-    report.
+    report.  ``cache`` is the result cache the caller chose (see
+    :func:`repro.exp.cache.resolve_cache`); systems that run inner
+    simulations (``accel``, ``multichip``) read and store them there,
+    the analytical systems ignore it.
     """
 
     name: str
@@ -221,11 +223,9 @@ class ExecutionBackend(Protocol):
         ...  # pragma: no cover - protocol
 
     def execute(
-        self, plan: ExecutionPlan, observer: "Observer | None" = None
+        self,
+        plan: ExecutionPlan,
+        observer: "Observer | None" = None,
+        cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         ...  # pragma: no cover - protocol
-
-
-def breakdown_stats(report: SystemReport) -> Mapping[str, float]:
-    """The report's breakdown plus its headline latency, as counters."""
-    return {"latency_ms": report.latency_ms, **report.breakdown}

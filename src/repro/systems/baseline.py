@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 from repro.baselines.machines import CPU_MACHINE, GPU_MACHINE, MachineModel
 from repro.baselines.roofline import workload_breakdown
 from repro.baselines.table7 import TABLE7_MEASURED_MS
+from repro.exp.cache import DEFAULT_CACHE
 from repro.models.registry import benchmark_workload
 from repro.systems.base import (
     ExecutionPlan,
@@ -82,7 +83,10 @@ class BaselineSystem:
         )
 
     def execute(
-        self, plan: ExecutionPlan, observer: "Observer | None" = None
+        self,
+        plan: ExecutionPlan,
+        observer: "Observer | None" = None,
+        cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         benchmark = plan.workload.benchmark
         workload = benchmark_workload(benchmark, seed=plan.workload.seed)

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 from repro.dataflow.layers import ir_dense_layers, unmappable_specs
 from repro.dataflow.mapper import analyze_network
 from repro.dataflow.spatial import EYERISS_CONFIG, SpatialArrayConfig
+from repro.exp.cache import DEFAULT_CACHE
 from repro.models.registry import benchmark_ir
 from repro.systems.base import (
     ExecutionPlan,
@@ -70,7 +71,10 @@ class EyerissSystem:
         )
 
     def execute(
-        self, plan: ExecutionPlan, observer: "Observer | None" = None
+        self,
+        plan: ExecutionPlan,
+        observer: "Observer | None" = None,
+        cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         workload = plan.workload
         ir = benchmark_ir(workload.benchmark, seed=workload.seed)

@@ -3,9 +3,9 @@
 Splits a benchmark's input graph across ``N`` accelerator chips with a
 registered partition method (:mod:`repro.partition.methods`), simulates
 every shard on the *unmodified* single-chip ``accel`` path
-(:func:`repro.partition.shards.run_shard` — same compiler, same event
-engine, per-shard content-addressed cache keys), and composes a
-:class:`~repro.systems.base.SystemReport`:
+(:func:`repro.eval.accelerator.run_config` with ``shard=`` — same
+compiler, same event engine, the accel point key plus a ``shard``
+stanza), and composes a :class:`~repro.systems.base.SystemReport`:
 
 * **compute** — the chips run concurrently, so the compute term is the
   maximum shard latency (imbalance shows up directly as lost speedup);
@@ -16,12 +16,13 @@ engine, per-shard content-addressed cache keys), and composes a
   ``volume / link_bandwidth + latency`` per exchange round, serialized
   with compute (a conservative non-overlapped bulk-synchronous model).
 
-``chips=1`` is special-cased to delegate *exactly* to
-:func:`repro.eval.accelerator.run_config` — no partitioning, the very
-same cache key and report object a plain ``accel`` run produces — so the
-single-chip path can never drift from the multi-chip system's N=1 point
+``chips=1`` builds its report with
+:func:`repro.systems.accel.simulated_system_report`, the function the
+``accel`` system uses — no partitioning, the very same cache key and
+simulation a plain ``accel`` run produces — so the single-chip path can
+never drift from the multi-chip system's N=1 point
 (``tests/partition/test_multichip_identity.py`` pins this field by
-field).
+field).  Every shard simulation honours the caller's ``cache``.
 
 The plan fingerprint names the partition (chips, method, seed) and the
 link model (bandwidth, latency, value bytes) alongside the accelerator
@@ -35,9 +36,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.accel.config import AcceleratorConfig
+from repro.exp.cache import DEFAULT_CACHE, config_fingerprint
 from repro.models.workload import BYTES_PER_VALUE
 from repro.partition.methods import DEFAULT_METHOD, validate_method
-from repro.systems.accel import resolve_accel_config
+from repro.systems.accel import resolve_accel_config, simulated_system_report
 from repro.systems.base import ExecutionPlan, SystemReport, Workload
 from repro.systems.registry import SystemOptions
 
@@ -118,8 +120,6 @@ class MultiChipSystem:
         return self._multichip
 
     def prepare(self, workload: Workload) -> ExecutionPlan:
-        from repro.exp.cache import config_fingerprint
-
         return ExecutionPlan(
             system=self.name,
             workload=workload,
@@ -132,16 +132,31 @@ class MultiChipSystem:
         )
 
     def execute(
-        self, plan: ExecutionPlan, observer: "Observer | None" = None
+        self,
+        plan: ExecutionPlan,
+        observer: "Observer | None" = None,
+        cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         mc = self._multichip
         benchmark_key = plan.workload.benchmark_key
         if mc.chips == 1:
-            return self._execute_single(benchmark_key, observer)
+            report = simulated_system_report(
+                self.name, benchmark_key, self._config, cache, observer
+            )
+            report.breakdown.update(
+                chips=1.0,
+                compute_ms=report.latency_ms,
+                communication_ms=0.0,
+                communication_mb=0.0,
+                cut_edges=0.0,
+                halo_nodes=0.0,
+            )
+            return report
 
+        from repro.eval.accelerator import run_config
         from repro.models.registry import benchmark_workload
         from repro.partition.comm import aggregation_ops
-        from repro.partition.shards import partition_benchmark, run_shard
+        from repro.partition.shards import partition_benchmark
 
         partition = partition_benchmark(
             benchmark_key, mc.chips, mc.method, mc.seed
@@ -149,9 +164,10 @@ class MultiChipSystem:
         # The observer (when given) watches shard 0; every shard runs the
         # same engine, so one shard's timeline is the representative one.
         reports = [
-            run_shard(
-                benchmark_key, partition.spec(index), self._config,
+            run_config(
+                benchmark_key, self._config, cache=cache,
                 observer=observer if index == 0 else None,
+                shard=partition.spec(index),
             )
             for index in range(mc.chips)
         ]
@@ -189,38 +205,4 @@ class MultiChipSystem:
             latency_ms=compute_ms + comm_ms,
             breakdown=breakdown,
             detail=None,
-        )
-
-    def _execute_single(
-        self, benchmark_key: str, observer: "Observer | None"
-    ) -> SystemReport:
-        """The N=1 point: exactly the single-chip accel path.
-
-        Delegates to :func:`repro.eval.accelerator.run_config` under the
-        standard accel point key, so the report — latency, every
-        breakdown term, the full :class:`SimulationReport` detail — is
-        bit-identical to what the ``accel`` system produces, and the two
-        systems share cache entries for the underlying simulation.
-        """
-        from repro.eval.accelerator import run_config
-
-        report = run_config(benchmark_key, self._config, observer=observer)
-        return SystemReport(
-            system=self.name,
-            benchmark=benchmark_key,
-            latency_ms=report.latency_ms,
-            breakdown={
-                "bandwidth_utilization": report.bandwidth_utilization,
-                "dna_utilization": report.dna_utilization,
-                "gpe_utilization": report.gpe_utilization,
-                "agg_utilization": report.agg_utilization,
-                "dram_mb": report.dram_bytes / 1e6,
-                "chips": 1.0,
-                "compute_ms": report.latency_ms,
-                "communication_ms": 0.0,
-                "communication_mb": 0.0,
-                "cut_edges": 0.0,
-                "halo_nodes": 0.0,
-            },
-            detail=report,
         )

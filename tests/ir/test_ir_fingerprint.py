@@ -15,7 +15,7 @@ from repro.accel.config import CPU_ISO_BW
 from repro.exp.cache import point_fingerprint, point_key
 from repro.models import registry
 from repro.models.registry import ModelFamily, benchmark_ir_digest
-from repro.partition.shards import ShardSpec, shard_point_fingerprint
+from repro.partition.core import ShardSpec
 from repro.systems.base import resolve_workload
 
 
@@ -99,15 +99,13 @@ class TestPointFingerprint:
 class TestShardFingerprint:
     def test_carries_the_ir_digest(self):
         spec = ShardSpec(chips=2, index=0, method="bfs", seed=0)
-        doc = shard_point_fingerprint("gcn-cora", CPU_ISO_BW, spec)
+        doc = point_fingerprint("gcn-cora", CPU_ISO_BW, shard=spec)
         assert doc["ir"] == benchmark_ir_digest("gcn-cora", 0)
         assert doc["shard"] == spec.fingerprint()
         json.dumps(doc)
 
     def test_shard_and_whole_graph_keys_differ(self):
-        from repro.partition.shards import shard_point_key
-
         spec = ShardSpec(chips=2, index=0, method="bfs", seed=0)
-        assert shard_point_key("gcn-cora", CPU_ISO_BW, spec) != point_key(
+        assert point_key("gcn-cora", CPU_ISO_BW, shard=spec) != point_key(
             "gcn-cora", CPU_ISO_BW
         )

@@ -15,16 +15,13 @@ from time import perf_counter
 
 import pytest
 
-from repro.eval.accelerator import (
-    _compiled_program,
-    _config_by_name,
-    run_config,
-)
+from repro.eval.accelerator import _compiled_program, run_config
 from repro.exp.cache import ResultCache, clear_memo, lookup, point_key
 from repro.obs import KernelProfiler, Observer
 from repro.runtime.engine import simulate
 from repro.runtime.serialize import report_to_dict
 from repro.sim.kernel import Simulator
+from repro.space import resolve_config
 
 FAST_BENCHMARKS = ("gcn-cora", "gcn-citeseer", "gat-cora", "pgnn-dblp_1")
 SLOW_BENCHMARKS = ("gcn-pubmed", "mpnn-qm9_1000")
@@ -45,7 +42,7 @@ CASES = [
 @pytest.mark.parametrize("benchmark_key,config_name", CASES)
 def test_observed_report_bit_identical(benchmark_key, config_name):
     program = _compiled_program(benchmark_key)
-    config = _config_by_name(config_name)
+    config = resolve_config(config_name)
     bare = simulate(program, config)
     observed = simulate(program, config, observer=Observer())
     assert report_to_dict(bare) == report_to_dict(observed)
@@ -56,7 +53,7 @@ def test_observer_leaves_cache_key_unchanged(tmp_path):
     so later bare lookups hit — observer attachment is invisible to the
     cache fingerprint."""
     benchmark = "pgnn-dblp_1"
-    config = _config_by_name("CPU iso-BW")
+    config = resolve_config("CPU iso-BW")
     bare_key = point_key(benchmark, config)
     cache = ResultCache(tmp_path)
     clear_memo()
@@ -72,7 +69,7 @@ def test_observer_leaves_cache_key_unchanged(tmp_path):
 def test_observed_run_key_matches_bare_run_key(tmp_path):
     """Both run styles populate exactly one (shared) cache entry."""
     benchmark = "pgnn-dblp_1"
-    config = _config_by_name("CPU iso-BW")
+    config = resolve_config("CPU iso-BW")
     clear_memo()
     bare_cache = ResultCache(tmp_path / "bare")
     observed_cache = ResultCache(tmp_path / "observed")

@@ -15,8 +15,8 @@ import pytest
 
 from repro.eval.accelerator import resolve_benchmark_config
 from repro.eval.partition_sweep import partition_scaling
+from repro.exp.cache import point_fingerprint, point_key
 from repro.partition import ShardSpec
-from repro.partition.shards import shard_point_fingerprint, shard_point_key
 from repro.systems import SystemOptions, system_plan
 from repro.systems.multichip import MultiChipConfig
 
@@ -117,21 +117,19 @@ class TestCachePoisoning:
             ShardSpec(chips=4, index=1, method="bfs", seed=0),
             ShardSpec(chips=4, index=1, method="metis", seed=1),
         )
-        keys = {shard_point_key("gcn-cora", config, base)}
+        keys = {point_key("gcn-cora", config, shard=base)}
         for spec in variants:
-            keys.add(shard_point_key("gcn-cora", config, spec))
+            keys.add(point_key("gcn-cora", config, shard=spec))
         assert len(keys) == 1 + len(variants)
 
-        doc = shard_point_fingerprint("gcn-cora", config, base)
+        doc = point_fingerprint("gcn-cora", config, shard=base)
         assert doc["shard"] == base.fingerprint()
         assert doc["system"] == "accel"
 
     def test_shard_keys_never_collide_with_whole_graph_points(self):
-        from repro.exp.cache import point_fingerprint
-
         _, config = resolve_benchmark_config("gcn-cora", "CPU iso-BW", 2.4)
         whole = point_fingerprint("gcn-cora", config)
         spec = ShardSpec(chips=2, index=0)
-        sharded = shard_point_fingerprint("gcn-cora", config, spec)
+        sharded = point_fingerprint("gcn-cora", config, shard=spec)
         assert "shard" not in whole
         assert sharded["shard"] == spec.fingerprint()

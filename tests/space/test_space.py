@@ -149,13 +149,12 @@ class TestPointIdentity:
 
     def test_shard_keys_inherit_config_identity(self, space):
         from repro.partition.core import ShardSpec
-        from repro.partition.shards import shard_point_key
 
         spec = ShardSpec(chips=2, index=0)
         values = dict(space.named_values["CPU iso-BW"])
-        a = shard_point_key("gcn-cora", space.point(values).config(), spec)
+        a = point_key("gcn-cora", space.point(values).config(), shard=spec)
         values["bandwidth_gbps"] = 136.0
-        b = shard_point_key("gcn-cora", space.point(values).config(), spec)
+        b = point_key("gcn-cora", space.point(values).config(), shard=spec)
         assert a != b
 
 

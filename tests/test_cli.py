@@ -1,14 +1,58 @@
 """Tests for the command-line interface."""
 
+import argparse
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+#: Every subcommand's options (:func:`option_table`) as the CLI parses
+#: them; an intentional CLI change updates this file in the same diff.
+OPTIONS_GOLDEN = Path(__file__).with_name("cli_options_golden.json")
+
+
+def option_table(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand: flags, dest, action, default, type, nargs, choices
+    and required of every option — positionals first in declaration
+    order, then optionals sorted by flag (help order is not parsing)."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sub in subparsers.choices.items():
+        rows = []
+        for index, action in enumerate(sub._actions):
+            default = action.default
+            if isinstance(default, tuple):
+                default = list(default)
+            rows.append({
+                "_order": index if not action.option_strings else -1,
+                "flags": list(action.option_strings),
+                "dest": action.dest,
+                "action": type(action).__name__,
+                "default": default,
+                "type": getattr(action.type, "__name__", action.type),
+                "nargs": action.nargs,
+                "choices": (None if action.choices is None
+                            else list(action.choices)),
+                "required": action.required,
+            })
+        rows.sort(key=lambda r: (r["flags"], r.pop("_order")))
+        table[name] = rows
+    return table
 
 
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_option_table_is_unchanged(self):
+        """Shared options are defined once (argparse parents); every
+        subcommand still parses exactly the options it always did."""
+        golden = json.loads(OPTIONS_GOLDEN.read_text(encoding="utf-8"))
+        assert option_table(build_parser()) == golden
 
     def test_simulate_arguments(self):
         args = build_parser().parse_args(
@@ -286,6 +330,24 @@ class TestCommands:
             assert name in out
         assert "(default)" in out
         assert "Table VII" in out  # a fidelity note, not just names
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "gcn-cora", "--config", "GPU iso-FLOPS"],
+        ["profile", "gcn-cora", "GPU iso-FLOPS"],
+    ], ids=["simulate", "profile"])
+    def test_multichip_honours_config_and_noc_backend(self, argv, capsys):
+        from repro.systems import run_system
+
+        assert main(argv + ["--system", "multichip",
+                            "--noc-backend", "analytical"]) == 0
+        out = capsys.readouterr().out
+        expected = run_system("multichip", "gcn-cora",
+                              config_name="GPU iso-FLOPS",
+                              noc_backend="analytical")
+        assert f"gcn-cora on multichip: {expected.latency_ms:.3f} ms" in out
+        default_row = run_system("multichip", "gcn-cora",
+                                 noc_backend="analytical")
+        assert f"{default_row.latency_ms:.3f}" != f"{expected.latency_ms:.3f}"
 
     def test_simulate_on_cpu_system(self, capsys):
         assert main(["simulate", "gcn-cora", "--system", "cpu"]) == 0
