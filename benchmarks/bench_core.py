@@ -1,4 +1,4 @@
-"""Core-simulator performance harness for the kernel fast path.
+"""Core-simulator performance harness for the kernel loop.
 
 Two entry points:
 
@@ -84,7 +84,8 @@ def smoke_points():
 
 def hottest_handlers(benchmark: str = "gcn-pubmed", top: int = 10):
     """Per-handler top-N wall-clock attribution on one representative
-    point, via the kernel profiler (sampled; host time only)."""
+    point, via the kernel profiler (stack samples of the kernel loop;
+    host time only)."""
     from repro.eval.accelerator import _compiled_program, resolve_benchmark_config
     from repro.obs import Observer
     from repro.runtime.engine import simulate
@@ -97,10 +98,11 @@ def hottest_handlers(benchmark: str = "gcn-pubmed", top: int = 10):
         "benchmark": benchmark,
         "events": profile.events,
         "events_per_sec": round(profile.events_per_sec),
+        "samples": profile.samples,
         "handlers": [
             {"owner": owner, "wall_ms": round(wall_s * 1e3, 2),
-             "sampled_events": events}
-            for owner, wall_s, events in profile.hottest_handlers()[:top]
+             "samples": samples}
+            for owner, wall_s, samples in profile.hottest_handlers(top)
         ],
     }
 

@@ -520,17 +520,18 @@ def _cmd_profile(args) -> int:
     profile = observer.profiler.profile()
     print(f"kernel: {profile.events} events in {profile.run_wall_s:.2f} s "
           f"({profile.events_per_sec:,.0f} events/s, "
-          f"{profile.handler_wall_s:.2f} s in handlers)")
+          f"{profile.handler_share:.0%} in handlers over "
+          f"{profile.samples} samples)")
     if profile.queue_depth_hist:
-        print("  queue depth:")
+        print("  queue depth (samples):")
         for label, count in profile.queue_depth_buckets():
             print(f"    {label:>12s}: {count}")
     hottest = profile.hottest_handlers()
     if hottest:
-        print(f"  hottest handlers (sampled 1/{profile.owner_sample_every}):")
-        for owner, wall_s, events in hottest:
+        print(f"  hottest handlers ({profile.samples} samples):")
+        for owner, wall_s, samples in hottest:
             print(f"    {owner:32s} {wall_s * 1e3:8.1f} ms  "
-                  f"({events} sampled events)")
+                  f"({samples} samples)")
 
     if args.trace is not None:
         events = write_chrome_trace(args.trace, observer.timeline,

@@ -6,13 +6,14 @@ One :class:`Observer` attached to a run (via
 a :class:`~repro.obs.registry.MetricsRegistry`, feeds every busy ledger
 into a :class:`~repro.obs.timeline.Timeline`, records vertex-program
 phases through the existing :class:`~repro.runtime.trace.Tracer`, and
-samples the event kernel with a
+samples the event kernel's loop from a background thread with a
 :class:`~repro.obs.profiler.KernelProfiler`.
 
 The design contract — proven by ``tests/obs/test_zero_perturbation.py``
-— is that attaching an observer never changes simulated results: every
-hook reads state the simulation already maintains (counters, ledgers,
-host wall clock) and none of them feed back into scheduling decisions.
+against the golden digests — is that attaching an observer never
+changes simulated results: every hook reads state the simulation
+already maintains (counters, ledgers, host wall clock, the running
+loop's stack) and none of them feed back into scheduling decisions.
 """
 
 from __future__ import annotations

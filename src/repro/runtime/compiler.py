@@ -3,8 +3,8 @@
 One generic :func:`lower` pass turns any model's per-layer op stream
 (:class:`~repro.models.ir.ModelIR`) into the pull-model vertex programs
 of :mod:`repro.runtime.program`; it replaced the five hand-written
-per-model compilers (held bit-identical via the differential oracle in
-``tests/ir/legacy_reference.py`` before they were deleted).
+per-model compilers, and ``tests/golden_digests.json`` pins every
+program it produces field for field.
 
 Per paper Section IV, a GNN layer becomes (up to) two accelerator
 layers: a *project* layer whose vertex tasks stream features through the

@@ -232,9 +232,9 @@ class RuntimeEngine:
         if layer.tasks:
             self.sim.post_at(max(start_ns, self.sim.now), self._offer_tasks,
                              layer)
-        watchdog = self.accel.config.watchdog.build()
         try:
-            self.sim.run(watchdog=watchdog, profiler=self._profiler)
+            self.sim.run(watchdog=self.accel.config.watchdog,
+                         profiler=self._profiler)
         except WatchdogTrip as trip:
             raise self._failure(
                 f"layer {layer.name!r} exceeded its watchdog budget "

@@ -11,12 +11,7 @@ from repro.sim.kernel import Event, Simulator, SimulationError
 from repro.sim.clock import Clock
 from repro.sim.module import Module
 from repro.sim.stats import BusyTracker, StatSet
-from repro.sim.watchdog import (
-    Watchdog,
-    WatchdogConfig,
-    WatchdogDiagnosis,
-    WatchdogTrip,
-)
+from repro.sim.watchdog import WatchdogConfig, WatchdogDiagnosis, WatchdogTrip
 
 __all__ = [
     "Event",
@@ -26,7 +21,6 @@ __all__ = [
     "Module",
     "BusyTracker",
     "StatSet",
-    "Watchdog",
     "WatchdogConfig",
     "WatchdogDiagnosis",
     "WatchdogTrip",

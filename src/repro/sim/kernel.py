@@ -5,22 +5,16 @@ Events scheduled for the same timestamp fire in scheduling order, which
 makes runs deterministic for a fixed workload (a property the test suite
 relies on).
 
-Fast path
----------
+One loop
+--------
 
-The kernel has two mechanically different but observably identical
-execution modes:
-
-* the **fast path** (default) — slotted events drawn from a free-list
-  and a run loop specialised for the common flag combinations;
-* the **reference path** (``Simulator(fastpath=False)`` or
-  ``$REPRO_SIM_FASTPATH=0``) — the seed per-event loop: a fresh event
-  per schedule, no recycling.
-
-Both paths fire the same callbacks in the same order at the same
-simulated timestamps (``tests/sim/test_fastpath_identity.py`` proves
-reports field-for-field identical; ``tests/sim/test_event_queue_properties.py``
-property-tests the ordering on adversarial schedules).
+:meth:`Simulator.run` is the only dispatch loop.  It checks the watchdog
+budgets (:class:`repro.sim.watchdog.WatchdogConfig`) as local variables,
+recycles fire-and-forget events through a free-list, and is the loop the
+kernel profiler samples from its own thread — the loop makes no Python
+call per event besides the handler.  ``tests/golden_digests.json`` pins
+the reports it produces; ``tests/sim/test_event_queue_properties.py``
+property-tests its ordering on adversarial schedules.
 
 Free-list contract: only events created through :meth:`Simulator.post`
 and :meth:`Simulator.post_at` — calls that never hand the event object
@@ -33,24 +27,17 @@ forever.
 from __future__ import annotations
 
 import heapq
-import os
-from time import perf_counter
-from typing import Any, Callable, Protocol
+import sys
+from time import monotonic
+from types import FrameType
+from typing import TYPE_CHECKING, Any, Callable, Protocol
 
 from repro.errors import ReproError
 
-#: Environment variable selecting the kernel execution mode for newly
-#: created simulators: any value other than ``"0"`` (or unset) enables
-#: the fast path.  The differential test tier flips this to pit the two
-#: implementations against each other.
-FASTPATH_ENV = "REPRO_SIM_FASTPATH"
+if TYPE_CHECKING:  # pragma: no cover - repro.sim.watchdog imports this module
+    from repro.sim.watchdog import WatchdogConfig, WatchdogTrip
 
 _INF = float("inf")
-
-
-def default_fastpath() -> bool:
-    """Fast path unless ``$REPRO_SIM_FASTPATH`` is exactly ``"0"``."""
-    return os.environ.get(FASTPATH_ENV, "1") != "0"
 
 
 class SimulationError(ReproError):
@@ -65,26 +52,18 @@ class SimulationError(ReproError):
     retryable = False
 
 
-class SupportsWatchdog(Protocol):
-    """Budget checker accepted by :meth:`Simulator.run`."""
-
-    def before_event(self, sim: "Simulator", event: "Event") -> None: ...
-
-
 class SupportsProfiler(Protocol):
-    """Wall-clock sampler accepted by :meth:`Simulator.run`.
+    """Sampler accepted by :meth:`Simulator.run`.
 
-    Normally a :class:`repro.obs.profiler.KernelProfiler`.  The hooks see
-    *host* time only — attaching a profiler can never change simulated
-    timestamps, and when none is attached the run loop pays one
-    ``is not None`` check up front and nothing per event.
+    Normally a :class:`repro.obs.profiler.KernelProfiler`.  ``start`` is
+    called before the dispatch loop with the frame that runs it, and
+    ``stop`` after it; nothing is called per event, so a profiler sees
+    *host* time only and can never change simulated timestamps.
     """
 
-    def after_event(
-        self, event: "Event", wall_s: float, queue_depth: int
-    ) -> None: ...
+    def start(self, sim: "Simulator", loop: FrameType) -> None: ...
 
-    def add_run_wall(self, wall_s: float) -> None: ...
+    def stop(self) -> None: ...
 
 
 def describe_callback(callback: Callable[..., None]) -> str:
@@ -119,14 +98,14 @@ class Event:
         seq: int,
         callback: Callable[..., None],
         args: tuple[Any, ...] = (),
-        cancelled: bool = False,
+        recycle: bool = False,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.cancelled = cancelled
-        self._recycle = False
+        self.cancelled = False
+        self._recycle = recycle
 
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
@@ -137,11 +116,10 @@ class Event:
         """Mark the event so the kernel skips it when it is popped.
 
         Only meaningful for *pending* events.  Cancelling an event after
-        it fired was always a silent no-op; under the fast path's
-        free-list it stays one for events obtained from
-        :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
-        (those are never recycled, exactly so a stale ``cancel`` cannot
-        hit an unrelated reused event).
+        it fired is a silent no-op: events obtained from
+        :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` are
+        never recycled, exactly so a stale ``cancel`` cannot hit an
+        unrelated reused event.
         """
         self.cancelled = True
 
@@ -161,18 +139,14 @@ class Simulator:
         sim = Simulator()
         sim.schedule(10.0, handler, arg1, arg2)   # fire 10 ns from now
         sim.run()
-
-    ``fastpath`` selects the execution mode (see the module docstring);
-    ``None`` reads ``$REPRO_SIM_FASTPATH``.
     """
 
-    def __init__(self, fastpath: bool | None = None) -> None:
+    def __init__(self) -> None:
         self._queue: list[Event] = []
         self._now = 0.0
         self._seq = 0
         self._events_fired = 0
         self._running = False
-        self.fastpath = default_fastpath() if fastpath is None else fastpath
         # Free-list of recyclable events (post/post_at only).
         self._free: list[Event] = []
 
@@ -191,14 +165,9 @@ class Simulator:
         """Number of events still in the queue (including cancelled ones).
 
         Cancelled events stay queued until their timestamp is reached and
-        the kernel pops (and skips) them, so this counts them too; use
-        :meth:`pending_active` to exclude them.
+        the kernel pops (and skips) them, so this counts them too.
         """
         return len(self._queue)
-
-    def pending_active(self) -> int:
-        """Number of queued events that will actually fire."""
-        return sum(1 for event in self._queue if not event.cancelled)
 
     def pending_by_owner(self) -> dict[str, int]:
         """Non-cancelled queued events grouped by owning component.
@@ -251,10 +220,10 @@ class Simulator:
         """Fire-and-forget :meth:`schedule_at` feeding the event free-list.
 
         Returns nothing, so the kernel is the only holder of the event
-        object and may recycle it after dispatch.  Hot callers (the
-        runtime engine, module-internal continuations) use this to kill
-        per-event allocation; anything that might need to cancel must use
-        :meth:`schedule_at`.
+        object and may recycle it after dispatch (it can never be
+        cancelled).  Hot callers (the runtime engine, module-internal
+        continuations) use this to kill per-event allocation; anything
+        that might need to cancel must use :meth:`schedule_at`.
         """
         now = self._now
         if time < now:
@@ -262,213 +231,99 @@ class Simulator:
                 f"cannot schedule at {time} ns; current time is {now} ns"
             )
         free = self._free
-        if self.fastpath and free:
+        if free:
             event = free.pop()
             event.time = time
             event.seq = self._seq
             event.callback = callback
             event.args = args
         else:
-            event = Event(time, self._seq, callback, args)
-            # Reference mode allocates a fresh, never-recycled event per
-            # post, exactly like the seed loop.
-            event._recycle = self.fastpath
+            event = Event(time, self._seq, callback, args, recycle=True)
         self._seq += 1
         heapq.heappush(self._queue, event)
 
-    def _recycle(self, event: Event) -> None:
-        """Reset a fired recyclable event and return it to the free-list.
-
-        Clearing ``callback``/``args`` both prevents state leaking into
-        the next reuse and drops references so arguments are collectable.
-        """
-        event.callback = _UNSET
-        event.args = ()
-        event.cancelled = False
-        self._free.append(event)
-
-    # -- run loops ----------------------------------------------------------
+    # -- the run loop -------------------------------------------------------
 
     def run(
         self,
-        until: float | None = None,
-        max_events: int | None = None,
-        watchdog: "SupportsWatchdog | None" = None,
-        profiler: "SupportsProfiler | None" = None,
+        watchdog: "WatchdogConfig | None" = None,
+        profiler: SupportsProfiler | None = None,
     ) -> float:
-        """Run events until the queue drains, ``until`` ns, or ``max_events``.
+        """Run events until the queue drains; returns the simulated time.
 
-        ``until`` and ``max_events`` are cooperative stop conditions (the
-        run returns quietly); ``watchdog`` — any object with a
-        ``before_event(sim, event)`` method, normally a
-        :class:`repro.sim.watchdog.Watchdog` — enforces hard budgets by
-        raising on a trip, leaving the offending event queued so the
-        failure can be diagnosed.  ``profiler`` — normally a
-        :class:`repro.obs.profiler.KernelProfiler` — samples handler
-        wall-clock time and queue depth to show where the *Python
-        simulator itself* spends time; it observes host time only and
-        cannot perturb simulated results.
-
-        Returns the simulated time when the run stopped.
+        ``watchdog`` bounds the run: before each non-cancelled event the
+        loop checks the simulated-time, event-count, stall and wall-clock
+        budgets, in that order, and the first one exceeded raises
+        :class:`repro.sim.watchdog.WatchdogTrip` with the offending event
+        still queued, so the failure can be diagnosed.  ``None`` (or a
+        ``None`` budget) runs unbounded; the wall clock is read per event
+        only while ``max_wall_s`` is set.  ``profiler`` (see
+        :class:`SupportsProfiler`) samples this loop from its own thread.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
-        self._running = True
-        run_start = perf_counter() if profiler is not None else 0.0
-        try:
-            if (
-                self.fastpath
-                and profiler is None
-                and until is None
-                and max_events is None
-            ):
-                self._run_fast(watchdog)
-            else:
-                self._run_general(until, max_events, watchdog, profiler)
-        finally:
-            self._running = False
-            if profiler is not None:
-                profiler.add_run_wall(perf_counter() - run_start)
-        return self._now
-
-    def _run_fast(self, watchdog: "SupportsWatchdog | None") -> None:
-        """Tight dispatch loop for the dominant flag combination.
-
-        No ``until``/``max_events`` bookkeeping, hoisted locals, and the
-        free-list fed inline.  The watchdog (when present) sees exactly
-        the per-event calls the reference loop makes.
-        """
+        max_time_ns = max_events = stall_events = _INF
+        max_wall_s = None
+        if watchdog is not None:
+            if watchdog.max_time_ms is not None:
+                max_time_ns = watchdog.max_time_ms * 1e6
+            if watchdog.max_events is not None:
+                max_events = watchdog.max_events
+            if watchdog.stall_events is not None:
+                stall_events = watchdog.stall_events
+            max_wall_s = watchdog.max_wall_s
         queue = self._queue
         pop = heapq.heappop
         free = self._free
         fired = 0
+        stall_run = 0
+        last_time = -_INF
+        if profiler is not None:
+            profiler.start(self, sys._getframe())
+        self._running = True
+        wall_start = monotonic()
         try:
-            if watchdog is None:
-                while queue:
-                    event = pop(queue)
-                    if event.cancelled:
-                        if event._recycle:
-                            self._recycle(event)
-                        continue
-                    self._now = event.time
-                    callback = event.callback
-                    args = event.args
-                    if event._recycle:
-                        event.callback = _UNSET
-                        event.args = ()
-                        event.cancelled = False
-                        free.append(event)
-                    callback(*args)
-                    fired += 1
-                return
-            before_event = watchdog.before_event
             while queue:
-                event = queue[0]
+                event = pop(queue)
                 if event.cancelled:
-                    self._drop_cancelled()
                     continue
-                before_event(self, event)
-                pop(queue)
-                self._now = event.time
+                time = event.time
+                if time > max_time_ns:
+                    raise self._trip(watchdog, "max_time", event, fired)
+                if fired >= max_events:
+                    raise self._trip(watchdog, "max_events", event, fired)
+                if time > last_time:
+                    last_time = time
+                    stall_run = 0
+                else:
+                    stall_run += 1
+                    if stall_run >= stall_events:
+                        raise self._trip(watchdog, "stall", event, fired)
+                if max_wall_s is not None and monotonic() - wall_start > max_wall_s:
+                    raise self._trip(watchdog, "max_wall", event, fired)
+                self._now = time
                 callback = event.callback
                 args = event.args
                 if event._recycle:
                     event.callback = _UNSET
                     event.args = ()
-                    event.cancelled = False
                     free.append(event)
                 callback(*args)
                 fired += 1
         finally:
             self._events_fired += fired
+            self._running = False
+            if profiler is not None:
+                profiler.stop()
+        return self._now
 
-    def _run_general(
-        self,
-        until: float | None,
-        max_events: int | None,
-        watchdog: "SupportsWatchdog | None",
-        profiler: "SupportsProfiler | None",
-    ) -> None:
-        """Reference-shaped loop covering every flag combination.
-
-        With ``fastpath=False`` this *is* the seed event loop (nothing is
-        recycled), which is what the differential identity tier runs
-        against.
-        """
-        queue = self._queue
-        stop_at = _INF if until is None else until
-        limit = max_events
-        fired = 0
-        try:
-            while queue:
-                event = queue[0]
-                if event.time > stop_at:
-                    self._now = stop_at
-                    return
-                if event.cancelled:
-                    self._drop_cancelled()
-                    continue
-                if watchdog is not None:
-                    watchdog.before_event(self, event)
-                heapq.heappop(queue)
-                self._now = event.time
-                callback = event.callback
-                args = event.args
-                if profiler is None:
-                    if event._recycle:
-                        self._recycle(event)
-                    callback(*args)
-                else:
-                    handler_start = perf_counter()
-                    callback(*args)
-                    profiler.after_event(
-                        event, perf_counter() - handler_start, len(queue)
-                    )
-                    # Recycled only once the profiler has read its
-                    # callback, so a post made by the handler cannot
-                    # reuse the event and take the attribution.
-                    if event._recycle:
-                        self._recycle(event)
-                fired += 1
-                if limit is not None and fired >= limit:
-                    return
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._events_fired += fired
-
-    def _drop_cancelled(self) -> None:
-        """Pop one cancelled event off the heap (the single drain path).
-
-        Every loop — fast, general, :meth:`step` — discards cancelled
-        events through this helper, so a cancel issued at the current
-        timestamp is honoured identically everywhere: the flag is checked
-        on the queue head *before* any dispatch or watchdog accounting.
-        """
-        event = heapq.heappop(self._queue)
-        if event._recycle:
-            self._recycle(event)
-
-    def step(self) -> bool:
-        """Execute the single next non-cancelled event.
-
-        Returns True if an event fired, False if the queue was empty.
-        """
-        queue = self._queue
-        while queue:
-            if queue[0].cancelled:
-                self._drop_cancelled()
-                continue
-            event = heapq.heappop(queue)
-            self._now = event.time
-            callback = event.callback
-            args = event.args
-            if event._recycle:
-                self._recycle(event)
-            callback(*args)
-            self._events_fired += 1
-            return True
-        return False
+    def _trip(
+        self, watchdog: "WatchdogConfig", reason: str, event: Event,
+        fired: int,
+    ) -> "WatchdogTrip":
+        """Requeue the offending event and build the budget's exception."""
+        heapq.heappush(self._queue, event)
+        return watchdog.trip(reason, self, event, fired)
 
 
 def _unset_callback(*_args: Any) -> None:  # pragma: no cover - guard only

@@ -1,20 +1,21 @@
-"""Execution watchdogs for the discrete-event kernel.
+"""Execution budgets for the discrete-event kernel.
 
 The simulator itself has no opinion about how long a run should take: a
 malformed configuration or an injected hardware fault can schedule events
 arbitrarily far into the future, or spin through millions of events
-without advancing simulated time.  A :class:`Watchdog` bounds a
-``Simulator.run`` call along four independent axes:
+without advancing simulated time.  A :class:`WatchdogConfig` passed to
+``Simulator.run`` bounds the run along four independent axes, which the
+kernel's dispatch loop checks as local variables before each event:
 
-* ``max_events`` — total events fired by this run;
 * ``max_time_ms`` — simulated-time ceiling (checked against the *next*
   event's timestamp, so a single far-future event trips the budget
   before time jumps);
-* ``max_wall_s`` — host wall-clock ceiling;
+* ``max_events`` — total events fired by this run;
 * ``stall_events`` — forward-progress window: consecutive events at one
-  simulated timestamp before the run is declared stalled.
+  simulated timestamp before the run is declared stalled;
+* ``max_wall_s`` — host wall-clock ceiling.
 
-On any trip the watchdog raises :class:`WatchdogTrip`, a
+On any trip the loop raises :class:`WatchdogTrip`, a
 :class:`~repro.sim.kernel.SimulationError` carrying a structured
 :class:`WatchdogDiagnosis` — current time, queue depth, and pending-event
 counts grouped by owning module — instead of letting the kernel spin.
@@ -22,10 +23,13 @@ counts grouped by owning module — instead of letting the kernel spin.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.sim.kernel import Event, SimulationError, Simulator
+from repro.sim.kernel import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import Event, Simulator
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class WatchdogConfig:
     is ~1e5 events and a few milliseconds of simulated time) — so healthy
     workloads never notice the watchdog while a wedged one is still
     diagnosed in bounded time.  ``None`` disables an axis; all-``None``
-    disables the watchdog entirely.
+    runs unbounded.
     """
 
     max_events: int | None = 50_000_000
@@ -55,17 +59,29 @@ class WatchdogConfig:
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive or None")
 
-    @property
-    def enabled(self) -> bool:
-        return any(
-            getattr(self, name) is not None
-            for name in ("max_events", "max_time_ms", "max_wall_s",
-                         "stall_events")
+    def trip(
+        self, reason: str, sim: "Simulator", event: "Event", events_fired: int
+    ) -> "WatchdogTrip":
+        """The exception for the ``reason`` budget, which ``event`` (still
+        queued on ``sim``) would exceed after ``events_fired`` events of
+        the run."""
+        budget = {
+            "max_time": self.max_time_ms,
+            "max_events": self.max_events,
+            "stall": self.stall_events,
+            "max_wall": self.max_wall_s,
+        }[reason]
+        return WatchdogTrip(
+            WatchdogDiagnosis(
+                reason=reason,
+                budget=budget,
+                events_fired=events_fired,
+                now_ns=sim.now,
+                next_event_ns=event.time,
+                queue_depth=sim.pending,
+                pending_by_owner=sim.pending_by_owner(),
+            )
         )
-
-    def build(self) -> "Watchdog | None":
-        """A fresh runtime checker, or None when every axis is off."""
-        return Watchdog(self) if self.enabled else None
 
 
 @dataclass
@@ -122,63 +138,3 @@ class WatchdogTrip(SimulationError):
         self.diagnosis = diagnosis
         if diagnosis.reason == "max_wall":
             self.status = "timeout"
-
-
-class Watchdog:
-    """Runtime state of one budget check; pass to ``Simulator.run``."""
-
-    def __init__(self, config: WatchdogConfig) -> None:
-        self.config = config
-        self._fired = 0
-        self._stall_run = 0
-        self._last_time: float | None = None
-        self._wall_start: float | None = None
-        self._max_time_ns = (
-            None if config.max_time_ms is None else config.max_time_ms * 1e6
-        )
-
-    @property
-    def events_fired(self) -> int:
-        return self._fired
-
-    def before_event(self, sim: Simulator, event: Event) -> None:
-        """Check every budget; raises :class:`WatchdogTrip` on the first hit.
-
-        Called by the kernel with the next non-cancelled event *before*
-        executing it, so a far-future timestamp is caught while ``sim.now``
-        still reflects the last healthy event.
-        """
-        cfg = self.config
-        if self._wall_start is None:
-            self._wall_start = time.monotonic()
-        if self._max_time_ns is not None and event.time > self._max_time_ns:
-            self._trip("max_time", cfg.max_time_ms, sim, event)
-        if cfg.max_events is not None and self._fired >= cfg.max_events:
-            self._trip("max_events", cfg.max_events, sim, event)
-        if cfg.stall_events is not None:
-            if self._last_time is not None and event.time <= self._last_time:
-                self._stall_run += 1
-                if self._stall_run >= cfg.stall_events:
-                    self._trip("stall", cfg.stall_events, sim, event)
-            else:
-                self._stall_run = 0
-            self._last_time = event.time
-        if cfg.max_wall_s is not None:
-            if time.monotonic() - self._wall_start > cfg.max_wall_s:
-                self._trip("max_wall", cfg.max_wall_s, sim, event)
-        self._fired += 1
-
-    def _trip(
-        self, reason: str, budget: float, sim: Simulator, event: Event
-    ) -> None:
-        raise WatchdogTrip(
-            WatchdogDiagnosis(
-                reason=reason,
-                budget=budget,
-                events_fired=self._fired,
-                now_ns=sim.now,
-                next_event_ns=event.time,
-                queue_depth=sim.pending,
-                pending_by_owner=sim.pending_by_owner(),
-            )
-        )

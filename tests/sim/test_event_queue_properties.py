@@ -1,20 +1,21 @@
-"""Property tests pitting the kernel fast path against the seed loop.
+"""Property tests of the kernel's event ordering.
 
 Hypothesis builds adversarial schedules — duplicate timestamps,
 recyclable posts interleaved with held events, cancel-and-reschedule at
-the current tick, zero-delay self-posts — and runs each one on both kernel
-modes (``Simulator(fastpath=True)`` vs ``fastpath=False``).  The
-observable execution — every callback's (time, tag) in firing order,
-the events-fired counter, the final clock — must be identical.
+the current tick, zero-delay self-posts — and checks what every run must
+satisfy: fire times never decrease, events queued for one tick fire in
+scheduling order, a cancelled event never fires while its reschedule
+does, and the watchdog budgets never change the execution.
 
-A second property reuses one fast-path simulator across generated
-schedules to prove free-listed events never leak state between runs:
-the second schedule's trace matches a fresh simulator's bit-for-bit.
+A second property reuses one simulator across generated schedules to
+prove free-listed events never leak state between runs: the second
+schedule's trace matches a fresh simulator's bit-for-bit.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.kernel import Simulator
+from repro.sim.watchdog import WatchdogConfig
 
 #: Coarse time grid so generated schedules collide on timestamps often —
 #: duplicate-time ordering is exactly what event recycling risks.
@@ -35,14 +36,17 @@ def schedules(draw):
 
 
 def build_schedule(ops, sim, base=0.0):
-    """Install one generated schedule on ``sim``; returns the trace list
-    the callbacks will append (time, tag) pairs into as they fire.
+    """Install one generated schedule on ``sim``.
 
-    ``base`` shifts every timestamp so the same logical schedule can be
-    replayed on a simulator that already ran; the trace normalizes the
-    times back, keeping a reused run comparable to a fresh one.
+    Returns ``(trace, queued)``: the list the callbacks append
+    ``(time, tag)`` pairs to as they fire, and the ``(time, tag)`` of
+    every event queued here, in scheduling order.  ``base`` shifts every
+    timestamp so the same logical schedule can be replayed on a
+    simulator that already ran; the trace normalizes the times back,
+    keeping a reused run comparable to a fresh one.
     """
     trace = []
+    queued = []
 
     def fire(tag):
         trace.append((sim.now - base, tag))
@@ -56,11 +60,12 @@ def build_schedule(ops, sim, base=0.0):
 
     victims = {}
     for idx, (kind, t, extra) in enumerate(ops):
-        t += base
         if kind == "schedule":
-            sim.schedule_at(t, fire, f"s{idx}")
+            sim.schedule_at(t + base, fire, f"s{idx}")
+            queued.append((t, f"s{idx}"))
         elif kind == "post":
-            sim.post_at(t, fire, f"p{idx}")
+            sim.post_at(t + base, fire, f"p{idx}")
+            queued.append((t, f"p{idx}"))
         elif kind == "cancel_same_tick":
             # The canceller is scheduled first, so it fires first at t
             # and cancels a victim queued for the same timestamp; the
@@ -70,68 +75,67 @@ def build_schedule(ops, sim, base=0.0):
                 victims[idx].cancel()
                 sim.schedule_at(sim.now, fire, f"r{idx}")
 
-            sim.schedule_at(t, canceller, f"c{idx}")
-            victims[idx] = sim.schedule_at(t, fire, f"v{idx}")
+            sim.schedule_at(t + base, canceller, f"c{idx}")
+            victims[idx] = sim.schedule_at(t + base, fire, f"v{idx}")
+            queued += [(t, f"c{idx}"), (t, f"v{idx}")]
         elif kind == "self_post":
-            sim.schedule_at(t, self_poster, f"z{idx}", extra)
-    return trace
+            sim.schedule_at(t + base, self_poster, f"z{idx}", extra)
+            queued.append((t, f"z{idx}"))
+    return trace, queued
 
 
-def run_schedule(ops, fastpath, sim=None, base=0.0):
+def run_schedule(ops, sim=None, base=0.0, watchdog=None):
     """Build and run one schedule; returns its full observable record."""
     if sim is None:
-        sim = Simulator(fastpath=fastpath)
+        sim = Simulator()
     fired_before = sim.events_fired
-    trace = build_schedule(ops, sim, base)
-    end = sim.run()
+    trace, _ = build_schedule(ops, sim, base)
+    end = sim.run(watchdog=watchdog)
     return trace, sim.events_fired - fired_before, end - base
 
 
 @given(schedules())
 @settings(max_examples=200, deadline=None)
-def test_fastpath_preserves_observable_order(ops):
-    fast = run_schedule(ops, fastpath=True)
-    reference = run_schedule(ops, fastpath=False)
-    assert fast == reference
+def test_run_honours_the_ordering_contract(ops):
+    sim = Simulator()
+    trace, queued = build_schedule(ops, sim)
+    sim.run()
+    fired = [tag for _, tag in trace]
+    cancels = [idx for idx, (kind, _, _) in enumerate(ops)
+               if kind == "cancel_same_tick"]
+    victims = {f"v{idx}" for idx in cancels}
+
+    fire_times = [t for t, _ in trace]
+    assert fire_times == sorted(fire_times)
+
+    # Events queued before the run fire by time, ties in scheduling order.
+    queued_tags = {tag for _, tag in queued}
+    expected = [tag for _, tag in sorted(queued, key=lambda item: item[0])
+                if tag not in victims]
+    assert [tag for tag in fired if tag in queued_tags] == expected
+
+    for idx in cancels:
+        assert f"v{idx}" not in fired
+        assert fired.count(f"r{idx}") == 1
+
+    assert sim.events_fired == len(trace)
 
 
 @given(schedules())
 @settings(max_examples=100, deadline=None)
-def test_fastpath_matches_reference_under_watchdog(ops):
-    """The watchdog-instrumented fast loop must not change the
-    observable execution either."""
-    from repro.sim.watchdog import Watchdog, WatchdogConfig
-
-    def run(fastpath):
-        sim = Simulator(fastpath=fastpath)
-        trace = build_schedule(ops, sim)
-        end = sim.run(watchdog=Watchdog(WatchdogConfig()))
-        return trace, sim.events_fired, end
-
-    assert run(True) == run(False)
+def test_watchdog_budgets_leave_the_execution_unchanged(ops):
+    assert (run_schedule(ops, watchdog=WatchdogConfig())
+            == run_schedule(ops, watchdog=None))
 
 
 @given(schedules(), schedules())
 @settings(max_examples=100, deadline=None)
 def test_free_listed_events_never_leak_state(first, second):
-    """A reused fast-path simulator (its free-list warm with recycled
-    events from an arbitrary first schedule) must execute a second
-    schedule exactly like a fresh simulator would."""
-    sim = Simulator(fastpath=True)
-    run_schedule(first, fastpath=True, sim=sim)
-    warm = run_schedule(second, fastpath=True, sim=sim, base=sim.now)
-    fresh = run_schedule(second, fastpath=True)
+    """A reused simulator (its free-list warm with recycled events from
+    an arbitrary first schedule) must execute a second schedule exactly
+    like a fresh simulator would."""
+    sim = Simulator()
+    run_schedule(first, sim=sim)
+    warm = run_schedule(second, sim=sim, base=sim.now)
+    fresh = run_schedule(second)
     assert warm == fresh
-
-
-@given(schedules())
-@settings(max_examples=100, deadline=None)
-def test_stepping_matches_running(ops):
-    """Draining the fast path with step() equals one run() call."""
-    expected = run_schedule(ops, fastpath=True)
-
-    sim = Simulator(fastpath=True)
-    trace = build_schedule(ops, sim)
-    while sim.step():
-        pass
-    assert (trace, sim.events_fired, sim.now) == expected

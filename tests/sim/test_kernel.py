@@ -1,8 +1,11 @@
 """Tests for the discrete-event simulation kernel."""
 
+import time
+
 import pytest
 
-from repro.sim import Simulator, SimulationError
+from repro.sim import SimulationError, Simulator, WatchdogConfig, WatchdogTrip
+from repro.sim.kernel import describe_callback
 
 
 def test_empty_run_returns_zero_time():
@@ -46,24 +49,6 @@ def test_events_can_schedule_more_events():
     assert sim.now == 5.0
 
 
-def test_run_until_stops_before_later_events():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, "early")
-    sim.schedule(10.0, fired.append, "late")
-    sim.run(until=5.0)
-    assert fired == ["early"]
-    assert sim.now == 5.0
-    sim.run()
-    assert fired == ["early", "late"]
-
-
-def test_run_until_advances_time_with_empty_queue():
-    sim = Simulator()
-    sim.run(until=42.0)
-    assert sim.now == 42.0
-
-
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
@@ -88,26 +73,6 @@ def test_cancelled_event_does_not_fire():
     assert fired == ["kept"]
 
 
-def test_max_events_limits_execution():
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i), fired.append, i)
-    sim.run(max_events=3)
-    assert fired == [0, 1, 2]
-
-
-def test_step_executes_single_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert not sim.step()
-
-
 def test_reentrant_run_rejected():
     sim = Simulator()
 
@@ -123,66 +88,30 @@ def test_run_usable_again_after_watchdog_raise():
     """An aborted run must not leave the kernel marked as running."""
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.run(watchdog=_RaisingWatchdog())
+    sim.schedule(2.0, lambda: None)
+    with pytest.raises(WatchdogTrip):
+        sim.run(watchdog=WatchdogConfig(max_events=1))
     fired = []
     sim.schedule(1.0, fired.append, "after")
     sim.run()
     assert fired == ["after"]
 
 
-class _RaisingWatchdog:
-    def before_event(self, sim, event):
-        raise SimulationError("budget")
-
-
-def test_max_events_combined_with_until():
-    """Whichever bound is reached first stops the run; the rest of the
-    queue survives for a later run() call."""
-    sim = Simulator()
-    fired = []
-    for i in range(10):
-        sim.schedule(float(i), fired.append, i)
-    # max_events binds first: three events fire, all below until.
-    sim.run(until=8.0, max_events=3)
-    assert fired == [0, 1, 2]
-    assert sim.now == 2.0
-    # until binds first now: events at 3..8 fire, 9.0 stays queued.
-    sim.run(until=8.0, max_events=100)
-    assert fired == list(range(9))
-    assert sim.now == 8.0
-    sim.run()
-    assert fired == list(range(10))
-
-
 def test_cancelled_events_counted_until_popped():
     """`pending` includes cancelled events (they stay queued until their
-    timestamp); `pending_active` and `pending_by_owner` exclude them."""
+    timestamp); `pending_by_owner` excludes them."""
     sim = Simulator()
     fired = []
     kept = sim.schedule(2.0, fired.append, "kept")
     cancelled = sim.schedule(1.0, fired.append, "cancelled")
     cancelled.cancel()
     assert sim.pending == 2
-    assert sim.pending_active() == 1
     assert sum(sim.pending_by_owner().values()) == 1
     assert not kept.cancelled
     sim.run()
     assert fired == ["kept"]
     assert sim.pending == 0
     assert sim.events_fired == 1
-
-
-def test_step_skips_cancelled_events():
-    sim = Simulator()
-    fired = []
-    first = sim.schedule(1.0, fired.append, "first")
-    sim.schedule(2.0, fired.append, "second")
-    first.cancel()
-    assert sim.step()
-    assert fired == ["second"]
-    assert sim.now == 2.0
-    assert not sim.step()
 
 
 def test_pending_by_owner_names_bound_methods():
@@ -204,54 +133,79 @@ def test_pending_by_owner_names_bound_methods():
 
 def test_cancel_at_current_timestamp_honoured_before_dispatch():
     """Regression: a cancel issued by a same-timestamp predecessor must
-    suppress the victim in every run-loop flavour.
+    suppress the victim, with and without watchdog budgets.
 
     The seed run loop popped cancelled events through two separate code
-    paths (plain drop vs. the watchdog-guarded branch); the drain is now
-    unified in ``Simulator._drop_cancelled``, and this test pins the
-    behaviour across both kernel modes, with and without a watchdog.
+    paths (plain drop vs. the watchdog-guarded branch); the one loop
+    drops them before any dispatch or budget accounting.
     """
-    from repro.sim.watchdog import Watchdog, WatchdogConfig
+    for watchdog in (WatchdogConfig(), None):
+        sim = Simulator()
+        fired = []
 
-    for fastpath in (True, False):
-        for with_watchdog in (True, False):
-            sim = Simulator(fastpath=fastpath)
-            fired = []
+        def canceller():
+            fired.append("canceller")
+            victim.cancel()
 
-            def canceller():
-                fired.append("canceller")
-                victim.cancel()
-
-            sim.schedule_at(5.0, canceller)
-            victim = sim.schedule_at(5.0, lambda: fired.append("victim"))
-            sim.schedule_at(5.0, lambda: fired.append("after"))
-            watchdog = Watchdog(WatchdogConfig()) if with_watchdog else None
-            sim.run(watchdog=watchdog)
-            assert fired == ["canceller", "after"], (
-                f"fastpath={fastpath} watchdog={with_watchdog}: {fired}"
-            )
-            assert sim.now == 5.0
+        sim.schedule_at(5.0, canceller)
+        victim = sim.schedule_at(5.0, lambda: fired.append("victim"))
+        sim.schedule_at(5.0, lambda: fired.append("after"))
+        sim.run(watchdog=watchdog)
+        assert fired == ["canceller", "after"], f"{watchdog}: {fired}"
+        assert sim.now == 5.0
 
 
 def test_profiler_sees_the_callback_that_ran():
-    """A recycled event reaches the profiler before its callback is
-    cleared or its slot is reused by a post the handler makes."""
+    """The sampler attributes wall time to the handler the loop is
+    running: a handler sleeping 20 ms, posted 10 times between no-op
+    handlers, takes nearly every sample."""
     from repro.obs import KernelProfiler
-    from repro.sim.kernel import describe_callback
 
-    sim = Simulator(fastpath=True)
+    sim = Simulator()
 
-    def ping(n):
-        if n:
-            sim.post(1.0, pong, n - 1)
+    def noop():
+        pass
 
-    def pong(n):
-        if n:
-            sim.post(1.0, ping, n - 1)
+    def sleeper():
+        time.sleep(0.02)
 
-    sim.post(0.0, ping, 10)
-    profiler = KernelProfiler(owner_sample_every=1)
+    for tick in range(10):
+        for _ in range(5):
+            sim.post(float(tick), noop)
+        sim.post(float(tick), sleeper)
+    profiler = KernelProfiler()
     sim.run(profiler=profiler)
-    assert profiler.profile().owner_events == {
-        describe_callback(ping): 6, describe_callback(pong): 5,
-    }
+    profile = profiler.profile()
+    assert profile.events == 60
+    assert profile.samples > 0
+    sleeping = profile.owner_samples.get(describe_callback(sleeper), 0)
+    assert sleeping >= 0.9 * profile.samples, profile
+
+
+def test_profiler_samples_stay_consistent_under_rapid_switching():
+    """With the interpreter switching threads every microsecond, every
+    sample still lands on the kernel or on a handler the loop ran."""
+    import sys
+
+    from repro.obs import KernelProfiler
+
+    sim = Simulator()
+
+    def spin():
+        sum(range(200))
+
+    for i in range(20_000):
+        sim.post(float(i), spin)
+    profiler = KernelProfiler()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sim.run(profiler=profiler)
+    finally:
+        sys.setswitchinterval(interval)
+    profile = profiler.profile()
+    assert profile.events == 20_000
+    assert profile.samples > 0
+    assert set(profile.owner_samples) <= {describe_callback(spin)}
+    assert (profile.kernel_samples + sum(profile.owner_samples.values())
+            == profile.samples == sum(profile.queue_depth_hist.values()))

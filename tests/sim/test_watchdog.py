@@ -7,28 +7,36 @@ import pytest
 from repro.sim import (
     SimulationError,
     Simulator,
-    Watchdog,
     WatchdogConfig,
     WatchdogTrip,
 )
 
 
 def run_with(sim: Simulator, config: WatchdogConfig) -> None:
-    sim.run(watchdog=config.build())
+    sim.run(watchdog=config)
 
 
 class TestConfig:
     def test_defaults_are_enabled(self):
-        assert WatchdogConfig().enabled
-        assert isinstance(WatchdogConfig().build(), Watchdog)
+        config = WatchdogConfig()
+        assert config.max_events is not None
+        assert config.max_time_ms is not None
+        assert config.stall_events is not None
+        assert config.max_wall_s is None
 
     def test_all_none_disables(self):
-        config = WatchdogConfig(
+        """An all-None config runs unbounded: the far-future event the
+        default time budget stops at fires."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1e15, fired.append, "far")  # 1e9 ms of simulated time
+        with pytest.raises(WatchdogTrip):
+            run_with(sim, WatchdogConfig())
+        run_with(sim, WatchdogConfig(
             max_events=None, max_time_ms=None, max_wall_s=None,
             stall_events=None,
-        )
-        assert not config.enabled
-        assert config.build() is None
+        ))
+        assert fired == ["far"]
 
     @pytest.mark.parametrize("field,value", [
         ("max_events", 0),

@@ -179,7 +179,7 @@ CELLS = cells()
         [pytest.mark.slow] if cell.benchmark in SLOW_BENCHMARKS else []))
     for cell in CELLS
 ])
-def test_cell_matches_table(cell):
+def test_digest(cell):
     assert cell.compute() == golden(cell.key), (
         f"{cell.key} no longer reproduces its pinned digest; if the change "
         f"is intended, bump repro.exp.cache.SCHEMA_VERSION and regenerate "
