@@ -34,10 +34,10 @@ from repro.sim.kernel import Event, Simulator, describe_callback
 #: default), which caps the effective rate below this.
 SAMPLE_INTERVAL_S = 0.001
 
-#: Frames of these files below the loop frame are the kernel's own work
-#: (``Event.__lt__`` during heap maintenance, a budget trip) or the
-#: profiler's start/stop, not a handler.
-_OWN_FILES = frozenset({Event.__lt__.__code__.co_filename, __file__})
+#: A frame of this file below the loop frame is the kernel's own work
+#: (``Event.__lt__`` during heap maintenance, a budget trip), not a
+#: handler.
+_KERNEL_FILE = Event.__lt__.__code__.co_filename
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,10 @@ class KernelProfiler:
             frame = frame.f_back
         if frame is None:
             return  # the simulating thread is not inside the loop
-        if below is None or below.f_code.co_filename in _OWN_FILES:
+        where = None if below is None else below.f_code.co_filename
+        if where == __file__:
+            return  # inside start() or stop(), not the loop's work
+        if where is None or where == _KERNEL_FILE:
             self._kernel_samples += 1
         else:
             owner = describe_callback(frame.f_locals["callback"])

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulation kernel."""
 
+import sys
 import time
 
 import pytest
@@ -185,8 +186,6 @@ def test_profiler_sees_the_callback_that_ran():
 def test_profiler_samples_stay_consistent_under_rapid_switching():
     """With the interpreter switching threads every microsecond, every
     sample still lands on the kernel or on a handler the loop ran."""
-    import sys
-
     from repro.obs import KernelProfiler
 
     sim = Simulator()
