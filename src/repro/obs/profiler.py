@@ -179,10 +179,14 @@ class KernelProfiler:
         where = None if below is None else below.f_code.co_filename
         if where == __file__:
             return  # inside start() or stop(), not the loop's work
-        if where is None or where == _KERNEL_FILE:
+        callback = None
+        if where is not None and where != _KERNEL_FILE:
+            # Unbound before the first dispatch, e.g. under a Python tracer.
+            callback = frame.f_locals.get("callback")
+        if callback is None:
             self._kernel_samples += 1
         else:
-            owner = describe_callback(frame.f_locals["callback"])
+            owner = describe_callback(callback)
             self._owner_samples[owner] = self._owner_samples.get(owner, 0) + 1
         self._samples += 1
         bucket = self._sim.pending.bit_length()
