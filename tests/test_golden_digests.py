@@ -187,6 +187,27 @@ def test_digest(cell):
     )
 
 
+@pytest.mark.parametrize("backend", NOC_BACKENDS)
+def test_lowered_program_simulates_to_the_pinned_report(backend):
+    # The program and report cells pin one lowering: gcn-cora, lowered
+    # afresh, hashes to its program cell, and that very program simulates
+    # to its CPU iso-BW report cell under both interconnect fidelities.
+    from repro.eval.accelerator import resolve_benchmark_config
+    from repro.models.registry import benchmark_by_key, load_benchmark
+    from repro.runtime.compiler import compile_model
+    from repro.runtime.engine import simulate
+
+    model, data = load_benchmark(benchmark_by_key("gcn-cora"))
+    program = compile_model(model, data)
+    assert program_digest(program) == golden("program/gcn-cora")
+    _, config = resolve_benchmark_config(
+        "gcn-cora", "CPU iso-BW", CLOCK_GHZ, backend
+    )
+    assert digest(simulate(program, config)) == golden(
+        accel_key("gcn-cora", config)
+    )
+
+
 def test_table_holds_exactly_the_cells():
     assert sorted(_table()["digests"]) == sorted(cell.key for cell in CELLS)
 
