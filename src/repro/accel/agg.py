@@ -5,8 +5,9 @@ a 62kB data scratchpad divided into runtime-configurable evenly-sized
 entries, a 2kB control scratchpad with per-aggregation metadata (expected
 count, destination), and a bank of 16 32-bit ALUs.  As packets arrive the
 ALU bank folds them into the stored partial aggregate and decrements the
-count; at zero the result is sent to the destination configured at
-allocation time.
+count; at zero the entry frees and the fold's finish time goes back to
+the requester, which forwards the result.  :meth:`Aggregator.contribute_batch`
+is the one fold.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.accel.config import TileConfig
@@ -22,16 +22,6 @@ from repro.sim.clock import Clock
 from repro.sim.kernel import Simulator
 from repro.sim.module import Module
 from repro.sim.stats import BusyTracker
-
-
-@dataclass
-class _Aggregation:
-    """One in-flight reduction."""
-
-    agg_id: int
-    remaining: int
-    width_values: int
-    on_complete: Callable[[float], None]
 
 
 class Aggregator(Module):
@@ -49,13 +39,13 @@ class Aggregator(Module):
         self.alu_bank = BusyTracker()
         self._width_values = 16
         self._capacity = config.max_aggregations(self._width_values)
-        self._active: dict[int, _Aggregation] = {}
+        # Inputs still expected, by aggregation id.  Every entry has the
+        # current width: configure() refuses to run with any in flight.
+        self._active: dict[int, int] = {}
         self._alloc_waitlist: deque[tuple[int, Callable[[float, int], None]]] = deque()
         self._ids = itertools.count()
-        # Per-configuration constants, recomputed on configure():
-        # every active entry has the current width (configure() refuses
-        # to run with aggregations in flight), so the per-packet fold
-        # cost is a single memoized value rather than a ceil per packet.
+        # Per-configuration constant, recomputed on configure(): the
+        # per-packet fold cost is one memoized value, not a ceil per packet.
         self._fold_cycles = math.ceil(self._width_values / config.agg_alus)
         self._grant_delay_ns = clock.cycles_to_ns(1)
         self._ghz = clock.freq_ghz
@@ -110,65 +100,31 @@ class Aggregator(Module):
         now: float,
     ) -> None:
         agg_id = next(self._ids)
-        entry = _Aggregation(
-            agg_id=agg_id,
-            remaining=expected_inputs,
-            width_values=self._width_values,
-            on_complete=lambda finish: None,
-        )
-        self._active[agg_id] = entry
+        self._active[agg_id] = expected_inputs
         self.stats.add("allocations")
         grant_ns = now + self._grant_delay_ns  # 1-cycle allocation
         on_grant(grant_ns, agg_id)
 
-    def set_completion(
-        self, agg_id: int, on_complete: Callable[[float], None]
-    ) -> None:
-        """Install the destination callback (stored in the control pad)."""
-        self._active[agg_id].on_complete = on_complete
-
     # -- data path -------------------------------------------------------------
-
-    def contribute(self, agg_id: int, arrival_ns: float) -> float:
-        """Fold one arriving packet into its aggregation.
-
-        Returns the ALU finish time.  The ALU bank processes
-        ``width / num_alus`` element-slices per packet; when the count
-        reaches zero the completion callback receives the finish time and
-        the entry is recycled.
-        """
-        entry = self._active.get(agg_id)
-        if entry is None:
-            raise KeyError(f"no in-flight aggregation {agg_id}")
-        _, finish = self.alu_bank.occupy(
-            arrival_ns, self._fold_cycles / self._ghz
-        )
-        self.stats.add("contributions")
-        self.stats.add("values", entry.width_values)
-        entry.remaining -= 1
-        if entry.remaining == 0:
-            del self._active[agg_id]
-            entry.on_complete(finish)
-            self._drain_waitlist()
-        return finish
 
     def contribute_batch(
         self, agg_id: int, arrival_ns: float, count: int
     ) -> float:
         """Fold ``count`` packets that arrived together (pull-model gather).
 
-        Equivalent to ``count`` calls to :meth:`contribute` back to back,
-        but bounded to one ALU-bank reservation; returns the finish time
-        of the last fold.
+        One ALU-bank reservation of ``count`` folds, each taking
+        ``width / num_alus`` element-slices; returns the finish time of
+        the last fold.  The fold that brings the expected count to zero
+        frees the entry for the next waiting allocation.
         """
         if count < 1:
             raise ValueError("batch must contain at least one contribution")
-        entry = self._active.get(agg_id)
-        if entry is None:
+        remaining = self._active.get(agg_id)
+        if remaining is None:
             raise KeyError(f"no in-flight aggregation {agg_id}")
-        if count > entry.remaining:
+        if count > remaining:
             raise ValueError(
-                f"aggregation {agg_id} expects {entry.remaining} more "
+                f"aggregation {agg_id} expects {remaining} more "
                 f"inputs, got {count}"
             )
         _, finish = self.alu_bank.occupy(
@@ -177,13 +133,13 @@ class Aggregator(Module):
         counters = self.stats._counters
         counters["contributions"] = counters.get("contributions", 0.0) + count
         counters["values"] = (
-            counters.get("values", 0.0) + count * entry.width_values
+            counters.get("values", 0.0) + count * self._width_values
         )
-        entry.remaining -= count
-        if entry.remaining == 0:
+        if count == remaining:
             del self._active[agg_id]
-            entry.on_complete(finish)
             self._drain_waitlist()
+        else:
+            self._active[agg_id] = remaining - count
         return finish
 
     def _drain_waitlist(self) -> None:

@@ -5,10 +5,13 @@ to the memory controllers.  NN-Dataflow is used to map DNN models onto an
 Eyeriss-like single-tile spatial array accelerator with 182 PEs"
 (Section V).  Jobs arrive from the DNQ with a MAC count and a mapping
 efficiency precomputed by :mod:`repro.dataflow` for the layer they belong
-to; the array serializes them FIFO.
+to; the array serializes them FIFO.  :meth:`DnaUnit.service_ns` is the
+one cost formula and :meth:`DnaUnit.execute_ns` the one occupy call.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.dataflow.spatial import SpatialArrayConfig
 from repro.sim.clock import Clock
@@ -31,9 +34,16 @@ class DnaUnit(Module):
         self.array = array
         self.tracker = BusyTracker()
 
-    def service_ns(self, macs: int, efficiency: float) -> float:
-        """Time to execute ``macs`` at the layer's mapping efficiency."""
-        if macs < 0:
+    def service_ns(
+        self, macs: int | np.ndarray, efficiency: float
+    ) -> float | np.ndarray:
+        """Time to execute ``macs`` at the layer's mapping efficiency.
+
+        ``macs`` is a count or a numpy array of counts (the engine's
+        per-layer table); the array form is the scalar formula applied
+        element by element.
+        """
+        if np.any(macs < 0):
             raise ValueError("MAC count cannot be negative")
         if not 0 < efficiency <= 1:
             raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
@@ -41,25 +51,14 @@ class DnaUnit(Module):
         cycles = macs / throughput
         return self.clock.cycles_to_ns(cycles)
 
-    def execute(
-        self, macs: int, efficiency: float, ready_ns: float
-    ) -> tuple[float, float]:
-        """Run one job after ``ready_ns``; returns (start, finish) in ns."""
-        duration = self.service_ns(macs, efficiency)
-        start, finish = self.tracker.occupy(ready_ns, duration)
-        self.stats.add("jobs")
-        self.stats.add("macs", macs)
-        return start, finish
-
     def execute_ns(
         self, duration_ns: float, macs: int, ready_ns: float
     ) -> tuple[float, float]:
-        """:meth:`execute` with the service time precomputed by the caller.
+        """Run one job after ``ready_ns``; returns (start, finish) in ns.
 
-        ``duration_ns`` must equal ``service_ns(macs, efficiency)`` for
-        the job's layer; the runtime engine computes it once per task via
-        a vectorized per-layer table (the same two IEEE-754 divisions, so
-        the result is bit-identical to :meth:`execute`).
+        ``duration_ns`` is ``service_ns(macs, efficiency)`` for the job's
+        layer, which the caller computes (the runtime engine tabulates it
+        once per layer).
         """
         start, finish = self.tracker.occupy(ready_ns, duration_ns)
         counters = self.stats._counters

@@ -12,7 +12,6 @@ switches the eligible queue after the DNA has been idle for 16 cycles.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.accel.config import TileConfig
@@ -20,17 +19,6 @@ from repro.accel.dna import DnaUnit
 from repro.sim.clock import Clock
 from repro.sim.kernel import Simulator
 from repro.sim.module import Module
-
-
-@dataclass
-class DnqEntry:
-    """A staged DNA job."""
-
-    queue_id: int
-    entry_bytes: int
-    macs: int
-    efficiency: float
-    on_complete: Callable[[float], None]
 
 
 class DnnQueue(Module):
@@ -104,19 +92,18 @@ class DnnQueue(Module):
     def fill(
         self,
         ready_ns: float,
+        duration_ns: float,
         macs: int,
-        efficiency: float,
         on_complete: Callable[[float], None],
         queue_id: int = 0,
-        duration_ns: float | None = None,
     ) -> None:
         """Mark a reserved entry ready and dispatch it to the DNA.
 
         ``ready_ns`` is when the last word's ready bit was set (the memory
-        response finished arriving over the NoC).  The completion callback
-        receives the DNA finish time.  ``duration_ns``, when given, is the
-        precomputed ``dna.service_ns(macs, efficiency)`` for this job (the
-        engine's per-layer table) and must match it bit-for-bit.
+        response finished arriving over the NoC).  ``duration_ns`` is the
+        job's ``dna.service_ns(macs, efficiency)`` (the engine's
+        per-layer table).  The completion callback receives the DNA
+        finish time.
         """
         if not 0 <= queue_id < self.num_queues:
             raise ValueError(f"queue_id must be 0..{self.num_queues - 1}")
@@ -129,12 +116,8 @@ class DnnQueue(Module):
             self.stats.add("queue_switches")
         counters = self.stats._counters
         counters["entries"] = counters.get("entries", 0.0) + 1.0
-        if duration_ns is None:
-            start, finish = self.dna.execute(macs, efficiency, ready)
-        else:
-            start, finish = self.dna.execute_ns(duration_ns, macs, ready)
-        # The scratchpad slot frees once the DNA consumes the entry; the
-        # release is fire-and-forget, so it feeds the kernel's free-list.
+        start, finish = self.dna.execute_ns(duration_ns, macs, ready)
+        # The scratchpad slot frees once the DNA consumes the entry.
         release = start if start > self.now else self.now
         self.sim.post_at(release, self._release_slot)
         on_complete(finish)

@@ -9,14 +9,17 @@ issue slots, which is why traversal-dominated models (PGNN) become
 GPE-bound (Section VI-A).
 
 The model is an event-driven serial issue server: runtime actions occupy
-the core for their instruction budget, and a counting semaphore bounds
-the number of vertex programs in flight.
+the core for their instruction budget (:meth:`GraphPE.service_ns`, the
+one cost formula, then :meth:`GraphPE.issue_ns`, the one occupy call),
+and a counting semaphore bounds the number of vertex programs in flight.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Callable
+
+import numpy as np
 
 from repro.accel.config import TileConfig
 from repro.sim.clock import Clock
@@ -46,32 +49,30 @@ class GraphPE(Module):
 
     # -- issue server -----------------------------------------------------
 
-    def issue(self, instructions: int, ready_ns: float) -> float:
-        """Execute ``instructions`` on the core after ``ready_ns``.
+    def service_ns(
+        self, instructions: int | np.ndarray
+    ) -> float | np.ndarray:
+        """Core time of a runtime action of ``instructions`` instructions.
 
-        Returns the finish time.  Each issue models one runtime action and
-        includes the single-cycle context switch back onto this thread.
+        Each action includes the single-cycle context switch back onto
+        its thread.  ``instructions`` is a count or a numpy array of
+        counts (the engine's per-layer tables); the array form is the
+        scalar formula applied element by element.
         """
-        if instructions < 0:
+        if np.any(instructions < 0):
             raise ValueError("instruction count cannot be negative")
-        cycles = instructions + self.costs.context_switch_cycles
-        _, finish = self.core.occupy(ready_ns, self.clock.cycles_to_ns(cycles))
-        self.stats.add("issues")
-        self.stats.add("instructions", instructions)
-        return finish
+        return self.clock.cycles_to_ns(
+            instructions + self.costs.context_switch_cycles
+        )
 
     def issue_ns(
         self, duration_ns: float, instructions: int, ready_ns: float
     ) -> float:
-        """:meth:`issue` with the duration precomputed by the caller.
+        """Execute one runtime action on the core after ``ready_ns``.
 
-        ``duration_ns`` must equal
-        ``clock.cycles_to_ns(instructions + context_switch_cycles)`` —
-        the runtime engine batches that arithmetic per layer (numpy over
-        all tasks at once) and hands the exact same float back here, so
-        results are bit-identical to per-call :meth:`issue` while the hot
-        loop skips the validation, the cycle math, and two counter-method
-        dispatches per runtime action.
+        ``duration_ns`` is ``service_ns(instructions)``, which the caller
+        computes (the runtime engine tabulates it once per layer).
+        Returns the finish time.
         """
         _, finish = self.core.occupy(ready_ns, duration_ns)
         counters = self.stats._counters
@@ -92,10 +93,6 @@ class GraphPE(Module):
         """Vertex programs queued for a software thread (diagnostics)."""
         return len(self._thread_waitlist)
 
-    def acquire_thread(self, on_grant: Callable[[], None]) -> None:
-        """Claim a software thread; grants FIFO when one is free."""
-        self.acquire_thread_at(lambda _grant_ns: on_grant())
-
     def acquire_thread_at(self, on_grant: Callable[[float], None]) -> None:
         """Claim a software thread; ``on_grant(grant_ns)`` fires FIFO.
 
@@ -111,16 +108,16 @@ class GraphPE(Module):
             self.stats.add("thread_stalls")
             self._thread_waitlist.append(on_grant)
 
-    def release_thread(self, now: float | None = None) -> None:
+    def release_thread(self, now: float) -> None:
         """Return a thread to the pool, waking the oldest waiter.
 
-        ``now`` is the simulated time of the release (defaults to
-        ``sim.now``); a woken waiter receives it as its grant time.
+        ``now`` is the simulated time of the release; a woken waiter
+        receives it as its grant time.
         """
         if self._thread_waitlist:
             self.stats.add("thread_grants")
             waiter = self._thread_waitlist.popleft()
-            waiter(self.now if now is None else now)
+            waiter(now)
         else:
             self._free_threads += 1
             if self._free_threads > self.config.gpe_threads:

@@ -36,11 +36,9 @@ class MemoryController(Module):
         self.channel = BusyTracker()
         self._completions: deque[float] = deque()
         # Request sizes repeat heavily (a layer issues the same feature /
-        # block / burst sizes for every task), so the alignment and
-        # serialization arithmetic is memoized per size.  Values are the
-        # exact results of the original expressions — same operations,
-        # computed once.
-        self._size_memo: dict[int, tuple[int, float]] = {}
+        # block / burst sizes for every task), so alignment is memoized
+        # per size.
+        self._aligned_memo: dict[int, int] = {}
 
     def aligned_size(self, size_bytes: int) -> int:
         """Request size rounded up to the access granularity."""
@@ -49,23 +47,29 @@ class MemoryController(Module):
         gran = self.config.access_granularity_bytes
         return max(gran, math.ceil(size_bytes / gran) * gran)
 
-    def _size_terms(self, size_bytes: int) -> tuple[int, float]:
-        """Memoized ``(aligned_size, transfer_ns_per_request)``."""
-        terms = self._size_memo.get(size_bytes)
-        if terms is None:
-            aligned = self.aligned_size(size_bytes)
-            terms = (aligned, aligned / self.config.bandwidth_gbps)
-            self._size_memo[size_bytes] = terms
-        return terms
+    def request_scatter(
+        self, count: int, size_each_bytes: int, now: float, write: bool = False
+    ) -> float:
+        """Issue ``count`` independent requests as one batch.
 
-    def request(self, size_bytes: int, now: float, write: bool = False) -> float:
-        """Issue a request; returns the completion time in ns.
-
-        The request is accepted once a slot in the 32-entry queue frees,
-        serialized on the channel at the configured bandwidth (after
-        alignment), and completes one fixed DRAM latency later.
+        The batch is accepted once a slot in the 32-entry in-order queue
+        frees, serialized on the channel at the configured bandwidth, and
+        completes one fixed DRAM latency later; returns that completion
+        time.  Each request is aligned individually, so a 4B traversal
+        read still costs a full 64B burst of DRAM bandwidth.  A single
+        read or write is a batch of one; gather/scatter phases
+        (per-neighbour feature reads, traversal visits) batch many, since
+        simulating every request as a separate event would be
+        prohibitive.
         """
-        aligned, transfer_ns = self._size_terms(size_bytes)
+        if count < 0:
+            raise ValueError("request count cannot be negative")
+        if count == 0:
+            return now
+        aligned_each = self._aligned_memo.get(size_each_bytes)
+        if aligned_each is None:
+            aligned_each = self.aligned_size(size_each_bytes)
+            self._aligned_memo[size_each_bytes] = aligned_each
         completions = self._completions
         depth = self.config.queue_depth
         accept = now
@@ -73,55 +77,6 @@ class MemoryController(Module):
         if len(completions) >= depth:
             # In-order queue: the oldest outstanding request must finish
             # before this one can occupy its slot.
-            oldest = completions[-depth]
-            if oldest > accept:
-                accept = oldest
-                queue_stalled = True
-        _, channel_done = self.channel.occupy(accept, transfer_ns)
-        completion = channel_done + self.config.latency_ns
-        completions.append(completion)
-        if len(completions) > depth:
-            completions.popleft()
-        counters = self.stats._counters
-        if queue_stalled:
-            counters["queue_stalls"] = counters.get("queue_stalls", 0.0) + 1.0
-        counters["requests"] = counters.get("requests", 0.0) + 1.0
-        kind = "writes" if write else "reads"
-        counters[kind] = counters.get(kind, 0.0) + 1.0
-        counters["bytes_requested"] = (
-            counters.get("bytes_requested", 0.0) + size_bytes
-        )
-        counters["bytes_serviced"] = (
-            counters.get("bytes_serviced", 0.0) + aligned
-        )
-        counters["bytes_wasted"] = (
-            counters.get("bytes_wasted", 0.0) + (aligned - size_bytes)
-        )
-        return completion
-
-    def request_scatter(
-        self, count: int, size_each_bytes: int, now: float, write: bool = False
-    ) -> float:
-        """Issue ``count`` independent small requests as one batch.
-
-        Used for gather/scatter phases (per-neighbour feature reads,
-        traversal visits) where the per-request alignment waste and
-        aggregate serialization matter but simulating every request as a
-        separate event would be prohibitive.  Each request is aligned
-        individually, so a 4B traversal read still costs a full 64B burst
-        of DRAM bandwidth.  Returns the completion time of the last
-        request.
-        """
-        if count < 0:
-            raise ValueError("request count cannot be negative")
-        if count == 0:
-            return now
-        aligned_each = self._size_terms(size_each_bytes)[0]
-        completions = self._completions
-        depth = self.config.queue_depth
-        accept = now
-        queue_stalled = False
-        if len(completions) >= depth:
             oldest = completions[-depth]
             if oldest > accept:
                 accept = oldest

@@ -81,7 +81,7 @@ class Accelerator:
         """
         controller, mem_coord = self.memory_of(vertex)
         request_arrival = self.noc.delivery_time(dest, mem_coord, 0, start_ns)
-        data_ready = controller.request(size_bytes, request_arrival)
+        data_ready = controller.request_scatter(1, size_bytes, request_arrival)
         return self.noc.delivery_time(mem_coord, dest, size_bytes, data_ready)
 
     def memory_write(
@@ -90,7 +90,7 @@ class Accelerator:
         """Write a result back to the vertex's memory node."""
         controller, mem_coord = self.memory_of(vertex)
         arrival = self.noc.delivery_time(src, mem_coord, size_bytes, start_ns)
-        return controller.request(size_bytes, arrival, write=True)
+        return controller.request_scatter(1, size_bytes, arrival, write=True)
 
     def gather_read(
         self, count: int, size_each_bytes: int, start_ns: float, dest: Coord

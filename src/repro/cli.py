@@ -273,6 +273,22 @@ def _cmd_energy(_args) -> None:
     ))
 
 
+def _cache_from_args(args) -> object:
+    """The result store a command's cache flags select.
+
+    ``--no-cache`` gives ``None``, ``--cache-dir`` its own store, and
+    neither the process default, which honours ``$REPRO_CACHE_DIR`` and
+    ``$REPRO_NO_CACHE``.
+    """
+    from repro.exp.cache import DEFAULT_CACHE, ResultCache
+
+    if getattr(args, "no_cache", False):
+        return None
+    if args.cache_dir is not None:
+        return ResultCache(args.cache_dir)
+    return DEFAULT_CACHE
+
+
 def _sweep_point_label(point) -> str:
     if point.system != "accel":
         return f"{point.benchmark_key:16s} {point.system:14s}"
@@ -284,7 +300,6 @@ def _sweep_point_label(point) -> str:
 def _cmd_sweep(args) -> int:
     import time
 
-    from repro.exp.cache import ResultCache
     from repro.exp.runner import (
         Point,
         RetryPolicy,
@@ -305,7 +320,7 @@ def _cmd_sweep(args) -> int:
 
     args.benchmarks = [resolve_benchmark_key(b) for b in args.benchmarks]
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = _cache_from_args(args)
     if system == "accel":
         points = figure8_points(
             benchmarks=tuple(args.benchmarks) or None,
@@ -375,7 +390,6 @@ def _cmd_dse(args) -> int:
     import time
 
     from repro.dse import run_dse
-    from repro.exp.cache import ResultCache
     from repro.exp.runner import RetryPolicy, default_jobs
     from repro.space import resolve_space
 
@@ -388,7 +402,7 @@ def _cmd_dse(args) -> int:
         print("repro dse: --points must be >= 1", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = _cache_from_args(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     policy = RetryPolicy.from_env(
         timeout_s=args.timeout, retries=args.retries
@@ -642,7 +656,6 @@ def _cmd_serve_sim(args) -> int:
     as a service".  Deterministic for a given seed at any ``--jobs``."""
     import json
 
-    from repro.exp.cache import DEFAULT_CACHE, ResultCache
     from repro.models.registry import resolve_benchmark_key
     from repro.obs import MetricsRegistry
     from repro.serve import (
@@ -683,8 +696,7 @@ def _cmd_serve_sim(args) -> int:
         print(f"repro serve-sim: {exc}", file=sys.stderr)
         return 2
 
-    cache = (ResultCache(args.cache_dir) if args.cache_dir is not None
-             else DEFAULT_CACHE)
+    cache = _cache_from_args(args)
     if args.jobs is not None and args.jobs > 1:
         # Fill the per-(system, benchmark) service-time cache in
         # parallel; pricing below then hits the cache, so the report is
@@ -738,7 +750,6 @@ def _cmd_partition_sweep(args) -> int:
     price compute (max shard) plus inter-chip communication per count."""
     import json
 
-    from repro.exp.cache import DEFAULT_CACHE, ResultCache
     from repro.exp.runner import default_jobs
 
     code = _resolve_names(
@@ -754,8 +765,7 @@ def _cmd_partition_sweep(args) -> int:
     from repro.models.registry import resolve_benchmark_key
 
     benchmark_key = resolve_benchmark_key(args.benchmark)
-    cache = (ResultCache(args.cache_dir) if args.cache_dir is not None
-             else DEFAULT_CACHE)
+    cache = _cache_from_args(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
 
     def progress(point, report, was_cached) -> None:

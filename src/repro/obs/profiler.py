@@ -27,17 +27,17 @@ from time import perf_counter
 from types import FrameType
 from typing import Any
 
-from repro.sim.kernel import Event, Simulator, describe_callback
+from repro.sim import kernel
+from repro.sim.kernel import Simulator, describe_callback
 
 #: Seconds between samples.  A simulating thread that never releases the
 #: GIL hands it over only every ``sys.getswitchinterval()`` (5 ms by
 #: default), which caps the effective rate below this.
 SAMPLE_INTERVAL_S = 0.001
 
-#: A frame of this file below the loop frame is the kernel's own work
-#: (``Event.__lt__`` during heap maintenance, a budget trip), not a
-#: handler.
-_KERNEL_FILE = Event.__lt__.__code__.co_filename
+#: A frame of the kernel's file below the loop frame is the kernel's own
+#: work (a budget trip), not a handler.
+_KERNEL_FILE = kernel.__file__
 
 
 @dataclass(frozen=True)

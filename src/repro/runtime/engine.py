@@ -87,13 +87,16 @@ class DeadlockError(SimulationFailure):
 class _LayerPlan:
     """Precomputed per-task duration tables for one layer.
 
-    The per-task arithmetic of every phase is a pure function of the
+    The per-task cost of every phase is a pure function of the
     (immutable) task and the (per-layer) configuration, so it is hoisted
-    out of the event handlers and computed for all tasks at once with
-    numpy.  Elementwise float64 division and integer-valued addition are
-    correctly rounded exactly like the scalar expressions they replace,
-    so the tables are bit-identical to the per-event math — the golden
-    report tests pin this.
+    out of the event handlers: the plan asks the units' own cost methods
+    (:meth:`GraphPE.service_ns <repro.accel.gpe.GraphPE.service_ns>`,
+    :meth:`DnaUnit.service_ns <repro.accel.dna.DnaUnit.service_ns>`) for
+    all tasks at once, as numpy arrays.  Instruction counts are
+    integer-valued, so their sums are exact in any grouping, and
+    elementwise float64 division is correctly rounded exactly like the
+    scalar call — each table entry equals the unit's scalar cost for
+    that task (``tests/accel/test_unit_properties.py`` checks it).
     """
 
     __slots__ = ("ctrl_ns", "load_ns", "agg_issue_ns", "dnq_issue_ns",
@@ -102,34 +105,24 @@ class _LayerPlan:
     def __init__(self, engine: "RuntimeEngine", layer: LayerProgram) -> None:
         tasks = layer.tasks
         n = len(tasks)
-        ghz = engine._ghz
-        cs = engine._cs
-        # issue(control_instructions): (instructions + cs) / ghz
+        tile = engine.accel.tiles[0]
+        gpe_ns = tile.gpe.service_ns
+        ipl, ipa = engine._ipl, engine._ipa
         ctrl = np.fromiter(
             (t.control_instructions for t in tasks), np.float64, count=n
         )
-        self.ctrl_ns = ((ctrl + cs) / ghz).tolist()
-        # issue(instructions_per_load) ahead of the block load
-        self.load_ns = (engine._ipl + cs) / ghz
-        # aggregate-phase issue: gather_count * ipl + ipa instructions
+        self.ctrl_ns = gpe_ns(ctrl).tolist()
+        # The issue ahead of the block load.
+        self.load_ns = gpe_ns(ipl)
+        # Aggregate-phase issue: gather_count * ipl + ipa instructions.
         gather = np.fromiter(
             (t.gather_count for t in tasks), np.float64, count=n
         )
-        self.agg_issue_ns = (
-            (gather * engine._ipl + (engine._ipa + cs)) / ghz
-        ).tolist()
-        # DNQ allocation-bus issue
-        self.dnq_issue_ns = (engine._ipa + cs) / ghz
-        # DNA service times: macs / (num_pes * efficiency) cycles.  The
-        # two chained divisions mirror DnaUnit.service_ns exactly.
-        efficiency = layer.dna_efficiency
-        if not 0 < efficiency <= 1:
-            raise ValueError(
-                f"efficiency must be in (0, 1], got {efficiency}"
-            )
-        throughput = engine.accel.tiles[0].dna.array.num_pes * efficiency
+        self.agg_issue_ns = gpe_ns(gather * ipl + ipa).tolist()
+        # DNQ allocation-bus issue.
+        self.dnq_issue_ns = gpe_ns(ipa)
         macs = np.fromiter((t.dna_macs for t in tasks), np.float64, count=n)
-        self.dna_ns = ((macs / throughput) / ghz).tolist()
+        self.dna_ns = tile.dna.service_ns(macs, layer.dna_efficiency).tolist()
 
 
 class RuntimeEngine:
@@ -165,10 +158,7 @@ class RuntimeEngine:
         # Hot-path constants: every tile shares one clock and one GPE
         # cost model (they come from the same AcceleratorConfig), so the
         # per-layer duration tables are computed once for all tiles.
-        tile0 = accel.tiles[0]
-        costs = tile0.gpe.costs
-        self._ghz = tile0.gpe.clock.freq_ghz
-        self._cs = costs.context_switch_cycles
+        costs = accel.tiles[0].gpe.costs
         self._ipv = costs.instructions_per_visit
         self._ipl = costs.instructions_per_load
         self._ipa = costs.instructions_per_alloc
@@ -437,7 +427,7 @@ class RuntimeEngine:
         memo = self._visit_memo
         ns = memo.get(count)
         if ns is None:
-            ns = (count * self._ipv + self._cs) / self._ghz
+            ns = self.accel.tiles[0].gpe.service_ns(count * self._ipv)
             memo[count] = ns
         return ns
 
@@ -548,8 +538,8 @@ class RuntimeEngine:
         def fill(at: float) -> None:
             tile.dnq.fill(
                 at,
+                dna_ns,
                 task.dna_macs,
-                layer.dna_efficiency,
                 # Re-enter at the DNA finish time so the writeback reserves
                 # the memory channel at its actual issue time (a far-future
                 # reservation would head-of-line block earlier reads).
@@ -557,7 +547,6 @@ class RuntimeEngine:
                     finish, self._finish_task, tile, task, finish, layer
                 ),
                 queue_id=task.dnq_queue,
-                duration_ns=dna_ns,
             )
 
         tile.dnq.reserve(on_slot)

@@ -7,14 +7,13 @@ at different clock frequencies (the paper sweeps the tile clock while the
 NoC and memory stay fixed) can coexist in one event queue.
 """
 
-from repro.sim.kernel import Event, Simulator, SimulationError
+from repro.sim.kernel import Simulator, SimulationError
 from repro.sim.clock import Clock
 from repro.sim.module import Module
 from repro.sim.stats import BusyTracker, StatSet
 from repro.sim.watchdog import WatchdogConfig, WatchdogDiagnosis, WatchdogTrip
 
 __all__ = [
-    "Event",
     "Simulator",
     "SimulationError",
     "Clock",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -21,11 +20,6 @@ class Clock:
         if self.freq_ghz <= 0:
             raise ValueError(f"clock frequency must be positive, got {self.freq_ghz}")
 
-    @property
-    def period_ns(self) -> float:
-        """Duration of one cycle in nanoseconds."""
-        return 1.0 / self.freq_ghz
-
     def cycles_to_ns(self, cycles: float) -> float:
         """Convert a cycle count into nanoseconds."""
         return cycles / self.freq_ghz
@@ -33,7 +27,3 @@ class Clock:
     def ns_to_cycles(self, ns: float) -> float:
         """Convert nanoseconds into (possibly fractional) cycles."""
         return ns * self.freq_ghz
-
-    def ceil_cycles(self, ns: float) -> int:
-        """Smallest whole number of cycles covering ``ns`` nanoseconds."""
-        return math.ceil(ns * self.freq_ghz - 1e-12)

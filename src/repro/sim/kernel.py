@@ -1,33 +1,30 @@
 """Discrete-event simulation kernel.
 
-A :class:`Simulator` owns a priority queue of :class:`Event` objects.
-Events scheduled for the same timestamp fire in scheduling order, which
-makes runs deterministic for a fixed workload (a property the test suite
-relies on).
+A :class:`Simulator` owns a priority queue of ``(time, seq, callback,
+args)`` tuples.  ``seq`` is a counter assigned at scheduling time, so it
+is unique: heap comparisons run in C on ``(time, seq)`` and never reach
+the callback, and events scheduled for the same timestamp fire in
+scheduling order, which makes runs deterministic for a fixed workload
+(a property the test suite relies on).
 
 One loop
 --------
 
+:meth:`Simulator.post_at` is the only way to schedule an event, and
 :meth:`Simulator.run` is the only dispatch loop.  It checks the watchdog
-budgets (:class:`repro.sim.watchdog.WatchdogConfig`) as local variables,
-recycles fire-and-forget events through a free-list, and is the loop the
-kernel profiler samples from its own thread — the loop makes no Python
-call per event besides the handler.  ``tests/golden_digests.json`` pins
-the reports it produces; ``tests/sim/test_event_queue_properties.py``
-property-tests its ordering on adversarial schedules.
-
-Free-list contract: only events created through :meth:`Simulator.post`
-and :meth:`Simulator.post_at` — calls that never hand the event object
-to the caller — are recycled.  Events returned by
-:meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` are never
-reused, so a held reference stays valid for :meth:`Event.cancel`
-forever.
+budgets (:class:`repro.sim.watchdog.WatchdogConfig`) as local variables
+and is the loop the kernel profiler samples from its own thread — the
+loop makes no Python call per event besides the handler.  A popped
+entry is freed once its handler returns, so draining a queue allocates
+nothing per event.  ``tests/golden_digests.json`` pins the reports it
+produces; ``tests/sim/test_event_queue_properties.py`` property-tests
+its ordering on adversarial schedules.
 """
 
 from __future__ import annotations
 
-import heapq
 import sys
+from heapq import heappop, heappush
 from time import monotonic
 from types import FrameType
 from typing import TYPE_CHECKING, Any, Callable, Protocol
@@ -38,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - repro.sim.watchdog imports this module
     from repro.sim.watchdog import WatchdogConfig, WatchdogTrip
 
 _INF = float("inf")
+
+#: One queued event: ``(time_ns, seq, callback, args)``.
+QueueEntry = tuple[float, int, Callable[..., None], tuple[Any, ...]]
 
 
 class SimulationError(ReproError):
@@ -80,75 +80,22 @@ def describe_callback(callback: Callable[..., None]) -> str:
     return getattr(callback, "__qualname__", repr(callback))
 
 
-class Event:
-    """A single scheduled callback.
-
-    Events order by ``(time, seq)``; ``seq`` is a monotonically increasing
-    tie-breaker assigned by the simulator so same-time events fire in the
-    order they were scheduled.  ``__slots__`` plus the hand-written
-    ``__lt__`` keep heap maintenance cheap — the comparison is the single
-    hottest operation of a simulation (millions of calls per run).
-    """
-
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_recycle")
-
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable[..., None],
-        args: tuple[Any, ...] = (),
-        recycle: bool = False,
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._recycle = recycle
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def cancel(self) -> None:
-        """Mark the event so the kernel skips it when it is popped.
-
-        Only meaningful for *pending* events.  Cancelling an event after
-        it fired is a silent no-op: events obtained from
-        :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` are
-        never recycled, exactly so a stale ``cancel`` cannot hit an
-        unrelated reused event.
-        """
-        self.cancelled = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
-        return (
-            f"Event(t={self.time:g}, seq={self.seq}, "
-            f"{describe_callback(self.callback)}{state})"
-        )
-
-
 class Simulator:
     """Event queue and simulated clock.
 
     Time is in nanoseconds.  Typical use::
 
         sim = Simulator()
-        sim.schedule(10.0, handler, arg1, arg2)   # fire 10 ns from now
+        sim.post_at(10.0, handler, arg1, arg2)   # fire at t = 10 ns
         sim.run()
     """
 
     def __init__(self) -> None:
-        self._queue: list[Event] = []
+        self._queue: list[QueueEntry] = []
         self._now = 0.0
         self._seq = 0
         self._events_fired = 0
         self._running = False
-        # Free-list of recyclable events (post/post_at only).
-        self._free: list[Event] = []
 
     @property
     def now(self) -> float:
@@ -162,15 +109,11 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still in the queue (including cancelled ones).
-
-        Cancelled events stay queued until their timestamp is reached and
-        the kernel pops (and skips) them, so this counts them too.
-        """
+        """Number of events still in the queue."""
         return len(self._queue)
 
     def pending_by_owner(self) -> dict[str, int]:
-        """Non-cancelled queued events grouped by owning component.
+        """Queued events grouped by owning component.
 
         Callbacks that are bound methods of a named component (anything
         with a ``name`` attribute, e.g. a :class:`~repro.sim.module.Module`)
@@ -180,67 +123,22 @@ class Simulator:
         waiting for events.
         """
         counts: dict[str, int] = {}
-        for event in self._queue:
-            if event.cancelled:
-                continue
-            owner = describe_callback(event.callback)
+        for _, _, callback, _ in self._queue:
+            owner = describe_callback(callback)
             counts[owner] = counts.get(owner, 0) + 1
         return counts
 
-    # -- scheduling ---------------------------------------------------------
-
-    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
-        """Schedule ``callback(*args)`` to fire ``delay`` ns from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
+    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to fire at absolute time ``time`` ns.
 
-        The returned :class:`Event` stays valid (for :meth:`Event.cancel`)
-        indefinitely — events created here are never recycled.
+        Events for one timestamp fire in the order they were posted.
         """
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} ns; current time is {self._now} ns"
             )
-        event = Event(time, self._seq, callback, args)
+        heappush(self._queue, (time, self._seq, callback, args))
         self._seq += 1
-        heapq.heappush(self._queue, event)
-        return event
-
-    def post(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no handle, event recyclable."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self.post_at(self._now + delay, callback, *args)
-
-    def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule_at` feeding the event free-list.
-
-        Returns nothing, so the kernel is the only holder of the event
-        object and may recycle it after dispatch (it can never be
-        cancelled).  Hot callers (the runtime engine, module-internal
-        continuations) use this to kill per-event allocation; anything
-        that might need to cancel must use :meth:`schedule_at`.
-        """
-        now = self._now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule at {time} ns; current time is {now} ns"
-            )
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = self._seq
-            event.callback = callback
-            event.args = args
-        else:
-            event = Event(time, self._seq, callback, args, recycle=True)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
 
     # -- the run loop -------------------------------------------------------
 
@@ -251,9 +149,9 @@ class Simulator:
     ) -> float:
         """Run events until the queue drains; returns the simulated time.
 
-        ``watchdog`` bounds the run: before each non-cancelled event the
-        loop checks the simulated-time, event-count, stall and wall-clock
-        budgets, in that order, and the first one exceeded raises
+        ``watchdog`` bounds the run: before each event the loop checks the
+        simulated-time, event-count, stall and wall-clock budgets, in that
+        order, and the first one exceeded raises
         :class:`repro.sim.watchdog.WatchdogTrip` with the offending event
         still queued, so the failure can be diagnosed.  ``None`` (or a
         ``None`` budget) runs unbounded; the wall clock is read per event
@@ -273,8 +171,7 @@ class Simulator:
                 stall_events = watchdog.stall_events
             max_wall_s = watchdog.max_wall_s
         queue = self._queue
-        pop = heapq.heappop
-        free = self._free
+        pop = heappop
         fired = 0
         stall_run = 0
         last_time = -_INF
@@ -284,30 +181,22 @@ class Simulator:
         wall_start = monotonic()
         try:
             while queue:
-                event = pop(queue)
-                if event.cancelled:
-                    continue
-                time = event.time
+                entry = pop(queue)
+                time, _, callback, args = entry
                 if time > max_time_ns:
-                    raise self._trip(watchdog, "max_time", event, fired)
+                    raise self._trip(watchdog, "max_time", entry, fired)
                 if fired >= max_events:
-                    raise self._trip(watchdog, "max_events", event, fired)
+                    raise self._trip(watchdog, "max_events", entry, fired)
                 if time > last_time:
                     last_time = time
                     stall_run = 0
                 else:
                     stall_run += 1
                     if stall_run >= stall_events:
-                        raise self._trip(watchdog, "stall", event, fired)
+                        raise self._trip(watchdog, "stall", entry, fired)
                 if max_wall_s is not None and monotonic() - wall_start > max_wall_s:
-                    raise self._trip(watchdog, "max_wall", event, fired)
+                    raise self._trip(watchdog, "max_wall", entry, fired)
                 self._now = time
-                callback = event.callback
-                args = event.args
-                if event._recycle:
-                    event.callback = _UNSET
-                    event.args = ()
-                    free.append(event)
                 callback(*args)
                 fired += 1
         finally:
@@ -318,19 +207,9 @@ class Simulator:
         return self._now
 
     def _trip(
-        self, watchdog: "WatchdogConfig", reason: str, event: Event,
+        self, watchdog: "WatchdogConfig", reason: str, entry: QueueEntry,
         fired: int,
     ) -> "WatchdogTrip":
-        """Requeue the offending event and build the budget's exception."""
-        heapq.heappush(self._queue, event)
-        return watchdog.trip(reason, self, event, fired)
-
-
-def _unset_callback(*_args: Any) -> None:  # pragma: no cover - guard only
-    raise SimulationError("a recycled event fired without being rescheduled")
-
-
-#: Placeholder callback installed on free-listed events so a kernel bug
-#: (dispatching a recycled-but-unscheduled event) fails loudly instead of
-#: silently re-running a stale handler.
-_UNSET: Callable[..., None] = _unset_callback
+        """Requeue the offending entry and build the budget's exception."""
+        heappush(self._queue, entry)
+        return watchdog.trip(reason, self, entry, fired)

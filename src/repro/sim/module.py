@@ -11,7 +11,8 @@ class Module:
     """A named component attached to a :class:`~repro.sim.kernel.Simulator`.
 
     Subclasses model hardware blocks (routers, the GPE, the aggregator...).
-    Each module has its own clock domain and statistics set.
+    Each module has its own clock domain and statistics set, and schedules
+    any continuation of its own through ``sim.post_at``.
     """
 
     def __init__(self, sim: Simulator, name: str, clock: Clock) -> None:
@@ -24,10 +25,6 @@ class Module:
     def now(self) -> float:
         """Current simulated time in nanoseconds."""
         return self.sim.now
-
-    def after_cycles(self, cycles: float, callback, *args) -> None:
-        """Schedule ``callback`` after ``cycles`` of this module's clock."""
-        self.sim.schedule(self.clock.cycles_to_ns(cycles), callback, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

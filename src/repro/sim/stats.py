@@ -38,12 +38,6 @@ class StatSet:
         """Snapshot of all counters."""
         return dict(self._counters)
 
-    def merge(self, other: "StatSet") -> None:
-        """Add all counters from ``other`` into this set."""
-        counters = self._counters
-        for name, value in other._counters.items():
-            counters[name] = counters.get(name, 0.0) + value
-
     def __contains__(self, name: str) -> bool:
         return name in self._counters
 

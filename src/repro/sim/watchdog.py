@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 from repro.sim.kernel import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.kernel import Event, Simulator
+    from repro.sim.kernel import QueueEntry, Simulator
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,12 @@ class WatchdogConfig:
                 raise ValueError(f"{name} must be positive or None")
 
     def trip(
-        self, reason: str, sim: "Simulator", event: "Event", events_fired: int
+        self, reason: str, sim: "Simulator", entry: "QueueEntry",
+        events_fired: int,
     ) -> "WatchdogTrip":
-        """The exception for the ``reason`` budget, which ``event`` (still
-        queued on ``sim``) would exceed after ``events_fired`` events of
-        the run."""
+        """The exception for the ``reason`` budget, which the queue
+        ``entry`` (still queued on ``sim``) would exceed after
+        ``events_fired`` events of the run."""
         budget = {
             "max_time": self.max_time_ms,
             "max_events": self.max_events,
@@ -77,7 +78,7 @@ class WatchdogConfig:
                 budget=budget,
                 events_fired=events_fired,
                 now_ns=sim.now,
-                next_event_ns=event.time,
+                next_event_ns=entry[0],
                 queue_depth=sim.pending,
                 pending_by_owner=sim.pending_by_owner(),
             )

@@ -36,7 +36,7 @@ class TestAllocation:
         for _ in range(129):
             agg.alloc(1, lambda t, i: grants.append(i))
         assert len(grants) == 128
-        agg.contribute(grants[0], arrival_ns=5.0)  # completes entry
+        agg.contribute_batch(grants[0], arrival_ns=5.0, count=1)  # completes
         assert len(grants) == 129
 
     def test_zero_input_aggregation_rejected(self):
@@ -54,15 +54,12 @@ class TestAllocation:
 class TestContribution:
     def test_count_down_to_completion(self):
         _, agg = make()
-        done = []
         ids = []
         agg.alloc(3, lambda t, i: ids.append(i))
-        agg.set_completion(ids[0], done.append)
-        agg.contribute(ids[0], 10.0)
-        agg.contribute(ids[0], 20.0)
-        assert done == []
-        agg.contribute(ids[0], 30.0)
-        assert len(done) == 1
+        agg.contribute_batch(ids[0], 10.0, count=1)
+        agg.contribute_batch(ids[0], 20.0, count=1)
+        assert agg.in_flight == 1
+        agg.contribute_batch(ids[0], 30.0, count=1)
         assert agg.in_flight == 0
 
     def test_alu_bank_cycles_per_width(self):
@@ -70,7 +67,7 @@ class TestContribution:
         _, agg = make(width=32)
         ids = []
         agg.alloc(1, lambda t, i: ids.append(i))
-        finish = agg.contribute(ids[0], arrival_ns=0.0)
+        finish = agg.contribute_batch(ids[0], arrival_ns=0.0, count=1)
         assert finish == pytest.approx(2.0)
 
     def test_contributions_serialize_on_alu_bank(self):
@@ -78,14 +75,14 @@ class TestContribution:
         ids = []
         agg.alloc(2, lambda t, i: ids.append(i))
         agg.alloc(2, lambda t, i: ids.append(i))
-        first = agg.contribute(ids[0], 0.0)
-        second = agg.contribute(ids[1], 0.0)
+        first = agg.contribute_batch(ids[0], 0.0, count=1)
+        second = agg.contribute_batch(ids[1], 0.0, count=1)
         assert second == pytest.approx(first + 1.0)
 
     def test_unknown_aggregation_rejected(self):
         _, agg = make()
         with pytest.raises(KeyError):
-            agg.contribute(999, 0.0)
+            agg.contribute_batch(999, 0.0, count=1)
 
 
 class TestBatchContribution:
@@ -120,12 +117,15 @@ class TestBatchContribution:
             agg.contribute_batch(ids[0], 0.0, count=0)
 
     def test_batch_completion_fires_callback(self):
-        _, agg = make()
-        done, ids = [], []
-        agg.alloc(4, lambda t, i: ids.append(i))
-        agg.set_completion(ids[0], done.append)
+        """The batch that completes an aggregation frees its entry, which
+        fires the grant callback of the allocation waiting for one."""
+        _, agg = make(width=16)
+        ids = []
+        for _ in range(agg.capacity + 1):
+            agg.alloc(4, lambda t, i: ids.append(i))
+        assert len(ids) == agg.capacity
         agg.contribute_batch(ids[0], 0.0, count=4)
-        assert len(done) == 1
+        assert len(ids) == agg.capacity + 1
 
 
 class TestReporting:
@@ -133,8 +133,8 @@ class TestReporting:
         _, agg = make(width=8)
         ids = []
         agg.alloc(2, lambda t, i: ids.append(i))
-        agg.contribute(ids[0], 0.0)
-        agg.contribute(ids[0], 0.0)
+        agg.contribute_batch(ids[0], 0.0, count=1)
+        agg.contribute_batch(ids[0], 0.0, count=1)
         assert agg.stats.get("contributions") == 2
         assert agg.stats.get("values") == 16
 
@@ -142,5 +142,5 @@ class TestReporting:
         _, agg = make(width=16)
         ids = []
         agg.alloc(1, lambda t, i: ids.append(i))
-        agg.contribute(ids[0], 0.0)  # 1 cycle = 1 ns busy
+        agg.contribute_batch(ids[0], 0.0, count=1)  # 1 cycle = 1 ns busy
         assert agg.utilization(4.0) == pytest.approx(0.25)

@@ -38,23 +38,28 @@ class TestServiceTime:
             make().service_ns(-1, 1.0)
 
 
+def execute(dna, macs, efficiency, ready_ns):
+    """One job through the unit's cost and occupy calls."""
+    return dna.execute_ns(dna.service_ns(macs, efficiency), macs, ready_ns)
+
+
 class TestExecution:
     def test_jobs_serialize_fifo(self):
         dna = make(freq=1.0)
-        _, first_finish = dna.execute(182, 1.0, ready_ns=0.0)
-        start, _ = dna.execute(182, 1.0, ready_ns=0.0)
+        _, first_finish = execute(dna, 182, 1.0, ready_ns=0.0)
+        start, _ = execute(dna, 182, 1.0, ready_ns=0.0)
         assert start == pytest.approx(first_finish)
 
     def test_idle_gap_preserved(self):
         dna = make(freq=1.0)
-        dna.execute(182, 1.0, ready_ns=0.0)
-        start, _ = dna.execute(182, 1.0, ready_ns=100.0)
+        execute(dna, 182, 1.0, ready_ns=0.0)
+        start, _ = execute(dna, 182, 1.0, ready_ns=100.0)
         assert start == pytest.approx(100.0)
 
     def test_stats_accumulate(self):
         dna = make()
-        dna.execute(100, 1.0, 0.0)
-        dna.execute(200, 1.0, 0.0)
+        execute(dna, 100, 1.0, 0.0)
+        execute(dna, 200, 1.0, 0.0)
         assert dna.stats.get("jobs") == 2
         assert dna.stats.get("macs") == 300
 
@@ -62,12 +67,12 @@ class TestExecution:
 class TestReporting:
     def test_utilization(self):
         dna = make(freq=1.0)
-        dna.execute(182 * 10, 1.0, ready_ns=0.0)  # 10 ns busy
+        execute(dna, 182 * 10, 1.0, ready_ns=0.0)  # 10 ns busy
         assert dna.utilization(40.0) == pytest.approx(0.25)
 
     def test_effective_macs_per_cycle(self):
         dna = make(freq=1.0)
-        dna.execute(182 * 10, 1.0, ready_ns=0.0)
+        execute(dna, 182 * 10, 1.0, ready_ns=0.0)
         # 1820 MACs over 20 ns (20 cycles at 1 GHz) = 91 MACs/cycle.
         assert dna.effective_macs_per_cycle(20.0) == pytest.approx(91.0)
 

@@ -18,6 +18,12 @@ def make(entry_bytes=1024, freq=1.0):
     return sim, dnq, dna
 
 
+def fill(dnq, ready_ns, macs, on_complete, queue_id=0):
+    """Fill one entry with a job of ``macs`` MACs at full array use."""
+    dnq.fill(ready_ns, dnq.dna.service_ns(macs, 1.0), macs,
+             on_complete=on_complete, queue_id=queue_id)
+
+
 class TestReservation:
     def test_capacity_from_entry_size(self):
         _, dnq, _ = make(entry_bytes=62 * 1024)
@@ -45,7 +51,7 @@ class TestReservation:
         order = []
         dnq.reserve(lambda: order.append("first"))
         dnq.reserve(lambda: order.append("second"))
-        dnq.fill(0.0, macs=182, efficiency=1.0, on_complete=lambda t: None)
+        fill(dnq, 0.0, macs=182, on_complete=lambda t: None)
         sim.run()
         assert order == ["first", "second"]
 
@@ -61,8 +67,8 @@ class TestDispatch:
         sim, dnq, dna = make(freq=1.0)
         finishes = []
         dnq.reserve(lambda: None)
-        dnq.fill(10.0, macs=182, efficiency=1.0,
-                 on_complete=finishes.append)
+        fill(dnq, 10.0, macs=182,
+             on_complete=finishes.append)
         sim.run()
         assert finishes == [pytest.approx(11.0)]
         assert dna.stats.get("jobs") == 1
@@ -72,8 +78,8 @@ class TestDispatch:
         finishes = []
         for _ in range(2):
             dnq.reserve(lambda: None)
-            dnq.fill(0.0, macs=182, efficiency=1.0,
-                     on_complete=finishes.append, queue_id=0)
+            fill(dnq, 0.0, macs=182,
+                 on_complete=finishes.append, queue_id=0)
         sim.run()
         assert finishes[1] == pytest.approx(2.0)
         assert dnq.stats.get("queue_switches") == 0
@@ -82,11 +88,11 @@ class TestDispatch:
         sim, dnq, _ = make(freq=1.0)
         finishes = []
         dnq.reserve(lambda: None)
-        dnq.fill(0.0, macs=182, efficiency=1.0,
-                 on_complete=finishes.append, queue_id=0)
+        fill(dnq, 0.0, macs=182,
+             on_complete=finishes.append, queue_id=0)
         dnq.reserve(lambda: None)
-        dnq.fill(0.0, macs=182, efficiency=1.0,
-                 on_complete=finishes.append, queue_id=1)
+        fill(dnq, 0.0, macs=182,
+             on_complete=finishes.append, queue_id=1)
         sim.run()
         # Second job waits 16 idle cycles after the DNA frees up.
         assert finishes[1] == pytest.approx(1.0 + 16.0 + 1.0)
@@ -96,8 +102,8 @@ class TestDispatch:
         sim, dnq, _ = make()
         for queue in (0, 1, 0):
             dnq.reserve(lambda: None)
-            dnq.fill(0.0, macs=1, efficiency=1.0,
-                     on_complete=lambda t: None, queue_id=queue)
+            fill(dnq, 0.0, macs=1,
+                 on_complete=lambda t: None, queue_id=queue)
         sim.run()
         assert dnq.stats.get("queue_switches") == 2
 
@@ -105,5 +111,5 @@ class TestDispatch:
         _, dnq, _ = make()
         dnq.reserve(lambda: None)
         with pytest.raises(ValueError):
-            dnq.fill(0.0, macs=1, efficiency=1.0,
-                     on_complete=lambda t: None, queue_id=5)
+            fill(dnq, 0.0, macs=1,
+                 on_complete=lambda t: None, queue_id=5)

@@ -31,33 +31,36 @@ class TestSingleRequest:
     def test_completion_includes_transfer_and_latency(self):
         mem = make()
         # 64B at 68 GBps = 0.941 ns transfer + 20 ns latency.
-        completion = mem.request(64, now=0.0)
+        completion = mem.request_scatter(1, 64, now=0.0)
         assert completion == pytest.approx(64 / 68.0 + 20.0)
 
     def test_latency_dominates_small_requests(self):
         mem = make()
-        assert mem.request(4, now=100.0) == pytest.approx(
+        assert mem.request_scatter(1, 4, now=100.0) == pytest.approx(
             100.0 + 64 / 68.0 + 20.0
         )
 
     def test_large_request_serializes_on_channel(self):
         mem = make()
-        completion = mem.request(68_000, now=0.0)
+        completion = mem.request_scatter(1, 68_000, now=0.0)
         assert completion == pytest.approx(1000.0 + 20.0, rel=0.01)
 
 
 class TestQueueing:
     def test_back_to_back_requests_serialize(self):
         mem = make()
-        first = mem.request(6800, now=0.0)   # ~100 ns transfer (aligned)
-        second = mem.request(6800, now=0.0)
+        # ~100 ns transfer (aligned)
+        first = mem.request_scatter(1, 6800, now=0.0)
+        second = mem.request_scatter(1, 6800, now=0.0)
         assert second == pytest.approx(first + 100.0, rel=0.01)
 
     def test_queue_depth_backpressure(self):
         # 33rd simultaneous request cannot be accepted until the first
         # completes (32-entry in-order queue).
         mem = make()
-        completions = [mem.request(64, now=0.0) for _ in range(33)]
+        completions = [
+            mem.request_scatter(1, 64, now=0.0) for _ in range(33)
+        ]
         transfer = 64 / 68.0
         # Without backpressure the 33rd would complete at 33*transfer+20;
         # with it, acceptance waits for completion #1 (transfer+20), adding
@@ -67,8 +70,8 @@ class TestQueueing:
     def test_idle_gap_resets_queue(self):
         mem = make()
         for _ in range(32):
-            mem.request(64, now=0.0)
-        late = mem.request(64, now=10_000.0)
+            mem.request_scatter(1, 64, now=0.0)
+        late = mem.request_scatter(1, 64, now=10_000.0)
         assert late == pytest.approx(10_000.0 + 64 / 68.0 + 20.0)
 
 
@@ -103,22 +106,23 @@ class TestScatter:
 class TestReporting:
     def test_read_write_split(self):
         mem = make()
-        mem.request(64, now=0.0)
-        mem.request(64, now=0.0, write=True)
+        mem.request_scatter(1, 64, now=0.0)
+        mem.request_scatter(1, 64, now=0.0, write=True)
         assert mem.stats.get("reads") == 1
         assert mem.stats.get("writes") == 1
 
     def test_bandwidth_utilization(self):
         mem = make()
-        mem.request(68_000, now=0.0)  # ~1000 ns of channel time
+        # ~1000 ns of channel time
+        mem.request_scatter(1, 68_000, now=0.0)
         assert mem.bandwidth_utilization(2000.0) == pytest.approx(0.5, rel=0.01)
 
     def test_utilization_capped_at_one(self):
         mem = make()
-        mem.request(68_000, now=0.0)
+        mem.request_scatter(1, 68_000, now=0.0)
         assert mem.bandwidth_utilization(10.0) == 1.0
 
     def test_custom_bandwidth(self):
         mem = make(bandwidth_gbps=34.0)
-        completion = mem.request(3400, now=0.0)
+        completion = mem.request_scatter(1, 3400, now=0.0)
         assert completion == pytest.approx(100.0 + 20.0, rel=0.02)

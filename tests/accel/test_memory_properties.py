@@ -18,7 +18,7 @@ def test_completions_monotone_in_issue_order(requests):
     """The controller services in order: completions never reorder."""
     mem = MemoryController(Simulator(), "mem")
     completions = [
-        mem.request(size, now) for now, size in sorted(requests)
+        mem.request_scatter(1, size, now) for now, size in sorted(requests)
     ]
     assert completions == sorted(completions)
 
@@ -28,7 +28,7 @@ def test_completions_monotone_in_issue_order(requests):
 def test_byte_accounting_conserved(requests):
     mem = MemoryController(Simulator(), "mem")
     for now, size in requests:
-        mem.request(size, now)
+        mem.request_scatter(1, size, now)
     requested = sum(size for _, size in requests)
     assert mem.stats.get("bytes_requested") == requested
     assert mem.stats.get("bytes_serviced") >= requested
@@ -42,7 +42,7 @@ def test_byte_accounting_conserved(requests):
 def test_every_completion_after_latency(requests):
     mem = MemoryController(Simulator(), "mem")
     for now, size in requests:
-        completion = mem.request(size, now)
+        completion = mem.request_scatter(1, size, now)
         assert completion >= now + mem.config.latency_ns
 
 
@@ -52,7 +52,7 @@ def test_scatter_matches_repeated_requests_in_traffic(count, size):
     a.request_scatter(count, size, now=0.0)
     b = MemoryController(Simulator(), "b")
     for _ in range(count):
-        b.request(size, now=0.0)
+        b.request_scatter(1, size, now=0.0)
     assert a.stats.get("bytes_serviced") == b.stats.get("bytes_serviced")
     assert a.stats.get("requests") == b.stats.get("requests")
 

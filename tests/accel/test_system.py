@@ -94,7 +94,8 @@ class TestReporting:
         assert 0 < util <= 1
 
     def test_dna_utilization_averages_tiles(self, multi):
-        multi.tiles[0].dna.execute(182 * 100, 1.0, 0.0)
+        dna = multi.tiles[0].dna
+        dna.execute_ns(dna.service_ns(182 * 100, 1.0), 182 * 100, 0.0)
         util = multi.dna_utilization(100.0 / 2.4)
         assert util == pytest.approx(1.0 / 8)
 

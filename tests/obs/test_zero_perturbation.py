@@ -103,7 +103,7 @@ def _peak_alloc_during_bare_run(count: int) -> int:
     events with no profiler attached."""
     sim = Simulator()
     for i in range(count):
-        sim.schedule(float(i), _noop)
+        sim.post_at(float(i), _noop)
     gc.collect()
     gc.disable()
     try:
@@ -143,7 +143,7 @@ def test_profiler_is_called_per_run_not_per_event():
     events = 20_000
     sim = Simulator()
     for i in range(events):
-        sim.schedule(float(i), _noop)
+        sim.post_at(float(i), _noop)
     profiler = _RecordingProfiler()
     sim.run(profiler=profiler)
     assert sim.events_fired == events

@@ -6,7 +6,7 @@ from repro.sim import Clock
 
 
 def test_period_of_one_ghz_clock():
-    assert Clock(1.0).period_ns == 1.0
+    assert Clock(1.0).cycles_to_ns(1) == 1.0
 
 
 def test_cycles_to_ns_at_2p4_ghz():
@@ -17,12 +17,6 @@ def test_cycles_to_ns_at_2p4_ghz():
 def test_ns_to_cycles_roundtrip():
     clock = Clock(1.2)
     assert clock.ns_to_cycles(clock.cycles_to_ns(7.0)) == pytest.approx(7.0)
-
-
-def test_ceil_cycles_rounds_up():
-    clock = Clock(2.0)  # 0.5 ns period
-    assert clock.ceil_cycles(1.2) == 3
-    assert clock.ceil_cycles(1.0) == 2
 
 
 def test_non_positive_frequency_rejected():

@@ -1,14 +1,13 @@
 """Property tests of the kernel's event ordering.
 
-Hypothesis builds adversarial schedules — duplicate timestamps,
-recyclable posts interleaved with held events, cancel-and-reschedule at
-the current tick, zero-delay self-posts — and checks what every run must
-satisfy: fire times never decrease, events queued for one tick fire in
-scheduling order, a cancelled event never fires while its reschedule
-does, and the watchdog budgets never change the execution.
+Hypothesis builds adversarial schedules — duplicate timestamps, handlers
+that post a follow-up at the current tick, zero-delay self-posts — and
+checks what every run must satisfy: fire times never decrease, events
+queued for one tick fire in scheduling order, every follow-up fires
+exactly once, and the watchdog budgets never change the execution.
 
 A second property reuses one simulator across generated schedules to
-prove free-listed events never leak state between runs: the second
+prove a run leaves no state behind that changes the next one: the second
 schedule's trace matches a fresh simulator's bit-for-bit.
 """
 
@@ -18,7 +17,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.watchdog import WatchdogConfig
 
 #: Coarse time grid so generated schedules collide on timestamps often —
-#: duplicate-time ordering is exactly what event recycling risks.
+#: duplicate-time ordering is exactly what the ``seq`` tie-breaker decides.
 times = st.integers(0, 12).map(lambda k: k * 0.5)
 
 
@@ -28,9 +27,7 @@ def schedules(draw):
     n = draw(st.integers(min_value=1, max_value=14))
     ops = []
     for _ in range(n):
-        kind = draw(st.sampled_from(
-            ["schedule", "post", "cancel_same_tick", "self_post"]
-        ))
+        kind = draw(st.sampled_from(["post", "follow_up", "self_post"]))
         ops.append((kind, draw(times), draw(st.integers(1, 3))))
     return ops
 
@@ -58,28 +55,22 @@ def build_schedule(ops, sim, base=0.0):
             # everything already queued for it.
             sim.post_at(sim.now, self_poster, tag + "+", remaining - 1)
 
-    victims = {}
+    def follower(tag, idx):
+        # Posts its follow-up for the current tick, behind a sibling
+        # queued for the same timestamp.
+        trace.append((sim.now - base, tag))
+        sim.post_at(sim.now, fire, f"r{idx}")
+
     for idx, (kind, t, extra) in enumerate(ops):
-        if kind == "schedule":
-            sim.schedule_at(t + base, fire, f"s{idx}")
-            queued.append((t, f"s{idx}"))
-        elif kind == "post":
+        if kind == "post":
             sim.post_at(t + base, fire, f"p{idx}")
             queued.append((t, f"p{idx}"))
-        elif kind == "cancel_same_tick":
-            # The canceller is scheduled first, so it fires first at t
-            # and cancels a victim queued for the same timestamp; the
-            # reschedule also lands on the current tick.
-            def canceller(tag, idx=idx):
-                trace.append((sim.now - base, tag))
-                victims[idx].cancel()
-                sim.schedule_at(sim.now, fire, f"r{idx}")
-
-            sim.schedule_at(t + base, canceller, f"c{idx}")
-            victims[idx] = sim.schedule_at(t + base, fire, f"v{idx}")
+        elif kind == "follow_up":
+            sim.post_at(t + base, follower, f"c{idx}", idx)
+            sim.post_at(t + base, fire, f"v{idx}")
             queued += [(t, f"c{idx}"), (t, f"v{idx}")]
         elif kind == "self_post":
-            sim.schedule_at(t + base, self_poster, f"z{idx}", extra)
+            sim.post_at(t + base, self_poster, f"z{idx}", extra)
             queued.append((t, f"z{idx}"))
     return trace, queued
 
@@ -101,24 +92,25 @@ def test_run_honours_the_ordering_contract(ops):
     trace, queued = build_schedule(ops, sim)
     sim.run()
     fired = [tag for _, tag in trace]
-    cancels = [idx for idx, (kind, _, _) in enumerate(ops)
-               if kind == "cancel_same_tick"]
-    victims = {f"v{idx}" for idx in cancels}
 
     fire_times = [t for t, _ in trace]
     assert fire_times == sorted(fire_times)
 
     # Events queued before the run fire by time, ties in scheduling order.
     queued_tags = {tag for _, tag in queued}
-    expected = [tag for _, tag in sorted(queued, key=lambda item: item[0])
-                if tag not in victims]
+    expected = [tag for _, tag in sorted(queued, key=lambda item: item[0])]
     assert [tag for tag in fired if tag in queued_tags] == expected
 
-    for idx in cancels:
-        assert f"v{idx}" not in fired
-        assert fired.count(f"r{idx}") == 1
+    # A follow-up fires once, at its poster's tick, after the sibling
+    # that was already queued for that tick.
+    for idx, (kind, t, _) in enumerate(ops):
+        if kind == "follow_up":
+            assert fired.count(f"r{idx}") == 1
+            assert (t, f"r{idx}") in trace
+            assert fired.index(f"v{idx}") < fired.index(f"r{idx}")
 
     assert sim.events_fired == len(trace)
+    assert sim.pending == 0
 
 
 @given(schedules())
@@ -130,10 +122,9 @@ def test_watchdog_budgets_leave_the_execution_unchanged(ops):
 
 @given(schedules(), schedules())
 @settings(max_examples=100, deadline=None)
-def test_free_listed_events_never_leak_state(first, second):
-    """A reused simulator (its free-list warm with recycled events from
-    an arbitrary first schedule) must execute a second schedule exactly
-    like a fresh simulator would."""
+def test_a_reused_simulator_runs_like_a_fresh_one(first, second):
+    """A simulator that already ran an arbitrary first schedule must
+    execute a second schedule exactly like a fresh simulator would."""
     sim = Simulator()
     run_schedule(first, sim=sim)
     warm = run_schedule(second, sim=sim, base=sim.now)

@@ -10,7 +10,7 @@ def test_events_fire_in_nondecreasing_time_order(delays):
     sim = Simulator()
     fired = []
     for delay in delays:
-        sim.schedule(delay, lambda d=delay: fired.append(sim.now))
+        sim.post_at(delay, lambda d=delay: fired.append(sim.now))
     sim.run()
     assert fired == sorted(fired)
     assert len(fired) == len(delays)
@@ -20,7 +20,7 @@ def test_events_fire_in_nondecreasing_time_order(delays):
 def test_final_time_is_latest_event(delays):
     sim = Simulator()
     for delay in delays:
-        sim.schedule(delay, lambda: None)
+        sim.post_at(delay, lambda: None)
     assert sim.run() == max(delays)
 
 

@@ -21,15 +21,6 @@ class TestStatSet:
         stats.add("events")
         assert stats.get("events") == 2
 
-    def test_merge_combines_counters(self):
-        a, b = StatSet(), StatSet()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 5)
-        a.merge(b)
-        assert a.get("x") == 3
-        assert a.get("y") == 5
-
     def test_contains(self):
         stats = StatSet()
         stats.add("seen")

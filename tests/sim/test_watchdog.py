@@ -29,7 +29,7 @@ class TestConfig:
         default time budget stops at fires."""
         sim = Simulator()
         fired = []
-        sim.schedule(1e15, fired.append, "far")  # 1e9 ms of simulated time
+        sim.post_at(1e15, fired.append, "far")  # 1e9 ms of simulated time
         with pytest.raises(WatchdogTrip):
             run_with(sim, WatchdogConfig())
         run_with(sim, WatchdogConfig(
@@ -56,9 +56,9 @@ class TestTrips:
         sim = Simulator()
 
         def chain(n):
-            sim.schedule(1.0, chain, n + 1)
+            sim.post_at(sim.now + 1.0, chain, n + 1)
 
-        sim.schedule(1.0, chain, 0)
+        sim.post_at(1.0, chain, 0)
         with pytest.raises(WatchdogTrip) as exc:
             run_with(sim, WatchdogConfig(max_events=25, stall_events=None))
         diagnosis = exc.value.diagnosis
@@ -71,8 +71,8 @@ class TestTrips:
         """A single far-future event trips the simulated-time budget while
         `now` still reflects the last healthy event."""
         sim = Simulator()
-        sim.schedule(100.0, lambda: None)
-        sim.schedule(5e9, lambda: None)  # 5 s of simulated time
+        sim.post_at(100.0, lambda: None)
+        sim.post_at(5e9, lambda: None)  # 5 s of simulated time
         with pytest.raises(WatchdogTrip) as exc:
             run_with(sim, WatchdogConfig(max_time_ms=1.0))
         diagnosis = exc.value.diagnosis
@@ -85,9 +85,9 @@ class TestTrips:
         sim = Simulator()
 
         def spin():
-            sim.schedule(0.0, spin)
+            sim.post_at(sim.now, spin)
 
-        sim.schedule(1.0, spin)
+        sim.post_at(1.0, spin)
         with pytest.raises(WatchdogTrip) as exc:
             run_with(sim, WatchdogConfig(stall_events=500))
         diagnosis = exc.value.diagnosis
@@ -100,11 +100,11 @@ class TestTrips:
 
         def burst(t):
             for _ in range(50):
-                sim.schedule(0.0, lambda: None)
+                sim.post_at(sim.now, lambda: None)
             if t < 20:
-                sim.schedule(1.0, burst, t + 1)
+                sim.post_at(sim.now + 1.0, burst, t + 1)
 
-        sim.schedule(0.0, burst, 0)
+        sim.post_at(0.0, burst, 0)
         run_with(sim, WatchdogConfig(stall_events=60))
 
     def test_max_wall_trips(self):
@@ -112,9 +112,9 @@ class TestTrips:
 
         def sleepy():
             time.sleep(0.005)
-            sim.schedule(1.0, sleepy)
+            sim.post_at(sim.now + 1.0, sleepy)
 
-        sim.schedule(1.0, sleepy)
+        sim.post_at(1.0, sleepy)
         with pytest.raises(WatchdogTrip) as exc:
             run_with(sim, WatchdogConfig(
                 max_wall_s=0.02, stall_events=None,
@@ -123,7 +123,7 @@ class TestTrips:
 
     def test_trip_is_a_simulation_error(self):
         sim = Simulator()
-        sim.schedule(5e9, lambda: None)
+        sim.post_at(5e9, lambda: None)
         with pytest.raises(SimulationError):
             run_with(sim, WatchdogConfig(max_time_ms=1.0))
 
@@ -134,9 +134,9 @@ class TestTrips:
         def chain(n):
             fired.append(n)
             if n < 200:
-                sim.schedule(10.0, chain, n + 1)
+                sim.post_at(sim.now + 10.0, chain, n + 1)
 
-        sim.schedule(0.0, chain, 0)
+        sim.post_at(0.0, chain, 0)
         run_with(sim, WatchdogConfig())
         assert len(fired) == 201
 
@@ -151,9 +151,9 @@ class TestDiagnosis:
 
         sim = Simulator()
         unit = NamedUnit()
-        sim.schedule(10.0, unit.complete)
-        sim.schedule(11.0, unit.complete)
-        sim.schedule(5e9, lambda: None)
+        sim.post_at(10.0, unit.complete)
+        sim.post_at(11.0, unit.complete)
+        sim.post_at(5e9, lambda: None)
         with pytest.raises(WatchdogTrip) as exc:
             run_with(sim, WatchdogConfig(max_events=1, stall_events=None,
                                          max_time_ms=None))
@@ -164,7 +164,7 @@ class TestDiagnosis:
 
     def test_format_mentions_queue_state(self):
         sim = Simulator()
-        sim.schedule(5e9, lambda: None)
+        sim.post_at(5e9, lambda: None)
         with pytest.raises(WatchdogTrip) as exc:
             run_with(sim, WatchdogConfig(max_time_ms=1.0))
         text = exc.value.diagnosis.format()

@@ -450,6 +450,28 @@ class TestCommands:
         assert "TIMEOUT" in captured.err  # failure summary
         assert "budget blown" in captured.err
 
+    def test_no_cache_env_reaches_sweep_and_dse(self, capsys, tmp_path,
+                                                monkeypatch):
+        """Without --no-cache or --cache-dir, ``$REPRO_NO_CACHE`` disables
+        the persistent store: an empty ``$REPRO_CACHE_DIR`` stays empty."""
+        from repro.exp import cache as result_cache
+
+        session_default = result_cache.default_cache()
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        result_cache.reset_default_cache()
+        result_cache.clear_memo()  # every point must execute and store
+        try:
+            assert main(["sweep", "--system", "cpu", "--benchmarks",
+                         "gcn-cora", "--jobs", "1"]) == 0
+            assert main(["dse", "gcn-cora", "--points", "1", "--jobs", "1",
+                         "--noc-backend", "analytical", "--quiet"]) == 0
+        finally:
+            result_cache.clear_memo()
+            result_cache.set_default_cache(session_default)
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestServeSimParser:
     def test_defaults(self):
