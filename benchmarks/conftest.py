@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.accelerator import run_benchmark, _compiled_program
+from repro.eval.accelerator import _compiled_program
 from repro.exp import cache as result_cache
 
 
@@ -24,10 +24,10 @@ def fresh_simulations():
     for the duration — otherwise a second benchmark run would time JSON
     reads instead of simulations.
     """
-    run_benchmark.cache_clear()
+    result_cache.clear_memo()
     with result_cache.disabled():
         yield
-    run_benchmark.cache_clear()
+    result_cache.clear_memo()
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -330,9 +330,14 @@ def _cmd_sweep(args) -> int:
         )
     else:
         from repro.models import BENCHMARKS
+        from repro.systems.accel import resolve_accel_config
 
         keys = tuple(args.benchmarks) or tuple(b.key for b in BENCHMARKS)
-        points = [Point(key, system=system) for key in keys]
+        # Multichip chips take the accelerator options; cpu, gpu and
+        # eyeriss take none.
+        config = (resolve_accel_config(noc_backend=args.noc_backend)
+                  if system == "multichip" else None)
+        points = [Point(key, config, system=system) for key in keys]
     jobs = args.jobs if args.jobs is not None else default_jobs()
     policy = RetryPolicy.from_env(
         timeout_s=args.timeout, retries=args.retries

@@ -20,7 +20,7 @@ import functools
 from typing import TYPE_CHECKING
 
 from repro.accel.config import AcceleratorConfig
-from repro.exp.cache import DEFAULT_CACHE, clear_memo, point_key, run_cached
+from repro.exp.cache import DEFAULT_CACHE, point_key, run_cached
 from repro.models.registry import Benchmark, benchmark_by_key, load_benchmark
 from repro.runtime.compiler import compile_model
 from repro.runtime.engine import simulate
@@ -124,8 +124,3 @@ def run_benchmark(
         benchmark_key, config_name, clock_ghz, noc_backend
     )
     return run_config(benchmark_key, config, observer=observer)
-
-
-#: Drop the in-memory layer (API-compatible with the old ``lru_cache``
-#: entry point; the benchmark harness uses it to time real simulations).
-run_benchmark.cache_clear = clear_memo

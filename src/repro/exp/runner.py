@@ -80,7 +80,8 @@ class Point:
     (Figure 8 sweeps the clock while the config identifies the row).
     Any other registered :mod:`repro.systems` name (``"cpu"``,
     ``"gpu"``, ``"eyeriss"``, ``"multichip"``) runs the benchmark on
-    that backend instead; such points carry no accelerator config.
+    that backend instead.  Of those, only a ``multichip`` point may
+    carry ``config``: the accelerator configuration of each chip.
 
     ``shard`` (a :class:`repro.partition.core.ShardSpec`, accel points
     only) restricts the point to one shard of a partitioned input: the
@@ -105,7 +106,7 @@ class Point:
                     "pass config= or pick a different system="
                 )
         else:
-            if self.config is not None:
+            if self.config is not None and self.system != "multichip":
                 raise ValueError(
                     f"system {self.system!r} does not take an accelerator "
                     f"config; leave config=None"
@@ -118,7 +119,8 @@ class Point:
 
     @property
     def resolved_config(self) -> AcceleratorConfig:
-        """The configuration with the point's clock applied (accel only)."""
+        """The configuration with the point's clock applied (accel and
+        multichip points only)."""
         if self.config is None:
             raise ValueError(
                 f"point on system {self.system!r} has no accelerator config"
@@ -127,13 +129,32 @@ class Point:
             return self.config
         return self.config.with_clock(self.clock_ghz)
 
+    def backend(self) -> Any:
+        """The :mod:`repro.systems` backend of a cross-system point.  A
+        ``multichip`` point with a config builds its chips from that
+        config's Table VI row, clock and NoC backend."""
+        from repro.systems import create_system
+
+        if self.config is None:
+            return create_system(self.system, clock_ghz=self.clock_ghz)
+        config = self.resolved_config
+        backend = create_system(
+            self.system, config_name=config.name,
+            clock_ghz=config.clock_ghz, noc_backend=config.noc_backend,
+        )
+        if backend.config != config:
+            raise ValueError(
+                f"a {self.system} point takes a named row with only its "
+                f"clock and NoC backend changed; {config.name!r} differs"
+            )
+        return backend
+
     def plan(self) -> Any:
         """The :class:`~repro.systems.base.ExecutionPlan` for a
         cross-system point (see :mod:`repro.systems`)."""
-        from repro.systems import create_system, resolve_workload
+        from repro.systems import resolve_workload
 
-        backend = create_system(self.system, clock_ghz=self.clock_ghz)
-        return backend.prepare(resolve_workload(self.benchmark_key))
+        return self.backend().prepare(resolve_workload(self.benchmark_key))
 
     @property
     def key(self) -> str:
@@ -396,9 +417,9 @@ def execute_point(
     """
     if point.system == ACCEL_SYSTEM:
         return simulate_point(point, observer=observer)
-    from repro.systems import create_system, resolve_workload
+    from repro.systems import resolve_workload
 
-    backend = create_system(point.system, clock_ghz=point.clock_ghz)
+    backend = point.backend()
     plan = backend.prepare(resolve_workload(point.benchmark_key))
     return backend.execute(plan, observer=observer, cache=cache)
 

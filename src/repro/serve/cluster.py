@@ -251,23 +251,29 @@ def warm_service_cache(
     warm the simulation entry that ``run_system``'s inner
     :func:`~repro.eval.accelerator.run_config` reads — not
     ``run_system``'s own ``SystemReport`` key, which the first
-    measurement then stores from that cached simulation.  Unsupported
+    measurement then stores from that cached simulation.  Multichip
+    points carry the chip config of ``noc_backend``, so they warm the
+    plan key that measurement reads.  Unsupported
     (system, benchmark) pairs fail their warm-up point quietly here and
     loudly later in :func:`measure_service_times` if actually used.
     """
     from repro.exp.cache import DEFAULT_CACHE
     from repro.exp.runner import Point, run_sweep_detailed
+    from repro.systems import create_system
 
     if cache is None:
         cache = DEFAULT_CACHE
     accel_configs = _accel_configs(noc_backend) if "accel" in systems else []
+    chip_config = (create_system("multichip", noc_backend=noc_backend).config
+                   if "multichip" in systems else None)
     points: list[Point] = []
     for system in dict.fromkeys(systems):
         for key in dict.fromkeys(benchmarks):
             if system == "accel":
                 points.extend(Point(key, config) for config in accel_configs)
             else:
-                points.append(Point(key, system=system))
+                config = chip_config if system == "multichip" else None
+                points.append(Point(key, config, system=system))
     run_sweep_detailed(points, jobs=jobs, cache=cache)
 
 

@@ -1,12 +1,14 @@
 """Sweeping mixed-system point grids through the shared runner."""
 
+import dataclasses
+
 import pytest
 
 from repro.accel.config import CPU_ISO_BW
 from repro.exp.cache import ResultCache, clear_memo
 from repro.exp.runner import Point, run_sweep_detailed
 from repro.runtime.report import SimulationReport
-from repro.systems import SystemReport
+from repro.systems import SystemReport, system_plan
 
 
 class TestPointValidation:
@@ -17,6 +19,19 @@ class TestPointValidation:
     def test_analytical_point_rejects_a_config(self):
         with pytest.raises(ValueError):
             Point("gcn-cora", CPU_ISO_BW, 2.4, system="cpu")
+
+    def test_multichip_point_takes_the_chip_config(self):
+        config = CPU_ISO_BW.with_noc_backend("analytical")
+        point = Point("gcn-cora", config, system="multichip")
+        assert point.key == system_plan(
+            "multichip", "gcn-cora", noc_backend="analytical"
+        ).key
+
+    def test_multichip_point_rejects_an_unnamed_config(self):
+        memory = dataclasses.replace(CPU_ISO_BW.memory, bandwidth_gbps=1.0)
+        config = dataclasses.replace(CPU_ISO_BW, memory=memory)
+        with pytest.raises(ValueError, match="named row"):
+            Point("gcn-cora", config, system="multichip").plan()
 
     def test_describe_names_the_system(self):
         assert "cpu" in Point("gcn-cora", system="cpu").describe()

@@ -117,6 +117,21 @@ class TestMeasureServiceTimes:
         clear_memo()
         assert warmed == cold
 
+    def test_multichip_warming_honours_noc_backend(self, tmp_path):
+        """The multichip warm-up stores the plan key that measurement on
+        ``noc_backend`` reads."""
+        from repro.systems import system_plan
+
+        clear_memo()
+        cache = ResultCache(tmp_path)
+        warm_service_cache(["multichip"], ["gcn-cora"], jobs=1, cache=cache,
+                           noc_backend="analytical")
+        clear_memo()
+        for backend, stored in (("analytical", True), ("packet", False)):
+            key = system_plan("multichip", "gcn-cora",
+                              noc_backend=backend).key
+            assert (cache.get(key) is not None) == stored
+
     def test_accel_approx_column_is_tagged_and_cheaper(self, tmp_path):
         clear_memo()
         cache = ResultCache(tmp_path)

@@ -261,6 +261,29 @@ class TestCommands:
         assert latency and latency[-1] in second
         clear_memo()  # the memo now holds a non-default-cache entry
 
+    def test_multichip_sweep_honours_noc_backend(self, capsys, tmp_path):
+        """``--noc-backend`` reaches the chips of a multichip sweep, and a
+        bare multichip sweep keeps its plan key."""
+        from repro.exp.cache import ResultCache, clear_memo
+        from repro.systems import system_plan
+
+        def sweep(cache_dir, *options):
+            clear_memo()  # every point must execute and store
+            assert main(["sweep", "--system", "multichip", "--benchmarks",
+                         "gcn-cora", "--jobs", "1", "--cache-dir",
+                         str(cache_dir), *options]) == 0
+            clear_memo()
+            return ResultCache(cache_dir)
+
+        def key(**options):
+            return system_plan("multichip", "gcn-cora", **options).key
+
+        cache = sweep(tmp_path / "analytical", "--noc-backend", "analytical")
+        assert cache.get(key(noc_backend="analytical")) is not None
+        assert cache.get(key(noc_backend="packet")) is None
+        assert sweep(tmp_path / "bare").get(key()) is not None
+        capsys.readouterr()
+
     def test_sweep_unknown_benchmark_exits_2(self, capsys):
         """Validation runs before any worker spawns: one line on stderr
         listing the valid names, exit code 2."""
