@@ -49,6 +49,11 @@ class Aggregator(Module):
         self._fold_cycles = math.ceil(self._width_values / config.agg_alus)
         self._grant_delay_ns = clock.cycles_to_ns(1)
         self._ghz = clock.freq_ghz
+        # Integer tallies behind the ``allocations``, ``contributions``
+        # and ``values`` counters.
+        self._allocations = 0
+        self._contributions = 0
+        self._values = 0
 
     # -- layer configuration ------------------------------------------------
 
@@ -101,7 +106,7 @@ class Aggregator(Module):
     ) -> None:
         agg_id = next(self._ids)
         self._active[agg_id] = expected_inputs
-        self.stats.add("allocations")
+        self._allocations += 1
         grant_ns = now + self._grant_delay_ns  # 1-cycle allocation
         on_grant(grant_ns, agg_id)
 
@@ -130,11 +135,8 @@ class Aggregator(Module):
         _, finish = self.alu_bank.occupy(
             arrival_ns, (count * self._fold_cycles) / self._ghz
         )
-        counters = self.stats._counters
-        counters["contributions"] = counters.get("contributions", 0.0) + count
-        counters["values"] = (
-            counters.get("values", 0.0) + count * self._width_values
-        )
+        self._contributions += count
+        self._values += count * self._width_values
         if count == remaining:
             del self._active[agg_id]
             self._drain_waitlist()
@@ -146,6 +148,15 @@ class Aggregator(Module):
         while self._alloc_waitlist and len(self._active) < self._capacity:
             expected, on_grant = self._alloc_waitlist.popleft()
             self._grant(expected, on_grant, self.now)
+
+    def _derived_counts(self) -> dict[str, float]:
+        counts = {}
+        if self._allocations:
+            counts["allocations"] = float(self._allocations)
+        if self._contributions:
+            counts["contributions"] = float(self._contributions)
+            counts["values"] = float(self._values)
+        return counts
 
     def utilization(self, elapsed_ns: float) -> float:
         """ALU-bank busy fraction over ``elapsed_ns``."""

@@ -33,6 +33,9 @@ class DnaUnit(Module):
         super().__init__(sim, name, clock)
         self.array = array
         self.tracker = BusyTracker()
+        # Integer tallies behind the ``jobs`` and ``macs`` counters.
+        self._jobs = 0
+        self._macs = 0
 
     def service_ns(
         self, macs: int | np.ndarray, efficiency: float
@@ -61,10 +64,14 @@ class DnaUnit(Module):
         once per layer).
         """
         start, finish = self.tracker.occupy(ready_ns, duration_ns)
-        counters = self.stats._counters
-        counters["jobs"] = counters.get("jobs", 0.0) + 1.0
-        counters["macs"] = counters.get("macs", 0.0) + macs
+        self._jobs += 1
+        self._macs += macs
         return start, finish
+
+    def _derived_counts(self) -> dict[str, float]:
+        if not self._jobs:
+            return {}
+        return {"jobs": float(self._jobs), "macs": float(self._macs)}
 
     def utilization(self, elapsed_ns: float) -> float:
         """Array-busy fraction over ``elapsed_ns`` (the Figure 10 metric)."""

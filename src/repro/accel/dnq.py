@@ -44,6 +44,10 @@ class DnnQueue(Module):
         # Lazy-switch penalty is a configuration constant; memoized so
         # the (rare) switch path and the per-entry accounting stay cheap.
         self._switch_ns = clock.cycles_to_ns(config.dnq_idle_switch_cycles)
+        # Integer tallies behind the ``reservations`` and ``entries``
+        # counters; the rare stalls and switches go to ``stats.add``.
+        self._reservations = 0
+        self._entries = 0
 
     # -- layer configuration ------------------------------------------------
 
@@ -83,7 +87,7 @@ class DnnQueue(Module):
         """
         if self._slots_in_use < self._capacity:
             self._slots_in_use += 1
-            self.stats.add("reservations")
+            self._reservations += 1
             on_grant()
         else:
             self.stats.add("reservation_stalls")
@@ -114,19 +118,27 @@ class DnnQueue(Module):
             ready = max(ready, self.dna.tracker.busy_until) + self._switch_ns
             self._active_queue = queue_id
             self.stats.add("queue_switches")
-        counters = self.stats._counters
-        counters["entries"] = counters.get("entries", 0.0) + 1.0
+        self._entries += 1
         start, finish = self.dna.execute_ns(duration_ns, macs, ready)
         # The scratchpad slot frees once the DNA consumes the entry.
-        release = start if start > self.now else self.now
+        now = self.sim._now
+        release = start if start > now else now
         self.sim.post_at(release, self._release_slot)
         on_complete(finish)
 
     def _release_slot(self) -> None:
         if self._reserve_waitlist:
             # Hand the slot straight to the oldest waiter.
-            self.stats.add("reservations")
+            self._reservations += 1
             waiter = self._reserve_waitlist.popleft()
             waiter()
         else:
             self._slots_in_use -= 1
+
+    def _derived_counts(self) -> dict[str, float]:
+        counts = {}
+        if self._reservations:
+            counts["reservations"] = float(self._reservations)
+        if self._entries:
+            counts["entries"] = float(self._entries)
+        return counts

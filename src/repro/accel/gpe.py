@@ -46,6 +46,11 @@ class GraphPE(Module):
         # Waiters take the grant time (ns) so a caller that already knows
         # the release time can thread it through without reading sim.now.
         self._thread_waitlist: deque[Callable[[float], None]] = deque()
+        # Integer tallies behind the issue and thread-pool counters.
+        self._issues = 0
+        self._instructions = 0
+        self._thread_grants = 0
+        self._thread_stalls = 0
 
     # -- issue server -----------------------------------------------------
 
@@ -75,11 +80,8 @@ class GraphPE(Module):
         Returns the finish time.
         """
         _, finish = self.core.occupy(ready_ns, duration_ns)
-        counters = self.stats._counters
-        counters["issues"] = counters.get("issues", 0.0) + 1.0
-        counters["instructions"] = (
-            counters.get("instructions", 0.0) + instructions
-        )
+        self._issues += 1
+        self._instructions += instructions
         return finish
 
     # -- software thread pool ----------------------------------------------
@@ -102,10 +104,10 @@ class GraphPE(Module):
         """
         if self._free_threads > 0:
             self._free_threads -= 1
-            self.stats.add("thread_grants")
-            on_grant(self.now)
+            self._thread_grants += 1
+            on_grant(self.sim._now)
         else:
-            self.stats.add("thread_stalls")
+            self._thread_stalls += 1
             self._thread_waitlist.append(on_grant)
 
     def release_thread(self, now: float) -> None:
@@ -115,13 +117,24 @@ class GraphPE(Module):
         receives it as its grant time.
         """
         if self._thread_waitlist:
-            self.stats.add("thread_grants")
+            self._thread_grants += 1
             waiter = self._thread_waitlist.popleft()
             waiter(now)
         else:
             self._free_threads += 1
             if self._free_threads > self.config.gpe_threads:
                 raise RuntimeError("released more threads than the pool holds")
+
+    def _derived_counts(self) -> dict[str, float]:
+        counts = {}
+        if self._issues:
+            counts["issues"] = float(self._issues)
+            counts["instructions"] = float(self._instructions)
+        if self._thread_grants:
+            counts["thread_grants"] = float(self._thread_grants)
+        if self._thread_stalls:
+            counts["thread_stalls"] = float(self._thread_stalls)
+        return counts
 
     def utilization(self, elapsed_ns: float) -> float:
         """Core-busy fraction over ``elapsed_ns``."""

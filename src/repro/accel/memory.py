@@ -34,11 +34,19 @@ class MemoryController(Module):
         super().__init__(sim, name, Clock(1.0))
         self.config = config
         self.channel = BusyTracker()
-        self._completions: deque[float] = deque()
+        # Completion times of the last ``queue_depth`` batches: the
+        # in-order queue's occupants, oldest first.
+        self._completions: deque[float] = deque(maxlen=config.queue_depth)
         # Request sizes repeat heavily (a layer issues the same feature /
         # block / burst sizes for every task), so alignment is memoized
         # per size.
         self._aligned_memo: dict[int, int] = {}
+        # Integer tallies: requests per request size, reads and writes
+        # apart, and queue stalls.  Every request and byte counter is
+        # derived from them (:meth:`_derived_counts`).
+        self._reads: dict[int, int] = {}
+        self._writes: dict[int, int] = {}
+        self._queue_stalls = 0
 
     def aligned_size(self, size_bytes: int) -> int:
         """Request size rounded up to the access granularity."""
@@ -71,41 +79,43 @@ class MemoryController(Module):
             aligned_each = self.aligned_size(size_each_bytes)
             self._aligned_memo[size_each_bytes] = aligned_each
         completions = self._completions
-        depth = self.config.queue_depth
         accept = now
-        queue_stalled = False
-        if len(completions) >= depth:
+        if len(completions) == completions.maxlen:
             # In-order queue: the oldest outstanding request must finish
             # before this one can occupy its slot.
-            oldest = completions[-depth]
+            oldest = completions[0]
             if oldest > accept:
                 accept = oldest
-                queue_stalled = True
+                self._queue_stalls += 1
         transfer_ns = count * aligned_each / self.config.bandwidth_gbps
         _, channel_done = self.channel.occupy(accept, transfer_ns)
         completion = channel_done + self.config.latency_ns
         completions.append(completion)
-        if len(completions) > depth:
-            completions.popleft()
-        counters = self.stats._counters
-        if queue_stalled:
-            counters["queue_stalls"] = counters.get("queue_stalls", 0.0) + 1.0
-        counters["requests"] = counters.get("requests", 0.0) + count
-        kind = "writes" if write else "reads"
-        counters[kind] = counters.get(kind, 0.0) + count
-        counters["bytes_requested"] = (
-            counters.get("bytes_requested", 0.0) + count * size_each_bytes
-        )
-        counters["bytes_serviced"] = (
-            counters.get("bytes_serviced", 0.0) + count * aligned_each
-        )
-        counters["bytes_wasted"] = (
-            counters.get("bytes_wasted", 0.0)
-            + count * (aligned_each - size_each_bytes)
-        )
+        sizes = self._writes if write else self._reads
+        sizes[size_each_bytes] = sizes.get(size_each_bytes, 0) + count
         return completion
 
     # -- reporting ---------------------------------------------------------
+
+    def _derived_counts(self) -> dict[str, float]:
+        counts = {}
+        if self._queue_stalls:
+            counts["queue_stalls"] = float(self._queue_stalls)
+        if self._reads:
+            counts["reads"] = float(sum(self._reads.values()))
+        if self._writes:
+            counts["writes"] = float(sum(self._writes.values()))
+        if self._reads or self._writes:
+            batches = [*self._reads.items(), *self._writes.items()]
+            requested = sum(count * size for size, count in batches)
+            serviced = sum(count * self._aligned_memo[size]
+                           for size, count in batches)
+            counts["requests"] = (counts.get("reads", 0.0)
+                                  + counts.get("writes", 0.0))
+            counts["bytes_requested"] = float(requested)
+            counts["bytes_serviced"] = float(serviced)
+            counts["bytes_wasted"] = float(serviced - requested)
+        return counts
 
     def bytes_serviced(self) -> float:
         """Total DRAM traffic including alignment waste."""

@@ -10,13 +10,14 @@ listener hook — so the backends differ only in how
 ledgers (FIFO reservations, flit simulation, or a closed form).
 
 It also owns every message's prologue (:meth:`_account`): node
-validation, flit and hop counts, the route, and the ``packets`` /
-``flits`` / ``bytes`` / ``flit_hops`` counters.  Message shapes repeat
-endlessly in a simulation — the same feature sizes over the same few
-routes — so everything derivable from ``(src, dst, size_bytes)`` is
-computed once per shape (:class:`MessageShape`) and a delivery costs one
-dict lookup plus one folded counter update before its backend spends
-time.
+validation, flit and hop counts, the route, and the message count.
+Message shapes repeat endlessly in a simulation — the same feature sizes
+over the same few routes — so everything derivable from ``(src, dst,
+size_bytes)`` is computed once per shape (:class:`MessageShape`) and a
+delivery costs one dict lookup plus one increment of the shape's
+``sent`` tally before its backend spends time.  The ``packets`` /
+``flits`` / ``bytes`` / ``flit_hops`` counters are sums of ``sent``
+times the shape's size terms, derived when :attr:`stats` is read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class MessageShape:
     """
 
     __slots__ = ("flits", "hops", "bytes", "serialization_ns",
-                 "hop_term_ns", "tail_ns", "links", "trackers")
+                 "hop_term_ns", "tail_ns", "links", "trackers", "sent")
 
     def __init__(
         self, config: NocConfig, size_bytes: int, links: tuple[Link, ...]
@@ -59,6 +60,8 @@ class MessageShape:
         #: The route's ledgers, bound on the first message that reserves
         #: them (the same objects as in ``LinkLedgerBase._links``).
         self.trackers: tuple[BusyTracker, ...] | None = None
+        #: Messages of this shape sent so far.
+        self.sent = 0
 
 
 class LinkLedgerBase:
@@ -73,7 +76,7 @@ class LinkLedgerBase:
         self.config = config
         self._links: dict[Link, BusyTracker] = {}
         self._tracker_listener: TrackerListener | None = None
-        self.stats = StatSet()
+        self.stats = StatSet(self._derived_counts)
         # (src, dst) -> the route's directed links; the mesh is static,
         # so each pair routes identically forever.
         self._routes: dict[tuple[Coord, Coord], tuple[Link, ...]] = {}
@@ -86,7 +89,7 @@ class LinkLedgerBase:
     def _account(
         self, src: Coord, dst: Coord, size_bytes: int
     ) -> MessageShape:
-        """Count one message in :attr:`stats` and return its shape."""
+        """Count one message of its shape and return the shape."""
         shape = self._shapes.get((src, dst, size_bytes))
         if shape is None:
             self.mesh.validate_node(src)
@@ -94,14 +97,22 @@ class LinkLedgerBase:
             shape = MessageShape(self.config, size_bytes,
                                  self._route(src, dst))
             self._shapes[(src, dst, size_bytes)] = shape
-        counters = self.stats._counters
-        counters["packets"] = counters.get("packets", 0.0) + 1.0
-        counters["flits"] = counters.get("flits", 0.0) + shape.flits
-        counters["bytes"] = counters.get("bytes", 0.0) + shape.bytes
-        counters["flit_hops"] = (
-            counters.get("flit_hops", 0.0) + shape.flits * shape.hops
-        )
+        shape.sent += 1
         return shape
+
+    def _derived_counts(self) -> dict[str, float]:
+        """The traffic counters, summed over the message shapes."""
+        if not self._shapes:
+            return {}
+        packets = flits = size = flit_hops = 0
+        for shape in self._shapes.values():
+            sent = shape.sent
+            packets += sent
+            flits += sent * shape.flits
+            size += sent * shape.bytes
+            flit_hops += sent * shape.flits * shape.hops
+        return {"packets": float(packets), "flits": float(flits),
+                "bytes": float(size), "flit_hops": float(flit_hops)}
 
     def _route(self, src: Coord, dst: Coord) -> tuple[Link, ...]:
         """The directed links of the ``src`` -> ``dst`` route, memoized."""

@@ -5,12 +5,16 @@ answers where the host-side event loop spends wall-clock time.  A
 :class:`KernelProfiler` handed to :meth:`repro.sim.kernel.Simulator.run`
 counts events and loop wall time exactly, and samples the running loop
 from a background thread: every :data:`SAMPLE_INTERVAL_S` it reads the
-simulating thread's stack (``sys._current_frames()``) and attributes the
-sample to the handler running below the loop frame — labelled by
+current line of the loop frame that :meth:`~repro.sim.kernel.Simulator.run`
+hands to :meth:`KernelProfiler.start`, and nothing else of the
+simulating thread's stack.  On the dispatch line ``callback(*args)`` a
+handler is running, and the sample goes to it — labelled by
 :func:`~repro.sim.kernel.describe_callback` from the loop's ``callback``
-local — or, with no handler frame below the loop, to the kernel itself
-(heap maintenance, budget checks).  Each sample also records the queue
-depth.
+local; on the lines that call the profiler's own ``start`` and ``stop``
+it is dropped; on any other line it goes to the kernel itself (heap
+maintenance, budget checks).  Each sample also records the queue depth.
+Those line numbers are read once, at import, from the loop's code
+object.
 
 The kernel calls the profiler once before its dispatch loop and once
 after it, never per event, so a profiled run executes the production
@@ -20,14 +24,13 @@ profiler cannot change a single simulated timestamp.
 
 from __future__ import annotations
 
-import sys
+import dis
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
 from types import FrameType
 from typing import Any
 
-from repro.sim import kernel
 from repro.sim.kernel import Simulator, describe_callback
 
 #: Seconds between samples.  A simulating thread that never releases the
@@ -35,9 +38,34 @@ from repro.sim.kernel import Simulator, describe_callback
 #: default), which caps the effective rate below this.
 SAMPLE_INTERVAL_S = 0.001
 
-#: A frame of the kernel's file below the loop frame is the kernel's own
-#: work (a budget trip), not a handler.
-_KERNEL_FILE = kernel.__file__
+
+def _loop_lines() -> tuple[int, frozenset[int]]:
+    """Lines of :meth:`Simulator.run` that dispatch a handler, and that
+    call the profiler's ``start`` or ``stop``."""
+    code = Simulator.run.__code__
+    starts = dict(dis.findlinestarts(code))
+    line = code.co_firstlineno
+    dispatch: set[int] = set()
+    hooks: set[int] = set()
+    for instruction in dis.get_instructions(code):
+        line = starts.get(instruction.offset) or line
+        # Newer interpreters fuse two local loads into one instruction.
+        loaded = instruction.argval
+        if not isinstance(loaded, tuple):
+            loaded = (loaded,)
+        if instruction.opname.startswith("LOAD_FAST") and "callback" in loaded:
+            dispatch.add(line)
+        elif instruction.opname.startswith("LOAD_") and (
+            "start" in loaded or "stop" in loaded
+        ):
+            hooks.add(line)
+    (dispatch_line,) = dispatch
+    return dispatch_line, frozenset(hooks)
+
+
+#: The loop's ``callback(*args)`` line, and its ``profiler.start(...)``
+#: and ``profiler.stop()`` lines.
+_DISPATCH_LINE, _HOOK_LINES = _loop_lines()
 
 
 @dataclass(frozen=True)
@@ -134,7 +162,6 @@ class KernelProfiler:
         # The run being sampled (set between start and stop).
         self._sim: Simulator | None = None
         self._loop: FrameType | None = None
-        self._thread_id = 0
         self._events_before = 0
         self._wall_start = 0.0
         self._stopped = threading.Event()
@@ -146,7 +173,6 @@ class KernelProfiler:
         """Start sampling ``loop``, the frame running ``sim``'s loop."""
         self._sim = sim
         self._loop = loop
-        self._thread_id = threading.get_ident()
         self._events_before = sim.events_fired
         self._stopped.clear()
         self._sampler = threading.Thread(
@@ -169,20 +195,13 @@ class KernelProfiler:
             self._sample()
 
     def _sample(self) -> None:
-        frame = sys._current_frames().get(self._thread_id)
-        below = None
-        while frame is not None and frame is not self._loop:
-            below = frame
-            frame = frame.f_back
-        if frame is None:
-            return  # the simulating thread is not inside the loop
-        where = None if below is None else below.f_code.co_filename
-        if where == __file__:
+        loop = self._loop
+        line = loop.f_lineno
+        if line in _HOOK_LINES:
             return  # inside start() or stop(), not the loop's work
         callback = None
-        if where is not None and where != _KERNEL_FILE:
-            # Unbound before the first dispatch, e.g. under a Python tracer.
-            callback = frame.f_locals.get("callback")
+        if line == _DISPATCH_LINE:
+            callback = loop.f_locals.get("callback")
         if callback is None:
             self._kernel_samples += 1
         else:

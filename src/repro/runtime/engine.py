@@ -212,10 +212,13 @@ class RuntimeEngine:
         The layer starts with one event, :meth:`_offer_tasks`, and ends
         when the queue drains.  A layer that drains with tasks unfinished
         is a :class:`DeadlockError`; one that finishes them but leaves a
-        thread, DNQ slot or AGG entry held fails :meth:`_check_drained`.
+        thread, DNQ slot or AGG entry held fails :meth:`_check_drained`,
+        and one whose memory controllers saw other DRAM bytes than its
+        tasks request fails :meth:`_check_dram_bytes`.
         """
         for tile in self.accel.tiles:
             tile.configure_layer(layer.dnq_entry_bytes, layer.agg_width_values)
+        requested_before = self._dram_bytes_requested()
         self._layer_end = start_ns
         self._tasks_remaining = len(layer.tasks)
         self._plan = _LayerPlan(self, layer)
@@ -240,6 +243,7 @@ class RuntimeEngine:
                 kind=DeadlockError,
             )
         self._check_drained(layer)
+        self._check_dram_bytes(layer, requested_before)
         return self._layer_end
 
     def _offer_tasks(self, layer: LayerProgram) -> None:
@@ -309,6 +313,25 @@ class RuntimeEngine:
                 f"layer {layer.name!r} finished with units still held",
                 layer,
                 suspects=leaks,
+            )
+
+    def _dram_bytes_requested(self) -> float:
+        """Bytes requested from every memory controller so far."""
+        return sum(m.stats.get("bytes_requested") for m in self.accel.memories)
+
+    def _check_dram_bytes(
+        self, layer: LayerProgram, requested_before: float
+    ) -> None:
+        """End-of-layer conservation: the memory controllers saw exactly
+        the DRAM bytes the layer's tasks request."""
+        expected = layer.dram_bytes_requested
+        seen = self._dram_bytes_requested() - requested_before
+        if seen != expected:
+            raise self._failure(
+                f"layer {layer.name!r} requested {expected} DRAM bytes but "
+                f"the memory controllers saw {seen:.0f}",
+                layer,
+                suspects=[],
             )
 
     # -- failure diagnosis ------------------------------------------------------
@@ -398,7 +421,7 @@ class RuntimeEngine:
         a far-future timestamp would falsely head-of-line block requests
         issued (in real time) before it.
         """
-        now = self.sim.now
+        now = self.sim._now  # the clock itself: ~1M calls per paper pass
         self.sim.post_at(t if t > now else now, callback, *args)
 
     def _start_task(

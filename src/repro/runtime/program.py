@@ -122,6 +122,26 @@ class LayerProgram:
     def total_visits(self) -> int:
         return sum(t.traversal_visits for t in self.tasks)
 
+    @property
+    def dram_bytes_requested(self) -> int:
+        """DRAM bytes the layer's tasks request from the memory nodes.
+
+        Per task: the block load, every traversal round, the gather
+        reads, the feature fetch of a DNA job, and the writeback.  The
+        engine checks it against the controllers' ``bytes_requested``
+        after every layer.
+        """
+        total = 0
+        for t in self.tasks:
+            total += (t.block_load_bytes + t.gather_count * t.gather_bytes_each
+                      + t.output_bytes)
+            if t.traversal:
+                for r in t.traversal:
+                    total += r.count * r.bytes_each
+            if t.dna_macs > 0:
+                total += t.feature_bytes
+        return total
+
 
 @dataclass
 class AcceleratorProgram:

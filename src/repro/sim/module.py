@@ -12,18 +12,29 @@ class Module:
 
     Subclasses model hardware blocks (routers, the GPE, the aggregator...).
     Each module has its own clock domain and statistics set, and schedules
-    any continuation of its own through ``sim.post_at``.
+    any continuation of its own through ``sim.post_at``.  A module's hot
+    paths bump integer tallies and never write a counter; the counters
+    they stand for come from :meth:`_derived_counts` whenever
+    :attr:`stats` is read.
     """
 
     def __init__(self, sim: Simulator, name: str, clock: Clock) -> None:
         self.sim = sim
         self.name = name
         self.clock = clock
-        self.stats = StatSet()
+        self.stats = StatSet(self._derived_counts)
+
+    def _derived_counts(self) -> dict[str, float]:
+        """Counters derived from this module's tallies (none by default)."""
+        return {}
 
     @property
     def now(self) -> float:
-        """Current simulated time in nanoseconds."""
+        """Current simulated time in nanoseconds.
+
+        The hottest paths (a call per event or per thread grant) read
+        ``sim._now`` directly and skip both property calls.
+        """
         return self.sim.now
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -2,28 +2,36 @@
 
 Two pieces:
 
-* :class:`StatSet` — a named bag of additive counters.
+* :class:`StatSet` — a named bag of counters, accumulated or derived
+  from a unit's integer tallies when read.
 * :class:`BusyTracker` — accumulates busy time so modules can report
   utilization (e.g. the DNA utilization plotted in the paper's Figure 10).
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 
 class StatSet:
-    """A named collection of additive counters.
+    """A named collection of counters.
 
-    Slotted, plain-dict storage: ``add`` is called millions of times per
-    simulation (every issue/request/contribution accounts through one),
-    so it avoids ``defaultdict.__missing__`` dispatch and keeps the
-    counter dict reachable for hot callers that fold several increments
-    into one dict transaction.
+    Two sources feed it.  :meth:`add` accumulates the rare counters
+    (stalls, queue switches, injected faults) as they happen.  Hot-path
+    activity is never counted here: a unit keeps plain integer tallies
+    and hands ``derived``, a function returning the counters it derives
+    from them, which every read (:meth:`get`, :meth:`as_dict`, ``in``)
+    evaluates afresh.  A read mutates nothing, so a snapshot taken
+    mid-run stays exact as the run goes on.
     """
 
-    __slots__ = ("_counters",)
+    __slots__ = ("_counters", "_derived")
 
-    def __init__(self) -> None:
+    def __init__(
+        self, derived: Callable[[], dict[str, float]] | None = None
+    ) -> None:
         self._counters: dict[str, float] = {}
+        self._derived = derived
 
     def add(self, name: str, amount: float = 1.0) -> None:
         """Increment counter ``name`` by ``amount``."""
@@ -32,17 +40,19 @@ class StatSet:
 
     def get(self, name: str) -> float:
         """Current value of counter ``name`` (0.0 if never incremented)."""
-        return self._counters.get(name, 0.0)
+        return self.as_dict().get(name, 0.0)
 
     def as_dict(self) -> dict[str, float]:
         """Snapshot of all counters."""
-        return dict(self._counters)
+        if self._derived is None:
+            return dict(self._counters)
+        return {**self._counters, **self._derived()}
 
     def __contains__(self, name: str) -> bool:
-        return name in self._counters
+        return name in self.as_dict()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
+        body = ", ".join(f"{k}={v:g}" for k, v in sorted(self.as_dict().items()))
         return f"StatSet({body})"
 
 
@@ -60,14 +70,11 @@ class BusyTracker:
     does no extra work beyond one ``is not None`` check per grant.
     """
 
-    __slots__ = ("_busy_until", "_busy_time", "_first_use", "_last_use",
-                 "_span_sink")
+    __slots__ = ("_busy_until", "_busy_time", "_span_sink")
 
     def __init__(self) -> None:
         self._busy_until = 0.0
         self._busy_time = 0.0
-        self._first_use: float | None = None
-        self._last_use = 0.0
         self._span_sink: list[tuple[float, float, float]] | None = None
 
     def attach_span_sink(
@@ -96,13 +103,11 @@ class BusyTracker:
         """
         if duration < 0:
             raise ValueError(f"duration must be non-negative, got {duration}")
-        start = max(now, self._busy_until)
+        busy_until = self._busy_until
+        start = busy_until if busy_until > now else now
         finish = start + duration
         self._busy_until = finish
         self._busy_time += duration
-        if self._first_use is None:
-            self._first_use = start
-        self._last_use = finish
         if self._span_sink is not None:
             self._span_sink.append((now, start, finish))
         return start, finish
@@ -121,9 +126,6 @@ class BusyTracker:
         if finish < start:
             raise ValueError("span cannot end before it starts")
         self._busy_time += finish - start
-        if self._first_use is None:
-            self._first_use = start
-        self._last_use = max(self._last_use, finish)
         if self._span_sink is not None:
             self._span_sink.append((now, start, finish))
 

@@ -16,10 +16,16 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.accel.agg import Aggregator
-from repro.accel.config import CPU_ISO_BW, GpeCostModel, TileConfig
+from repro.accel.config import (
+    CPU_ISO_BW,
+    GpeCostModel,
+    MemoryConfig,
+    TileConfig,
+)
 from repro.accel.dna import DnaUnit
 from repro.accel.dnq import DnnQueue
 from repro.accel.gpe import GraphPE
+from repro.accel.memory import MemoryController
 from repro.accel.system import Accelerator
 from repro.sim import Clock, Simulator
 
@@ -165,3 +171,219 @@ def test_layer_plan_tables_are_the_unit_costs():
             dna.service_ns(t.dna_macs, layer.dna_efficiency)
             for t in layer.tasks
         ]
+
+
+# -- derived counters equal per-call accumulation ----------------------------
+#
+# The units count hot-path activity in integer tallies and derive their
+# counters when read.  Each property drives random call sequences into a
+# unit and keeps a reference dict that accumulates ``counters.get(name,
+# 0.0) + amount`` per call; after every step the unit's counters equal
+# it, key set and float type included, and reads in between (``get``,
+# ``as_dict``, ``in``) and ``add("injected_faults")`` change nothing.
+
+
+def _account(reference: dict, name: str, amount: float = 1.0) -> None:
+    reference[name] = reference.get(name, 0.0) + amount
+
+
+def _check(stats, reference: dict, snapshots: list, probe: str) -> None:
+    counters = stats.as_dict()
+    assert counters == reference
+    assert all(type(value) is float for value in counters.values())
+    assert stats.get(probe) == reference.get(probe, 0.0)
+    assert (probe in stats) == (probe in reference)
+    # A read mutates nothing: every earlier snapshot is still what the
+    # reference was when it was taken.
+    snapshots.append((counters, dict(reference)))
+    for taken, expected in snapshots:
+        assert taken == expected
+
+
+def _fault(stats, reference: dict) -> None:
+    stats.add("injected_faults")
+    _account(reference, "injected_faults")
+
+
+counter_names = st.sampled_from([
+    "issues", "instructions", "thread_grants", "thread_stalls", "jobs",
+    "macs", "reservations", "reservation_stalls", "entries",
+    "queue_switches", "allocations", "alloc_stalls", "contributions",
+    "values", "requests", "reads", "writes", "bytes_requested",
+    "bytes_serviced", "bytes_wasted", "queue_stalls", "injected_faults",
+])
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(["issue", "acquire", "release", "fault"]),
+    st.integers(0, 10**6), counter_names,
+), max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_gpe_counters_equal_per_call_accumulation(ops):
+    gpe = GraphPE(Simulator(), "gpe", TileConfig(gpe_threads=POOL),
+                  Clock(1.0))
+    reference: dict[str, float] = {}
+    snapshots: list = []
+    held = 0
+    for op, amount, probe in ops:
+        if op == "issue":
+            gpe.issue_ns(gpe.service_ns(amount), amount, 0.0)
+            _account(reference, "issues")
+            _account(reference, "instructions", amount)
+        elif op == "acquire":
+            _account(reference, "thread_grants" if gpe.free_threads
+                     else "thread_stalls")
+            gpe.acquire_thread_at(lambda grant_ns: None)
+            held += 1
+        elif op == "release" and held > gpe.waiting_threads:
+            if gpe.waiting_threads:
+                _account(reference, "thread_grants")
+            gpe.release_thread(now=0.0)
+            held -= 1
+        elif op == "fault":
+            _fault(gpe.stats, reference)
+        _check(gpe.stats, reference, snapshots, probe)
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(["execute", "reserve", "fill", "fault"]),
+    st.integers(0, 10**6), st.integers(0, 1), counter_names,
+), max_size=60), st.sampled_from([256, 31 * 1024, 62 * 1024]))
+@settings(max_examples=60, deadline=None)
+def test_dna_and_dnq_counters_equal_per_call_accumulation(ops, entry_bytes):
+    sim = Simulator()
+    config = TileConfig()
+    dna = DnaUnit(sim, "dna", config.dna, Clock(1.0))
+    dnq = DnnQueue(sim, "dnq", config, dna, Clock(1.0))
+    dnq.configure(entry_bytes)
+    dna_reference: dict[str, float] = {}
+    dnq_reference: dict[str, float] = {}
+    snapshots: list = []
+    granted = [0]
+    filled = [0]
+    active = [0]
+
+    def fill(macs, queue_id):
+        if queue_id != active[0]:
+            _account(dnq_reference, "queue_switches")
+            active[0] = queue_id
+        _account(dnq_reference, "entries")
+        _account(dna_reference, "jobs")
+        _account(dna_reference, "macs", macs)
+        waiting = dnq.waiting_reservations
+        dnq.fill(sim.now, dna.service_ns(macs, 1.0), macs,
+                 on_complete=lambda finish: None, queue_id=queue_id)
+        filled[0] += 1
+        sim.run()  # the slot release hands over to the oldest waiter
+        if waiting:
+            _account(dnq_reference, "reservations")
+
+    for op, macs, queue_id, probe in ops:
+        if op == "execute":
+            dna.execute_ns(dna.service_ns(macs, 1.0), macs, sim.now)
+            _account(dna_reference, "jobs")
+            _account(dna_reference, "macs", macs)
+        elif op == "reserve":
+            _account(dnq_reference, "reservations"
+                     if dnq.slots_in_use < dnq.capacity
+                     else "reservation_stalls")
+            dnq.reserve(lambda: granted.__setitem__(0, granted[0] + 1))
+        elif op == "fill" and granted[0] > filled[0]:
+            fill(macs, queue_id)
+        elif op == "fault":
+            _fault(dnq.stats, dnq_reference)
+        _check(dna.stats, dna_reference, snapshots, probe)
+        _check(dnq.stats, dnq_reference, snapshots, probe)
+    # Filling every granted entry serves every waiting reservation.
+    while granted[0] > filled[0]:
+        fill(1, 0)
+        _check(dna.stats, dna_reference, snapshots, "reservations")
+        _check(dnq.stats, dnq_reference, snapshots, "reservations")
+
+
+widths = st.sampled_from([16, 4096, 15872])  # 128, 3 and 1 entries
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from(["alloc", "alloc", "contribute", "configure", "fault"]),
+    st.integers(1, 6), widths, counter_names,
+), max_size=60), widths)
+@settings(max_examples=60, deadline=None)
+def test_agg_counters_equal_per_call_accumulation(ops, width):
+    agg = Aggregator(Simulator(), "agg", TileConfig(), Clock(1.0))
+    agg.configure(width)
+    reference: dict[str, float] = {}
+    snapshots: list = []
+    width = [width]
+    granted: dict[int, int] = {}  # agg id -> inputs still expected
+
+    def on_grant(expected):
+        return lambda grant_ns, agg_id: granted.__setitem__(agg_id, expected)
+
+    def contribute(amount):
+        agg_id, remaining = next(iter(granted.items()))
+        count = min(amount, remaining)
+        waiting = agg.waiting_allocs
+        agg.contribute_batch(agg_id, 0.0, count)
+        _account(reference, "contributions", count)
+        _account(reference, "values", count * width[0])
+        if count == remaining:
+            del granted[agg_id]
+            # The freed entry goes to waiting allocations, FIFO.
+            for _ in range(waiting - agg.waiting_allocs):
+                _account(reference, "allocations")
+        else:
+            granted[agg_id] = remaining - count
+
+    for op, amount, new_width, probe in ops:
+        if op == "alloc":
+            if agg.in_flight + agg.waiting_allocs < agg.capacity:
+                _account(reference, "allocations")
+            else:
+                _account(reference, "alloc_stalls")
+            agg.alloc(amount, on_grant(amount))
+        elif op == "contribute" and granted:
+            contribute(amount)
+        elif op == "configure" and not agg.in_flight:
+            agg.configure(new_width)
+            width[0] = new_width
+        elif op == "fault":
+            _fault(agg.stats, reference)
+        _check(agg.stats, reference, snapshots, probe)
+    # Completing every aggregation grants every waiting allocation.
+    while granted:
+        contribute(6)
+        _check(agg.stats, reference, snapshots, "allocations")
+    assert agg.in_flight == agg.waiting_allocs == 0
+
+
+@given(st.lists(st.tuples(
+    st.integers(0, 40), st.sampled_from([0, 1, 4, 63, 64, 100, 256, 1000]),
+    st.floats(0, 500), st.booleans(), st.booleans(), counter_names,
+), max_size=60), st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_memory_counters_equal_per_call_accumulation(ops, depth):
+    mem = MemoryController(Simulator(), "mem",
+                           MemoryConfig(queue_depth=depth))
+    reference: dict[str, float] = {}
+    snapshots: list = []
+    completions: list[float] = []
+    now = 0.0
+    for count, size, step, write, fault, probe in ops:
+        if fault:
+            _fault(mem.stats, reference)
+        now += step
+        completion = mem.request_scatter(count, size, now, write=write)
+        if count:
+            # The parent's per-call accounting, with its own view of the
+            # in-order queue: a batch stalls behind the depth-th newest.
+            if len(completions) >= depth and completions[-depth] > now:
+                _account(reference, "queue_stalls")
+            completions.append(completion)
+            aligned = mem.aligned_size(size)
+            _account(reference, "requests", count)
+            _account(reference, "writes" if write else "reads", count)
+            _account(reference, "bytes_requested", count * size)
+            _account(reference, "bytes_serviced", count * aligned)
+            _account(reference, "bytes_wasted", count * (aligned - size))
+        _check(mem.stats, reference, snapshots, probe)

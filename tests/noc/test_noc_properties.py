@@ -10,6 +10,7 @@ from repro.noc import (
     PacketNetwork,
     Torus,
 )
+from repro.noc.backends import backend_names, create_backend
 from repro.sim.stats import BusyTracker, StatSet
 
 coords = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -155,3 +156,57 @@ def test_memoized_packet_model_matches_the_per_hop_reference(case, elapsed):
         link: tracker.utilization(elapsed)
         for link, tracker in reference.links.items()
     }
+
+
+@given(
+    st.sampled_from(backend_names()),
+    st.sampled_from([Mesh(4, 4), Torus(4, 4)]),
+    st.lists(st.tuples(
+        st.sampled_from(["send", "send", "send", "fault"]),
+        st.tuples(st.integers(0, 4), st.integers(0, 3)), coords,
+        st.sampled_from([0, 1, 64, 200, 512]), st.floats(0, 50),
+        st.sampled_from(["packets", "flits", "bytes", "flit_hops",
+                         "injected_faults"]),
+    ), max_size=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_derived_counters_equal_per_call_accumulation(name, mesh, ops):
+    """Every backend's traffic counters, derived from per-shape message
+    tallies, equal the per-message accumulation, key set included; reads
+    and ``add("injected_faults")`` in between change nothing, and a call
+    rejected for an out-of-mesh node counts nothing."""
+    net = create_backend(name, mesh, NOC_CONFIG)
+    reference: dict[str, float] = {}
+
+    def account(counter, amount=1.0):
+        reference[counter] = reference.get(counter, 0.0) + amount
+
+    snapshots = []
+    start = 0.0
+    for op, src, dst, size, step, probe in ops:
+        if op == "fault":
+            net.stats.add("injected_faults")
+            account("injected_faults")
+        elif mesh.contains(src):
+            start += step
+            net.delivery_time(src, dst, size, start)
+            flits = NOC_CONFIG.flits_for(size)
+            account("packets")
+            account("flits", flits)
+            account("bytes", size)
+            account("flit_hops", flits * len(mesh.route_links(src, dst)))
+        else:
+            try:
+                net.delivery_time(src, dst, size, start)
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"{src} is not a node of {mesh}")
+        counters = net.stats.as_dict()
+        assert counters == reference
+        assert all(type(value) is float for value in counters.values())
+        assert net.stats.get(probe) == reference.get(probe, 0.0)
+        assert (probe in net.stats) == (probe in reference)
+        snapshots.append((counters, dict(reference)))
+    for taken, expected in snapshots:
+        assert taken == expected

@@ -281,3 +281,26 @@ class TestLayerConservation:
         with pytest.raises(SimulationFailure,
                            match=r"tile\(0, 0\)\.agg: 1 aggregation"):
             simulate(gcn_program(300, 700, seed=2), tiny_config())
+
+    def test_writeback_that_skips_the_controller_fails_the_layer(
+        self, monkeypatch
+    ):
+        # Writebacks cross the NoC but never reach a memory controller,
+        # so the controllers see fewer DRAM bytes than the tasks request.
+        def memory_write(self, vertex, size_bytes, start_ns, src):
+            _, mem_coord = self.memory_of(vertex)
+            return self.noc.delivery_time(src, mem_coord, size_bytes,
+                                          start_ns)
+
+        program = gcn_program(300, 700, seed=2)
+        layer = program.layers[0]
+        written = sum(task.output_bytes for task in layer.tasks)
+        assert written
+        monkeypatch.setattr(Accelerator, "memory_write", memory_write)
+        with pytest.raises(SimulationFailure) as exc:
+            simulate(program, tiny_config())
+        assert exc.value.layer == layer.name
+        assert exc.value.status == "diverged"
+        expected = layer.dram_bytes_requested
+        assert (f"requested {expected} DRAM bytes but the memory "
+                f"controllers saw {expected - written}") in str(exc.value)

@@ -157,3 +157,18 @@ def test_profiler_samples_stay_consistent_under_rapid_switching():
     assert set(profile.owner_samples) <= {describe_callback(spin)}
     assert (profile.kernel_samples + sum(profile.owner_samples.values())
             == profile.samples == sum(profile.queue_depth_hist.values()))
+
+
+def test_profiler_knows_the_dispatch_and_hook_lines_of_the_loop():
+    """The sampler reads only the loop frame's line, so the lines it
+    looks up in the loop's bytecode must be the loop's own source lines."""
+    import inspect
+
+    from repro.obs import profiler
+
+    source, first = inspect.getsourcelines(Simulator.run)
+    text = {first + i: line.strip() for i, line in enumerate(source)}
+    assert text[profiler._DISPATCH_LINE] == "callback(*args)"
+    assert sorted(text[line] for line in profiler._HOOK_LINES) == [
+        "profiler.start(self, sys._getframe())", "profiler.stop()",
+    ]
