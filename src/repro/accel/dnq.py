@@ -98,16 +98,14 @@ class DnnQueue(Module):
         ready_ns: float,
         duration_ns: float,
         macs: int,
-        on_complete: Callable[[float], None],
         queue_id: int = 0,
-    ) -> None:
+    ) -> float:
         """Mark a reserved entry ready and dispatch it to the DNA.
 
         ``ready_ns`` is when the last word's ready bit was set (the memory
         response finished arriving over the NoC).  ``duration_ns`` is the
         job's ``dna.service_ns(macs, efficiency)`` (the engine's
-        per-layer table).  The completion callback receives the DNA
-        finish time.
+        per-layer table).  Returns the DNA finish time.
         """
         if not 0 <= queue_id < self.num_queues:
             raise ValueError(f"queue_id must be 0..{self.num_queues - 1}")
@@ -124,7 +122,7 @@ class DnnQueue(Module):
         now = self.sim._now
         release = start if start > now else now
         self.sim.post_at(release, self._release_slot)
-        on_complete(finish)
+        return finish
 
     def _release_slot(self) -> None:
         if self._reserve_waitlist:

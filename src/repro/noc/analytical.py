@@ -5,8 +5,12 @@ Delivery time is the wormhole zero-load latency — ``hops * hop_cycles +
 all, so a sweep-scale run spends O(1) per message instead of one FIFO
 reservation per hop.  It is the right fidelity when the question being
 swept (clock scaling, bandwidth scaling, tile counts) is not about NoC
-contention; differential tests pin it to the packet model exactly at
-zero load (``tests/noc/test_backends.py``).
+contention.  At zero load it equals the packet model bit for bit when
+messages start at whole nanoseconds (``tests/noc/test_backends.py``); at
+fractional start times the two round their hop sums differently (a
+product here, one addition per hop there) and may differ by an ulp.
+Per message, on one injection sequence, it is never later than the
+packet model beyond that rounding (``tests/noc/test_noc_properties.py``).
 
 Why it is fast: the hot path never touches a per-link ledger.  Each
 message adds its serialization time to a per-*route* accumulator (one
@@ -68,7 +72,8 @@ class AnalyticalNetwork(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Zero-load tail-arrival time, delayed only by fault blackouts."""
-        shape = self._account(src, dst, size_bytes)
+        shape = self._shapes[src, dst, size_bytes]
+        shape.sent += 1
         if src == dst:
             # Local delivery through the tile crossbar: one routing pass.
             return start_ns + self._local_ns

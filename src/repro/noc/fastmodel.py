@@ -51,7 +51,8 @@ class PacketNetwork(LinkLedgerBase):
         Reserves serialization time on every XY-route link, so later
         packets crossing the same links queue behind this one.
         """
-        shape = self._account(src, dst, size_bytes)
+        shape = self._shapes[src, dst, size_bytes]
+        shape.sent += 1
         if src == dst:
             # Local delivery through the tile crossbar: one routing pass.
             return start_ns + self._local_ns

@@ -82,7 +82,8 @@ class FlitNetworkAdapter(LinkLedgerBase):
         start_ns: float,
     ) -> float:
         """Tail-arrival time from a batch replay of overlapping traffic."""
-        shape = self._account(src, dst, size_bytes)
+        shape = self._shapes[src, dst, size_bytes]
+        shape.sent += 1
         if src == dst:
             # Local delivery through the tile crossbar: one routing pass.
             return start_ns + self._local_ns

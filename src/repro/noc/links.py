@@ -9,15 +9,16 @@ listener hook — so the backends differ only in how
 :meth:`~repro.noc.model.NocModel.delivery_time` spends time on those
 ledgers (FIFO reservations, flit simulation, or a closed form).
 
-It also owns every message's prologue (:meth:`_account`): node
-validation, flit and hop counts, the route, and the message count.
-Message shapes repeat endlessly in a simulation — the same feature sizes
-over the same few routes — so everything derivable from ``(src, dst,
-size_bytes)`` is computed once per shape (:class:`MessageShape`) and a
-delivery costs one dict lookup plus one increment of the shape's
-``sent`` tally before its backend spends time.  The ``packets`` /
-``flits`` / ``bytes`` / ``flit_hops`` counters are sums of ``sent``
-times the shape's size terms, derived when :attr:`stats` is read.
+It also owns every message's prologue, the shape table
+(:class:`ShapeTable`): node validation, flit and hop counts, the route,
+and the message count.  Message shapes repeat endlessly in a simulation
+— the same feature sizes over the same few routes — so everything
+derivable from ``(src, dst, size_bytes)`` is computed once per shape
+(:class:`MessageShape`), and a backend's ``delivery_time`` opens with
+one subscript of the table plus one increment of the shape's ``sent``
+tally before it spends time.  The ``packets`` / ``flits`` / ``bytes`` /
+``flit_hops`` counters are sums of ``sent`` times the shape's size
+terms, derived when :attr:`stats` is read.
 """
 
 from __future__ import annotations
@@ -64,6 +65,30 @@ class MessageShape:
         self.sent = 0
 
 
+class ShapeTable(dict):
+    """``(src, dst, size_bytes)`` -> :class:`MessageShape` of one ledger.
+
+    A hit is a plain dict subscript.  A miss validates both nodes and
+    builds the shape, so only validated nodes ever get an entry and a bad
+    node raises on every call.
+    """
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: "LinkLedgerBase") -> None:
+        super().__init__()
+        self._ledger = ledger
+
+    def __missing__(self, key: tuple[Coord, Coord, int]) -> MessageShape:
+        src, dst, size_bytes = key
+        ledger = self._ledger
+        ledger.mesh.validate_node(src)
+        ledger.mesh.validate_node(dst)
+        shape = self[key] = MessageShape(ledger.config, size_bytes,
+                                         ledger._route(src, dst))
+        return shape
+
+
 class LinkLedgerBase:
     """Directed-link tracker map plus the bookkeeping protocol members.
 
@@ -80,25 +105,11 @@ class LinkLedgerBase:
         # (src, dst) -> the route's directed links; the mesh is static,
         # so each pair routes identically forever.
         self._routes: dict[tuple[Coord, Coord], tuple[Link, ...]] = {}
-        # (src, dst, size_bytes) -> MessageShape.  Only validated nodes
-        # ever get an entry, so a bad node raises on every call.
-        self._shapes: dict[tuple[Coord, Coord, int], MessageShape] = {}
+        # A backend's delivery_time opens with
+        # ``shape = self._shapes[src, dst, size_bytes]; shape.sent += 1``.
+        self._shapes = ShapeTable(self)
         self._hop_ns = config.hop_cycles * config.cycle_ns
         self._local_ns = config.routing_delay_cycles * config.cycle_ns
-
-    def _account(
-        self, src: Coord, dst: Coord, size_bytes: int
-    ) -> MessageShape:
-        """Count one message of its shape and return the shape."""
-        shape = self._shapes.get((src, dst, size_bytes))
-        if shape is None:
-            self.mesh.validate_node(src)
-            self.mesh.validate_node(dst)
-            shape = MessageShape(self.config, size_bytes,
-                                 self._route(src, dst))
-            self._shapes[(src, dst, size_bytes)] = shape
-        shape.sent += 1
-        return shape
 
     def _derived_counts(self) -> dict[str, float]:
         """The traffic counters, summed over the message shapes."""

@@ -15,11 +15,15 @@ Executes an :class:`~repro.runtime.program.AcceleratorProgram` on an
 The engine is transaction-level: unit reservations compute timestamps
 analytically (``BusyTracker``), and discrete events are scheduled only
 where ordering decisions depend on resource grants (thread grants, AGG
-allocation, DNQ slots, data arrivals).
+allocation, DNQ slots, data arrivals).  A vertex program continues
+through the engine's own methods: a wait is one ``Simulator.post_at`` of
+a bound method, and a grant handed to a unit is a ``functools.partial``
+of one, so no function is built per task.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -144,6 +148,10 @@ class RuntimeEngine:
     ) -> None:
         self.accel = accel
         self.sim = accel.sim
+        # Every continuation is one post: each time comes back from a
+        # unit call whose ready time was at least the current time, and
+        # post_at rejects anything earlier (or NaN).
+        self._post_at = accel.sim.post_at
         self.observer = observer
         self._profiler = None
         if observer is not None:
@@ -411,18 +419,12 @@ class RuntimeEngine:
         return suspects
 
     # -- one vertex program ------------------------------------------------------
-
-    def _at(self, t: float, callback, *args) -> None:
-        """Continue at simulated time ``t`` (never earlier than now).
-
-        Every phase that waits on a memory, NoC, DNA, or AGG completion
-        re-enters through an event so that subsequent hardware-unit
-        reservations happen at their true issue time; reserving a unit at
-        a far-future timestamp would falsely head-of-line block requests
-        issued (in real time) before it.
-        """
-        now = self.sim._now  # the clock itself: ~1M calls per paper pass
-        self.sim.post_at(t if t > now else now, callback, *args)
+    #
+    # Every phase that waits on a memory, NoC, DNA or AGG completion
+    # re-enters through an event at that completion, so the next unit
+    # reservation happens at its true issue time; reserving a unit at a
+    # far-future timestamp would falsely head-of-line block requests issued
+    # (in real time) before it.
 
     def _start_task(
         self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
@@ -440,8 +442,8 @@ class RuntimeEngine:
             arrival = self.accel.memory_read(
                 task.vertex, task.block_load_bytes, t, tile.coord
             )
-            self._at(arrival, self._traversal_phase, tile, task, layer, i,
-                     0, arrival)
+            self._post_at(arrival, self._traversal_phase, tile, task, layer,
+                          i, 0, arrival)
         else:
             self._traversal_phase(tile, task, layer, i, 0, t)
 
@@ -465,16 +467,14 @@ class RuntimeEngine:
     ) -> None:
         """Phase 3: one dependent traversal round per entry.
 
-        ``t`` is the ready time carried from the previous phase (at most a
-        GPE-queue lookahead past the current event time).
+        ``t`` is the ready time carried from the previous phase: never
+        before the current event time, and at most a GPE-queue lookahead
+        past it.
         """
         traversal = task.traversal
         rounds = len(traversal)
         while index < rounds and traversal[index].count == 0:
             index += 1
-        now = self.sim.now
-        if t < now:
-            t = now
         if index < rounds:
             tround = traversal[index]
             count = tround.count
@@ -484,8 +484,8 @@ class RuntimeEngine:
             arrival = self.accel.gather_read(
                 count, tround.bytes_each, issue_done, tile.coord
             )
-            self._at(arrival, self._traversal_phase, tile, task, layer, i,
-                     index + 1, arrival)
+            self._post_at(arrival, self._traversal_phase, tile, task, layer,
+                          i, index + 1, arrival)
             return
         if task.has_aggregation:
             self._aggregate_phase(tile, task, layer, i, t)
@@ -500,7 +500,8 @@ class RuntimeEngine:
 
         Contributions come from two sources: values already fetched by the
         traversal phase (``local_contributions``, folded as soon as the
-        entry exists) and the indirect gather reads issued here.
+        entry exists) and the indirect gather reads issued on the grant
+        (:meth:`_on_agg_grant`).
         """
         self._trace(layer, task, "aggregate", tile, t)
         issue_done = tile.gpe.issue_ns(
@@ -508,33 +509,40 @@ class RuntimeEngine:
             task.gather_count * self._ipl + self._ipa,
             t,
         )
-
-        def on_grant(grant_ns: float, agg_id: int) -> None:
-            start = max(issue_done, grant_ns)
-            local_done = start
-            if task.local_contributions:
-                local_done = tile.agg.contribute_batch(
-                    agg_id, start, task.local_contributions
-                )
-            if task.gather_count:
-                arrival = self.accel.gather_read(
-                    task.gather_count, task.gather_bytes_each, start,
-                    tile.coord,
-                )
-                self._at(arrival, reduce_batch, arrival, agg_id)
-            else:
-                # Traversal-only aggregation: already complete.
-                self._dna_phase(tile, task, layer, i, local_done)
-
-        def reduce_batch(at: float, agg_id: int) -> None:
-            finish = tile.agg.contribute_batch(
-                agg_id, at, task.gather_count
-            )
-            self._dna_phase(tile, task, layer, i, finish)
-
         # The allocation-bus request goes out at the current event time
         # (the issue above is queued work, not a dependency).
-        tile.agg.alloc(task.expected_inputs, on_grant)
+        tile.agg.alloc(task.expected_inputs, partial(
+            self._on_agg_grant, tile, task, layer, i, issue_done
+        ))
+
+    def _on_agg_grant(
+        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
+        issue_done: float, grant_ns: float, agg_id: int,
+    ) -> None:
+        """AGG entry granted: fold the local values, gather the rest."""
+        start = grant_ns if grant_ns > issue_done else issue_done
+        local_done = start
+        if task.local_contributions:
+            local_done = tile.agg.contribute_batch(
+                agg_id, start, task.local_contributions
+            )
+        if task.gather_count:
+            arrival = self.accel.gather_read(
+                task.gather_count, task.gather_bytes_each, start, tile.coord,
+            )
+            self._post_at(arrival, self._reduce_batch, tile, task, layer, i,
+                          agg_id, arrival)
+        else:
+            # Traversal-only aggregation: already complete.
+            self._dna_phase(tile, task, layer, i, local_done)
+
+    def _reduce_batch(
+        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
+        agg_id: int, at: float,
+    ) -> None:
+        """The gathered values arrived: fold them into the entry."""
+        finish = tile.agg.contribute_batch(agg_id, at, task.gather_count)
+        self._dna_phase(tile, task, layer, i, finish)
 
     def _dna_phase(
         self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
@@ -542,55 +550,50 @@ class RuntimeEngine:
     ) -> None:
         """Phase 5: stage the vertex's dense job through DNQ to the DNA."""
         if not task.has_dna_job:
-            self._finish_task(tile, task, t, layer)
+            self._finish_task(tile, task, layer, t)
             return
         self._trace(layer, task, "dna", tile, t)
         issue_done = tile.gpe.issue_ns(self._plan.dnq_issue_ns, self._ipa, t)
-        dna_ns = self._plan.dna_ns[i]
+        tile.dnq.reserve(partial(
+            self._on_slot, tile, task, layer, i, issue_done
+        ))
 
-        def on_slot() -> None:
-            fetch_start = max(issue_done, self.sim.now)
-            if task.feature_bytes:
-                arrival = self.accel.memory_read(
-                    task.vertex, task.feature_bytes, fetch_start, tile.coord
-                )
-            else:
-                arrival = fetch_start
-            self._at(arrival, fill, arrival)
-
-        def fill(at: float) -> None:
-            tile.dnq.fill(
-                at,
-                dna_ns,
-                task.dna_macs,
-                # Re-enter at the DNA finish time so the writeback reserves
-                # the memory channel at its actual issue time (a far-future
-                # reservation would head-of-line block earlier reads).
-                on_complete=lambda finish: self._at(
-                    finish, self._finish_task, tile, task, finish, layer
-                ),
-                queue_id=task.dnq_queue,
+    def _on_slot(
+        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
+        issue_done: float,
+    ) -> None:
+        """DNQ slot granted: fetch the vertex's features into the entry."""
+        now = self.sim._now
+        fetch_start = now if now > issue_done else issue_done
+        if task.feature_bytes:
+            arrival = self.accel.memory_read(
+                task.vertex, task.feature_bytes, fetch_start, tile.coord
             )
+        else:
+            arrival = fetch_start
+        self._post_at(arrival, self._fill, tile, task, layer, i, arrival)
 
-        tile.dnq.reserve(on_slot)
+    def _fill(
+        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
+        at: float,
+    ) -> None:
+        """The entry's data arrived: run the DNA job, write back at its end."""
+        finish = tile.dnq.fill(at, self._plan.dna_ns[i], task.dna_macs,
+                               task.dnq_queue)
+        self._post_at(finish, self._finish_task, tile, task, layer, finish)
 
     def _finish_task(
-        self,
-        tile: Tile,
-        task: VertexTask,
-        t: float,
-        layer: LayerProgram | None = None,
+        self, tile: Tile, task: VertexTask, layer: LayerProgram, t: float,
     ) -> None:
         """Phase 6: writeback, thread release, layer bookkeeping."""
-        if layer is not None:
-            self._trace(layer, task, "finish", tile, t)
+        self._trace(layer, task, "finish", tile, t)
         if task.output_bytes:
             t = self.accel.memory_write(
                 task.vertex, task.output_bytes, t, tile.coord
             )
         if t > self._layer_end:
             self._layer_end = t
-        self._at(t, self._retire_task, t, tile)
+        self._post_at(t, self._retire_task, t, tile)
 
     def _retire_task(self, at: float, tile: Tile) -> None:
         self._tasks_remaining -= 1

@@ -131,9 +131,12 @@ class Simulator:
     def post_at(self, time: float, callback: Callable[..., None], *args: Any) -> None:
         """Schedule ``callback(*args)`` to fire at absolute time ``time`` ns.
 
-        Events for one timestamp fire in the order they were posted.
+        Events for one timestamp fire in the order they were posted.  A
+        time before the current one, or NaN, raises
+        :class:`SimulationError`; this is the only guard on the runtime
+        engine's continuation times.
         """
-        if time < self._now:
+        if not time >= self._now:  # NaN fails the comparison too
             raise SimulationError(
                 f"cannot schedule at {time} ns; current time is {self._now} ns"
             )

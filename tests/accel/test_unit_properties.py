@@ -85,7 +85,7 @@ def test_dnq_grants_bounded_by_capacity(num_reserves, entry_kb):
     # Filling every granted entry eventually grants every reservation.
     filled = 0
     while filled < len(granted):
-        dnq.fill(0.0, dna.service_ns(1, 1.0), 1, on_complete=lambda t: None)
+        dnq.fill(0.0, dna.service_ns(1, 1.0), 1)
         filled += 1
         sim.run()
     assert len(granted) == num_reserves
@@ -271,8 +271,7 @@ def test_dna_and_dnq_counters_equal_per_call_accumulation(ops, entry_bytes):
         _account(dna_reference, "jobs")
         _account(dna_reference, "macs", macs)
         waiting = dnq.waiting_reservations
-        dnq.fill(sim.now, dna.service_ns(macs, 1.0), macs,
-                 on_complete=lambda finish: None, queue_id=queue_id)
+        dnq.fill(sim.now, dna.service_ns(macs, 1.0), macs, queue_id=queue_id)
         filled[0] += 1
         sim.run()  # the slot release hands over to the oldest waiter
         if waiting:

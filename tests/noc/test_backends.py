@@ -3,7 +3,9 @@
 The contract (docs/architecture.md, "NoC backends"): three fidelities
 behind one :class:`~repro.noc.model.NocModel` protocol, selected by
 name, differing only in how ``delivery_time`` spends time — so at zero
-load they must agree *exactly*, under contention they must agree within
+load they must agree (packet and analytical *exactly* for messages
+that start at whole nanoseconds, as here; a fractional start may round
+their hop sums an ulp apart), under contention they must agree within
 a stated band, and the bookkeeping half (faults, wedge detection,
 utilization, observability) must behave identically everywhere.
 """

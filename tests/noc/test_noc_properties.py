@@ -1,8 +1,11 @@
 """Property-based tests for both NoC models."""
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from repro.noc import (
+    AnalyticalNetwork,
     FlitNetwork,
     Mesh,
     NOC_CONFIG,
@@ -87,6 +90,42 @@ def test_packet_model_monotone_in_size(src, dst, size, start):
         src, dst, size + 64, start
     )
     assert large >= small
+
+
+@st.composite
+def injection_sequences(draw):
+    """A mesh up to 8x8 and a message sequence with non-decreasing start
+    times: equal, fractional and large steps."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    node = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    step = st.one_of(st.just(0.0), st.floats(0, 50), st.floats(0, 1e9))
+    messages = draw(st.lists(
+        st.tuples(node, node, st.integers(0, 4096), step),
+        min_size=1, max_size=60,
+    ))
+    return Mesh(width, height), messages
+
+
+@given(injection_sequences())
+@settings(max_examples=100, deadline=None)
+def test_analytical_delivery_never_later_than_packet(case):
+    """Fed one injection sequence, the zero-contention model delivers no
+    message later than the packet model, within rounding.
+
+    Exact ``<=`` does not hold: the analytical model multiplies the hop
+    time (``start + hops * hop + tail``) while the packet model adds it
+    hop by hop, so the two sums round differently, by up to one rounding
+    per addition: ``hops + 2`` ulps of the packet time.
+    """
+    mesh, messages = case
+    packet, analytical = PacketNetwork(mesh), AnalyticalNetwork(mesh)
+    start = 0.0
+    for src, dst, size, step in messages:
+        start += step
+        contended = packet.delivery_time(src, dst, size, start)
+        zero_load = analytical.delivery_time(src, dst, size, start)
+        hops = len(mesh.route_links(src, dst))
+        assert zero_load <= contended + (hops + 2) * math.ulp(contended)
 
 
 class ReferencePacketNetwork:

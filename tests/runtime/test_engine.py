@@ -16,6 +16,7 @@ from repro.accel import (
 )
 from repro.graphs import citation_graph
 from repro.models import GCN, PGNN
+from repro.models.registry import benchmark_by_key, load_benchmark
 from repro.runtime import (
     AcceleratorProgram,
     LayerProgram,
@@ -27,6 +28,7 @@ from repro.runtime import (
     simulate,
 )
 from repro.runtime.serialize import report_to_dict
+from repro.sim import SimulationError
 from repro.sim.watchdog import WatchdogConfig
 
 
@@ -304,3 +306,35 @@ class TestLayerConservation:
         expected = layer.dram_bytes_requested
         assert (f"requested {expected} DRAM bytes but the memory "
                 f"controllers saw {expected - written}") in str(exc.value)
+
+
+class TestContinuations:
+    """A vertex program waits by posting one engine method per wait."""
+
+    def test_continuation_before_now_fails_the_run(self, monkeypatch):
+        # Simulator.post_at is the only guard on continuation times: a
+        # unit that answers with a time in the past fails the run instead
+        # of being clamped to the present.
+        original = Accelerator.memory_read
+
+        def memory_read(self, vertex, size_bytes, start_ns, dest):
+            original(self, vertex, size_bytes, start_ns, dest)
+            return self.sim.now - 1.0
+
+        monkeypatch.setattr(Accelerator, "memory_read", memory_read)
+        with pytest.raises(SimulationError, match="cannot schedule") as exc:
+            simulate(gcn_program(300, 700, seed=2), tiny_config())
+        assert exc.value.status == "diverged"
+
+    def test_watchdog_diagnosis_names_engine_methods(self):
+        # A trip mid-layer finds DNA jobs waiting on their fill; the
+        # diagnosis names the engine method, not a per-task closure.
+        model, data = load_benchmark(benchmark_by_key("gcn-cora"))
+        config = dataclasses.replace(
+            tiny_config(), watchdog=WatchdogConfig(max_events=5000)
+        )
+        with pytest.raises(SimulationFailure) as exc:
+            simulate(compile_model(model, data), config)
+        owners = exc.value.diagnosis.pending_by_owner
+        assert owners["RuntimeEngine._fill"] > 0
+        assert not [owner for owner in owners if "<locals>" in owner]

@@ -64,6 +64,16 @@ def test_schedule_at_in_past_rejected():
         sim.post_at(5.0, lambda: None)
 
 
+def test_nan_time_rejected():
+    # A NaN time compares false with everything, so only a guard written
+    # as ``not time >= now`` catches it; the event would otherwise fire
+    # with ``sim.now == nan``.
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.post_at(float("nan"), lambda: None)
+    assert sim.pending == 0
+
+
 def test_reentrant_run_rejected():
     sim = Simulator()
 

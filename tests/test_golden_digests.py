@@ -8,7 +8,8 @@ recomputes one cell with the current code:
   named like :func:`benchmarks.suite.digests.point_id` and hashed by
   :func:`benchmarks.suite.digests.digest`: the six Table VII benchmarks
   on the three Table VI rows, and the extension rows on CPU iso-BW,
-  each under the packet and the analytical NoC;
+  each under the packet and the analytical NoC, plus gcn-cora and
+  pgnn-dblp_1 on CPU iso-BW under the flit NoC;
 * ``multichip/<backend>/chips<n>/<benchmark>`` — the ``multichip``
   system report (default partition: METIS, seed 0) at 1, 2 and 4 chips;
 * ``program/<benchmark>`` — the compiled accelerator program, field for
@@ -54,6 +55,9 @@ CLOCK_GHZ = 2.4
 MULTICHIP_BENCHMARKS = ("gcn-cora", "gat-cora", "pgnn-dblp_1")
 CHIP_COUNTS = (1, 2, 4)
 SLOW_BENCHMARKS = ("gcn-pubmed", "sage-pubmed", "mpnn-qm9_1000")
+#: Flit-level NoC cells: a few seconds each, so they run with the slow
+#: cells; the GPU rows take minutes on flit and stay out.
+FLIT_BENCHMARKS = ("gcn-cora", "pgnn-dblp_1")
 
 #: The accel cells ``benchmarks/suite/digests.json`` pins as well.
 SUITE_OVERLAP = 15
@@ -151,6 +155,10 @@ def cells() -> list[Cell]:
         for backend in NOC_BACKENDS
     ]
     table += [
+        _accel_cell(benchmark, "CPU iso-BW", "flit")
+        for benchmark in FLIT_BENCHMARKS
+    ]
+    table += [
         _multichip_cell(benchmark, backend, chips)
         for benchmark in MULTICHIP_BENCHMARKS
         for backend in NOC_BACKENDS
@@ -174,9 +182,14 @@ def golden(key: str) -> str:
 CELLS = cells()
 
 
+def _slow(cell: Cell) -> bool:
+    return (cell.benchmark in SLOW_BENCHMARKS
+            or cell.key.startswith("accel/flit/"))
+
+
 @pytest.mark.parametrize("cell", [
-    pytest.param(cell, id=cell.key, marks=(
-        [pytest.mark.slow] if cell.benchmark in SLOW_BENCHMARKS else []))
+    pytest.param(cell, id=cell.key,
+                 marks=[pytest.mark.slow] if _slow(cell) else [])
     for cell in CELLS
 ])
 def test_digest(cell):
