@@ -57,10 +57,9 @@ DATASETS: dict[str, DatasetStats] = {
 
 
 def _attach_features(graph: Graph, width: int, seed: int) -> Graph:
-    rng = np.random.default_rng(seed)
-    graph.node_features = rng.standard_normal(
-        (graph.num_nodes, width)
-    ).astype(np.float32)
+    """Seeded features, generated on the first read of
+    ``graph.node_features``: simulations only read the width."""
+    graph.defer_node_features(width, seed)
     return graph
 
 

@@ -14,6 +14,12 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def random_node_features(num_nodes: int, width: int, seed: int) -> np.ndarray:
+    """Seeded standard-normal ``(num_nodes, width)`` float32 features."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((num_nodes, width)).astype(np.float32)
+
+
 class Graph:
     """A graph in CSR form with optional dense feature matrices.
 
@@ -25,7 +31,9 @@ class Graph:
     num_nodes:
         Number of vertices.
     node_features:
-        Optional ``(num_nodes, F)`` float32 array.
+        Optional ``(num_nodes, F)`` float32 array.  Seeded random
+        features can instead be deferred to their first read
+        (:meth:`defer_node_features`).
     edge_features:
         Optional ``(nnz, Fe)`` float32 array aligned with ``indices``.
     undirected_edge_count:
@@ -62,7 +70,9 @@ class Graph:
             self.indices.min() < 0 or self.indices.max() >= self.num_nodes
         ):
             raise ValueError("indices contain out-of-range vertex ids")
-        self.node_features = None
+        self._node_features: np.ndarray | None = None
+        #: ``(width, seed)`` of features not generated yet.
+        self._deferred_features: tuple[int, int] | None = None
         if node_features is not None:
             node_features = np.asarray(node_features, dtype=np.float32)
             if node_features.shape[0] != self.num_nodes:
@@ -70,7 +80,7 @@ class Graph:
                     f"node_features has {node_features.shape[0]} rows, "
                     f"expected {self.num_nodes}"
                 )
-            self.node_features = node_features
+            self._node_features = node_features
         self.edge_features = None
         if edge_features is not None:
             edge_features = np.asarray(edge_features, dtype=np.float32)
@@ -119,6 +129,37 @@ class Graph:
             name=name,
         )
 
+    # -- features ---------------------------------------------------------
+
+    @property
+    def node_features(self) -> np.ndarray | None:
+        """The ``(num_nodes, F)`` float32 features, or ``None``.
+
+        Deferred features are generated on the first read.
+        """
+        if self._deferred_features is not None:
+            width, seed = self._deferred_features
+            self._node_features = random_node_features(
+                self.num_nodes, width, seed
+            )
+            self._deferred_features = None
+        return self._node_features
+
+    @node_features.setter
+    def node_features(self, features: np.ndarray | None) -> None:
+        self._deferred_features = None
+        self._node_features = features
+
+    def defer_node_features(self, width: int, seed: int) -> None:
+        """Use :func:`random_node_features` of ``width`` and ``seed``,
+        generated on the first read of :attr:`node_features`.
+
+        Simulations read only the width, so they never pay for the
+        values; the deferral is plain data, so the graph still pickles.
+        """
+        self._node_features = None
+        self._deferred_features = (int(width), int(seed))
+
     # -- basic properties -----------------------------------------------
 
     @property
@@ -136,7 +177,10 @@ class Graph:
     @property
     def num_node_features(self) -> int:
         """Width of the node feature matrix (0 if absent)."""
-        return 0 if self.node_features is None else self.node_features.shape[1]
+        if self._deferred_features is not None:
+            return self._deferred_features[0]
+        features = self._node_features
+        return 0 if features is None else features.shape[1]
 
     @property
     def num_edge_features(self) -> int:

@@ -3,8 +3,13 @@ Algorithm 1 execution engine.
 
 A GNN model is compiled (:mod:`repro.runtime.compiler`) into an
 :class:`~repro.runtime.program.AcceleratorProgram` — an ordered sequence
-of layers, each carrying a hardware configuration and one
-:class:`~repro.runtime.program.VertexTask` per output vertex.  The
+of layers, each carrying a hardware configuration and a
+:class:`~repro.runtime.program.TaskTable` with one vertex task per
+output vertex: one read-only integer column per
+:class:`~repro.runtime.program.VertexTask` field, lowered with numpy
+over the whole graph batch.  ``table[i]`` builds row ``i`` as a
+:class:`~repro.runtime.program.VertexTask`, and a hand-written layer may
+give its tasks as such rows.  The
 :class:`~repro.runtime.engine.RuntimeEngine` executes the program on an
 :class:`~repro.accel.system.Accelerator` exactly as Algorithm 1
 prescribes: configure, barrier, run every vertex program, barrier,
@@ -14,6 +19,7 @@ next layer.
 from repro.runtime.program import (
     AcceleratorProgram,
     LayerProgram,
+    TaskTable,
     TraversalRound,
     VertexTask,
 )
@@ -34,6 +40,7 @@ from repro.runtime.validate import (
 )
 
 __all__ = [
+    "TaskTable",
     "VertexTask",
     "TraversalRound",
     "LayerProgram",

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.accel.config import TileConfig
 from repro.dataflow.spatial import SpatialArrayConfig
 from repro.graphs.graph import Graph, GraphSet
@@ -35,12 +37,7 @@ from repro.models.ir import (
     Pointwise,
     TraversalAggregate,
 )
-from repro.runtime.program import (
-    AcceleratorProgram,
-    LayerProgram,
-    TraversalRound,
-    VertexTask,
-)
+from repro.runtime.program import AcceleratorProgram, LayerProgram, TaskTable
 
 VALUE_BYTES = 4
 
@@ -73,41 +70,32 @@ def compile_model(
 
 
 class _LoweringContext:
-    """Shared per-compilation state: graph batching, degrees, tile costs."""
+    """Shared per-compilation state: the batch as one graph, tile costs.
+
+    A graph set's vertices are numbered consecutively in graph order
+    (placement keys for the engine's work queues), and its adjacency is
+    concatenated into one block-diagonal CSR over those global ids, so
+    every lowering rule is a few numpy expressions over the whole batch.
+    """
 
     def __init__(self, graph: Graph | GraphSet, tile: TileConfig) -> None:
         self.tile = tile
         self.costs = tile.gpe_costs
         self.array = tile.dna
-        # Global ids: graph-set vertices are numbered consecutively in
-        # graph order (placement keys for the engine's work queues).
-        self.graph_list = (
-            graph.graphs if isinstance(graph, GraphSet) else [graph]
-        )
-        self.node_base: list[int] = []
-        total = 0
-        for g in self.graph_list:
-            self.node_base.append(total)
-            total += g.num_nodes
-        self.total_nodes = total
-        self._degrees: dict[int, object] = {}
-        self._dst_of_edge: dict[int, list[int]] = {}
-
-    def degrees(self, gi: int):
-        """Per-vertex out-degrees of graph ``gi``, computed once."""
-        if gi not in self._degrees:
-            self._degrees[gi] = self.graph_list[gi].degrees()
-        return self._degrees[gi]
-
-    def dst_of_edge(self, gi: int) -> list[int]:
-        """Destination vertex of each stored edge of graph ``gi``."""
-        if gi not in self._dst_of_edge:
-            g = self.graph_list[gi]
-            dst: list[int] = []
-            for v in range(g.num_nodes):
-                dst.extend([v] * (g.indptr[v + 1] - g.indptr[v]))
-            self._dst_of_edge[gi] = dst
-        return self._dst_of_edge[gi]
+        graphs = graph.graphs if isinstance(graph, GraphSet) else [graph]
+        sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+        #: Number of vertices of each graph, and its first global id.
+        self.graph_sizes = sizes
+        self.node_base = np.cumsum(sizes) - sizes
+        self.total_nodes = int(sizes.sum())
+        edge_base = np.cumsum([0] + [g.nnz for g in graphs])
+        self.indptr = np.concatenate(
+            [[0]] + [g.indptr[1:] + base for g, base in zip(graphs, edge_base)]
+        ).astype(np.int64)
+        self.indices = np.concatenate(
+            [g.indices + base for g, base in zip(graphs, self.node_base)]
+        ).astype(np.int64)
+        self.degrees = np.diff(self.indptr)
 
 
 def lower(
@@ -162,40 +150,18 @@ def _dense_efficiency(
 
 
 def _lower_dense(spec: DenseTransform, ctx: _LoweringContext) -> LayerProgram:
-    """A batched dense layer (DNQ -> DNA -> writeback), one task per item."""
+    """A batched dense layer (DNQ -> DNA -> writeback), one task per item.
+
+    A vertex-space item is a vertex; an edge-space item is a stored edge,
+    owned by the vertex whose adjacency row holds it.
+    """
     feature_bytes = spec.f_in * VALUE_BYTES
     out_values = spec.f_out if spec.out_values is None else spec.out_values
-    output_bytes = out_values * VALUE_BYTES
-    tasks: list[VertexTask] = []
+    vertices = np.arange(ctx.total_nodes)
     if spec.space == "vertex":
-        num_items = ctx.total_nodes
-        for gi, g in enumerate(ctx.graph_list):
-            base = ctx.node_base[gi]
-            for v in range(g.num_nodes):
-                tasks.append(
-                    VertexTask(
-                        vertex=base + v,
-                        control_instructions=ctx.costs.instructions_per_vertex,
-                        feature_bytes=feature_bytes,
-                        dna_macs=spec.macs_per_item,
-                        output_bytes=output_bytes,
-                    )
-                )
+        items = vertices
     elif spec.space == "edge":
-        num_items = sum(g.nnz for g in ctx.graph_list)
-        for gi, g in enumerate(ctx.graph_list):
-            base = ctx.node_base[gi]
-            dst_of_edge = ctx.dst_of_edge(gi)
-            for e in range(g.nnz):
-                tasks.append(
-                    VertexTask(
-                        vertex=base + dst_of_edge[e],
-                        control_instructions=ctx.costs.instructions_per_vertex,
-                        feature_bytes=feature_bytes,
-                        dna_macs=spec.macs_per_item,
-                        output_bytes=output_bytes,
-                    )
-                )
+        items = np.repeat(vertices, ctx.degrees)
     else:
         raise ValueError(f"{spec.name}: unknown iteration space {spec.space!r}")
     agg_width = (
@@ -203,10 +169,17 @@ def _lower_dense(spec: DenseTransform, ctx: _LoweringContext) -> LayerProgram:
     )
     return LayerProgram(
         name=spec.name,
-        tasks=tasks,
+        tasks=TaskTable(
+            len(items),
+            vertex=items,
+            control_instructions=ctx.costs.instructions_per_vertex,
+            feature_bytes=feature_bytes,
+            dna_macs=spec.macs_per_item,
+            output_bytes=out_values * VALUE_BYTES,
+        ),
         dnq_entry_bytes=feature_bytes,
         agg_width_values=agg_width,
-        dna_efficiency=_dense_efficiency(spec, ctx, num_items),
+        dna_efficiency=_dense_efficiency(spec, ctx, len(items)),
     )
 
 
@@ -220,32 +193,22 @@ def _lower_aggregate(
     the gather; isolated vertices still read their own state.
     """
     record_bytes = spec.width * VALUE_BYTES + spec.extra_gather_bytes
-    tasks: list[VertexTask] = []
-    for gi, g in enumerate(ctx.graph_list):
-        base = ctx.node_base[gi]
-        degrees = ctx.degrees(gi)
-        for v in range(g.num_nodes):
-            deg = int(degrees[v])
-            fanout = (
-                deg if spec.sample_bound is None
-                else int(min(spec.sample_bound, deg))
-            )
-            gather = fanout + (1 if spec.include_self else 0)
-            if gather == 0:
-                gather = 1  # every vertex reads at least its own state
-            tasks.append(
-                VertexTask(
-                    vertex=base + v,
-                    control_instructions=ctx.costs.instructions_per_vertex,
-                    block_load_bytes=max(VALUE_BYTES, fanout * VALUE_BYTES),
-                    gather_count=gather,
-                    gather_bytes_each=record_bytes,
-                    output_bytes=spec.width * VALUE_BYTES,
-                )
-            )
+    fanout = ctx.degrees
+    if spec.sample_bound is not None:
+        fanout = np.minimum(fanout, spec.sample_bound)
+    gather = fanout + (1 if spec.include_self else 0)
     return LayerProgram(
         name=spec.name,
-        tasks=tasks,
+        tasks=TaskTable(
+            ctx.total_nodes,
+            vertex=np.arange(ctx.total_nodes),
+            control_instructions=ctx.costs.instructions_per_vertex,
+            block_load_bytes=np.maximum(fanout * VALUE_BYTES, VALUE_BYTES),
+            # every vertex reads at least its own state
+            gather_count=np.maximum(gather, 1),
+            gather_bytes_each=record_bytes,
+            output_bytes=spec.width * VALUE_BYTES,
+        ),
         dnq_entry_bytes=max(VALUE_BYTES, record_bytes),
         agg_width_values=spec.width,
         dna_efficiency=1.0,
@@ -259,54 +222,41 @@ def _lower_traversal(
 
     Hop 1 visits each neighbour; hop ``k`` visits the neighbours' hop
     ``k-1`` frontiers (counted as a multiset, so totals match the
-    ``sum_u deg(u)^(k-1)`` closed form on symmetric graphs).  Visits
-    beyond hop 1 are local AGG contributions, not remote gathers.
+    ``sum_u deg(u)^(k-1)`` closed form on symmetric graphs).  A vertex's
+    hop-``k`` count is a prefix-sum difference over its adjacency row of
+    the hop ``k-1`` counts.  Every hop with a nonzero count is one
+    traversal round; visits beyond hop 1 are local AGG contributions,
+    not remote gathers.
     """
     width_bytes = spec.width * VALUE_BYTES
-    tasks: list[VertexTask] = []
-    for gi, g in enumerate(ctx.graph_list):
-        base = ctx.node_base[gi]
-        degrees = ctx.degrees(gi)
-        # hop_counts[k][v]: edge endpoints touched expanding hop k+1 of v.
-        hop_counts = []
-        prev = [1] * g.num_nodes
-        for _ in spec.hop_bytes:
-            current = [
-                int(sum(prev[u] for u in g.neighbors(v)))
-                for v in range(g.num_nodes)
-            ]
-            hop_counts.append(current)
-            prev = current
-        for v in range(g.num_nodes):
-            deg = int(degrees[v])
-            rounds = []
-            local = 0
-            for hop, bytes_spec in enumerate(spec.hop_bytes):
-                count = hop_counts[hop][v]
-                bytes_each = (
-                    width_bytes if bytes_spec is None else bytes_spec
-                )
-                if count:
-                    rounds.append(
-                        TraversalRound(count=count, bytes_each=bytes_each)
-                    )
-                if hop >= 1:
-                    local += count
-            tasks.append(
-                VertexTask(
-                    vertex=base + v,
-                    control_instructions=ctx.costs.instructions_per_vertex,
-                    block_load_bytes=max(VALUE_BYTES, deg * VALUE_BYTES),
-                    traversal=tuple(rounds),
-                    gather_count=max(1, deg),  # 1-hop branch plus own state
-                    gather_bytes_each=width_bytes,
-                    local_contributions=local if rounds else 0,
-                    output_bytes=width_bytes,
-                )
-            )
+    n = ctx.total_nodes
+    counts = np.empty((n, len(spec.hop_bytes)), dtype=np.int64)
+    previous = np.ones(n, dtype=np.int64)
+    for hop in range(len(spec.hop_bytes)):
+        prefix = np.concatenate(([0], np.cumsum(previous[ctx.indices])))
+        previous = prefix[ctx.indptr[1:]] - prefix[ctx.indptr[:-1]]
+        counts[:, hop] = previous
+    hop_bytes = np.array(
+        [width_bytes if b is None else b for b in spec.hop_bytes],
+        dtype=np.int64,
+    )
+    rounds = counts > 0
+    degrees = ctx.degrees
     return LayerProgram(
         name=spec.name,
-        tasks=tasks,
+        tasks=TaskTable(
+            n,
+            vertex=np.arange(n),
+            control_instructions=ctx.costs.instructions_per_vertex,
+            block_load_bytes=np.maximum(degrees * VALUE_BYTES, VALUE_BYTES),
+            gather_count=np.maximum(degrees, 1),  # 1-hop branch plus own state
+            gather_bytes_each=width_bytes,
+            local_contributions=counts[:, 1:].sum(axis=1),
+            output_bytes=width_bytes,
+            round_ptr=np.concatenate(([0], np.cumsum(rounds.sum(axis=1)))),
+            round_count=counts[rounds],
+            round_bytes=np.broadcast_to(hop_bytes, counts.shape)[rounds],
+        ),
         dnq_entry_bytes=width_bytes,
         agg_width_values=spec.width,
         dna_efficiency=1.0,
@@ -316,19 +266,16 @@ def _lower_traversal(
 def _lower_reduce(spec: GraphReduce, ctx: _LoweringContext) -> LayerProgram:
     """A whole-graph reduction: one task per graph of the batch."""
     width_bytes = spec.width * VALUE_BYTES
-    tasks = [
-        VertexTask(
-            vertex=ctx.node_base[gi],
-            control_instructions=ctx.costs.instructions_per_vertex,
-            gather_count=g.num_nodes,
-            gather_bytes_each=width_bytes,
-            output_bytes=width_bytes,
-        )
-        for gi, g in enumerate(ctx.graph_list)
-    ]
     return LayerProgram(
         name=spec.name,
-        tasks=tasks,
+        tasks=TaskTable(
+            len(ctx.graph_sizes),
+            vertex=ctx.node_base,
+            control_instructions=ctx.costs.instructions_per_vertex,
+            gather_count=ctx.graph_sizes,
+            gather_bytes_each=width_bytes,
+            output_bytes=width_bytes,
+        ),
         dnq_entry_bytes=width_bytes,
         agg_width_values=spec.width,
         dna_efficiency=1.0,

@@ -31,7 +31,12 @@ import numpy as np
 from repro.accel.config import AcceleratorConfig
 from repro.accel.system import Accelerator
 from repro.accel.tile import Tile
-from repro.runtime.program import AcceleratorProgram, LayerProgram, VertexTask
+from repro.runtime.program import (
+    AcceleratorProgram,
+    LayerProgram,
+    ROUND_COLUMNS,
+    TASK_COLUMNS,
+)
 from repro.runtime.report import LayerReport, SimulationReport
 from repro.runtime.trace import Tracer
 from repro.runtime.validate import assert_valid
@@ -89,11 +94,14 @@ class DeadlockError(SimulationFailure):
 
 
 class _LayerPlan:
-    """Precomputed per-task duration tables for one layer.
+    """One layer's task columns as lists, plus per-task duration tables.
 
-    The per-task cost of every phase is a pure function of the
-    (immutable) task and the (per-layer) configuration, so it is hoisted
-    out of the event handlers: the plan asks the units' own cost methods
+    Handlers read a task's fields by index from Python lists, converted
+    once per layer from the :class:`~repro.runtime.program.TaskTable`
+    columns, so no per-task object is built.  The per-task cost of every
+    phase is a pure function of the (immutable) task and the (per-layer)
+    configuration, so it is hoisted out of the event handlers: the plan
+    asks the units' own cost methods
     (:meth:`GraphPE.service_ns <repro.accel.gpe.GraphPE.service_ns>`,
     :meth:`DnaUnit.service_ns <repro.accel.dna.DnaUnit.service_ns>`) for
     all tasks at once, as numpy arrays.  Instruction counts are
@@ -103,30 +111,38 @@ class _LayerPlan:
     that task (``tests/accel/test_unit_properties.py`` checks it).
     """
 
-    __slots__ = ("ctrl_ns", "load_ns", "agg_issue_ns", "dnq_issue_ns",
-                 "dna_ns")
+    #: The task columns the handlers read.
+    COLUMNS = TASK_COLUMNS + ROUND_COLUMNS
+
+    __slots__ = COLUMNS + ("aggregates", "expected_inputs",
+                           "agg_instructions", "ctrl_ns", "load_ns",
+                           "agg_issue_ns", "dnq_issue_ns", "dna_ns")
 
     def __init__(self, engine: "RuntimeEngine", layer: LayerProgram) -> None:
         tasks = layer.tasks
-        n = len(tasks)
+        for name in self.COLUMNS:
+            setattr(self, name, getattr(tasks, name).tolist())
         tile = engine.accel.tiles[0]
         gpe_ns = tile.gpe.service_ns
         ipl, ipa = engine._ipl, engine._ipa
-        ctrl = np.fromiter(
-            (t.control_instructions for t in tasks), np.float64, count=n
-        )
-        self.ctrl_ns = gpe_ns(ctrl).tolist()
+        gather, local = tasks.gather_count, tasks.local_contributions
+        self.aggregates = ((gather > 0) | (local > 0)).tolist()
+        self.expected_inputs = (gather + local).tolist()
+        self.agg_instructions = (gather * ipl + ipa).tolist()
+        self.ctrl_ns = gpe_ns(
+            tasks.control_instructions.astype(np.float64)
+        ).tolist()
         # The issue ahead of the block load.
         self.load_ns = gpe_ns(ipl)
         # Aggregate-phase issue: gather_count * ipl + ipa instructions.
-        gather = np.fromiter(
-            (t.gather_count for t in tasks), np.float64, count=n
-        )
-        self.agg_issue_ns = gpe_ns(gather * ipl + ipa).tolist()
+        self.agg_issue_ns = gpe_ns(
+            gather.astype(np.float64) * ipl + ipa
+        ).tolist()
         # DNQ allocation-bus issue.
         self.dnq_issue_ns = gpe_ns(ipa)
-        macs = np.fromiter((t.dna_macs for t in tasks), np.float64, count=n)
-        self.dna_ns = tile.dna.service_ns(macs, layer.dna_efficiency).tolist()
+        self.dna_ns = tile.dna.service_ns(
+            tasks.dna_macs.astype(np.float64), layer.dna_efficiency
+        ).tolist()
 
 
 class RuntimeEngine:
@@ -173,12 +189,13 @@ class RuntimeEngine:
         # Traversal rounds repeat the same neighbour counts across tasks
         # (the degree distribution), so issue durations memoize by count.
         self._visit_memo: dict[int, float] = {}
+        self._layer: LayerProgram | None = None
         self._plan: _LayerPlan | None = None
 
-    def _trace(self, layer, task, phase: str, tile, t: float) -> None:
+    def _trace(self, phase: str, tile: Tile, i: int, t: float) -> None:
         if self.tracer is not None:
-            self.tracer.record(t, layer.name, task.vertex, phase,
-                               tile.coord)
+            self.tracer.record(t, self._layer.name, self._plan.vertex[i],
+                               phase, tile.coord)
 
     # -- top level ----------------------------------------------------------
 
@@ -229,10 +246,9 @@ class RuntimeEngine:
         requested_before = self._dram_bytes_requested()
         self._layer_end = start_ns
         self._tasks_remaining = len(layer.tasks)
+        self._layer = layer
         self._plan = _LayerPlan(self, layer)
-        if layer.tasks:
-            self.sim.post_at(max(start_ns, self.sim.now), self._offer_tasks,
-                             layer)
+        self.sim.post_at(max(start_ns, self.sim.now), self._offer_tasks)
         try:
             self.sim.run(watchdog=self.accel.config.watchdog,
                          profiler=self._profiler)
@@ -254,7 +270,7 @@ class RuntimeEngine:
         self._check_dram_bytes(layer, requested_before)
         return self._layer_end
 
-    def _offer_tasks(self, layer: LayerProgram) -> None:
+    def _offer_tasks(self) -> None:
         """Layer start: offer every task to its tile's thread pool.
 
         Tasks are offered in work-queue order, all at this event's time.
@@ -268,28 +284,26 @@ class RuntimeEngine:
         event.
         """
         tile_of = self.accel.tile_of
-        owners = [tile_of(task.vertex) for task in layer.tasks]
+        owners = [tile_of(vertex) for vertex in self._plan.vertex]
         queues: dict[Tile, list[int]] = {tile: [] for tile in self.accel.tiles}
         for i, tile in enumerate(owners):
             queues[tile].append(i)
         feeders = {
-            tile: self._feeder(tile, layer, indices)
+            tile: self._feeder(tile, indices)
             for tile, indices in queues.items()
         }
         for tile in owners:
             tile.gpe.acquire_thread_at(feeders[tile])
 
     def _feeder(
-        self, tile: Tile, layer: LayerProgram, indices: list[int]
+        self, tile: Tile, indices: list[int]
     ) -> Callable[[float], None]:
         """Thread-grant callback starting ``tile``'s tasks in order."""
-        tasks = layer.tasks
         next_index = iter(indices).__next__
         start = self._start_task
 
         def feed(grant_ns: float) -> None:
-            i = next_index()
-            start(tile, tasks[i], layer, i, grant_ns)
+            start(tile, next_index(), grant_ns)
 
         return feed
 
@@ -426,26 +440,26 @@ class RuntimeEngine:
     # far-future timestamp would falsely head-of-line block requests issued
     # (in real time) before it.
 
-    def _start_task(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
-        t: float,
-    ) -> None:
+    def _start_task(self, tile: Tile, i: int, t: float) -> None:
         """Phases 1-2: control and the asynchronous structure read.
 
-        ``t`` is the thread-grant time.
+        ``i`` is the task's index in the layer and ``t`` the thread-grant
+        time.
         """
         plan = self._plan
-        self._trace(layer, task, "start", tile, t)
-        t = tile.gpe.issue_ns(plan.ctrl_ns[i], task.control_instructions, t)
-        if task.block_load_bytes:
+        self._trace("start", tile, i, t)
+        t = tile.gpe.issue_ns(plan.ctrl_ns[i], plan.control_instructions[i],
+                              t)
+        block_load_bytes = plan.block_load_bytes[i]
+        if block_load_bytes:
             t = tile.gpe.issue_ns(plan.load_ns, self._ipl, t)
             arrival = self.accel.memory_read(
-                task.vertex, task.block_load_bytes, t, tile.coord
+                plan.vertex[i], block_load_bytes, t, tile.coord
             )
-            self._post_at(arrival, self._traversal_phase, tile, task, layer,
-                          i, 0, arrival)
+            self._post_at(arrival, self._traversal_phase, tile, i,
+                          plan.round_ptr[i], arrival)
         else:
-            self._traversal_phase(tile, task, layer, i, 0, t)
+            self._traversal_phase(tile, i, plan.round_ptr[i], t)
 
     def _visit_ns(self, count: int) -> float:
         """Memoized duration of one traversal-round issue."""
@@ -456,46 +470,36 @@ class RuntimeEngine:
             memo[count] = ns
         return ns
 
-    def _traversal_phase(
-        self,
-        tile: Tile,
-        task: VertexTask,
-        layer: LayerProgram,
-        i: int,
-        index: int,
-        t: float,
-    ) -> None:
+    def _traversal_phase(self, tile: Tile, i: int, r: int, t: float) -> None:
         """Phase 3: one dependent traversal round per entry.
 
+        ``r`` indexes the task's next round in the layer's round columns;
         ``t`` is the ready time carried from the previous phase: never
         before the current event time, and at most a GPE-queue lookahead
         past it.
         """
-        traversal = task.traversal
-        rounds = len(traversal)
-        while index < rounds and traversal[index].count == 0:
-            index += 1
-        if index < rounds:
-            tround = traversal[index]
-            count = tround.count
+        plan = self._plan
+        end = plan.round_ptr[i + 1]
+        counts = plan.round_count
+        while r < end and counts[r] == 0:
+            r += 1
+        if r < end:
+            count = counts[r]
             issue_done = tile.gpe.issue_ns(
                 self._visit_ns(count), count * self._ipv, t
             )
             arrival = self.accel.gather_read(
-                count, tround.bytes_each, issue_done, tile.coord
+                count, plan.round_bytes[r], issue_done, tile.coord
             )
-            self._post_at(arrival, self._traversal_phase, tile, task, layer,
-                          i, index + 1, arrival)
+            self._post_at(arrival, self._traversal_phase, tile, i, r + 1,
+                          arrival)
             return
-        if task.has_aggregation:
-            self._aggregate_phase(tile, task, layer, i, t)
+        if plan.aggregates[i]:
+            self._aggregate_phase(tile, i, t)
         else:
-            self._dna_phase(tile, task, layer, i, t)
+            self._dna_phase(tile, i, t)
 
-    def _aggregate_phase(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
-        t: float,
-    ) -> None:
+    def _aggregate_phase(self, tile: Tile, i: int, t: float) -> None:
         """Phase 4: allocate an AGG entry, gather inputs, reduce.
 
         Contributions come from two sources: values already fetched by the
@@ -503,93 +507,84 @@ class RuntimeEngine:
         entry exists) and the indirect gather reads issued on the grant
         (:meth:`_on_agg_grant`).
         """
-        self._trace(layer, task, "aggregate", tile, t)
+        plan = self._plan
+        self._trace("aggregate", tile, i, t)
         issue_done = tile.gpe.issue_ns(
-            self._plan.agg_issue_ns[i],
-            task.gather_count * self._ipl + self._ipa,
-            t,
+            plan.agg_issue_ns[i], plan.agg_instructions[i], t
         )
         # The allocation-bus request goes out at the current event time
         # (the issue above is queued work, not a dependency).
-        tile.agg.alloc(task.expected_inputs, partial(
-            self._on_agg_grant, tile, task, layer, i, issue_done
+        tile.agg.alloc(plan.expected_inputs[i], partial(
+            self._on_agg_grant, tile, i, issue_done
         ))
 
     def _on_agg_grant(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
-        issue_done: float, grant_ns: float, agg_id: int,
+        self, tile: Tile, i: int, issue_done: float, grant_ns: float,
+        agg_id: int,
     ) -> None:
         """AGG entry granted: fold the local values, gather the rest."""
+        plan = self._plan
         start = grant_ns if grant_ns > issue_done else issue_done
         local_done = start
-        if task.local_contributions:
-            local_done = tile.agg.contribute_batch(
-                agg_id, start, task.local_contributions
-            )
-        if task.gather_count:
+        local = plan.local_contributions[i]
+        if local:
+            local_done = tile.agg.contribute_batch(agg_id, start, local)
+        gather = plan.gather_count[i]
+        if gather:
             arrival = self.accel.gather_read(
-                task.gather_count, task.gather_bytes_each, start, tile.coord,
+                gather, plan.gather_bytes_each[i], start, tile.coord,
             )
-            self._post_at(arrival, self._reduce_batch, tile, task, layer, i,
-                          agg_id, arrival)
+            self._post_at(arrival, self._reduce_batch, tile, i, agg_id,
+                          arrival)
         else:
             # Traversal-only aggregation: already complete.
-            self._dna_phase(tile, task, layer, i, local_done)
+            self._dna_phase(tile, i, local_done)
 
     def _reduce_batch(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
-        agg_id: int, at: float,
+        self, tile: Tile, i: int, agg_id: int, at: float
     ) -> None:
         """The gathered values arrived: fold them into the entry."""
-        finish = tile.agg.contribute_batch(agg_id, at, task.gather_count)
-        self._dna_phase(tile, task, layer, i, finish)
+        finish = tile.agg.contribute_batch(agg_id, at,
+                                           self._plan.gather_count[i])
+        self._dna_phase(tile, i, finish)
 
-    def _dna_phase(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
-        t: float,
-    ) -> None:
+    def _dna_phase(self, tile: Tile, i: int, t: float) -> None:
         """Phase 5: stage the vertex's dense job through DNQ to the DNA."""
-        if not task.has_dna_job:
-            self._finish_task(tile, task, layer, t)
+        if not self._plan.dna_macs[i]:
+            self._finish_task(tile, i, t)
             return
-        self._trace(layer, task, "dna", tile, t)
+        self._trace("dna", tile, i, t)
         issue_done = tile.gpe.issue_ns(self._plan.dnq_issue_ns, self._ipa, t)
-        tile.dnq.reserve(partial(
-            self._on_slot, tile, task, layer, i, issue_done
-        ))
+        tile.dnq.reserve(partial(self._on_slot, tile, i, issue_done))
 
-    def _on_slot(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
-        issue_done: float,
-    ) -> None:
+    def _on_slot(self, tile: Tile, i: int, issue_done: float) -> None:
         """DNQ slot granted: fetch the vertex's features into the entry."""
+        plan = self._plan
         now = self.sim._now
         fetch_start = now if now > issue_done else issue_done
-        if task.feature_bytes:
+        feature_bytes = plan.feature_bytes[i]
+        if feature_bytes:
             arrival = self.accel.memory_read(
-                task.vertex, task.feature_bytes, fetch_start, tile.coord
+                plan.vertex[i], feature_bytes, fetch_start, tile.coord
             )
         else:
             arrival = fetch_start
-        self._post_at(arrival, self._fill, tile, task, layer, i, arrival)
+        self._post_at(arrival, self._fill, tile, i, arrival)
 
-    def _fill(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, i: int,
-        at: float,
-    ) -> None:
+    def _fill(self, tile: Tile, i: int, at: float) -> None:
         """The entry's data arrived: run the DNA job, write back at its end."""
-        finish = tile.dnq.fill(at, self._plan.dna_ns[i], task.dna_macs,
-                               task.dnq_queue)
-        self._post_at(finish, self._finish_task, tile, task, layer, finish)
+        plan = self._plan
+        finish = tile.dnq.fill(at, plan.dna_ns[i], plan.dna_macs[i],
+                               plan.dnq_queue[i])
+        self._post_at(finish, self._finish_task, tile, i, finish)
 
-    def _finish_task(
-        self, tile: Tile, task: VertexTask, layer: LayerProgram, t: float,
-    ) -> None:
+    def _finish_task(self, tile: Tile, i: int, t: float) -> None:
         """Phase 6: writeback, thread release, layer bookkeeping."""
-        self._trace(layer, task, "finish", tile, t)
-        if task.output_bytes:
+        self._trace("finish", tile, i, t)
+        output_bytes = self._plan.output_bytes[i]
+        if output_bytes:
             t = self.accel.memory_write(
-                task.vertex, task.output_bytes, t, tile.coord
+                self._plan.vertex[i], output_bytes, t, tile.coord
             )
         if t > self._layer_end:
             self._layer_end = t

@@ -1,10 +1,10 @@
 """Vertex-program representation executed by the runtime engine.
 
 The paper's runtime (Algorithm 1) executes, per layer, one vertex program
-for every vertex in the work queue.  Each program here is a
-:class:`VertexTask` — a pull-model dataflow that computes *one output
-vertex* of the layer (Section IV: "a vertex program that describes the
-dataflow required to compute one output vertex"):
+for every vertex in the work queue.  Each program here is one row of a
+layer's :class:`TaskTable` — a pull-model dataflow that computes *one
+output vertex* of the layer (Section IV: "a vertex program that describes
+the dataflow required to compute one output vertex"):
 
 1. control: fixed runtime bookkeeping on the GPE,
 2. structure read: one asynchronous block load (e.g. the adjacency row),
@@ -15,12 +15,57 @@ dataflow required to compute one output vertex"):
 5. DNA job: the vertex's dense computation, staged through the DNQ,
 6. writeback of the result to memory.
 
-Phases a task does not need are simply left at zero.
+Phases a task does not need are simply left at zero.  The table stores
+one read-only integer column per :class:`VertexTask` field, so a layer
+of a million tasks is a few arrays, not a million objects;
+:class:`VertexTask` is the row type hand-written programs are built
+from and what ``table[i]`` returns.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
+
+
+#: The scalar :class:`VertexTask` fields a :class:`TaskTable` stores as
+#: columns, in field order (the traversal rounds are stored apart).
+TASK_COLUMNS = (
+    "vertex",
+    "control_instructions",
+    "block_load_bytes",
+    "gather_count",
+    "gather_bytes_each",
+    "local_contributions",
+    "feature_bytes",
+    "dna_macs",
+    "output_bytes",
+    "dnq_queue",
+)
+
+#: The traversal rounds in CSR form: row ``i``'s rounds are entries
+#: ``round_ptr[i]:round_ptr[i + 1]`` of ``round_count``/``round_bytes``.
+ROUND_COLUMNS = ("round_ptr", "round_count", "round_bytes")
+
+#: Every stored value is below this bound, so the product of any two
+#: fields is exact in int64 (numpy integer arithmetic wraps silently).
+VALUE_LIMIT = 2**31
+
+
+def _check_value(name: str, value: object) -> None:
+    """Every task field is an integer in ``[0, VALUE_LIMIT)``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(
+            f"{name} must be an integer, not {type(value).__name__}"
+        )
+    if value < 0:
+        raise ValueError(f"{name} cannot be negative")
+    if value >= VALUE_LIMIT:
+        raise ValueError(f"{name} must be below 2**31")
 
 
 @dataclass(frozen=True)
@@ -36,13 +81,17 @@ class TraversalRound:
     bytes_each: int
 
     def __post_init__(self) -> None:
-        if self.count < 0 or self.bytes_each < 0:
-            raise ValueError("traversal round fields cannot be negative")
+        _check_value("count", self.count)
+        _check_value("bytes_each", self.bytes_each)
 
 
 @dataclass(frozen=True)
 class VertexTask:
-    """Dataflow to compute one output vertex (or edge) of a layer."""
+    """Dataflow to compute one output vertex (or edge) of a layer.
+
+    Every scalar field is an integer in ``[0, 2**31)``, as in a
+    :class:`TaskTable` column, so any row converts to a table.
+    """
 
     vertex: int
     control_instructions: int = 0
@@ -57,20 +106,8 @@ class VertexTask:
     dnq_queue: int = 0
 
     def __post_init__(self) -> None:
-        if self.vertex < 0:
-            raise ValueError("vertex id cannot be negative")
-        for name in (
-            "control_instructions",
-            "block_load_bytes",
-            "gather_count",
-            "gather_bytes_each",
-            "local_contributions",
-            "feature_bytes",
-            "dna_macs",
-            "output_bytes",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} cannot be negative")
+        for name in TASK_COLUMNS:
+            _check_value(name, getattr(self, name))
         if self.local_contributions and not self.traversal:
             raise ValueError(
                 "local contributions are sourced from traversal data; "
@@ -98,29 +135,182 @@ class VertexTask:
         return sum(r.count for r in self.traversal)
 
 
+def _column(name: str, value: object, length: int) -> np.ndarray:
+    """One validated read-only int64 column; a scalar broadcasts."""
+    data = np.asarray(value)
+    if data.size and data.dtype.kind not in "iub":
+        raise ValueError(f"{name} must hold integers, not {data.dtype}")
+    if data.ndim == 0:
+        data = np.full(length, data)
+    if data.shape != (length,):
+        raise ValueError(
+            f"{name} has shape {data.shape}; expected ({length},)"
+        )
+    if length:
+        _check_value(name, int(data.min()))
+        _check_value(name, int(data.max()))
+    column = np.array(data, dtype=np.int64)
+    column.flags.writeable = False
+    return column
+
+
+class TaskTable(Sequence):
+    """A layer's vertex tasks, one read-only int64 column per field.
+
+    Build it as ``TaskTable(n, vertex=..., gather_count=..., ...)``: a
+    scalar broadcasts to all ``n`` rows and an omitted field is 0.  The
+    rows' traversal rounds are ``round_ptr`` (length ``n + 1``) over
+    ``round_count``/``round_bytes``; omitted, no row has rounds.
+    Construction checks what :class:`VertexTask` and
+    :class:`TraversalRound` check, on whole columns, and rejects any
+    value of 2**31 or more; a failure raises ``ValueError`` naming the
+    field.
+
+    Columns are read-only: compiled programs are shared by every
+    simulation of a benchmark in the process, so a write would change
+    later results under an unchanged cache key.  The table is also a
+    read-only sequence of :class:`VertexTask` rows — ``table[i]`` builds
+    one — so hot code reads the columns instead.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        *,
+        round_ptr: object = 0,
+        round_count: object = (),
+        round_bytes: object = (),
+        **columns: object,
+    ) -> None:
+        unknown = set(columns) - set(TASK_COLUMNS)
+        if unknown:
+            raise TypeError(f"unknown task fields: {sorted(unknown)}")
+        if "vertex" not in columns:
+            raise TypeError("a task table needs a vertex column")
+        if n < 0:
+            raise ValueError("a task table cannot have negative length")
+        for name in TASK_COLUMNS:
+            setattr(self, name, _column(name, columns.get(name, 0), n))
+        self.round_ptr = _column("round_ptr", round_ptr, n + 1)
+        rounds = int(self.round_ptr[-1])
+        self.round_count = _column("round_count", round_count, rounds)
+        self.round_bytes = _column("round_bytes", round_bytes, rounds)
+        if self.round_ptr[0] != 0 or np.any(np.diff(self.round_ptr) < 0):
+            raise ValueError("round_ptr must start at 0 and never decrease")
+        without_rounds = self.round_ptr[1:] == self.round_ptr[:-1]
+        if np.any((self.local_contributions > 0) & without_rounds):
+            raise ValueError(
+                "local_contributions are sourced from traversal data; "
+                "a task with local_contributions needs traversal rounds"
+            )
+
+    @classmethod
+    def from_tasks(cls, tasks: Iterable[VertexTask]) -> "TaskTable":
+        """The table of a sequence of rows."""
+        tasks = list(tasks)
+        columns = {
+            name: [getattr(task, name) for task in tasks]
+            for name in TASK_COLUMNS
+        }
+        rounds = [r for task in tasks for r in task.traversal]
+        return cls(
+            len(tasks),
+            **columns,
+            round_ptr=np.cumsum([0] + [len(t.traversal) for t in tasks]),
+            round_count=[r.count for r in rounds],
+            round_bytes=[r.bytes_each for r in rounds],
+        )
+
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable.
+        self.__dict__.update(state)
+        for name in TASK_COLUMNS + ROUND_COLUMNS:
+            getattr(self, name).flags.writeable = False
+
+    # -- rows -----------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.vertex)
+
+    def _row(self, i: int) -> VertexTask:
+        lo, hi = self.round_ptr[i], self.round_ptr[i + 1]
+        return VertexTask(
+            **{name: int(getattr(self, name)[i]) for name in TASK_COLUMNS},
+            traversal=tuple(
+                TraversalRound(count=int(c), bytes_each=int(b))
+                for c, b in zip(self.round_count[lo:hi],
+                                self.round_bytes[lo:hi])
+            ),
+        )
+
+    def __getitem__(self, i: int) -> VertexTask:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("task index out of range")
+        return self._row(i)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TaskTable):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in TASK_COLUMNS + ROUND_COLUMNS
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"TaskTable({len(self)} tasks, {len(self.round_count)} rounds)"
+
+    # -- totals (exact Python ints, computed once) ---------------------------
+
+    @cached_property
+    def total_dna_macs(self) -> int:
+        return sum(self.dna_macs.tolist())
+
+    @cached_property
+    def total_visits(self) -> int:
+        return sum(self.round_count.tolist())
+
+    @cached_property
+    def dram_bytes_requested(self) -> int:
+        staged = np.where(self.dna_macs > 0, self.feature_bytes, 0)
+        return (
+            sum((self.block_load_bytes + self.output_bytes + staged).tolist())
+            + sum((self.gather_count * self.gather_bytes_each).tolist())
+            + sum((self.round_count * self.round_bytes).tolist())
+        )
+
+
 @dataclass
 class LayerProgram:
-    """One layer: hardware configuration plus the per-vertex tasks."""
+    """One layer: hardware configuration plus the per-vertex tasks.
+
+    ``tasks`` is a :class:`TaskTable`; a sequence of :class:`VertexTask`
+    rows is converted to one.
+    """
 
     name: str
-    tasks: list[VertexTask]
+    tasks: TaskTable
     dnq_entry_bytes: int = 256
     agg_width_values: int = 16
     dna_efficiency: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.tasks:
+        if not isinstance(self.tasks, TaskTable):
+            self.tasks = TaskTable.from_tasks(self.tasks)
+        if not len(self.tasks):
             raise ValueError(f"layer {self.name!r} has no tasks")
         if not 0 < self.dna_efficiency <= 1:
             raise ValueError("dna_efficiency must be in (0, 1]")
 
     @property
     def total_dna_macs(self) -> int:
-        return sum(t.dna_macs for t in self.tasks)
+        return self.tasks.total_dna_macs
 
     @property
     def total_visits(self) -> int:
-        return sum(t.traversal_visits for t in self.tasks)
+        return self.tasks.total_visits
 
     @property
     def dram_bytes_requested(self) -> int:
@@ -131,16 +321,7 @@ class LayerProgram:
         engine checks it against the controllers' ``bytes_requested``
         after every layer.
         """
-        total = 0
-        for t in self.tasks:
-            total += (t.block_load_bytes + t.gather_count * t.gather_bytes_each
-                      + t.output_bytes)
-            if t.traversal:
-                for r in t.traversal:
-                    total += r.count * r.bytes_each
-            if t.dna_macs > 0:
-                total += t.feature_bytes
-        return total
+        return self.tasks.dram_bytes_requested
 
 
 @dataclass

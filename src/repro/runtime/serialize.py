@@ -8,35 +8,44 @@ serialize one way (they are measurements, not inputs).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any
 
 from repro.runtime.program import (
     AcceleratorProgram,
     LayerProgram,
+    TASK_COLUMNS,
+    TaskTable,
     TraversalRound,
     VertexTask,
 )
 from repro.runtime.report import LayerReport, SimulationReport
 
 
+def _task_dicts(tasks: TaskTable) -> list[dict[str, Any]]:
+    """Every row of a task table as plain data, built from the columns.
+
+    Each dict holds the :class:`VertexTask` fields in field order, the
+    traversal as a list of ``{"count", "bytes_each"}`` rounds.
+    """
+    rounds = [
+        {"count": count, "bytes_each": size}
+        for count, size in zip(tasks.round_count.tolist(),
+                               tasks.round_bytes.tolist())
+    ]
+    ptr = tasks.round_ptr.tolist()
+    columns = {name: getattr(tasks, name).tolist() for name in TASK_COLUMNS}
+    columns["traversal"] = [rounds[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+    keys = [f.name for f in fields(VertexTask)]
+    return [
+        dict(zip(keys, row))
+        for row in zip(*(columns[key] for key in keys))
+    ]
+
+
 def task_to_dict(task: VertexTask) -> dict[str, Any]:
     """One vertex task as plain data."""
-    return {
-        "vertex": task.vertex,
-        "control_instructions": task.control_instructions,
-        "block_load_bytes": task.block_load_bytes,
-        "traversal": [
-            {"count": r.count, "bytes_each": r.bytes_each}
-            for r in task.traversal
-        ],
-        "gather_count": task.gather_count,
-        "gather_bytes_each": task.gather_bytes_each,
-        "local_contributions": task.local_contributions,
-        "feature_bytes": task.feature_bytes,
-        "dna_macs": task.dna_macs,
-        "output_bytes": task.output_bytes,
-        "dnq_queue": task.dnq_queue,
-    }
+    return _task_dicts(TaskTable.from_tasks([task]))[0]
 
 
 def task_from_dict(data: dict[str, Any]) -> VertexTask:
@@ -69,7 +78,7 @@ def program_to_dict(program: AcceleratorProgram) -> dict[str, Any]:
                 "dnq_entry_bytes": layer.dnq_entry_bytes,
                 "agg_width_values": layer.agg_width_values,
                 "dna_efficiency": layer.dna_efficiency,
-                "tasks": [task_to_dict(t) for t in layer.tasks],
+                "tasks": _task_dicts(layer.tasks),
             }
             for layer in program.layers
         ],

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.accel.config import TileConfig
 from repro.runtime.program import AcceleratorProgram, LayerProgram
 
@@ -49,31 +51,28 @@ def _validate_layer(
             f"aggregation width {layer.agg_width_values} values exceeds "
             f"the {tile.agg_data_bytes}B data scratchpad"
         )
-    max_feature = max((t.feature_bytes for t in layer.tasks), default=0)
+    tasks = layer.tasks
+    max_feature = int(tasks.feature_bytes.max(initial=0))
     if max_feature > layer.dnq_entry_bytes:
         error(
             f"a task stages {max_feature}B through {layer.dnq_entry_bytes}B "
             f"DNQ entries"
         )
-    for task in layer.tasks:
-        if not 0 <= task.dnq_queue < 2:
-            error(f"task for vertex {task.vertex} uses DNQ queue "
-                  f"{task.dnq_queue}; the DNQ has two virtual queues")
-            break
+    bad_queue = np.flatnonzero(tasks.dnq_queue >= 2)
+    if len(bad_queue):
+        first = bad_queue[0]
+        error(f"task for vertex {tasks.vertex[first]} uses DNQ queue "
+              f"{tasks.dnq_queue[first]}; the DNQ has two virtual queues")
     if layer.dnq_entry_bytes <= tile.dnq_data_bytes:
         capacity = tile.max_dnq_entries(layer.dnq_entry_bytes)
-        if capacity < tile.gpe_threads and any(
-            t.has_dna_job for t in layer.tasks
-        ):
+        if capacity < tile.gpe_threads and tasks.dna_macs.any():
             warn(
                 f"only {capacity} DNQ entries fit but the GPE runs "
                 f"{tile.gpe_threads} threads; threads will stall on "
                 f"reservations"
             )
-    widths = {
-        t.gather_bytes_each for t in layer.tasks if t.gather_count > 0
-    }
-    if any(w % 64 for w in widths):
+    widths = tasks.gather_bytes_each[tasks.gather_count > 0]
+    if np.any(widths % 64):
         warn(
             "gathered records are not 64B multiples; every read wastes "
             "DRAM burst bandwidth (Section V)"

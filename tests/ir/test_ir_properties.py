@@ -10,18 +10,30 @@ generated graphs, for every registered model family:
   workload's :class:`~repro.models.workload.DenseMatmul` totals;
 * every gather/reduce phase's fan-in and output traffic match the
   spec's declared ``num_inputs``/``num_outputs``/``width``;
-* lowering and the IR content digest are deterministic.
+* lowering and the IR content digest are deterministic;
+* every lowered vertex task equals its spec's rule evaluated one vertex
+  at a time, on graphs with isolated vertices and on graph sets with a
+  one-node graph.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.accel.config import TileConfig
 from repro.graphs.generators import citation_graph, molecule_graph_set
+from repro.graphs.graph import Graph, GraphSet
 from repro.models import GAT, GCN, GIN, MPNN, PGNN, GraphSAGE
-from repro.models.ir import EdgeAggregate, GraphReduce
+from repro.models.ir import (
+    DenseTransform,
+    EdgeAggregate,
+    GraphReduce,
+    ModelIR,
+    TraversalAggregate,
+)
 from repro.models.workload import BYTES_PER_VALUE, DenseMatmul
 from repro.runtime.compiler import lower
+from repro.runtime.program import TraversalRound, VertexTask
 
 
 def _citation(num_nodes, num_edges, features, seed):
@@ -165,3 +177,151 @@ def test_ir_digest_separates_hyper_parameters(hidden_a, hidden_b):
     digest_a = GCN(5, hidden_a, 3, seed=0).layer_ir(graph).digest()
     digest_b = GCN(5, hidden_b, 3, seed=0).layer_ir(graph).digest()
     assert (digest_a == digest_b) == (hidden_a == hidden_b)
+
+
+# -- every lowered task equals its rule, evaluated per vertex ----------------
+
+
+@st.composite
+def citation_with_isolated(draw):
+    """A random citation graph with up to three isolated vertices added."""
+    num_nodes = draw(st.integers(2, 24))
+    max_edges = min(40, num_nodes * (num_nodes - 1) // 2)
+    graph = citation_graph(
+        num_nodes, draw(st.integers((num_nodes + 1) // 2, max_edges)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    isolated = draw(st.integers(0, 3))
+    indptr = np.concatenate([graph.indptr, [graph.nnz] * isolated])
+    return Graph(indptr, graph.indices, num_nodes + isolated)
+
+
+@st.composite
+def lowering_input(draw):
+    """A graph, or a small graph set holding a one-node graph."""
+    if draw(st.booleans()):
+        return draw(citation_with_isolated())
+    one_node = Graph(np.zeros(2, dtype=np.int64), np.zeros(0, np.int64), 1)
+    graphs = draw(st.lists(citation_with_isolated(), min_size=1, max_size=3))
+    graphs.insert(draw(st.integers(0, len(graphs))), one_node)
+    return GraphSet(graphs)
+
+
+_sizes = st.integers(0, 64)
+
+layer_specs = st.one_of(
+    st.builds(
+        DenseTransform, name=st.just("dense"), f_in=st.integers(1, 64),
+        f_out=st.integers(1, 64), macs_per_item=st.integers(1, 4096),
+        space=st.sampled_from(["vertex", "edge"]),
+        out_values=st.none() | st.integers(1, 64),
+    ),
+    st.builds(
+        EdgeAggregate, name=st.just("aggregate"), width=st.integers(1, 64),
+        num_inputs=st.just(0), num_outputs=st.just(0),
+        include_self=st.booleans(),
+        sample_bound=st.none() | st.integers(0, 12),
+        extra_gather_bytes=_sizes,
+    ),
+    st.builds(
+        TraversalAggregate, name=st.just("traversal"),
+        width=st.integers(1, 64), num_inputs=st.just(0),
+        num_outputs=st.just(0),
+        hop_bytes=st.lists(st.none() | _sizes, max_size=3).map(tuple),
+    ),
+    st.builds(
+        GraphReduce, name=st.just("reduce"), width=st.integers(1, 64),
+        num_inputs=st.just(0), num_outputs=st.just(0),
+    ),
+)
+
+
+def _rule_rows(spec, data, ipv):
+    """The spec's vertex tasks, one vertex at a time in plain Python."""
+    graphs = data.graphs if isinstance(data, GraphSet) else [data]
+    rows = []
+    base = 0
+    for graph in graphs:
+        indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+        n = graph.num_nodes
+
+        def neighbours(v):
+            return indices[indptr[v]:indptr[v + 1]]
+
+        if isinstance(spec, DenseTransform):
+            out = spec.f_out if spec.out_values is None else spec.out_values
+            items = (
+                range(n) if spec.space == "vertex"
+                else [v for v in range(n) for _ in neighbours(v)]
+            )
+            rows += [
+                VertexTask(vertex=base + v, control_instructions=ipv,
+                           feature_bytes=4 * spec.f_in,
+                           dna_macs=spec.macs_per_item,
+                           output_bytes=4 * out)
+                for v in items
+            ]
+        elif isinstance(spec, EdgeAggregate):
+            for v in range(n):
+                fanout = len(neighbours(v))
+                if spec.sample_bound is not None:
+                    fanout = min(fanout, spec.sample_bound)
+                rows.append(VertexTask(
+                    vertex=base + v, control_instructions=ipv,
+                    block_load_bytes=max(4, 4 * fanout),
+                    gather_count=max(1, fanout + int(spec.include_self)),
+                    gather_bytes_each=4 * spec.width
+                    + spec.extra_gather_bytes,
+                    output_bytes=4 * spec.width,
+                ))
+        elif isinstance(spec, TraversalAggregate):
+            hops, previous = [], [1] * n
+            for _ in spec.hop_bytes:
+                previous = [
+                    sum(previous[u] for u in neighbours(v)) for v in range(n)
+                ]
+                hops.append(previous)
+            for v in range(n):
+                degree = len(neighbours(v))
+                rounds = tuple(
+                    TraversalRound(
+                        count=hops[k][v],
+                        bytes_each=4 * spec.width if size is None else size,
+                    )
+                    for k, size in enumerate(spec.hop_bytes) if hops[k][v]
+                )
+                rows.append(VertexTask(
+                    vertex=base + v, control_instructions=ipv,
+                    block_load_bytes=max(4, 4 * degree),
+                    traversal=rounds,
+                    gather_count=max(1, degree),
+                    gather_bytes_each=4 * spec.width,
+                    local_contributions=sum(hop[v] for hop in hops[1:]),
+                    output_bytes=4 * spec.width,
+                ))
+        else:
+            rows.append(VertexTask(
+                vertex=base, control_instructions=ipv, gather_count=n,
+                gather_bytes_each=4 * spec.width,
+                output_bytes=4 * spec.width,
+            ))
+        base += n
+    return rows
+
+
+@given(lowering_input(), layer_specs)
+@settings(max_examples=150, deadline=None)
+def test_every_lowered_task_equals_its_rule(data, spec):
+    # The lowering is a few numpy expressions over the whole batch; the
+    # rule here is the per-vertex definition.  All of it is integer
+    # arithmetic, so the two must agree exactly.
+    tile = TileConfig()
+    rows = _rule_rows(spec, data, tile.gpe_costs.instructions_per_vertex)
+    ir = ModelIR(model="m", graph="g", specs=(spec,))
+    if not rows:  # an edge-space phase over a graph without edges
+        with pytest.raises(ValueError, match="has no tasks"):
+            lower(ir, data, tile)
+        return
+    (layer,) = lower(ir, data, tile).layers
+    assert len(layer.tasks) == len(rows)
+    assert list(layer.tasks) == rows

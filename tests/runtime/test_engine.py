@@ -338,3 +338,27 @@ class TestContinuations:
         owners = exc.value.diagnosis.pending_by_owner
         assert owners["RuntimeEngine._fill"] > 0
         assert not [owner for owner in owners if "<locals>" in owner]
+
+
+class TestTaskColumns:
+    """The simulation path reads a layer's task columns by index."""
+
+    def test_compile_and_simulate_build_no_vertex_task(self, monkeypatch):
+        # Iterating or indexing layer.tasks builds one VertexTask per row;
+        # the compiler and the engine must not.
+        built = []
+        original = VertexTask.__post_init__
+
+        def post_init(task):
+            built.append(task.vertex)
+            original(task)
+
+        monkeypatch.setattr(VertexTask, "__post_init__", post_init)
+        VertexTask(vertex=7)
+        assert built == [7]  # the counter sees a construction
+        built.clear()
+        model, data = load_benchmark(benchmark_by_key("gcn-cora"))
+        program = compile_model(model, data)
+        report = simulate(program, tiny_config())
+        assert report.latency_ms > 0
+        assert built == []

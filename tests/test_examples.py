@@ -30,6 +30,7 @@ FAST_EXAMPLES = [
     "dnn_accelerator_study",
     "noc_traffic_study",
     "trace_debugging",
+    "custom_gnn_accelerator",
 ]
 
 
@@ -48,6 +49,15 @@ def test_quickstart_reports_speedup(capsys):
     assert "simulated latency" in out
 
 
+def test_custom_program_reports_its_sweep(capsys):
+    # The one example that builds vertex-task rows by hand: its 1-tile
+    # 2.4 GHz row is latency, bandwidth and DNA utilization.
+    load_example("custom_gnn_accelerator").main()
+    rows = capsys.readouterr().out.splitlines()
+    row = next(r for r in rows if r.startswith("1 tiles @ 2.4 GHz"))
+    assert row.split()[-3:] == ["0.664ms", "85%", "25%"]
+
+
 def test_dnn_study_reports_pubmed_waste(capsys):
     load_example("dnn_accelerator_study").main()
     out = capsys.readouterr().out
@@ -59,7 +69,6 @@ def test_dnn_study_reports_pubmed_waste(capsys):
     "name",
     FAST_EXAMPLES + [
         "gnn_model_zoo",
-        "custom_gnn_accelerator",
         "design_sweeps",
         "reproduce_paper",
     ],

@@ -13,8 +13,8 @@ recomputes one cell with the current code:
 * ``multichip/<backend>/chips<n>/<benchmark>`` — the ``multichip``
   system report (default partition: METIS, seed 0) at 1, 2 and 4 chips;
 * ``program/<benchmark>`` — the compiled accelerator program, field for
-  field (``dataclasses.asdict``), for every registered benchmark plus
-  the normalized-attention GAT.
+  field (:func:`repro.runtime.serialize.program_to_dict`), for every
+  registered benchmark plus the normalized-attention GAT.
 
 The table records the :data:`repro.exp.cache.SCHEMA_VERSION` it was
 generated under.  Cached reports are keyed by configuration and schema
@@ -30,7 +30,6 @@ The generator exits 1 without writing when a pinned digest changed but
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -109,7 +108,9 @@ def _multichip_cell(benchmark_key: str, backend: str, chips: int) -> Cell:
 
 
 def program_digest(program) -> str:
-    text = json.dumps(dataclasses.asdict(program), sort_keys=True,
+    from repro.runtime.serialize import program_to_dict
+
+    text = json.dumps(program_to_dict(program), sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
