@@ -7,44 +7,32 @@ schedules — pathologically interleaved queue ids vs batched per queue —
 and shows the switch penalty is what makes batching matter.
 """
 
-import pytest
+import numpy as np
 
 from repro.accel import CPU_ISO_BW
 from repro.runtime import (
     AcceleratorProgram,
     LayerProgram,
-    VertexTask,
+    TaskTable,
     simulate,
 )
 
 
 def dual_model_program(interleaved: bool, tasks_per_model: int = 64):
-    tasks = []
-    for i in range(tasks_per_model):
-        for queue in (0, 1):
-            tasks.append(
-                VertexTask(
-                    vertex=len(tasks),
-                    control_instructions=4,
-                    feature_bytes=256,
-                    dna_macs=182 * 8,
-                    output_bytes=64,
-                    dnq_queue=queue,
-                )
-            )
-    if not interleaved:
-        tasks = sorted(tasks, key=lambda t: t.dnq_queue)
-        tasks = [
-            VertexTask(
-                vertex=i,
-                control_instructions=t.control_instructions,
-                feature_bytes=t.feature_bytes,
-                dna_macs=t.dna_macs,
-                output_bytes=t.output_bytes,
-                dnq_queue=t.dnq_queue,
-            )
-            for i, t in enumerate(tasks)
-        ]
+    n = 2 * tasks_per_model
+    if interleaved:
+        queues = np.tile([0, 1], tasks_per_model)
+    else:
+        queues = np.repeat([0, 1], tasks_per_model)
+    tasks = TaskTable(
+        n,
+        vertex=np.arange(n),
+        control_instructions=4,
+        feature_bytes=256,
+        dna_macs=182 * 8,
+        output_bytes=64,
+        dnq_queue=queues,
+    )
     return AcceleratorProgram(
         name="dual-model",
         layers=[LayerProgram(name="shared", tasks=tasks,

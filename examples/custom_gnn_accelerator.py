@@ -3,8 +3,9 @@
 The paper's motivating scenario for Section VI is "how does this design
 scale?"  This example shows the two extension points a user has:
 
-1. **Custom vertex programs** — define a new GNN layer directly as
-   :class:`~repro.runtime.program.VertexTask` dataflows (here: a
+1. **Custom vertex programs** — define a new GNN layer directly as a
+   :class:`~repro.runtime.program.TaskTable`, one column per dataflow
+   field computed with numpy over every vertex at once (here: a
    GraphSAGE-style mean aggregator with a sampled neighbourhood).
 2. **Custom hardware configurations** — sweep tile count, clock, and
    memory bandwidth beyond the Table VI points.
@@ -21,49 +22,44 @@ from repro.graphs import citation_graph
 from repro.runtime import (
     AcceleratorProgram,
     LayerProgram,
-    VertexTask,
+    TaskTable,
     simulate,
 )
 from repro.runtime.compiler import dna_efficiency
 
 
-def sage_program(graph, hidden=32, sample=10, seed=0):
+def sage_program(graph, hidden=32, sample=10):
     """GraphSAGE-mean as vertex programs.
 
     Each layer samples at most ``sample`` neighbours, gathers their
     states into the AGG, then projects the concatenated [self; mean]
-    state on the DNA.
+    state on the DNA.  Every column is one numpy expression over the
+    vertices, as the compiler lowers a layer.
     """
-    rng = np.random.default_rng(seed)
-    features = graph.num_node_features
-    degrees = graph.degrees()
+    n = graph.num_nodes
+    vertices = np.arange(n)
+    fanout = np.minimum(graph.degrees(), sample)
     layers = []
     for index, (f_in, f_out) in enumerate(
-        [(features, hidden), (hidden, hidden)]
+        [(graph.num_node_features, hidden), (hidden, hidden)]
     ):
-        gather_tasks = []
-        project_tasks = []
-        for v in range(graph.num_nodes):
-            fanout = int(min(sample, degrees[v]))
-            gather_tasks.append(
-                VertexTask(
-                    vertex=v,
-                    control_instructions=16,
-                    block_load_bytes=max(4, fanout * 4),
-                    gather_count=max(1, fanout),
-                    gather_bytes_each=f_in * 4,
-                    output_bytes=f_in * 4,
-                )
-            )
-            project_tasks.append(
-                VertexTask(
-                    vertex=v,
-                    control_instructions=16,
-                    feature_bytes=2 * f_in * 4,
-                    dna_macs=2 * f_in * f_out,
-                    output_bytes=f_out * 4,
-                )
-            )
+        gather_tasks = TaskTable(
+            n,
+            vertex=vertices,
+            control_instructions=16,
+            block_load_bytes=np.maximum(fanout * 4, 4),
+            gather_count=np.maximum(fanout, 1),
+            gather_bytes_each=f_in * 4,
+            output_bytes=f_in * 4,
+        )
+        project_tasks = TaskTable(
+            n,
+            vertex=vertices,
+            control_instructions=16,
+            feature_bytes=2 * f_in * 4,
+            dna_macs=2 * f_in * f_out,
+            output_bytes=f_out * 4,
+        )
         layers.append(
             LayerProgram(
                 name=f"sage{index}.sample_mean",
@@ -79,12 +75,10 @@ def sage_program(graph, hidden=32, sample=10, seed=0):
                 dnq_entry_bytes=2 * f_in * 4,
                 agg_width_values=f_out,
                 dna_efficiency=dna_efficiency(
-                    CPU_ISO_BW.tile.dna, graph.num_nodes, 2 * f_in, f_out
+                    CPU_ISO_BW.tile.dna, n, 2 * f_in, f_out
                 ),
             )
         )
-    # Silence the unused-rng warning if sampling strategy changes.
-    del rng
     return AcceleratorProgram(name="GraphSAGE", layers=layers)
 
 

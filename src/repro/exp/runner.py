@@ -166,7 +166,18 @@ class Point:
         entries.  Cross-system points hash their
         :meth:`~repro.systems.base.ExecutionPlan.fingerprint`; every
         fingerprint names its system, so systems never collide.
+
+        The key is computed on the first read and kept on the instance,
+        outside the dataclass fields: equality, hashing, ``repr`` and
+        :func:`dataclasses.replace` never see it.
         """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self._content_key()
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def _content_key(self) -> str:
         if self.system == ACCEL_SYSTEM:
             return point_key(self.benchmark_key, self.resolved_config,
                              self.shard)

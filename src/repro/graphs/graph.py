@@ -70,17 +70,12 @@ class Graph:
             self.indices.min() < 0 or self.indices.max() >= self.num_nodes
         ):
             raise ValueError("indices contain out-of-range vertex ids")
-        self._node_features: np.ndarray | None = None
-        #: ``(width, seed)`` of features not generated yet.
-        self._deferred_features: tuple[int, int] | None = None
-        if node_features is not None:
-            node_features = np.asarray(node_features, dtype=np.float32)
-            if node_features.shape[0] != self.num_nodes:
-                raise ValueError(
-                    f"node_features has {node_features.shape[0]} rows, "
-                    f"expected {self.num_nodes}"
-                )
-            self._node_features = node_features
+        #: ``(num_rows, width, seed, selection)`` of features not
+        #: generated yet: the first read keeps rows ``selection`` of
+        #: ``random_node_features(num_rows, width, seed)`` (every row when
+        #: ``selection`` is None).
+        self._deferred_features: tuple | None = None
+        self.node_features = node_features
         self.edge_features = None
         if edge_features is not None:
             edge_features = np.asarray(edge_features, dtype=np.float32)
@@ -138,15 +133,23 @@ class Graph:
         Deferred features are generated on the first read.
         """
         if self._deferred_features is not None:
-            width, seed = self._deferred_features
-            self._node_features = random_node_features(
-                self.num_nodes, width, seed
-            )
+            num_rows, width, seed, selection = self._deferred_features
+            features = random_node_features(num_rows, width, seed)
+            if selection is not None:
+                features = features[selection]
+            self._node_features = features
             self._deferred_features = None
         return self._node_features
 
     @node_features.setter
     def node_features(self, features: np.ndarray | None) -> None:
+        if features is not None:
+            features = np.asarray(features, dtype=np.float32)
+            if features.shape[0] != self.num_nodes:
+                raise ValueError(
+                    f"node_features has {features.shape[0]} rows, "
+                    f"expected {self.num_nodes}"
+                )
         self._deferred_features = None
         self._node_features = features
 
@@ -158,7 +161,31 @@ class Graph:
         values; the deferral is plain data, so the graph still pickles.
         """
         self._node_features = None
-        self._deferred_features = (int(width), int(seed))
+        self._deferred_features = (self.num_nodes, int(width), int(seed),
+                                   None)
+
+    def select_node_features(self, source: "Graph", rows: np.ndarray) -> None:
+        """Use ``source.node_features[rows]`` as this graph's features.
+
+        Deferred features stay deferred: the row selection is recorded
+        as plain data and applied on the first read, which returns the
+        same values bit for bit.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) != self.num_nodes:
+            raise ValueError(
+                f"selected {len(rows)} feature rows, expected "
+                f"{self.num_nodes}"
+            )
+        if source._deferred_features is None:
+            features = source._node_features
+            self.node_features = None if features is None else features[rows]
+            return
+        num_rows, width, seed, selection = source._deferred_features
+        if selection is not None:
+            rows = selection[rows]
+        self._node_features = None
+        self._deferred_features = (num_rows, width, seed, rows)
 
     # -- basic properties -----------------------------------------------
 
@@ -178,7 +205,7 @@ class Graph:
     def num_node_features(self) -> int:
         """Width of the node feature matrix (0 if absent)."""
         if self._deferred_features is not None:
-            return self._deferred_features[0]
+            return self._deferred_features[1]
         features = self._node_features
         return 0 if features is None else features.shape[1]
 

@@ -202,7 +202,11 @@ class Partition:
 
 def induced_subgraph(graph: Graph, nodes: np.ndarray, name: str) -> Graph:
     """The subgraph on ``nodes`` (ascending global ids), internal edges
-    only, features sliced, vertex ids remapped to ``0..len(nodes)-1``."""
+    only, features sliced, vertex ids remapped to ``0..len(nodes)-1``.
+
+    Features the source has not generated yet stay deferred
+    (:meth:`Graph.select_node_features`): compiling a shard reads only
+    their width."""
     mask = np.zeros(graph.num_nodes, dtype=bool)
     mask[nodes] = True
     local = np.full(graph.num_nodes, -1, dtype=np.int64)
@@ -214,11 +218,8 @@ def induced_subgraph(graph: Graph, nodes: np.ndarray, name: str) -> Graph:
     dst = local[graph.indices[keep]]
     counts = np.bincount(src, minlength=len(nodes))
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    node_features = None
-    if graph.node_features is not None:
-        node_features = graph.node_features[nodes]
-    sub = Graph(indptr, dst, len(nodes), node_features=node_features,
-                name=name)
+    sub = Graph(indptr, dst, len(nodes), name=name)
+    sub.select_node_features(graph, nodes)
     if graph.edge_features is not None:
         sub.edge_features = graph.edge_features[keep]
     return sub

@@ -5,24 +5,17 @@ A GNN model is compiled (:mod:`repro.runtime.compiler`) into an
 :class:`~repro.runtime.program.AcceleratorProgram` — an ordered sequence
 of layers, each carrying a hardware configuration and a
 :class:`~repro.runtime.program.TaskTable` with one vertex task per
-output vertex: one read-only integer column per
-:class:`~repro.runtime.program.VertexTask` field, lowered with numpy
-over the whole graph batch.  ``table[i]`` builds row ``i`` as a
-:class:`~repro.runtime.program.VertexTask`, and a hand-written layer may
-give its tasks as such rows.  The
+output vertex: one read-only integer column per task field, lowered
+with numpy over the whole graph batch.  A hand-written layer builds its
+table the same way, or from plain task dicts with
+:meth:`~repro.runtime.program.TaskTable.from_rows`.  The
 :class:`~repro.runtime.engine.RuntimeEngine` executes the program on an
 :class:`~repro.accel.system.Accelerator` exactly as Algorithm 1
 prescribes: configure, barrier, run every vertex program, barrier,
 next layer.
 """
 
-from repro.runtime.program import (
-    AcceleratorProgram,
-    LayerProgram,
-    TaskTable,
-    TraversalRound,
-    VertexTask,
-)
+from repro.runtime.program import AcceleratorProgram, LayerProgram, TaskTable
 from repro.runtime.compiler import compile_model
 from repro.runtime.engine import (
     DeadlockError,
@@ -41,8 +34,6 @@ from repro.runtime.validate import (
 
 __all__ = [
     "TaskTable",
-    "VertexTask",
-    "TraversalRound",
     "LayerProgram",
     "AcceleratorProgram",
     "compile_model",

@@ -16,24 +16,25 @@ the dataflow required to compute one output vertex"):
 6. writeback of the result to memory.
 
 Phases a task does not need are simply left at zero.  The table stores
-one read-only integer column per :class:`VertexTask` field, so a layer
-of a million tasks is a few arrays, not a million objects;
-:class:`VertexTask` is the row type hand-written programs are built
-from and what ``table[i]`` returns.
+one read-only integer column per field, so a layer of a million tasks is
+a few arrays, not a million objects.  Compiled, hand-written and loaded
+layers are all tables: :meth:`TaskTable.rows` and
+:meth:`TaskTable.from_rows` convert to and from one plain dict per task,
+the row format of a program dump (:mod:`repro.runtime.serialize`).
 """
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Any
 
 import numpy as np
 
 
-#: The scalar :class:`VertexTask` fields a :class:`TaskTable` stores as
-#: columns, in field order (the traversal rounds are stored apart).
+#: The scalar task fields a :class:`TaskTable` stores as columns, in
+#: phase order (the traversal rounds are stored apart).
 TASK_COLUMNS = (
     "vertex",
     "control_instructions",
@@ -55,88 +56,21 @@ ROUND_COLUMNS = ("round_ptr", "round_count", "round_bytes")
 #: fields is exact in int64 (numpy integer arithmetic wraps silently).
 VALUE_LIMIT = 2**31
 
-
-def _check_value(name: str, value: object) -> None:
-    """Every task field is an integer in ``[0, VALUE_LIMIT)``."""
-    if not isinstance(value, (int, np.integer)):
-        raise ValueError(
-            f"{name} must be an integer, not {type(value).__name__}"
-        )
-    if value < 0:
-        raise ValueError(f"{name} cannot be negative")
-    if value >= VALUE_LIMIT:
-        raise ValueError(f"{name} must be below 2**31")
-
-
-@dataclass(frozen=True)
-class TraversalRound:
-    """One round of dependent traversal reads.
-
-    Rounds execute serially (round ``i+1`` needs addresses loaded in
-    round ``i``); the ``count`` reads within a round are issued
-    asynchronously and overlap.
-    """
-
-    count: int
-    bytes_each: int
-
-    def __post_init__(self) -> None:
-        _check_value("count", self.count)
-        _check_value("bytes_each", self.bytes_each)
-
-
-@dataclass(frozen=True)
-class VertexTask:
-    """Dataflow to compute one output vertex (or edge) of a layer.
-
-    Every scalar field is an integer in ``[0, 2**31)``, as in a
-    :class:`TaskTable` column, so any row converts to a table.
-    """
-
-    vertex: int
-    control_instructions: int = 0
-    block_load_bytes: int = 0
-    traversal: tuple[TraversalRound, ...] = ()
-    gather_count: int = 0
-    gather_bytes_each: int = 0
-    local_contributions: int = 0
-    feature_bytes: int = 0
-    dna_macs: int = 0
-    output_bytes: int = 0
-    dnq_queue: int = 0
-
-    def __post_init__(self) -> None:
-        for name in TASK_COLUMNS:
-            _check_value(name, getattr(self, name))
-        if self.local_contributions and not self.traversal:
-            raise ValueError(
-                "local contributions are sourced from traversal data; "
-                "a task with local_contributions needs traversal rounds"
-            )
-
-    @property
-    def has_aggregation(self) -> bool:
-        """True when the task allocates an AGG entry."""
-        return self.gather_count > 0 or self.local_contributions > 0
-
-    @property
-    def expected_inputs(self) -> int:
-        """Contribution count the AGG entry is allocated with."""
-        return self.gather_count + self.local_contributions
-
-    @property
-    def has_dna_job(self) -> bool:
-        """True when the task stages work through the DNQ to the DNA."""
-        return self.dna_macs > 0
-
-    @property
-    def traversal_visits(self) -> int:
-        """Total dependent traversal reads across all rounds."""
-        return sum(r.count for r in self.traversal)
+#: A task row's keys, in the order a program dump writes them: the
+#: scalar columns, with the traversal rounds after the block load.
+_AFTER_BLOCK_LOAD = TASK_COLUMNS.index("block_load_bytes") + 1
+_ROW_KEYS = (
+    TASK_COLUMNS[:_AFTER_BLOCK_LOAD]
+    + ("traversal",)
+    + TASK_COLUMNS[_AFTER_BLOCK_LOAD:]
+)
 
 
 def _column(name: str, value: object, length: int) -> np.ndarray:
-    """One validated read-only int64 column; a scalar broadcasts."""
+    """One validated read-only int64 column; a scalar broadcasts.
+
+    Every value is an integer in ``[0, VALUE_LIMIT)``.
+    """
     data = np.asarray(value)
     if data.size and data.dtype.kind not in "iub":
         raise ValueError(f"{name} must hold integers, not {data.dtype}")
@@ -146,31 +80,32 @@ def _column(name: str, value: object, length: int) -> np.ndarray:
         raise ValueError(
             f"{name} has shape {data.shape}; expected ({length},)"
         )
-    if length:
-        _check_value(name, int(data.min()))
-        _check_value(name, int(data.max()))
+    if length and int(data.min()) < 0:
+        raise ValueError(f"{name} cannot be negative")
+    if length and int(data.max()) >= VALUE_LIMIT:
+        raise ValueError(f"{name} must be below 2**31")
     column = np.array(data, dtype=np.int64)
     column.flags.writeable = False
     return column
 
 
-class TaskTable(Sequence):
+class TaskTable:
     """A layer's vertex tasks, one read-only int64 column per field.
 
     Build it as ``TaskTable(n, vertex=..., gather_count=..., ...)``: a
     scalar broadcasts to all ``n`` rows and an omitted field is 0.  The
     rows' traversal rounds are ``round_ptr`` (length ``n + 1``) over
-    ``round_count``/``round_bytes``; omitted, no row has rounds.
-    Construction checks what :class:`VertexTask` and
-    :class:`TraversalRound` check, on whole columns, and rejects any
-    value of 2**31 or more; a failure raises ``ValueError`` naming the
-    field.
+    ``round_count``/``round_bytes``; omitted, no row has rounds.  Rounds
+    execute serially (round ``i+1`` needs addresses loaded in round
+    ``i``); the ``count`` reads within a round overlap.
 
-    Columns are read-only: compiled programs are shared by every
-    simulation of a benchmark in the process, so a write would change
-    later results under an unchanged cache key.  The table is also a
-    read-only sequence of :class:`VertexTask` rows — ``table[i]`` builds
-    one — so hot code reads the columns instead.
+    Construction checks every value is an integer in ``[0, 2**31)``, so
+    the product of any two fields is exact, and that local contributions
+    (sourced from traversal data) come with a round; a failure raises
+    ``ValueError`` naming the field.  Columns are read-only: compiled
+    programs are shared by every simulation of a benchmark in the
+    process, so a write would change later results under an unchanged
+    cache key.  Hand-written rows go through :meth:`from_rows`.
     """
 
     def __init__(
@@ -204,21 +139,53 @@ class TaskTable(Sequence):
                 "a task with local_contributions needs traversal rounds"
             )
 
+    # -- rows: one plain dict per task ----------------------------------------
+
+    def rows(self) -> list[dict[str, Any]]:
+        """Every task as a plain dict, the row format of a program dump.
+
+        The keys are ``vertex``, ``control_instructions``,
+        ``block_load_bytes``, ``traversal`` (a list of
+        ``{"count", "bytes_each"}`` rounds), then the remaining columns
+        in :data:`TASK_COLUMNS` order.
+        """
+        rounds = [
+            {"count": count, "bytes_each": size}
+            for count, size in zip(self.round_count.tolist(),
+                                   self.round_bytes.tolist())
+        ]
+        ptr = self.round_ptr.tolist()
+        values = {name: getattr(self, name).tolist() for name in TASK_COLUMNS}
+        values["traversal"] = [rounds[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
+        return [
+            dict(zip(_ROW_KEYS, row))
+            for row in zip(*(values[key] for key in _ROW_KEYS))
+        ]
+
     @classmethod
-    def from_tasks(cls, tasks: Iterable[VertexTask]) -> "TaskTable":
-        """The table of a sequence of rows."""
-        tasks = list(tasks)
-        columns = {
-            name: [getattr(task, name) for task in tasks]
-            for name in TASK_COLUMNS
-        }
-        rounds = [r for task in tasks for r in task.traversal]
+    def from_rows(cls, rows: Iterable[Mapping[str, Any]]) -> "TaskTable":
+        """The table of task dicts; the inverse of :meth:`rows`.
+
+        A missing field is 0 and a missing ``traversal`` has no rounds.
+        A row without ``vertex``, or with a key :meth:`rows` does not
+        write, raises ``TypeError`` naming the key; a bad value raises
+        the column's ``ValueError``.
+        """
+        rows = list(rows)
+        unknown = set().union(*rows).difference(_ROW_KEYS)
+        if unknown:
+            raise TypeError(f"unknown task fields: {sorted(unknown)}")
+        if not all("vertex" in row for row in rows):
+            raise TypeError("every task row needs a 'vertex'")
+        traversals = [row.get("traversal", ()) for row in rows]
+        rounds = [r for traversal in traversals for r in traversal]
         return cls(
-            len(tasks),
-            **columns,
-            round_ptr=np.cumsum([0] + [len(t.traversal) for t in tasks]),
-            round_count=[r.count for r in rounds],
-            round_bytes=[r.bytes_each for r in rounds],
+            len(rows),
+            **{name: [row.get(name, 0) for row in rows]
+               for name in TASK_COLUMNS},
+            round_ptr=np.cumsum([0, *map(len, traversals)]),
+            round_count=[r["count"] for r in rounds],
+            round_bytes=[r["bytes_each"] for r in rounds],
         )
 
     def __setstate__(self, state: dict) -> None:
@@ -227,29 +194,8 @@ class TaskTable(Sequence):
         for name in TASK_COLUMNS + ROUND_COLUMNS:
             getattr(self, name).flags.writeable = False
 
-    # -- rows -----------------------------------------------------------------
-
     def __len__(self) -> int:
         return len(self.vertex)
-
-    def _row(self, i: int) -> VertexTask:
-        lo, hi = self.round_ptr[i], self.round_ptr[i + 1]
-        return VertexTask(
-            **{name: int(getattr(self, name)[i]) for name in TASK_COLUMNS},
-            traversal=tuple(
-                TraversalRound(count=int(c), bytes_each=int(b))
-                for c, b in zip(self.round_count[lo:hi],
-                                self.round_bytes[lo:hi])
-            ),
-        )
-
-    def __getitem__(self, i: int) -> VertexTask:
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("task index out of range")
-        return self._row(i)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaskTable):
@@ -284,11 +230,7 @@ class TaskTable(Sequence):
 
 @dataclass
 class LayerProgram:
-    """One layer: hardware configuration plus the per-vertex tasks.
-
-    ``tasks`` is a :class:`TaskTable`; a sequence of :class:`VertexTask`
-    rows is converted to one.
-    """
+    """One layer: hardware configuration plus the per-vertex tasks."""
 
     name: str
     tasks: TaskTable
@@ -298,7 +240,11 @@ class LayerProgram:
 
     def __post_init__(self) -> None:
         if not isinstance(self.tasks, TaskTable):
-            self.tasks = TaskTable.from_tasks(self.tasks)
+            raise TypeError(
+                f"layer {self.name!r} takes a TaskTable, not "
+                f"{type(self.tasks).__name__}; build one from task dicts "
+                f"with TaskTable.from_rows"
+            )
         if not len(self.tasks):
             raise ValueError(f"layer {self.name!r} has no tasks")
         if not 0 < self.dna_efficiency <= 1:

@@ -8,64 +8,10 @@ serialize one way (they are measurements, not inputs).
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from typing import Any
 
-from repro.runtime.program import (
-    AcceleratorProgram,
-    LayerProgram,
-    TASK_COLUMNS,
-    TaskTable,
-    TraversalRound,
-    VertexTask,
-)
+from repro.runtime.program import AcceleratorProgram, LayerProgram, TaskTable
 from repro.runtime.report import LayerReport, SimulationReport
-
-
-def _task_dicts(tasks: TaskTable) -> list[dict[str, Any]]:
-    """Every row of a task table as plain data, built from the columns.
-
-    Each dict holds the :class:`VertexTask` fields in field order, the
-    traversal as a list of ``{"count", "bytes_each"}`` rounds.
-    """
-    rounds = [
-        {"count": count, "bytes_each": size}
-        for count, size in zip(tasks.round_count.tolist(),
-                               tasks.round_bytes.tolist())
-    ]
-    ptr = tasks.round_ptr.tolist()
-    columns = {name: getattr(tasks, name).tolist() for name in TASK_COLUMNS}
-    columns["traversal"] = [rounds[lo:hi] for lo, hi in zip(ptr, ptr[1:])]
-    keys = [f.name for f in fields(VertexTask)]
-    return [
-        dict(zip(keys, row))
-        for row in zip(*(columns[key] for key in keys))
-    ]
-
-
-def task_to_dict(task: VertexTask) -> dict[str, Any]:
-    """One vertex task as plain data."""
-    return _task_dicts(TaskTable.from_tasks([task]))[0]
-
-
-def task_from_dict(data: dict[str, Any]) -> VertexTask:
-    """Inverse of :func:`task_to_dict`."""
-    return VertexTask(
-        vertex=data["vertex"],
-        control_instructions=data.get("control_instructions", 0),
-        block_load_bytes=data.get("block_load_bytes", 0),
-        traversal=tuple(
-            TraversalRound(count=r["count"], bytes_each=r["bytes_each"])
-            for r in data.get("traversal", [])
-        ),
-        gather_count=data.get("gather_count", 0),
-        gather_bytes_each=data.get("gather_bytes_each", 0),
-        local_contributions=data.get("local_contributions", 0),
-        feature_bytes=data.get("feature_bytes", 0),
-        dna_macs=data.get("dna_macs", 0),
-        output_bytes=data.get("output_bytes", 0),
-        dnq_queue=data.get("dnq_queue", 0),
-    )
 
 
 def program_to_dict(program: AcceleratorProgram) -> dict[str, Any]:
@@ -78,7 +24,7 @@ def program_to_dict(program: AcceleratorProgram) -> dict[str, Any]:
                 "dnq_entry_bytes": layer.dnq_entry_bytes,
                 "agg_width_values": layer.agg_width_values,
                 "dna_efficiency": layer.dna_efficiency,
-                "tasks": _task_dicts(layer.tasks),
+                "tasks": layer.tasks.rows(),
             }
             for layer in program.layers
         ],
@@ -92,7 +38,7 @@ def program_from_dict(data: dict[str, Any]) -> AcceleratorProgram:
         layers=[
             LayerProgram(
                 name=layer["name"],
-                tasks=[task_from_dict(t) for t in layer["tasks"]],
+                tasks=TaskTable.from_rows(layer["tasks"]),
                 dnq_entry_bytes=layer["dnq_entry_bytes"],
                 agg_width_values=layer["agg_width_values"],
                 dna_efficiency=layer["dna_efficiency"],

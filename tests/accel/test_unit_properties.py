@@ -155,21 +155,24 @@ def test_layer_plan_tables_are_the_unit_costs():
     costs = gpe.costs
     ipl, ipa = costs.instructions_per_load, costs.instructions_per_alloc
     layers = program_for("gcn-cora").layers
-    assert any(t.gather_count for layer in layers for t in layer.tasks)
-    assert any(t.dna_macs for layer in layers for t in layer.tasks)
+    assert any(layer.tasks.gather_count.any() for layer in layers)
+    assert any(layer.tasks.dna_macs.any() for layer in layers)
     for layer in layers:
         plan = _LayerPlan(engine, layer)
+        tasks = layer.tasks
         assert plan.load_ns == gpe.service_ns(ipl)
         assert plan.dnq_issue_ns == gpe.service_ns(ipa)
         assert plan.ctrl_ns == [
-            gpe.service_ns(t.control_instructions) for t in layer.tasks
+            gpe.service_ns(count)
+            for count in tasks.control_instructions.tolist()
         ]
         assert plan.agg_issue_ns == [
-            gpe.service_ns(t.gather_count * ipl + ipa) for t in layer.tasks
+            gpe.service_ns(count * ipl + ipa)
+            for count in tasks.gather_count.tolist()
         ]
         assert plan.dna_ns == [
-            dna.service_ns(t.dna_macs, layer.dna_efficiency)
-            for t in layer.tasks
+            dna.service_ns(macs, layer.dna_efficiency)
+            for macs in tasks.dna_macs.tolist()
         ]
 
 

@@ -5,10 +5,13 @@ import dataclasses
 import pytest
 
 from repro.accel.config import CPU_ISO_BW
+from repro.exp import cache as cache_module
 from repro.exp.cache import ResultCache, clear_memo
 from repro.exp.runner import Point, run_sweep_detailed
+from repro.partition import ShardSpec
 from repro.runtime.report import SimulationReport
 from repro.systems import SystemReport, system_plan
+from repro.systems.base import ExecutionPlan
 
 
 class TestPointValidation:
@@ -82,3 +85,54 @@ class TestMixedSweep:
         (result,) = outcome.results
         assert result.status == "error"
         assert "pgnn0.combine" in (result.error or "")  # names the phases
+
+
+class TestPointKey:
+    def test_repeat_sweep_reuses_every_key(self, tmp_path, monkeypatch):
+        # A point computes its key once: a second sweep over the same
+        # objects fingerprints no accel or shard point and prepares no
+        # cross-system plan.
+        cache = ResultCache(tmp_path)
+        points = [
+            Point("gcn-cora", CPU_ISO_BW, 2.4),
+            Point("gcn-cora", CPU_ISO_BW, 2.4,
+                  shard=ShardSpec(chips=2, index=1)),
+            Point("gcn-cora", system="cpu"),
+        ]
+        clear_memo()
+        assert run_sweep_detailed(points, jobs=1, cache=cache).ok
+
+        built = []
+        fingerprint = cache_module.point_fingerprint
+        init = ExecutionPlan.__init__
+
+        def counted_fingerprint(*args, **kwargs):
+            built.append("fingerprint")
+            return fingerprint(*args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            built.append("plan")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "point_fingerprint",
+                            counted_fingerprint)
+        monkeypatch.setattr(ExecutionPlan, "__init__", counted_init)
+        again = run_sweep_detailed(points, jobs=1, cache=cache)
+        assert [r.status for r in again.results] == ["cached"] * 3
+        assert built == []
+        # The counters see a fresh point's key being built.
+        fresh = [dataclasses.replace(point) for point in points]
+        assert [point.key for point in fresh] == [p.key for p in points]
+        assert built == ["fingerprint", "fingerprint", "plan"]
+        clear_memo()
+
+    def test_kept_key_is_not_a_field(self):
+        point = Point("gcn-cora", system="cpu")
+        twin = Point("gcn-cora", system="cpu")
+        key = point.key
+        assert point == twin and hash(point) == hash(twin)
+        assert repr(point) == repr(twin)
+        assert key not in repr(point)
+        moved = dataclasses.replace(point, system="gpu")
+        assert moved.key != key
+        assert moved.key == Point("gcn-cora", system="gpu").key

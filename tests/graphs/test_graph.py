@@ -45,6 +45,16 @@ class TestConstruction:
                 3, [(0, 1)], node_features=np.zeros((2, 4), dtype=np.float32)
             )
 
+    def test_assigned_features_are_checked_like_constructed_ones(self):
+        g = triangle()
+        with pytest.raises(ValueError, match="2 rows, expected 3"):
+            g.node_features = np.zeros((2, 4), dtype=np.float32)
+        g.node_features = np.arange(6, dtype=np.float64).reshape(3, 2)
+        assert g.node_features.dtype == np.float32
+        assert g.node_features.tolist() == [[0, 1], [2, 3], [4, 5]]
+        g.node_features = None
+        assert g.num_node_features == 0
+
 
 class TestAccessors:
     def test_neighbors_sorted_per_row(self):

@@ -33,7 +33,7 @@ from repro.models.ir import (
 )
 from repro.models.workload import BYTES_PER_VALUE, DenseMatmul
 from repro.runtime.compiler import lower
-from repro.runtime.program import TraversalRound, VertexTask
+from repro.runtime.program import TaskTable
 
 
 def _citation(num_nodes, num_edges, features, seed):
@@ -113,9 +113,7 @@ def test_dense_macs_conserved_between_views(pair):
     model, data = pair
     ir = model.layer_ir(data)
     program = lower(ir, data)
-    lowered_macs = sum(
-        task.dna_macs for layer in program.layers for task in layer.tasks
-    )
+    lowered_macs = sum(layer.total_dna_macs for layer in program.layers)
     workload_macs = sum(
         op.macs for op in ir.workload().ops if isinstance(op, DenseMatmul)
     )
@@ -132,23 +130,21 @@ def test_aggregate_fanin_and_output_traffic_match_spec(pair):
     for spec in ir.specs:
         if isinstance(spec, EdgeAggregate):
             layer = layers[spec.name]
-            gathered = sum(t.gather_count for t in layer.tasks)
+            gathered = int(layer.tasks.gather_count.sum())
             # Exact when every vertex contributes; isolated vertices
             # still read their own state, adding at most one gather
             # per output entry.
             assert spec.num_inputs <= gathered
             assert gathered <= spec.num_inputs + spec.num_outputs
             assert len(layer.tasks) == spec.num_outputs
-            assert sum(t.output_bytes for t in layer.tasks) == (
+            assert layer.tasks.output_bytes.sum() == (
                 spec.num_outputs * spec.width * BYTES_PER_VALUE
             )
         elif isinstance(spec, GraphReduce):
             layer = layers[spec.name]
-            assert sum(t.gather_count for t in layer.tasks) == (
-                spec.num_inputs
-            )
+            assert layer.tasks.gather_count.sum() == spec.num_inputs
             assert len(layer.tasks) == spec.num_outputs
-            assert sum(t.output_bytes for t in layer.tasks) == (
+            assert layer.tasks.output_bytes.sum() == (
                 spec.num_outputs * spec.width * BYTES_PER_VALUE
             )
 
@@ -236,8 +232,13 @@ layer_specs = st.one_of(
 )
 
 
+def _row(**fields):
+    """A task dict with every omitted field at its default."""
+    return {**TaskTable(1, vertex=0).rows()[0], **fields}
+
+
 def _rule_rows(spec, data, ipv):
-    """The spec's vertex tasks, one vertex at a time in plain Python."""
+    """The spec's task dicts, one vertex at a time in plain Python."""
     graphs = data.graphs if isinstance(data, GraphSet) else [data]
     rows = []
     base = 0
@@ -255,10 +256,10 @@ def _rule_rows(spec, data, ipv):
                 else [v for v in range(n) for _ in neighbours(v)]
             )
             rows += [
-                VertexTask(vertex=base + v, control_instructions=ipv,
-                           feature_bytes=4 * spec.f_in,
-                           dna_macs=spec.macs_per_item,
-                           output_bytes=4 * out)
+                _row(vertex=base + v, control_instructions=ipv,
+                     feature_bytes=4 * spec.f_in,
+                     dna_macs=spec.macs_per_item,
+                     output_bytes=4 * out)
                 for v in items
             ]
         elif isinstance(spec, EdgeAggregate):
@@ -266,7 +267,7 @@ def _rule_rows(spec, data, ipv):
                 fanout = len(neighbours(v))
                 if spec.sample_bound is not None:
                     fanout = min(fanout, spec.sample_bound)
-                rows.append(VertexTask(
+                rows.append(_row(
                     vertex=base + v, control_instructions=ipv,
                     block_load_bytes=max(4, 4 * fanout),
                     gather_count=max(1, fanout + int(spec.include_self)),
@@ -283,14 +284,12 @@ def _rule_rows(spec, data, ipv):
                 hops.append(previous)
             for v in range(n):
                 degree = len(neighbours(v))
-                rounds = tuple(
-                    TraversalRound(
-                        count=hops[k][v],
-                        bytes_each=4 * spec.width if size is None else size,
-                    )
+                rounds = [
+                    {"count": hops[k][v],
+                     "bytes_each": 4 * spec.width if size is None else size}
                     for k, size in enumerate(spec.hop_bytes) if hops[k][v]
-                )
-                rows.append(VertexTask(
+                ]
+                rows.append(_row(
                     vertex=base + v, control_instructions=ipv,
                     block_load_bytes=max(4, 4 * degree),
                     traversal=rounds,
@@ -300,7 +299,7 @@ def _rule_rows(spec, data, ipv):
                     output_bytes=4 * spec.width,
                 ))
         else:
-            rows.append(VertexTask(
+            rows.append(_row(
                 vertex=base, control_instructions=ipv, gather_count=n,
                 gather_bytes_each=4 * spec.width,
                 output_bytes=4 * spec.width,
@@ -324,4 +323,4 @@ def test_every_lowered_task_equals_its_rule(data, spec):
         return
     (layer,) = lower(ir, data, tile).layers
     assert len(layer.tasks) == len(rows)
-    assert list(layer.tasks) == rows
+    assert layer.tasks.rows() == rows

@@ -94,4 +94,4 @@ class TestCompilation:
 
         program = compile_model(make(sample_size=3), small_graph)
         gather_layer = program.layers[0]
-        assert max(t.gather_count for t in gather_layer.tasks) <= 3
+        assert gather_layer.tasks.gather_count.max() <= 3

@@ -47,19 +47,20 @@ class TestGCNCompilation:
 
     def test_project_tasks_fetch_features(self, graph):
         program = compile_model(GCN(30, 16, 7), graph)
-        task = program.layers[0].tasks[0]
-        assert task.feature_bytes == 30 * 4
-        assert task.dna_macs == 30 * 16
-        assert task.output_bytes == 16 * 4
-        assert not task.has_aggregation
+        tasks = program.layers[0].tasks
+        assert tasks.feature_bytes[0] == 30 * 4
+        assert tasks.dna_macs[0] == 30 * 16
+        assert tasks.output_bytes[0] == 16 * 4
+        assert not tasks.gather_count.any()
+        assert not tasks.local_contributions.any()
 
     def test_propagate_tasks_gather_neighbourhood(self, graph):
         program = compile_model(GCN(30, 16, 7), graph)
-        task = program.layers[1].tasks[5]
+        tasks = program.layers[1].tasks
         deg = len(graph.neighbors(5))
-        assert task.gather_count == deg + 1  # self loop
-        assert task.gather_bytes_each == 16 * 4
-        assert not task.has_dna_job
+        assert tasks.gather_count[5] == deg + 1  # self loop
+        assert tasks.gather_bytes_each[5] == 16 * 4
+        assert not tasks.dna_macs.any()
 
     def test_dnq_entry_matches_feature_size(self, graph):
         program = compile_model(GCN(30, 16, 7), graph)
@@ -70,15 +71,15 @@ class TestGCNCompilation:
 class TestGATCompilation:
     def test_projection_covers_heads_and_scores(self, graph):
         program = compile_model(GAT(30, 8, 7, num_heads=4), graph)
-        task = program.layers[0].tasks[0]
+        tasks = program.layers[0].tasks
         width = 4 * 8
-        assert task.dna_macs == 30 * width + width * 2
-        assert task.output_bytes == (width + 2 * 4) * 4
+        assert tasks.dna_macs[0] == 30 * width + width * 2
+        assert tasks.output_bytes[0] == (width + 2 * 4) * 4
 
     def test_aggregate_records_carry_scores(self, graph):
         program = compile_model(GAT(30, 8, 7, num_heads=4), graph)
-        task = program.layers[1].tasks[0]
-        assert task.gather_bytes_each == (4 * 8 + 4) * 4
+        tasks = program.layers[1].tasks
+        assert tasks.gather_bytes_each[0] == (4 * 8 + 4) * 4
 
 
 class TestMPNNCompilation:
@@ -129,13 +130,11 @@ class TestPGNNCompilation:
     def test_combine_tasks_have_two_hop_traversal(self, dblp_like):
         program = compile_model(PGNN(1, 8, 3, num_layers=2), dblp_like)
         combine = program.layers[1]
-        task = combine.tasks[0]
+        task = combine.tasks.rows()[0]
         deg = len(dblp_like.neighbors(0))
         two_hop = int(dblp_like.degrees()[dblp_like.neighbors(0)].sum())
-        assert len(task.traversal) == 2
-        assert task.traversal[0].count == deg
-        assert task.traversal[1].count == two_hop
-        assert task.local_contributions == two_hop
+        assert [r["count"] for r in task["traversal"]] == [deg, two_hop]
+        assert task["local_contributions"] == two_hop
 
     def test_traversal_dominates_workload(self, dblp_like):
         program = compile_model(PGNN(), dblp_like)
@@ -156,6 +155,6 @@ class TestDispatch:
         tile = TileConfig()
         program = compile_model(GCN(30, 16, 7), graph, tile)
         assert (
-            program.layers[0].tasks[0].control_instructions
+            program.layers[0].tasks.control_instructions[0]
             == tile.gpe_costs.instructions_per_vertex
         )

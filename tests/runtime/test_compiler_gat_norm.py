@@ -32,9 +32,8 @@ def test_normalization_layer_reduces_per_head_scores(graph):
         l for l in normed.layers if l.name == "gat0.attn_normalize"
     )
     assert norm_layer.agg_width_values == 4  # one value per head
-    task = norm_layer.tasks[0]
     deg = len(graph.neighbors(0))
-    assert task.gather_count == deg + 1
+    assert norm_layer.tasks.gather_count[0] == deg + 1
 
 
 def test_normalization_costs_simulated_time(graph):

@@ -22,8 +22,7 @@ from repro.runtime import (
     LayerProgram,
     RuntimeEngine,
     SimulationFailure,
-    TraversalRound,
-    VertexTask,
+    TaskTable,
     compile_model,
     simulate,
 )
@@ -36,10 +35,10 @@ def tiny_config(clock=2.4) -> AcceleratorConfig:
     return CPU_ISO_BW.with_clock(clock)
 
 
-def single_task_program(**task_kwargs) -> AcceleratorProgram:
-    task = VertexTask(vertex=0, **task_kwargs)
+def single_task_program(**task_fields) -> AcceleratorProgram:
+    tasks = TaskTable.from_rows([{"vertex": 0, **task_fields}])
     return AcceleratorProgram(
-        name="single", layers=[LayerProgram(name="layer", tasks=[task])]
+        name="single", layers=[LayerProgram(name="layer", tasks=tasks)]
     )
 
 
@@ -92,11 +91,11 @@ class TestSingleTask:
 
     def test_traversal_task_charges_visit_instructions(self):
         few = single_task_program(
-            traversal=(TraversalRound(count=10, bytes_each=4),),
+            traversal=[{"count": 10, "bytes_each": 4}],
             local_contributions=10,
         )
         many = single_task_program(
-            traversal=(TraversalRound(count=1000, bytes_each=4),),
+            traversal=[{"count": 1000, "bytes_each": 4}],
             local_contributions=1000,
         )
         fast = simulate(few, tiny_config())
@@ -108,7 +107,7 @@ class TestSingleTask:
 class TestLayerSemantics:
     def test_layers_execute_in_order_with_barriers(self):
         layer = LayerProgram(
-            name="l", tasks=[VertexTask(vertex=0, control_instructions=24)]
+            name="l", tasks=TaskTable(1, vertex=0, control_instructions=24)
         )
         program = AcceleratorProgram(name="p", layers=[layer, layer, layer])
         report = simulate(program, tiny_config())
@@ -117,7 +116,7 @@ class TestLayerSemantics:
             assert current.start_ns > previous.end_ns
 
     def test_layer_reports_task_counts(self):
-        tasks = [VertexTask(vertex=v, control_instructions=5) for v in range(7)]
+        tasks = TaskTable(7, vertex=np.arange(7), control_instructions=5)
         program = AcceleratorProgram(
             name="p", layers=[LayerProgram(name="l", tasks=tasks)]
         )
@@ -126,9 +125,8 @@ class TestLayerSemantics:
 
     def test_many_tasks_throughput_bounded_by_gpe(self):
         # 100 control-only tasks serialize on the single GPE.
-        tasks = [
-            VertexTask(vertex=v, control_instructions=239) for v in range(100)
-        ]
+        tasks = TaskTable(100, vertex=np.arange(100),
+                          control_instructions=239)
         program = AcceleratorProgram(
             name="p", layers=[LayerProgram(name="l", tasks=tasks)]
         )
@@ -146,9 +144,7 @@ class TestLayerSemantics:
 
 class TestClockScaling:
     def test_gpe_bound_scales_with_clock(self):
-        tasks = [
-            VertexTask(vertex=v, control_instructions=500) for v in range(50)
-        ]
+        tasks = TaskTable(50, vertex=np.arange(50), control_instructions=500)
         program = AcceleratorProgram(
             name="p", layers=[LayerProgram(name="l", tasks=tasks)]
         )
@@ -157,11 +153,8 @@ class TestClockScaling:
         assert slow.latency_ns == pytest.approx(2 * fast.latency_ns, rel=0.05)
 
     def test_memory_bound_insensitive_to_clock(self):
-        tasks = [
-            VertexTask(vertex=v, feature_bytes=32 * 1024, dna_macs=182,
-                       output_bytes=64)
-            for v in range(20)
-        ]
+        tasks = TaskTable(20, vertex=np.arange(20), feature_bytes=32 * 1024,
+                          dna_macs=182, output_bytes=64)
         program = AcceleratorProgram(
             name="p", layers=[LayerProgram(name="l", tasks=tasks,
                                            dnq_entry_bytes=32 * 1024)]
@@ -296,7 +289,7 @@ class TestLayerConservation:
 
         program = gcn_program(300, 700, seed=2)
         layer = program.layers[0]
-        written = sum(task.output_bytes for task in layer.tasks)
+        written = int(layer.tasks.output_bytes.sum())
         assert written
         monkeypatch.setattr(Accelerator, "memory_write", memory_write)
         with pytest.raises(SimulationFailure) as exc:
@@ -338,27 +331,3 @@ class TestContinuations:
         owners = exc.value.diagnosis.pending_by_owner
         assert owners["RuntimeEngine._fill"] > 0
         assert not [owner for owner in owners if "<locals>" in owner]
-
-
-class TestTaskColumns:
-    """The simulation path reads a layer's task columns by index."""
-
-    def test_compile_and_simulate_build_no_vertex_task(self, monkeypatch):
-        # Iterating or indexing layer.tasks builds one VertexTask per row;
-        # the compiler and the engine must not.
-        built = []
-        original = VertexTask.__post_init__
-
-        def post_init(task):
-            built.append(task.vertex)
-            original(task)
-
-        monkeypatch.setattr(VertexTask, "__post_init__", post_init)
-        VertexTask(vertex=7)
-        assert built == [7]  # the counter sees a construction
-        built.clear()
-        model, data = load_benchmark(benchmark_by_key("gcn-cora"))
-        program = compile_model(model, data)
-        report = simulate(program, tiny_config())
-        assert report.latency_ms > 0
-        assert built == []

@@ -1,7 +1,8 @@
 """Property-based tests for the runtime engine.
 
 Random vertex-task programs must always complete (no deadlock), respect
-layer ordering, and behave monotonically under added work.
+layer ordering, and behave monotonically under added work.  Tasks are
+drawn as plain task dicts, the rows of :meth:`TaskTable.rows`.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -10,34 +11,33 @@ from repro.accel import CPU_ISO_BW, GPU_ISO_BW
 from repro.runtime import (
     AcceleratorProgram,
     LayerProgram,
-    TraversalRound,
-    VertexTask,
+    TaskTable,
     simulate,
 )
 
 
 @st.composite
 def tasks(draw, max_vertex=63):
-    vertex = draw(st.integers(0, max_vertex))
+    """One task dict with every key present, as ``TaskTable.rows`` writes."""
+    row = TaskTable(1, vertex=draw(st.integers(0, max_vertex))).rows()[0]
     kind = draw(st.sampled_from(["control", "dna", "gather", "traversal",
                                  "mixed"]))
-    kwargs = {"vertex": vertex, "control_instructions": draw(
-        st.integers(0, 200))}
+    row["control_instructions"] = draw(st.integers(0, 200))
     if kind in ("dna", "mixed"):
-        kwargs["feature_bytes"] = draw(st.integers(4, 4096))
-        kwargs["dna_macs"] = draw(st.integers(1, 50_000))
-        kwargs["output_bytes"] = draw(st.integers(0, 256))
+        row["feature_bytes"] = draw(st.integers(4, 4096))
+        row["dna_macs"] = draw(st.integers(1, 50_000))
+        row["output_bytes"] = draw(st.integers(0, 256))
     if kind in ("gather", "mixed"):
-        kwargs["gather_count"] = draw(st.integers(1, 30))
-        kwargs["gather_bytes_each"] = draw(st.integers(4, 256))
-        kwargs["output_bytes"] = draw(st.integers(0, 256))
+        row["gather_count"] = draw(st.integers(1, 30))
+        row["gather_bytes_each"] = draw(st.integers(4, 256))
+        row["output_bytes"] = draw(st.integers(0, 256))
     if kind == "traversal":
         count = draw(st.integers(1, 40))
-        kwargs["traversal"] = (TraversalRound(count=count, bytes_each=4),)
-        kwargs["local_contributions"] = draw(st.sampled_from([0, count]))
+        row["traversal"] = [{"count": count, "bytes_each": 4}]
+        row["local_contributions"] = draw(st.sampled_from([0, count]))
     if kind == "control":
-        kwargs["block_load_bytes"] = draw(st.integers(0, 1024))
-    return VertexTask(**kwargs)
+        row["block_load_bytes"] = draw(st.integers(0, 1024))
+    return row
 
 
 @st.composite
@@ -49,14 +49,14 @@ def programs(draw):
         # Entries must hold the largest staged feature (validated by the
         # engine before execution).
         min_entry = max(
-            [t.feature_bytes for t in layer_tasks if t.has_dna_job],
+            [t["feature_bytes"] for t in layer_tasks if t["dna_macs"]],
             default=64,
         )
         entry = max(min_entry, draw(st.sampled_from([64, 1024, 8192])))
         layers.append(
             LayerProgram(
                 name=f"layer{i}",
-                tasks=layer_tasks,
+                tasks=TaskTable.from_rows(layer_tasks),
                 dnq_entry_bytes=entry,
                 agg_width_values=draw(st.sampled_from([4, 16, 64])),
                 dna_efficiency=draw(st.sampled_from([0.25, 0.5, 1.0])),
@@ -106,16 +106,16 @@ def test_multi_tile_never_slower_than_4x_single(program):
 @settings(max_examples=15, deadline=None)
 def test_more_copies_of_a_task_never_faster(task, copies):
     def program_with(n):
-        layer_tasks = [
-            VertexTask(**{**task.__dict__, "vertex": i}) for i in range(n)
-        ]
+        layer_tasks = TaskTable.from_rows(
+            {**task, "vertex": i} for i in range(n)
+        )
         return AcceleratorProgram(
             name="copies",
             layers=[
                 LayerProgram(
                     name="l",
                     tasks=layer_tasks,
-                    dnq_entry_bytes=max(64, task.feature_bytes),
+                    dnq_entry_bytes=max(64, task["feature_bytes"]),
                 )
             ],
         )

@@ -9,7 +9,7 @@ from repro.models import GCN
 from repro.runtime import (
     AcceleratorProgram,
     LayerProgram,
-    VertexTask,
+    TaskTable,
     assert_valid,
     compile_model,
     simulate,
@@ -20,7 +20,7 @@ TILE = TileConfig()
 
 
 def program_with_layer(**layer_kwargs) -> AcceleratorProgram:
-    defaults = dict(name="layer", tasks=[VertexTask(vertex=0)])
+    defaults = dict(name="layer", tasks=TaskTable(1, vertex=0))
     defaults.update(layer_kwargs)
     return AcceleratorProgram(name="p", layers=[LayerProgram(**defaults)])
 
@@ -39,7 +39,7 @@ class TestErrors:
 
     def test_feature_larger_than_entry(self):
         program = program_with_layer(
-            tasks=[VertexTask(vertex=0, feature_bytes=2048, dna_macs=10)],
+            tasks=TaskTable(1, vertex=0, feature_bytes=2048, dna_macs=10),
             dnq_entry_bytes=512,
         )
         issues = validate_program(program, TILE)
@@ -47,7 +47,7 @@ class TestErrors:
 
     def test_invalid_queue_id(self):
         program = program_with_layer(
-            tasks=[VertexTask(vertex=0, dnq_queue=3)]
+            tasks=TaskTable(1, vertex=0, dnq_queue=3)
         )
         issues = validate_program(program, TILE)
         assert any("virtual queues" in i.message for i in issues)
@@ -65,7 +65,7 @@ class TestErrors:
 class TestWarnings:
     def test_thread_starvation_warning(self):
         program = program_with_layer(
-            tasks=[VertexTask(vertex=0, feature_bytes=9000, dna_macs=10)],
+            tasks=TaskTable(1, vertex=0, feature_bytes=9000, dna_macs=10),
             dnq_entry_bytes=9 * 1024,  # only 6 entries fit, 16 threads
         )
         issues = validate_program(program, TILE)
@@ -74,16 +74,16 @@ class TestWarnings:
 
     def test_unaligned_gather_warning(self):
         program = program_with_layer(
-            tasks=[VertexTask(vertex=0, gather_count=3,
-                              gather_bytes_each=28)]
+            tasks=TaskTable(1, vertex=0, gather_count=3,
+                            gather_bytes_each=28)
         )
         issues = validate_program(program, TILE)
         assert any("DRAM burst" in i.message for i in issues)
 
     def test_warnings_do_not_fail_assert_valid(self):
         program = program_with_layer(
-            tasks=[VertexTask(vertex=0, gather_count=3,
-                              gather_bytes_each=28)]
+            tasks=TaskTable(1, vertex=0, gather_count=3,
+                            gather_bytes_each=28)
         )
         assert_valid(program, TILE)  # must not raise
 
