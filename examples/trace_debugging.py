@@ -1,8 +1,10 @@
 """Find the bottleneck of a simulated run with the execution tracer.
 
-Attaches a :class:`repro.runtime.Tracer` to the engine, runs GAT on
-Cora, and mines the trace: slowest vertex programs, time spent per
-phase, and the degree/latency correlation that shows who pays for hubs.
+Attaches an observer that records phase transitions (the
+:class:`repro.runtime.Tracer` of a :class:`repro.obs.Observer`) to the
+engine, runs GAT on Cora, and mines the trace: slowest vertex
+programs, time spent per phase, and the degree/latency correlation
+that shows who pays for hubs.
 
 Run:  python examples/trace_debugging.py
 """
@@ -12,7 +14,8 @@ import numpy as np
 from repro.accel import Accelerator, CPU_ISO_BW
 from repro.graphs import cora
 from repro.models import Benchmark, benchmark_model
-from repro.runtime import Tracer, compile_model
+from repro.obs import Observer
+from repro.runtime import compile_model
 from repro.runtime.engine import RuntimeEngine
 
 
@@ -21,9 +24,10 @@ def main() -> None:
     model = benchmark_model(Benchmark("GAT", "cora"))
     program = compile_model(model, graph)
 
-    tracer = Tracer()
-    engine = RuntimeEngine(Accelerator(CPU_ISO_BW), tracer=tracer)
+    observer = Observer(timeline=False, kernel_profile=False)
+    engine = RuntimeEngine(Accelerator(CPU_ISO_BW), observer=observer)
     report = engine.run(program)
+    tracer = observer.tracer
     print(f"GAT on {graph.name}: {report.latency_ms:.3f} ms, "
           f"{len(tracer)} trace events")
 

@@ -14,7 +14,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.dataflow.spatial import EYERISS_CONFIG, SpatialArrayConfig
-from repro.noc.backends import default_backend_name, validate_backend
+from repro.noc.backends import DEFAULT_BACKEND, validate_backend
 from repro.noc.config import NOC_CONFIG, NocConfig
 from repro.noc.topology import Coord
 from repro.sim.watchdog import WatchdogConfig
@@ -133,11 +133,10 @@ class AcceleratorConfig:
     # mesh link comfortably carries a 68 GBps memory channel.
     noc: NocConfig = NocConfig(clock_ghz=2.4)
     # Which repro.noc.backends model resolves NoC delivery times:
-    # "packet" (default), "flit", or "analytical".  The default factory
-    # honours $REPRO_NOC_BACKEND at construction time, so the *resolved*
-    # name is what the result-cache fingerprint hashes — runs under
-    # different backends never share cache entries.
-    noc_backend: str = field(default_factory=default_backend_name)
+    # "packet" (default), "flit", or "analytical".  The result-cache
+    # fingerprint hashes it, so runs under different backends never
+    # share cache entries.
+    noc_backend: str = DEFAULT_BACKEND
     clock_ghz: float = 2.4
     # Execution budgets for runs of this configuration.  Budgets bound
     # *termination*, never results: a run either completes (identically,

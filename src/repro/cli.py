@@ -20,8 +20,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from repro.eval.report import format_table
+
+if TYPE_CHECKING:
+    from repro.exp.runner import RetryPolicy
 
 
 def _cmd_list(_args) -> None:
@@ -74,25 +78,24 @@ def _cmd_noc_backends(_args) -> None:
         ],
         title="NoC backends",
     ))
-    print("select with --noc-backend NAME, AcceleratorConfig(noc_backend=...)"
-          ", or $REPRO_NOC_BACKEND")
+    print("select with --noc-backend NAME or "
+          "AcceleratorConfig(noc_backend=...)")
 
 
 def _cmd_systems(_args) -> None:
-    from repro.systems import available_systems, default_system_name
+    from repro.systems import DEFAULT_SYSTEM, available_systems
 
-    default = default_system_name()
     print(format_table(
         ["System", "Model"],
         [
-            (info.name + (" (default)" if info.name == default else ""),
+            (info.name + (" (default)" if info.name == DEFAULT_SYSTEM
+                          else ""),
              info.summary)
             for info in available_systems()
         ],
         title="Execution systems",
     ))
-    print("select with --system NAME, run_system(NAME, ...), or "
-          "$REPRO_SYSTEM")
+    print("select with --system NAME or run_system(NAME, ...)")
 
 
 def _resolve_names(
@@ -289,6 +292,21 @@ def _cache_from_args(args) -> object:
     return DEFAULT_CACHE
 
 
+def _retry_policy(command: str, args) -> "RetryPolicy | None":
+    """The sweep retry policy of ``--timeout`` and ``--retries``; a flag
+    left unset keeps the :class:`~repro.exp.runner.RetryPolicy` default.
+    An invalid value prints one line and gives ``None``."""
+    from repro.exp.runner import RetryPolicy
+
+    flags = {"timeout_s": args.timeout, "retries": args.retries}
+    try:
+        return RetryPolicy(**{k: v for k, v in flags.items()
+                              if v is not None})
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _sweep_point_label(point) -> str:
     if point.system != "accel":
         return f"{point.benchmark_key:16s} {point.system:14s}"
@@ -302,20 +320,22 @@ def _cmd_sweep(args) -> int:
 
     from repro.exp.runner import (
         Point,
-        RetryPolicy,
         default_jobs,
         figure8_points,
         run_sweep_detailed,
     )
-    from repro.systems import default_system_name
+    from repro.systems import DEFAULT_SYSTEM
 
-    system = args.system or default_system_name()
+    system = args.system or DEFAULT_SYSTEM
     code = _resolve_names("sweep", system=system,
                           noc_backend=args.noc_backend,
                           benchmarks=args.benchmarks,
                           configs=args.configs)
     if code is not None:
         return code
+    policy = _retry_policy("sweep", args)
+    if policy is None:
+        return 2
     from repro.models.registry import resolve_benchmark_key
 
     args.benchmarks = [resolve_benchmark_key(b) for b in args.benchmarks]
@@ -339,9 +359,6 @@ def _cmd_sweep(args) -> int:
                   if system == "multichip" else None)
         points = [Point(key, config, system=system) for key in keys]
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    policy = RetryPolicy.from_env(
-        timeout_s=args.timeout, retries=args.retries
-    )
     hits = 0
 
     def progress(point, report, was_cached) -> None:
@@ -395,7 +412,7 @@ def _cmd_dse(args) -> int:
     import time
 
     from repro.dse import run_dse
-    from repro.exp.runner import RetryPolicy, default_jobs
+    from repro.exp.runner import default_jobs
     from repro.space import resolve_space
 
     code = _resolve_names("dse", benchmark=args.benchmark,
@@ -406,12 +423,12 @@ def _cmd_dse(args) -> int:
     if args.points < 1:
         print("repro dse: --points must be >= 1", file=sys.stderr)
         return 2
+    policy = _retry_policy("dse", args)
+    if policy is None:
+        return 2
 
     cache = _cache_from_args(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    policy = RetryPolicy.from_env(
-        timeout_s=args.timeout, retries=args.retries
-    )
 
     def progress(evaluation) -> None:
         source = "cache" if evaluation.status == "cached" else "sim"
@@ -500,9 +517,9 @@ def _run_on_system(command: str, system: str, args,
 
 def _cmd_profile(args) -> int:
     from repro.obs import Observer, write_chrome_trace
-    from repro.systems import default_system_name
+    from repro.systems import DEFAULT_SYSTEM
 
-    system = args.system or default_system_name()
+    system = args.system or DEFAULT_SYSTEM
     code = _resolve_names("profile", benchmark=args.benchmark,
                           config=args.config, system=system,
                           noc_backend=args.noc_backend)
@@ -561,9 +578,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.systems import default_system_name
+    from repro.systems import DEFAULT_SYSTEM
 
-    system = args.system or default_system_name()
+    system = args.system or DEFAULT_SYSTEM
     code = _resolve_names("simulate", benchmark=args.benchmark,
                           config=args.config, system=system,
                           noc_backend=args.noc_backend)
@@ -867,9 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
     system = _shared(
         "--system", default=None, metavar="NAME",
         help="execution system: accel (default), cpu, gpu, eyeriss, "
-             "multichip — see 'repro systems'; default honours "
-             "$REPRO_SYSTEM; a system ignores accelerator options it "
-             "has no use for",
+             "multichip — see 'repro systems'; a system ignores "
+             "accelerator options it has no use for",
     )
     noc_backend = _shared(
         "--noc-backend", default=None, metavar="NAME",
@@ -895,12 +911,11 @@ def build_parser() -> argparse.ArgumentParser:
     timeout = _shared(
         "--timeout", type=float, default=None, metavar="S",
         help="per-point wall-clock budget in seconds "
-             "(default: $REPRO_SWEEP_TIMEOUT or unlimited)",
+             "(default: unlimited)",
     )
     retries = _shared(
         "--retries", type=int, default=None, metavar="N",
-        help="extra attempts after a worker crash "
-             "(default: $REPRO_SWEEP_RETRIES or 2)",
+        help="extra attempts after a worker crash (default: 2)",
     )
     output = _shared(
         "--output", default=None, metavar="PATH",

@@ -379,7 +379,7 @@ def run_dse(
     is a recorded failure, not an aborted search.
     """
     from repro.models.registry import resolve_benchmark_key
-    from repro.noc.backends import default_backend_name, validate_backend
+    from repro.noc.backends import DEFAULT_BACKEND, validate_backend
 
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -408,7 +408,7 @@ def run_dse(
         driver=driver,
         seed=seed,
         budget=points,
-        noc_backend=noc_backend or default_backend_name(),
+        noc_backend=noc_backend or DEFAULT_BACKEND,
         evaluations=evaluator.evaluations,
         init_count=init_count,
         generations=generations,

@@ -116,9 +116,8 @@ def run_benchmark(
     the :mod:`repro.obs` layer (forcing a real simulation; the cache key
     is unchanged).  ``noc_backend`` selects a registered
     :mod:`repro.noc.backends` model by name; ``None`` keeps the
-    configuration's own (default: ``"packet"``, or
-    ``$REPRO_NOC_BACKEND``).  The backend is part of the cache
-    fingerprint, so fidelities never share cached reports.
+    configuration's own (default: ``"packet"``).  The backend is part
+    of the cache fingerprint, so fidelities never share cached reports.
     """
     _, config = resolve_benchmark_config(
         benchmark_key, config_name, clock_ghz, noc_backend

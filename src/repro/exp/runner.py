@@ -65,10 +65,8 @@ FIGURE8_GROUPS: tuple[tuple[str, str], ...] = (
 #: Tile clocks swept in Figure 8 (GHz).
 FIGURE8_CLOCKS: tuple[float, ...] = (1.2, 2.4)
 
-#: Environment overrides for the default retry policy.
-TIMEOUT_ENV = "REPRO_SWEEP_TIMEOUT"
-RETRIES_ENV = "REPRO_SWEEP_RETRIES"
-BACKOFF_ENV = "REPRO_SWEEP_BACKOFF"
+#: Growth of the delay between retries: each waits this times the last.
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -230,19 +228,18 @@ class RetryPolicy:
     timeout_s: float | None = None
     retries: int = 2
     backoff_s: float = 0.5
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive or None")
         if self.retries < 0:
             raise ValueError("retries cannot be negative")
-        if self.backoff_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("invalid backoff configuration")
+        if self.backoff_s < 0:
+            raise ValueError("backoff_s cannot be negative")
 
     def backoff(self, attempt: int) -> float:
         """Delay before retry number ``attempt`` (1-based), exponential."""
-        return self.backoff_s * self.backoff_factor ** max(0, attempt - 1)
+        return self.backoff_s * BACKOFF_FACTOR ** max(0, attempt - 1)
 
     @property
     def deadline_s(self) -> float | None:
@@ -250,24 +247,6 @@ class RetryPolicy:
         if self.timeout_s is None:
             return None
         return self.timeout_s + max(1.0, 0.5 * self.timeout_s)
-
-    @classmethod
-    def from_env(cls, **overrides: Any) -> "RetryPolicy":
-        """Policy from ``REPRO_SWEEP_*`` variables, keywords winning."""
-        values: dict[str, Any] = {}
-        timeout = os.environ.get(TIMEOUT_ENV)
-        if timeout:
-            values["timeout_s"] = float(timeout)
-        retries = os.environ.get(RETRIES_ENV)
-        if retries:
-            values["retries"] = int(retries)
-        backoff = os.environ.get(BACKOFF_ENV)
-        if backoff:
-            values["backoff_s"] = float(backoff)
-        values.update(
-            {k: v for k, v in overrides.items() if v is not None}
-        )
-        return cls(**values)
 
 
 @dataclass
@@ -592,7 +571,7 @@ def run_sweep_detailed(
     :data:`~repro.exp.cache.DEFAULT_CACHE` sentinel does not survive
     pickling into pool workers, a :class:`ResultCache` or ``None`` does.
     """
-    policy = policy if policy is not None else RetryPolicy.from_env()
+    policy = policy if policy is not None else RetryPolicy()
     cache = resolve_cache(cache)
     points = list(points)
     keys = [p.key for p in points]
@@ -861,9 +840,9 @@ def figure8_points(
     """The Figure 8 sweep grid: configs x benchmarks x clocks.
 
     ``noc_backend`` pins every point to one registered NoC backend;
-    ``None`` keeps each configuration's own (the ``"packet"`` default,
-    or ``$REPRO_NOC_BACKEND``).  The backend is part of each point's
-    cache key, so runs on different backends never share entries.
+    ``None`` keeps each configuration's own (the ``"packet"`` default).
+    The backend is part of each point's cache key, so runs on different
+    backends never share entries.
     """
     from repro.models.registry import BENCHMARKS
     from repro.space import resolve_config

@@ -30,14 +30,12 @@ from repro.noc.fastmodel import PacketNetwork
 from repro.noc.analytical import AnalyticalNetwork
 from repro.noc.flitadapter import FlitNetworkAdapter
 from repro.noc.backends import (
-    BACKEND_ENV,
     DEFAULT_BACKEND,
     BackendInfo,
     UnknownBackendError,
     available_backends,
     backend_names,
     create_backend,
-    default_backend_name,
     register_backend,
     validate_backend,
 )
@@ -64,14 +62,12 @@ __all__ = [
     "PacketNetwork",
     "AnalyticalNetwork",
     "FlitNetworkAdapter",
-    "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "BackendInfo",
     "UnknownBackendError",
     "available_backends",
     "backend_names",
     "create_backend",
-    "default_backend_name",
     "register_backend",
     "validate_backend",
     "uniform_random",

@@ -1,10 +1,10 @@
 """Named registry of interchangeable :class:`NocModel` backends.
 
 The accelerator selects its interconnect model by name —
-``AcceleratorConfig(noc_backend="flit")``, ``python -m repro sweep
---noc-backend analytical``, or the ``REPRO_NOC_BACKEND`` environment
-variable for a whole process — and this module maps the name to a
-factory.  Three fidelities ship built in:
+``AcceleratorConfig(noc_backend="flit")`` or ``python -m repro sweep
+--noc-backend analytical`` — and this module maps the name to a
+factory.  A configuration that names no backend uses
+:data:`DEFAULT_BACKEND`.  Three fidelities ship built in:
 
 ========== ================================== ===========================
 name       model                              when to use it
@@ -27,7 +27,6 @@ of ``AcceleratorConfig``), so two backends never share cached reports.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,11 +37,7 @@ from repro.noc.flitadapter import FlitNetworkAdapter
 from repro.noc.model import NocModel
 from repro.noc.topology import Mesh
 
-#: Environment variable naming the backend used when a configuration
-#: does not pin one explicitly (CI smoke lanes set it to "analytical").
-BACKEND_ENV = "REPRO_NOC_BACKEND"
-
-#: The built-in default backend name.
+#: The backend of a configuration that names none.
 DEFAULT_BACKEND = "packet"
 
 
@@ -96,18 +91,6 @@ def validate_backend(name: str) -> str:
     if name not in _REGISTRY:
         raise UnknownBackendError(name)
     return name
-
-
-def default_backend_name() -> str:
-    """The process default: ``$REPRO_NOC_BACKEND`` or ``"packet"``.
-
-    Resolved when an :class:`~repro.accel.config.AcceleratorConfig` is
-    *constructed* (it is the ``noc_backend`` field's default factory), so
-    the resolved name — not the environment — feeds the result-cache
-    fingerprint: an ``analytical`` smoke run never shares cache entries
-    with a ``packet`` run of the same configuration.
-    """
-    return os.environ.get(BACKEND_ENV) or DEFAULT_BACKEND
 
 
 def create_backend(name: str, mesh: Mesh, config: NocConfig) -> NocModel:

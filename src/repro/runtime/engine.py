@@ -152,14 +152,14 @@ class RuntimeEngine:
     observability layer: the accelerator's units register into its
     metrics registry (busy ledgers feeding its timeline), the kernel
     runs under its profiler, and phase transitions go to its tracer
-    unless an explicit ``tracer`` is also given.  Observation never
-    perturbs simulated results (``tests/obs/test_zero_perturbation.py``).
+    (``Observer(timeline=False, kernel_profile=False)`` traces phases
+    alone).  Observation never perturbs simulated results
+    (``tests/obs/test_zero_perturbation.py``).
     """
 
     def __init__(
         self,
         accel: Accelerator,
-        tracer: Tracer | None = None,
         observer: "Observer | None" = None,
     ) -> None:
         self.accel = accel
@@ -170,12 +170,11 @@ class RuntimeEngine:
         self._post_at = accel.sim.post_at
         self.observer = observer
         self._profiler = None
+        self.tracer: Tracer | None = None
         if observer is not None:
             observer.attach(accel)
             self._profiler = observer.profiler
-            if tracer is None:
-                tracer = observer.tracer
-        self.tracer = tracer
+            self.tracer = observer.tracer
         self._layer_end = 0.0
         self._tasks_remaining = 0
         self._program_name = ""

@@ -1,8 +1,9 @@
 """Execution tracing for the runtime engine.
 
-Attach a :class:`Tracer` to a :class:`~repro.runtime.engine.RuntimeEngine`
-and every vertex program records its phase transitions with timestamps —
-the tool that found this reproduction's own scheduling bugs, kept as a
+Run a :class:`~repro.runtime.engine.RuntimeEngine` with an
+:class:`~repro.obs.Observer` and every vertex program records its phase
+transitions with timestamps in the observer's :class:`Tracer` — the
+tool that found this reproduction's own scheduling bugs, kept as a
 first-class debugging feature.  Tracing is off by default and costs
 nothing when disabled.
 """

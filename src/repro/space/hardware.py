@@ -134,8 +134,8 @@ def default_space() -> ConfigSpace:
     memory bandwidth, tile clock, aggregator width, and GPE thread
     count — with the Table VI rows as named points.  The NoC backend is
     *not* a space axis: it selects a fidelity model of the same
-    hardware, so it stays an environment/CLI override
-    (``with_noc_backend``), exactly like the frozen configurations.
+    hardware, so it stays an argument or CLI option applied with
+    ``with_noc_backend``, exactly like the frozen configurations.
     """
     return ConfigSpace(
         name="default",
@@ -173,8 +173,8 @@ def default_space() -> ConfigSpace:
 #: instance keeps named-point identity stable).
 _DEFAULT_SPACE: ConfigSpace | None = None
 
-#: Named-point configs, materialized once — like the frozen literals,
-#: the NoC backend default is resolved when the config is constructed.
+#: Named-point configs, materialized once, on the default NoC backend
+#: like the frozen literals.
 _NAMED_CONFIGS: dict[str, AcceleratorConfig] | None = None
 
 

@@ -26,13 +26,11 @@ from repro.systems.base import (
 )
 from repro.systems.registry import (
     DEFAULT_SYSTEM,
-    SYSTEM_ENV,
     SystemInfo,
     SystemOptions,
     UnknownSystemError,
     available_systems,
     create_system,
-    default_system_name,
     register_system,
     system_names,
     validate_system,
@@ -56,13 +54,11 @@ __all__ = [
     "MultiChipConfig",
     "MultiChipSystem",
     "DEFAULT_SYSTEM",
-    "SYSTEM_ENV",
     "SystemInfo",
     "SystemOptions",
     "UnknownSystemError",
     "available_systems",
     "create_system",
-    "default_system_name",
     "register_system",
     "system_names",
     "validate_system",

@@ -40,7 +40,7 @@ def resolve_accel_config(
     """The accelerator recipe every caller shares: the Table VI row by
     name (:func:`repro.space.resolve_config`), then the tile clock, then
     the NoC backend.  ``None`` keeps the default row, the default clock
-    and the row's own backend (``"packet"``, or ``$REPRO_NOC_BACKEND``).
+    and the row's own backend (``"packet"``).
     """
     config = resolve_config(config_name or DEFAULT_CONFIG_NAME)
     config = config.with_clock(clock_ghz or DEFAULT_CLOCK_GHZ)

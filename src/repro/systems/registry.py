@@ -1,10 +1,10 @@
 """Named registry of interchangeable :class:`ExecutionBackend` systems.
 
 The harness selects the execution system by name — ``python -m repro
-sweep --system cpu``, ``run_system("eyeriss", ...)``, or the
-``REPRO_SYSTEM`` environment variable for a whole process — and this
+sweep --system cpu`` or ``run_system("eyeriss", ...)`` — and this
 module maps the name to a factory, exactly like
-:mod:`repro.noc.backends` does for interconnect models.  Five systems
+:mod:`repro.noc.backends` does for interconnect models.  The CLI runs
+:data:`DEFAULT_SYSTEM` when no ``--system`` is given.  Five systems
 ship built in:
 
 ========= ===================================== ========================
@@ -29,17 +29,12 @@ its system, so two systems never share cached results.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.systems.base import ExecutionBackend
 
-#: Environment variable naming the system used when the caller does not
-#: pin one explicitly.
-SYSTEM_ENV = "REPRO_SYSTEM"
-
-#: The built-in default system name: the paper's proposed accelerator.
+#: The CLI's system when none is named: the paper's proposed accelerator.
 DEFAULT_SYSTEM = "accel"
 
 
@@ -117,24 +112,16 @@ def validate_system(name: str) -> str:
     return name
 
 
-def default_system_name() -> str:
-    """The process default: ``$REPRO_SYSTEM`` or ``"accel"``."""
-    return os.environ.get(SYSTEM_ENV) or DEFAULT_SYSTEM
-
-
 def create_system(
-    name: str | None = None,
+    name: str,
     options: SystemOptions | None = None,
     **overrides,
 ) -> ExecutionBackend:
     """Instantiate the system registered under ``name``.
 
-    ``name=None`` resolves through :func:`default_system_name`.
     Keyword overrides build a :class:`SystemOptions` when one is not
     passed explicitly (``create_system("accel", clock_ghz=1.2)``).
     """
-    if name is None:
-        name = default_system_name()
     if options is None:
         options = SystemOptions(**overrides)
     elif overrides:

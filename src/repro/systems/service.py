@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def system_plan(
-    system: str | None,
+    system: str,
     benchmark_key: str,
     seed: int = 0,
     options: SystemOptions | None = None,
@@ -43,7 +43,7 @@ def system_plan(
 
 
 def run_system(
-    system: str | None,
+    system: str,
     benchmark_key: str,
     seed: int = 0,
     options: SystemOptions | None = None,

@@ -18,10 +18,9 @@ SYSTEMS = ("accel", "multichip")
 
 
 @pytest.fixture
-def default_store(tmp_path, monkeypatch):
-    """An empty process-default cache on the analytical NoC, with the
-    memo cleared so every run reaches the persistent stores."""
-    monkeypatch.setenv("REPRO_NOC_BACKEND", "analytical")
+def default_store(tmp_path):
+    """An empty process-default cache, with the memo cleared so every
+    run reaches the persistent stores."""
     previous = result_cache.default_cache()
     store = ResultCache(tmp_path / "default")
     result_cache.set_default_cache(store)

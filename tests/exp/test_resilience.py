@@ -290,28 +290,8 @@ class TestParallel:
 
 
 class TestRetryPolicy:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "12.5")
-        monkeypatch.setenv("REPRO_SWEEP_RETRIES", "5")
-        monkeypatch.setenv("REPRO_SWEEP_BACKOFF", "0.25")
-        policy = RetryPolicy.from_env()
-        assert policy.timeout_s == 12.5
-        assert policy.retries == 5
-        assert policy.backoff_s == 0.25
-
-    def test_explicit_arguments_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "12.5")
-        policy = RetryPolicy.from_env(timeout_s=3.0)
-        assert policy.timeout_s == 3.0
-
-    def test_defaults_without_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_TIMEOUT", raising=False)
-        monkeypatch.delenv("REPRO_SWEEP_RETRIES", raising=False)
-        monkeypatch.delenv("REPRO_SWEEP_BACKOFF", raising=False)
-        assert RetryPolicy.from_env() == RetryPolicy()
-
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_s=0.5, backoff_factor=2.0)
+        policy = RetryPolicy(backoff_s=0.5)
         assert policy.backoff(1) == 0.5
         assert policy.backoff(2) == 1.0
         assert policy.backoff(3) == 2.0
@@ -322,7 +302,7 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
+            RetryPolicy(backoff_s=-0.5)
 
     def test_deadline_includes_grace(self):
         assert RetryPolicy().deadline_s is None

@@ -24,12 +24,10 @@ from repro.noc import (
     PacketNetwork,
 )
 from repro.noc.backends import (
-    BACKEND_ENV,
     UnknownBackendError,
     available_backends,
     backend_names,
     create_backend,
-    default_backend_name,
     register_backend,
     validate_backend,
 )
@@ -80,23 +78,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             register_backend("packet", PacketNetwork, "duplicate")
 
-    def test_env_var_sets_the_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert default_backend_name() == "packet"
-        monkeypatch.setenv(BACKEND_ENV, "analytical")
-        assert default_backend_name() == "analytical"
-        # The env is consulted only when a fresh config is constructed;
-        # derived configs keep an explicitly pinned backend.
-        pinned = CPU_ISO_BW.with_noc_backend("packet")
-        assert pinned.with_clock(1.2).noc_backend == "packet"
-
-    def test_unknown_env_backend_fails_at_construction(self, monkeypatch):
-        import dataclasses
-
-        monkeypatch.setenv(BACKEND_ENV, "booksim")
-        with pytest.raises(UnknownBackendError):
-            dataclasses.replace(CPU_ISO_BW, noc_backend=default_backend_name())
-
 
 class TestCacheKeys:
     def test_backends_never_share_cache_entries(self):
@@ -108,20 +89,6 @@ class TestCacheKeys:
             for name in BACKENDS
         }
         assert len(keys) == len(BACKENDS)
-
-    def test_env_resolved_default_is_hashed(self, monkeypatch):
-        """$REPRO_NOC_BACKEND resolves at config construction, so the
-        *resolved* name feeds the fingerprint."""
-        import dataclasses
-
-        monkeypatch.setenv(BACKEND_ENV, "analytical")
-        env_config = dataclasses.replace(
-            CPU_ISO_BW, noc_backend=default_backend_name()
-        )
-        assert env_config.noc_backend == "analytical"
-        assert point_key("gcn-cora", env_config) != point_key(
-            "gcn-cora", CPU_ISO_BW.with_noc_backend("packet")
-        )
 
 
 class TestZeroLoadAgreement:
@@ -377,7 +344,7 @@ class TestWholeBenchmarkRuns:
     def test_default_backend_is_packet_and_bit_identical(self):
         """noc_backend="packet" must change nothing: an Accelerator built
         from it carries the same PacketNetwork the seed hard-wired, and
-        with no env override that is the built-in default."""
+        that is the built-in default."""
         from repro.accel.system import Accelerator
         from repro.noc.backends import DEFAULT_BACKEND
 

@@ -31,8 +31,7 @@ def _observed_fixed_seed_run() -> Observer:
     program = compile_model(GCN(8, 8, 4), graph)
     observer = Observer()
     # The golden shape (and the span-disjointness invariant) describe the
-    # packet model's serialized link reservations, so pin the backend —
-    # the analytical smoke lane sets $REPRO_NOC_BACKEND.
+    # packet model's serialized link reservations, so pin the backend.
     config = CPU_ISO_BW.with_noc_backend("packet")
     RuntimeEngine(Accelerator(config), observer=observer).run(program)
     return observer

@@ -6,6 +6,7 @@ import pytest
 from repro.accel import Accelerator, CPU_ISO_BW
 from repro.graphs import citation_graph
 from repro.models import GCN
+from repro.obs import Observer
 from repro.runtime import compile_model
 from repro.runtime.engine import RuntimeEngine
 from repro.runtime.trace import Tracer
@@ -16,10 +17,10 @@ def traced_run():
     graph = citation_graph(24, 50, seed=5)
     graph.node_features = np.zeros((24, 8), dtype=np.float32)
     program = compile_model(GCN(8, 8, 4), graph)
-    tracer = Tracer()
-    engine = RuntimeEngine(Accelerator(CPU_ISO_BW), tracer=tracer)
+    observer = Observer(timeline=False, kernel_profile=False)
+    engine = RuntimeEngine(Accelerator(CPU_ISO_BW), observer=observer)
     report = engine.run(program)
-    return program, tracer, report
+    return program, observer.tracer, report
 
 
 def test_every_task_traced(traced_run):

@@ -4,13 +4,11 @@ import pytest
 
 from repro.systems import (
     DEFAULT_SYSTEM,
-    SYSTEM_ENV,
     ExecutionBackend,
     SystemOptions,
     UnknownSystemError,
     available_systems,
     create_system,
-    default_system_name,
     register_system,
     system_names,
     validate_system,
@@ -50,20 +48,9 @@ class TestLookup:
 
 
 class TestDefaults:
-    def test_default_is_the_accelerator(self, monkeypatch):
-        monkeypatch.delenv(SYSTEM_ENV, raising=False)
-        assert default_system_name() == DEFAULT_SYSTEM == "accel"
-        assert create_system().name == "accel"
-
-    def test_env_variable_selects_the_default(self, monkeypatch):
-        monkeypatch.setenv(SYSTEM_ENV, "gpu")
-        assert default_system_name() == "gpu"
-        assert create_system().name == "gpu"
-
-    def test_env_variable_is_validated(self, monkeypatch):
-        monkeypatch.setenv(SYSTEM_ENV, "quantum")
-        with pytest.raises(UnknownSystemError):
-            create_system()
+    def test_default_is_the_accelerator(self):
+        assert DEFAULT_SYSTEM == "accel"
+        assert create_system(DEFAULT_SYSTEM).name == "accel"
 
 
 class TestRegistration:

@@ -85,8 +85,8 @@ class TestParser:
         assert args.jobs is None  # resolved to the core count at run time
         assert list(args.clocks) == [1.2, 2.4]
         assert not args.no_cache
-        assert args.timeout is None  # falls back to $REPRO_SWEEP_TIMEOUT
-        assert args.retries is None  # falls back to $REPRO_SWEEP_RETRIES
+        assert args.timeout is None  # keeps the RetryPolicy default
+        assert args.retries is None
 
     def test_sweep_retry_flags(self):
         args = build_parser().parse_args(
@@ -122,7 +122,7 @@ class TestParser:
             assert parser.parse_args(argv).noc_backend == "flit"
 
     def test_noc_backend_defaults_to_none(self):
-        # None defers to the config (and thus $REPRO_NOC_BACKEND).
+        # None keeps the config's own backend.
         assert build_parser().parse_args(
             ["simulate", "gcn-cora"]
         ).noc_backend is None
@@ -137,7 +137,7 @@ class TestParser:
             assert parser.parse_args(argv).system == "cpu"
 
     def test_system_defaults_to_none(self):
-        # None defers to the registry default (and thus $REPRO_SYSTEM).
+        # None runs the registry's DEFAULT_SYSTEM.
         assert build_parser().parse_args(
             ["simulate", "gcn-cora"]
         ).system is None
@@ -199,9 +199,7 @@ class TestCommands:
         assert "2716" in capsys.readouterr().out
 
     def test_simulate_fast_benchmark(self, capsys):
-        # --system accel pins the accelerator output path even when the
-        # suite runs under a $REPRO_SYSTEM override (CI systems-smoke).
-        assert main(["simulate", "pgnn-dblp_1", "--system", "accel"]) == 0
+        assert main(["simulate", "pgnn-dblp_1"]) == 0
         out = capsys.readouterr().out
         assert "latency" in out
         assert "GPE utilization" in out
@@ -301,6 +299,20 @@ class TestCommands:
         assert "TPU iso-BW" in err
         assert "CPU iso-BW" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--retries", "-1"],
+        ["sweep", "--timeout", "0"],
+        ["dse", "gcn-cora", "--timeout", "0"],
+    ], ids=["sweep-retries", "sweep-timeout", "dse-timeout"])
+    def test_bad_retry_policy_exits_2(self, argv, capsys):
+        """A bad --timeout or --retries is refused before any point runs:
+        one line on stderr naming the option, exit code 2."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert argv[-2].lstrip("-") in captured.err
+
     def test_noc_backends_lists_fidelity_notes(self, capsys):
         assert main(["noc-backends"]) == 0
         out = capsys.readouterr().out
@@ -377,11 +389,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "gcn-cora on cpu: 3.500 ms" in out
         assert "measured_ms" in out  # breakdown table rides along
-
-    def test_simulate_system_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_SYSTEM", "cpu")
-        assert main(["simulate", "gcn-cora"]) == 0
-        assert "gcn-cora on cpu" in capsys.readouterr().out
 
     def test_unknown_system_exits_2(self, capsys):
         code = main(["simulate", "gcn-cora", "--system", "tpu"])
