@@ -18,11 +18,7 @@ from repro.baselines.machines import (
     MachineModel,
 )
 from repro.baselines.roofline import estimate_latency_ms, workload_breakdown
-from repro.baselines.table7 import (
-    TABLE7_MEASURED_MS,
-    baseline_latency_ms,
-    modeled_table7,
-)
+from repro.baselines.table7 import TABLE7_MEASURED_MS
 
 __all__ = [
     "MachineModel",
@@ -31,6 +27,4 @@ __all__ = [
     "estimate_latency_ms",
     "workload_breakdown",
     "TABLE7_MEASURED_MS",
-    "baseline_latency_ms",
-    "modeled_table7",
 ]

@@ -1,17 +1,14 @@
 """Table VII: baseline inference latencies.
 
-``TABLE7_MEASURED_MS`` reproduces the paper's measured numbers verbatim;
-:func:`modeled_table7` prices the same benchmarks on the analytical
-machine models so the two can be compared (EXPERIMENTS.md).  Speedup
+``TABLE7_MEASURED_MS`` reproduces the paper's measured numbers verbatim.
+The ``cpu`` and ``gpu`` execution systems (:mod:`repro.systems.baseline`)
+report them, with the analytical machine model's prediction beside them
+in each report's breakdown (EXPERIMENTS.md compares the two).  Speedup
 figures (Figure 8) normalize against the measured values, exactly as the
 paper does.
 """
 
 from __future__ import annotations
-
-from repro.baselines.machines import CPU_MACHINE, GPU_MACHINE, MachineModel
-from repro.baselines.roofline import estimate_latency_ms
-from repro.models.registry import BENCHMARKS, Benchmark, benchmark_workload
 
 #: Paper Table VII, milliseconds: (CPU system, GPU system).
 TABLE7_MEASURED_MS: dict[str, tuple[float, float]] = {
@@ -22,37 +19,3 @@ TABLE7_MEASURED_MS: dict[str, tuple[float, float]] = {
     "mpnn-qm9_1000": (2716.00, 443.3),
     "pgnn-dblp_1": (15.70, 7.50),
 }
-
-
-def baseline_latency_ms(
-    benchmark: Benchmark, system: str, measured: bool = True
-) -> float:
-    """Baseline latency for a benchmark on ``"cpu"`` or ``"gpu"``.
-
-    With ``measured=True`` (default, and what Figure 8 uses) returns the
-    paper's measured value; otherwise prices the workload on the
-    analytical machine model.
-    """
-    key = system.lower()
-    if key not in ("cpu", "gpu"):
-        raise ValueError(f"system must be 'cpu' or 'gpu', got {system!r}")
-    if measured:
-        row = TABLE7_MEASURED_MS[benchmark.key]
-        return row[0] if key == "cpu" else row[1]
-    machine = CPU_MACHINE if key == "cpu" else GPU_MACHINE
-    return estimate_latency_ms(benchmark_workload(benchmark), machine)
-
-
-def modeled_table7(
-    machine_cpu: MachineModel = CPU_MACHINE,
-    machine_gpu: MachineModel = GPU_MACHINE,
-) -> dict[str, tuple[float, float]]:
-    """Table VII as predicted by the analytical machine models."""
-    table = {}
-    for benchmark in BENCHMARKS:
-        workload = benchmark_workload(benchmark)
-        table[benchmark.key] = (
-            estimate_latency_ms(workload, machine_cpu),
-            estimate_latency_ms(workload, machine_gpu),
-        )
-    return table

@@ -307,6 +307,19 @@ def _retry_policy(command: str, args) -> "RetryPolicy | None":
         return None
 
 
+def _jobs(command: str, args) -> int | None:
+    """The worker count of ``--jobs``, or the host's core count when the
+    flag is unset.  A count below 1 prints one line and gives ``None``."""
+    from repro.exp.runner import default_jobs
+
+    if args.jobs is None:
+        return default_jobs()
+    if args.jobs < 1:
+        print(f"repro {command}: --jobs must be at least 1", file=sys.stderr)
+        return None
+    return args.jobs
+
+
 def _sweep_point_label(point) -> str:
     if point.system != "accel":
         return f"{point.benchmark_key:16s} {point.system:14s}"
@@ -318,12 +331,7 @@ def _sweep_point_label(point) -> str:
 def _cmd_sweep(args) -> int:
     import time
 
-    from repro.exp.runner import (
-        Point,
-        default_jobs,
-        figure8_points,
-        run_sweep_detailed,
-    )
+    from repro.exp.runner import Point, figure8_points, run_sweep_detailed
     from repro.systems import DEFAULT_SYSTEM
 
     system = args.system or DEFAULT_SYSTEM
@@ -335,6 +343,9 @@ def _cmd_sweep(args) -> int:
         return code
     policy = _retry_policy("sweep", args)
     if policy is None:
+        return 2
+    jobs = _jobs("sweep", args)
+    if jobs is None:
         return 2
     from repro.models.registry import resolve_benchmark_key
 
@@ -358,7 +369,6 @@ def _cmd_sweep(args) -> int:
         config = (resolve_accel_config(noc_backend=args.noc_backend)
                   if system == "multichip" else None)
         points = [Point(key, config, system=system) for key in keys]
-    jobs = args.jobs if args.jobs is not None else default_jobs()
     hits = 0
 
     def progress(point, report, was_cached) -> None:
@@ -412,7 +422,6 @@ def _cmd_dse(args) -> int:
     import time
 
     from repro.dse import run_dse
-    from repro.exp.runner import default_jobs
     from repro.space import resolve_space
 
     code = _resolve_names("dse", benchmark=args.benchmark,
@@ -426,9 +435,11 @@ def _cmd_dse(args) -> int:
     policy = _retry_policy("dse", args)
     if policy is None:
         return 2
+    jobs = _jobs("dse", args)
+    if jobs is None:
+        return 2
 
     cache = _cache_from_args(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
 
     def progress(evaluation) -> None:
         source = "cache" if evaluation.status == "cached" else "sim"
@@ -697,6 +708,8 @@ def _cmd_serve_sim(args) -> int:
                           systems=systems, noc_backend=args.noc_backend)
     if code is not None:
         return code
+    if _jobs("serve-sim", args) is None:
+        return 2
     keys = [resolve_benchmark_key(b) for b in args.benchmarks]
 
     try:
@@ -772,8 +785,6 @@ def _cmd_partition_sweep(args) -> int:
     price compute (max shard) plus inter-chip communication per count."""
     import json
 
-    from repro.exp.runner import default_jobs
-
     code = _resolve_names(
         "partition-sweep", benchmark=args.benchmark, config=args.config,
         noc_backend=args.noc_backend, partition_method=args.method,
@@ -786,9 +797,11 @@ def _cmd_partition_sweep(args) -> int:
     )
     from repro.models.registry import resolve_benchmark_key
 
+    jobs = _jobs("partition-sweep", args)
+    if jobs is None:
+        return 2
     benchmark_key = resolve_benchmark_key(args.benchmark)
     cache = _cache_from_args(args)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
 
     def progress(point, report, was_cached) -> None:
         source = "cache" if was_cached else "sim"

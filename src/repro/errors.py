@@ -1,22 +1,21 @@
 """Root of the repo-wide failure taxonomy.
 
 Every structured failure the harness can surface — a simulator watchdog
-trip, a deadlocked run, a sweep point that timed out, a serving-layer
-request that was shed — descends from :class:`ReproError` and carries
-two class-level attributes:
+trip, a deadlocked run, a sweep point that timed out, a broken serving
+simulation — descends from :class:`ReproError` and carries two
+class-level attributes:
 
 * ``status`` — a short machine-readable tag (``"timeout"``,
-  ``"diverged"``, ``"instance-down"`` …) that survives process
-  boundaries as plain data;
+  ``"diverged"``, ``"crash"`` …) that survives process boundaries as
+  plain data;
 * ``retryable`` — whether a retry policy may re-attempt the operation.
   Deterministic failures (a bit-deterministic simulation that diverged)
-  are never retryable; transient ones (a crashed worker, a downed
-  serving instance) are.
+  are never retryable; transient ones (a crashed worker) are.
 
 This module is deliberately dependency-free: :mod:`repro.sim.kernel`
 needs the root class before any higher layer exists, and
 :mod:`repro.exp.errors` re-exports it as the public home of the full
-hierarchy (sweep-level point errors, serving-level request errors).
+hierarchy (sweep-level point errors, the serving error).
 Branch on :func:`repro.exp.errors.classify` instead of parsing messages.
 """
 

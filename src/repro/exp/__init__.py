@@ -6,10 +6,13 @@ Every evaluation driver funnels simulations through two caching layers:
 * a **persistent on-disk store** (:class:`~repro.exp.cache.ResultCache`,
   shared across processes and invocations),
 
-both keyed by a content hash: for the simulated accelerator, the
-benchmark key plus every :class:`~repro.accel.config.AcceleratorConfig`
-field and, for one shard of a partitioned input, its shard identity
-(:func:`~repro.exp.cache.point_key`).  Single runs go through one
+both keyed by the content hash of one key document
+(:func:`~repro.exp.cache.key_document`): the system, the benchmark and
+its layer-IR digest, plus, for the simulated accelerator, every
+:class:`~repro.accel.config.AcceleratorConfig` field and, for one shard
+of a partitioned input, its shard identity
+(:func:`~repro.exp.cache.point_key`), or, for a prepared run of any
+system, that system's parameters.  Single runs go through one
 cache-through function (:func:`~repro.exp.cache.run_cached`: look up,
 else execute, then store) under the caller's cache.  On top of that,
 :func:`~repro.exp.runner.run_sweep` fans cache misses out to a

@@ -1,36 +1,37 @@
-"""Persistent simulation-result cache keyed by content hashes.
+"""Persistent result cache keyed by content hashes.
 
-A cache entry answers "what does *this exact* accelerator, at *this
-exact* clock, do on *this* benchmark?" — so the key must change whenever
-any input that could change the answer changes, and must **not** change
-for anything else.  The key is a SHA-256 over a canonical JSON document
-of:
+A cache entry answers "what does *this exact* system, configured
+*this exact* way, report on *this* benchmark?" — so the key must change
+whenever any input that could change the answer changes, and must
+**not** change for anything else.  The key is a SHA-256 over one
+canonical JSON document, built by :func:`key_document` for every cached
+result:
 
 * ``schema`` — :data:`SCHEMA_VERSION`, bumped whenever the simulator's
   observable behaviour or the report format changes;
 * ``system`` — the execution system (``"accel"`` for the simulated
-  accelerator; see :mod:`repro.systems` — every system's fingerprint
-  names it, so no two systems can share an entry);
+  accelerator; see :mod:`repro.systems`), so no two systems can share an
+  entry;
 * ``benchmark`` — the benchmark key (``"gcn-cora"``);
-* ``config`` — every field of the resolved
-  :class:`~repro.accel.config.AcceleratorConfig`, recursively
-  (:func:`dataclasses.asdict`), including the swept clock.  Space-derived
-  configurations (:mod:`repro.space`) enter by their *contents* exactly
-  like the frozen literals — named points reproduce the historical keys
-  bit-for-bit, anonymous DSE points carry content-derived ``dse-...``
-  names — so search drivers ride this cache with no layer in between
-  knowing a parameter space exists.
+* ``ir`` — the benchmark's layer-IR content digest
+  (:func:`repro.models.registry.benchmark_ir_digest`), so a re-sized
+  model, a re-generated dataset or an IR-schema revision invalidates
+  every stale entry at once;
 
-* ``shard`` — only for one shard of a partitioned input (the
-  :class:`~repro.partition.core.ShardSpec` fingerprint); whole-graph
-  documents carry no such stanza.
-
-Cross-system entries (CPU/GPU baselines, the Eyeriss dataflow mapper,
-the multi-chip composition) hash an
-:class:`~repro.systems.base.ExecutionPlan` fingerprint instead —
-``system`` + shared :class:`~repro.systems.base.Workload` content + the
-system's own parameters — and store a serialized
-:class:`~repro.systems.base.SystemReport` tagged ``"kind": "system"``.
+plus what the run itself adds.  An accelerator point (:func:`point_key`)
+adds ``config`` — every field of the resolved
+:class:`~repro.accel.config.AcceleratorConfig`, recursively
+(:func:`dataclasses.asdict`), including the swept clock — and, for one
+shard of a partitioned input, ``shard`` (the
+:class:`~repro.partition.core.ShardSpec` fingerprint).  Space-derived
+configurations (:mod:`repro.space`) enter by their *contents* exactly
+like the frozen literals — named points reproduce the historical keys
+bit-for-bit, anonymous DSE points carry content-derived ``dse-...``
+names — so search drivers ride this cache with no layer in between
+knowing a parameter space exists.  A prepared run of
+any system (:class:`~repro.systems.base.ExecutionPlan`) adds its
+parameters under one nested ``params`` stanza instead, so an ``accel``
+plan never shares an entry with the accelerator point it wraps.
 
 Every cached run goes through one function, :func:`run_cached`: look
 up, else execute, then store.  An observed run always executes and
@@ -41,11 +42,12 @@ anything else outside those inputs do not affect the key (canonical JSON:
 sorted keys, fixed separators).
 
 Entries live one-per-file under ``<root>/results/<key>.json`` where
-``root`` defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.  Writes
-are atomic (temp file + ``os.replace``); unreadable, truncated, or
-schema-mismatched entries are silently discarded and deleted, never
-raised to the caller — a corrupt cache costs a re-simulation, not a
-crash.
+``root`` defaults to ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.  A
+report is stored in one encoding (:func:`encode_report`), the same one
+sweep workers ship to their parent.  Writes are atomic (temp file +
+``os.replace``); unreadable, truncated, or schema-mismatched entries are
+silently discarded and deleted, never raised to the caller — a corrupt
+cache costs a re-simulation, not a crash.
 """
 
 from __future__ import annotations
@@ -77,20 +79,15 @@ NO_CACHE_ENV = "REPRO_NO_CACHE"
 #: ``None``, which means "no persistent cache".
 DEFAULT_CACHE = object()
 
-#: System name of the simulated accelerator in cache fingerprints
-#: (mirrors :data:`repro.systems.registry.DEFAULT_SYSTEM`; a literal
-#: here keeps this module importable without the systems package).
+#: System name of the simulated accelerator in cache keys (mirrors
+#: :data:`repro.systems.registry.DEFAULT_SYSTEM`; a literal here keeps
+#: this module importable without the systems package).
 ACCEL_SYSTEM = "accel"
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
     from repro.partition.core import ShardSpec
     from repro.systems.base import SystemReport
-
-#: What the caching layers hold: simulated accelerator reports plus
-#: cross-system reports (see :mod:`repro.systems`).
-CachedReport = "SimulationReport | SystemReport"
-
 
 def content_key(document: dict[str, Any]) -> str:
     """SHA-256 of a canonical-JSON document (sorted keys, fixed
@@ -111,34 +108,38 @@ def config_fingerprint(config: AcceleratorConfig) -> dict[str, Any]:
     return data
 
 
+def key_document(
+    system: str, benchmark_key: str, **stanzas: Any
+) -> dict[str, Any]:
+    """The one cache-key document: ``{schema, system, benchmark, ir}``
+    plus ``stanzas`` — ``config`` (and ``shard``) for an accelerator
+    point, a nested ``params`` for an
+    :class:`~repro.systems.base.ExecutionPlan`."""
+    from repro.models.registry import benchmark_ir_digest
+
+    return {
+        "schema": SCHEMA_VERSION,
+        "system": system,
+        "benchmark": benchmark_key,
+        "ir": benchmark_ir_digest(benchmark_key),
+        **stanzas,
+    }
+
+
 def point_fingerprint(
     benchmark_key: str,
     config: AcceleratorConfig,
     shard: "ShardSpec | None" = None,
 ) -> dict[str, Any]:
-    """The canonical document behind :func:`point_key`.
-
-    Always names the execution system (``"accel"``), so accelerator
-    entries can never collide with the cross-system entries of
-    :mod:`repro.systems` — the same invariant every
-    :meth:`~repro.systems.base.ExecutionPlan.fingerprint` upholds.  The
-    ``ir`` stanza is the benchmark's layer-IR content digest
-    (:func:`repro.models.registry.benchmark_ir_digest`): a re-sized
-    model, a re-generated dataset, or an IR-schema revision each change
-    the digest and invalidate stale entries.  A ``shard`` adds its
-    :meth:`~repro.partition.core.ShardSpec.fingerprint`, so a shard
-    never shares an entry with the whole graph, and two partitions that
-    differ in method, seed, chip count, or index never share a shard.
+    """The :func:`key_document` behind :func:`point_key`: the
+    accelerator system plus the resolved configuration.  A ``shard``
+    adds its :meth:`~repro.partition.core.ShardSpec.fingerprint`, so a
+    shard never shares an entry with the whole graph, and two partitions
+    that differ in method, seed, chip count, or index never share a
+    shard.
     """
-    from repro.models.registry import benchmark_ir_digest
-
-    document = {
-        "schema": SCHEMA_VERSION,
-        "system": ACCEL_SYSTEM,
-        "benchmark": benchmark_key,
-        "ir": benchmark_ir_digest(benchmark_key),
-        "config": config_fingerprint(config),
-    }
+    document = key_document(ACCEL_SYSTEM, benchmark_key,
+                            config=config_fingerprint(config))
     if shard is not None:
         document["shard"] = shard.fingerprint()
     return document
@@ -158,8 +159,33 @@ def point_key(
     return content_key(point_fingerprint(benchmark_key, config, shard))
 
 
+def encode_report(
+    report: "SimulationReport | SystemReport",
+) -> dict[str, Any]:
+    """A report as the plain data a cache entry and a sweep worker carry:
+    ``{"report": ...}``, tagged ``"kind": "system"`` for a cross-system
+    :class:`~repro.systems.base.SystemReport`."""
+    if isinstance(report, SimulationReport):
+        return {"report": report_to_dict(report)}
+    from repro.systems.serialize import system_report_to_dict
+
+    return {"kind": "system", "report": system_report_to_dict(report)}
+
+
+def decode_report(
+    entry: dict[str, Any],
+) -> "SimulationReport | SystemReport":
+    """Rebuild the report of an :func:`encode_report` entry; raises
+    ``KeyError``/``TypeError`` on malformed data."""
+    if entry.get("kind") == "system":
+        from repro.systems.serialize import system_report_from_dict
+
+        return system_report_from_dict(entry["report"])
+    return report_from_dict(entry["report"])
+
+
 class ResultCache:
-    """On-disk store of :class:`SimulationReport`s, one JSON per key."""
+    """On-disk store of reports, one JSON per key."""
 
     def __init__(self, root: str | Path | None = None) -> None:
         if root is None:
@@ -178,12 +204,9 @@ class ResultCache:
     def get(self, key: str) -> "SimulationReport | SystemReport | None":
         """The cached report for ``key``, or None.
 
-        Entries tagged ``"kind": "system"`` rebuild a cross-system
-        :class:`~repro.systems.base.SystemReport`; untagged entries are
-        accelerator :class:`SimulationReport`\\ s (the pre-systems
-        on-disk format, unchanged).  Corrupt or stale entries
-        (unparseable JSON, missing fields, a different
-        :data:`SCHEMA_VERSION`) are deleted and treated as misses.
+        Corrupt or stale entries (unparseable JSON, missing fields, a
+        different :data:`SCHEMA_VERSION`) are deleted and treated as
+        misses.
         """
         path = self.path_for(key)
         try:
@@ -196,11 +219,7 @@ class ResultCache:
         try:
             if payload["schema"] != SCHEMA_VERSION or payload["key"] != key:
                 raise KeyError("schema or key mismatch")
-            if payload.get("kind") == "system":
-                from repro.systems.serialize import system_report_from_dict
-
-                return system_report_from_dict(payload["report"])
-            return report_from_dict(payload["report"])
+            return decode_report(payload)
         except (KeyError, TypeError):
             self._discard(path)
             return None
@@ -209,21 +228,8 @@ class ResultCache:
         self, key: str, report: "SimulationReport | SystemReport"
     ) -> None:
         """Persist a report atomically (readers never see partial JSON)."""
-        if isinstance(report, SimulationReport):
-            payload = {
-                "schema": SCHEMA_VERSION,
-                "key": key,
-                "report": report_to_dict(report),
-            }
-        else:
-            from repro.systems.serialize import system_report_to_dict
-
-            payload = {
-                "schema": SCHEMA_VERSION,
-                "key": key,
-                "kind": "system",
-                "report": system_report_to_dict(report),
-            }
+        payload = {"schema": SCHEMA_VERSION, "key": key,
+                   **encode_report(report)}
         self.results_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
             dir=self.results_dir, prefix=".tmp-", suffix=".json"

@@ -1,6 +1,6 @@
-"""Structured error taxonomy shared by the sweep and serving layers.
+"""Structured error taxonomy of the sweep and serving layers.
 
-Every way work can fail — an operating point of a sweep, a request of a
+Every way work can fail — an operating point of a sweep, a broken
 serving simulation, the simulation kernel itself — maps to one exception
 class descending from :class:`repro.errors.ReproError` (re-exported here
 as the hierarchy's public root), so callers branch on type or on the
@@ -17,15 +17,11 @@ Sweep level:
   retried, because a bit-deterministic simulator fails the same way
   every time.
 
-Serving level (:mod:`repro.serve`):
-
-* :class:`RequestTimeout` — a request waited past its timeout budget;
-  *retryable* (the client re-submits with backoff);
-* :class:`InstanceDown` — the instance holding the request crashed
-  mid-flight; *retryable* (failover re-dispatches onto a survivor);
-* :class:`ShedRequest` — admission control rejected the request because
-  the queue exceeded its bound; never retried (shedding exists exactly
-  so overload does not amplify itself).
+Serving level (:mod:`repro.serve`): :class:`ServeError` — the serving
+scheduler itself broke (event budget exhausted, lost-request
+accounting).  Request-level outcomes (shed, ``request-timeout``,
+``instance-down``) are not exceptions: the scheduler accounts them as
+status strings in its report.
 
 Simulator level — :class:`repro.sim.kernel.SimulationError`,
 :class:`repro.sim.watchdog.WatchdogTrip`, and
@@ -34,8 +30,8 @@ all deterministic, never retryable, ``status`` ``"diverged"`` except for
 wall-clock watchdog trips, which tag themselves ``"timeout"``.
 
 :func:`classify` maps *any* exception (taxonomy member or foreign) to a
-``(status, retryable)`` pair; it is the one classification path the
-sweep runner and the serving simulation share.
+``(status, retryable)`` pair; it is how the sweep runner classifies a
+failed point.
 
 :class:`SweepFailed` aggregates: it is what the strict
 :func:`~repro.exp.runner.run_sweep` raises when any point in a sweep
@@ -59,9 +55,6 @@ __all__ = [
     "PointCrash",
     "SimulationDiverged",
     "ServeError",
-    "RequestTimeout",
-    "InstanceDown",
-    "ShedRequest",
     "SweepFailed",
     "STATUS_ERRORS",
     "classify",
@@ -126,7 +119,7 @@ STATUS_ERRORS: dict[str, type[PointError]] = {
 
 
 class ServeError(ReproError):
-    """Base class for every serving-layer (``repro.serve``) failure.
+    """The serving simulation (``repro.serve``) broke.
 
     Carries the request id and the simulated time of the failure so a
     replayed trace can be diffed failure-by-failure.
@@ -146,27 +139,6 @@ class ServeError(ReproError):
         self.attempts = attempts
 
 
-class RequestTimeout(ServeError):
-    """The request waited past its timeout budget; the client retries."""
-
-    status = "request-timeout"
-    retryable = True
-
-
-class InstanceDown(ServeError):
-    """The instance serving the request crashed; failover retries it."""
-
-    status = "instance-down"
-    retryable = True
-
-
-class ShedRequest(ServeError):
-    """Admission control rejected the request (queue over its bound)."""
-
-    status = "shed"
-    retryable = False
-
-
 class SweepFailed(SweepError):
     """At least one point of a sweep failed; carries the full outcome."""
 
@@ -181,8 +153,8 @@ def classify(exc: BaseException) -> tuple[str, bool]:
     Taxonomy members answer from their own attributes (including the
     instance-level ``status`` override a wall-clock watchdog trip
     carries); foreign exceptions classify as a generic non-retryable
-    ``"error"``.  This is the single classification path the sweep
-    runner's failure handling and the serving simulation share.
+    ``"error"``.  The sweep runner classifies every failed attempt
+    through it.
     """
     if isinstance(exc, ReproError):
         return exc.status, exc.retryable

@@ -7,8 +7,8 @@ layers (per-process memo, then the on-disk
 ``ProcessPoolExecutor``.  Simulation is bit-deterministic, so the
 parallel path returns results identical to the serial one
 (``tests/exp/test_determinism.py`` asserts this field by field); workers
-hand reports back through :mod:`repro.runtime.serialize`, the same
-representation the persistent store uses.
+hand reports back in the one encoding the persistent store writes
+(:func:`repro.exp.cache.encode_report`).
 
 The executor is *resilient* (``tests/exp/test_resilience.py``):
 
@@ -46,6 +46,8 @@ from repro.exp.cache import (
     ACCEL_SYSTEM,
     DEFAULT_CACHE,
     ResultCache,
+    decode_report,
+    encode_report,
     lookup,
     point_key,
     resolve_cache,
@@ -53,7 +55,6 @@ from repro.exp.cache import (
 )
 from repro.exp.errors import STATUS_ERRORS, PointError, SweepFailed
 from repro.runtime.report import SimulationReport
-from repro.runtime.serialize import report_from_dict, report_to_dict
 
 #: Figure 8's (configuration, baseline system) groups, in paper order.
 FIGURE8_GROUPS: tuple[tuple[str, str], ...] = (
@@ -150,9 +151,7 @@ class Point:
     def plan(self) -> Any:
         """The :class:`~repro.systems.base.ExecutionPlan` for a
         cross-system point (see :mod:`repro.systems`)."""
-        from repro.systems import resolve_workload
-
-        return self.backend().prepare(resolve_workload(self.benchmark_key))
+        return self.backend().prepare(self.benchmark_key)
 
     @property
     def key(self) -> str:
@@ -161,9 +160,10 @@ class Point:
         Accelerator points (whole graph or one shard) keep
         :func:`repro.exp.cache.point_key` — the exact key direct
         ``run_config`` calls use, so sweeps and single runs share
-        entries.  Cross-system points hash their
-        :meth:`~repro.systems.base.ExecutionPlan.fingerprint`; every
-        fingerprint names its system, so systems never collide.
+        entries.  Cross-system points use their plan's
+        :attr:`~repro.systems.base.ExecutionPlan.key`.  Both hash one
+        :func:`~repro.exp.cache.key_document`, which names its system,
+        so systems never collide.
 
         The key is computed on the first read and kept on the instance,
         outside the dataclass fields: equality, hashing, ``repr`` and
@@ -179,22 +179,7 @@ class Point:
         if self.system == ACCEL_SYSTEM:
             return point_key(self.benchmark_key, self.resolved_config,
                              self.shard)
-        from repro.systems import UnsupportedWorkloadError
-
-        try:
-            return self.plan().key
-        except UnsupportedWorkloadError:
-            # No plan exists, so nothing will ever be cached under this
-            # key; a stable surrogate keeps the sweep bookkeeping sound
-            # while the execution attempt reports the real error.
-            from repro.exp.cache import SCHEMA_VERSION, content_key
-
-            return content_key({
-                "schema": SCHEMA_VERSION,
-                "system": self.system,
-                "benchmark": self.benchmark_key,
-                "unsupported": True,
-            })
+        return self.plan().key
 
     def describe(self) -> str:
         if self.system != ACCEL_SYSTEM:
@@ -407,29 +392,9 @@ def execute_point(
     """
     if point.system == ACCEL_SYSTEM:
         return simulate_point(point, observer=observer)
-    from repro.systems import resolve_workload
-
     backend = point.backend()
-    plan = backend.prepare(resolve_workload(point.benchmark_key))
+    plan = backend.prepare(point.benchmark_key)
     return backend.execute(plan, observer=observer, cache=cache)
-
-
-def _serialize_report(report: Any) -> dict[str, Any]:
-    """Kind-tagged plain data for a report crossing a process boundary
-    — the same representations the persistent cache stores."""
-    if isinstance(report, SimulationReport):
-        return {"kind": "sim", "data": report_to_dict(report)}
-    from repro.systems.serialize import system_report_to_dict
-
-    return {"kind": "system", "data": system_report_to_dict(report)}
-
-
-def _deserialize_report(payload: dict[str, Any]) -> Any:
-    if payload["kind"] == "system":
-        from repro.systems.serialize import system_report_from_dict
-
-        return system_report_from_dict(payload["data"])
-    return report_from_dict(payload["data"])
 
 
 def _sweep_observer() -> Any:
@@ -443,9 +408,9 @@ def _sweep_observer() -> Any:
 def _classify_failure(exc: BaseException) -> tuple[str, str]:
     """Map an attempt's exception to a ``(status, message)`` pair.
 
-    Delegates to the shared taxonomy (:func:`repro.exp.errors.classify`)
-    — the same path the serving layer uses — so a watchdog trip, a
-    deadlock, and a foreign exception classify identically everywhere.
+    Delegates to the shared taxonomy (:func:`repro.exp.errors.classify`),
+    so a watchdog trip, a deadlock, and a foreign exception classify the
+    same in serial and pooled sweeps.
     """
     from repro.errors import ReproError
     from repro.exp.errors import classify
@@ -497,19 +462,16 @@ def _resilient_worker(
 
     Returning plain data sidesteps exception pickling entirely; only a
     dead process (crash, kill, OOM) surfaces as a future exception in
-    the parent.  Reports cross the process boundary through
-    :mod:`repro.runtime.serialize` / :mod:`repro.systems.serialize` —
-    the exact representations the persistent cache stores — so a
-    parallel result is byte-for-byte what a cache hit of the same point
-    would yield.  The metrics snapshot is already plain data, so it
-    rides along the same way.
+    the parent.  A report crosses the process boundary as
+    :func:`~repro.exp.cache.encode_report` — the entry the persistent
+    cache stores — so a parallel result is byte-for-byte what a cache
+    hit of the same point would yield.  The metrics snapshot is already
+    plain data, so it rides along the same way.
     """
     result = _attempt(point, timeout_s, collect_metrics, cache)
     if not result.ok:
         return {"ok": False, "status": result.status, "error": result.error}
-    payload: dict[str, Any] = {
-        "ok": True, "report": _serialize_report(result.report)
-    }
+    payload: dict[str, Any] = {"ok": True, **encode_report(result.report)}
     if result.metrics is not None:
         payload["metrics"] = result.metrics
     return payload
@@ -780,7 +742,7 @@ def _run_parallel(
                             PointResult(
                                 pending.point,
                                 "ok",
-                                _deserialize_report(payload["report"]),
+                                decode_report(payload),
                                 attempts=pending.attempts,
                                 metrics=payload.get("metrics"),
                             )

@@ -11,8 +11,8 @@ expensive per-workload simulations underneath.
 Robustness machinery, in the order a request meets it:
 
 1. **Admission control** — an arrival finding the queue at its bound is
-   *shed* immediately (:class:`~repro.exp.errors.ShedRequest` taxonomy:
-   not retryable, shedding exists so overload does not amplify).
+   *shed* immediately and never retried (shedding exists so overload
+   does not amplify).
 2. **Queueing + batching** — admitted requests wait FIFO; a free
    instance takes up to ``max_batch`` requests per dispatch.
 3. **Timeout / retry with backoff** — a request that waited past

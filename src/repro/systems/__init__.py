@@ -4,10 +4,10 @@ The paper's headline claims are cross-system — the simulated GNN
 accelerator against CPU/GPU baselines at matched bandwidth (Table VII,
 Figure 8) and against a dense spatial dataflow accelerator (Section II).
 This package puts all of them behind one :class:`ExecutionBackend`
-protocol with a name-keyed registry, a shared content-addressed
-:class:`Workload`, and a uniform cached entry point
-(:func:`run_system`), so the sweep runner, result cache, observability
-bundle, and CLI treat every system the same way::
+protocol with a name-keyed registry, plans keyed by the result cache's
+one key document (:func:`repro.exp.cache.key_document`), and a uniform
+cached entry point (:func:`run_system`), so the sweep runner, result
+cache, observability bundle, and CLI treat every system the same way::
 
     from repro.systems import run_system
 
@@ -21,8 +21,6 @@ from repro.systems.base import (
     ExecutionPlan,
     SystemReport,
     UnsupportedWorkloadError,
-    Workload,
-    resolve_workload,
 )
 from repro.systems.registry import (
     DEFAULT_SYSTEM,
@@ -49,8 +47,6 @@ __all__ = [
     "ExecutionPlan",
     "SystemReport",
     "UnsupportedWorkloadError",
-    "Workload",
-    "resolve_workload",
     "MultiChipConfig",
     "MultiChipSystem",
     "DEFAULT_SYSTEM",

@@ -1,8 +1,8 @@
 """The simulated GNN accelerator as an :class:`ExecutionBackend`.
 
 A thin protocol adapter over the existing compile-and-simulate path:
-``prepare`` resolves the Table VI configuration (clock and NoC backend
-applied) and ``execute`` delegates to
+construction resolves the Table VI configuration (clock and NoC backend
+applied), ``prepare`` keys it, and ``execute`` delegates to
 :func:`repro.eval.accelerator.run_config` through
 :func:`simulated_system_report`, so reports are bit-identical to the
 ``run_benchmark`` path — same compiler memo, same simulation-report
@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 from repro.accel.config import AcceleratorConfig
 from repro.exp.cache import DEFAULT_CACHE, config_fingerprint
 from repro.space import resolve_config
-from repro.systems.base import ExecutionPlan, SystemReport, Workload
+from repro.systems.base import ExecutionPlan, SystemReport
 from repro.systems.registry import SystemOptions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,12 +64,11 @@ class AcceleratorSystem:
         """The fully-resolved configuration this backend simulates."""
         return self._config
 
-    def prepare(self, workload: Workload) -> ExecutionPlan:
+    def prepare(self, benchmark_key: str) -> ExecutionPlan:
         return ExecutionPlan(
             system=self.name,
-            workload=workload,
+            benchmark_key=benchmark_key,
             params=(("config", config_fingerprint(self._config)),),
-            payload=self._config,
         )
 
     def execute(
@@ -79,8 +78,7 @@ class AcceleratorSystem:
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         return simulated_system_report(
-            self.name, plan.workload.benchmark_key, plan.payload, cache,
-            observer,
+            self.name, plan.benchmark_key, self._config, cache, observer
         )
 
 

@@ -3,13 +3,12 @@
 ``execute`` prices the benchmark's analytical workload on the Table III
 machine model (:func:`repro.baselines.roofline.workload_breakdown`) and
 reports the paper's measured Table VII latency as the headline number —
-exactly what the Figure 8 speedups normalize against.  Construct with
-``SystemOptions(measured=False)`` to report the modeled latency instead
-(the EXPERIMENTS.md calibration view); both numbers always appear in
-the breakdown.  Benchmarks outside Table VII (the registered extension
-rows — GraphSAGE, GIN) have no measured number, so they fall back to
-the modeled latency; the plan's ``measured`` parameter records the
-*effective* mode, keeping cache keys honest.
+exactly what the Figure 8 speedups normalize against.  Both numbers
+appear in the breakdown (``measured_ms`` and ``modeled_ms``, the
+EXPERIMENTS.md calibration view).  Benchmarks outside Table VII (the
+registered extension rows — GraphSAGE, GIN) have no measured number, so
+they report the modeled latency; the plan's ``measured`` parameter
+records which one a benchmark reports.
 """
 
 from __future__ import annotations
@@ -21,13 +20,8 @@ from repro.baselines.machines import CPU_MACHINE, GPU_MACHINE, MachineModel
 from repro.baselines.roofline import workload_breakdown
 from repro.baselines.table7 import TABLE7_MEASURED_MS
 from repro.exp.cache import DEFAULT_CACHE
-from repro.models.registry import benchmark_workload
-from repro.systems.base import (
-    ExecutionPlan,
-    SystemReport,
-    Workload,
-)
-from repro.systems.registry import SystemOptions
+from repro.models.registry import benchmark_by_key, benchmark_workload
+from repro.systems.base import ExecutionPlan, SystemReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
@@ -44,9 +38,7 @@ _MACHINES: dict[str, MachineModel] = {
 class BaselineSystem:
     """One Table III machine: measured Table VII latency + roofline model."""
 
-    def __init__(
-        self, system: str, options: SystemOptions = SystemOptions()
-    ) -> None:
+    def __init__(self, system: str) -> None:
         if system not in _MACHINES:
             raise ValueError(
                 f"baseline system must be one of {sorted(_MACHINES)}, "
@@ -54,32 +46,19 @@ class BaselineSystem:
             )
         self.name = system
         self._machine = _MACHINES[system]
-        self._measured = options.measured
 
     @property
     def machine(self) -> MachineModel:
         return self._machine
 
-    def _effective_measured(self, workload: Workload) -> bool:
-        """Whether this run reports a measured Table VII latency.
-
-        Extension benchmarks have no measured row, so a measured-mode
-        system falls back to the analytical machine model for them.
-        """
-        return (
-            self._measured
-            and workload.benchmark_key in TABLE7_MEASURED_MS
-        )
-
-    def prepare(self, workload: Workload) -> ExecutionPlan:
+    def prepare(self, benchmark_key: str) -> ExecutionPlan:
         return ExecutionPlan(
             system=self.name,
-            workload=workload,
+            benchmark_key=benchmark_key,
             params=(
                 ("machine", dataclasses.asdict(self._machine)),
-                ("measured", self._effective_measured(workload)),
+                ("measured", benchmark_key in TABLE7_MEASURED_MS),
             ),
-            payload=self._machine,
         )
 
     def execute(
@@ -88,25 +67,19 @@ class BaselineSystem:
         observer: "Observer | None" = None,
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
-        benchmark = plan.workload.benchmark
-        workload = benchmark_workload(benchmark, seed=plan.workload.seed)
+        workload = benchmark_workload(benchmark_by_key(plan.benchmark_key))
         parts = workload_breakdown(workload, self._machine)
         breakdown = dataclasses.asdict(parts)
         breakdown["modeled_ms"] = parts.total_ms
-        measured = TABLE7_MEASURED_MS.get(benchmark.key)
+        measured = TABLE7_MEASURED_MS.get(plan.benchmark_key)
         if measured is not None:
             breakdown["measured_ms"] = (
                 measured[0] if self.name == CPU_SYSTEM_NAME else measured[1]
             )
-        latency_ms = (
-            breakdown["measured_ms"]
-            if self._effective_measured(plan.workload)
-            else breakdown["modeled_ms"]
-        )
         report = SystemReport(
             system=self.name,
-            benchmark=plan.workload.benchmark_key,
-            latency_ms=latency_ms,
+            benchmark=plan.benchmark_key,
+            latency_ms=breakdown.get("measured_ms", breakdown["modeled_ms"]),
             breakdown=breakdown,
         )
         if observer is not None:

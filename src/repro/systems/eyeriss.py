@@ -5,9 +5,10 @@ IR is lowered to its dense matmul sequence
 (:func:`repro.dataflow.layers.ir_dense_layers`) and scheduled onto the
 Table I spatial array by the NN-Dataflow-like mapper, priced at the
 paper's 68 GBps off-chip bandwidth.  Any model whose IR is
-dense-expressible maps — GCN, GAT, MPNN, GraphSAGE, GIN; workloads with
-a dependent multi-hop traversal phase (PGNN's power-graph expansion)
-raise :class:`~repro.systems.base.UnsupportedWorkloadError` naming the
+dense-expressible maps — GCN, GAT, MPNN, GraphSAGE, GIN.  Every
+benchmark has a plan; executing one with a dependent multi-hop traversal
+phase (PGNN's power-graph expansion) raises
+:class:`~repro.systems.base.UnsupportedWorkloadError` naming the
 offending IR phases.
 """
 
@@ -20,12 +21,11 @@ from repro.dataflow.layers import ir_dense_layers, unmappable_specs
 from repro.dataflow.mapper import analyze_network
 from repro.dataflow.spatial import EYERISS_CONFIG, SpatialArrayConfig
 from repro.exp.cache import DEFAULT_CACHE
-from repro.models.registry import benchmark_ir
+from repro.models.registry import benchmark_by_key, benchmark_ir
 from repro.systems.base import (
     ExecutionPlan,
     SystemReport,
     UnsupportedWorkloadError,
-    Workload,
 )
 from repro.systems.registry import SystemOptions
 
@@ -50,19 +50,10 @@ class EyerissSystem:
         self._bandwidth_gbps = SECTION2_BANDWIDTH_GBPS
         self._freq_ghz = options.clock_ghz or DEFAULT_FREQ_GHZ
 
-    def prepare(self, workload: Workload) -> ExecutionPlan:
-        ir = benchmark_ir(workload.benchmark, seed=workload.seed)
-        unmappable = unmappable_specs(ir)
-        if unmappable:
-            raise UnsupportedWorkloadError(
-                f"the eyeriss dataflow study cannot map "
-                f"{workload.benchmark_key!r}: IR phases {unmappable} are "
-                f"dependent multi-hop traversals with no dense-matrix "
-                f"equivalent"
-            )
+    def prepare(self, benchmark_key: str) -> ExecutionPlan:
         return ExecutionPlan(
             system=self.name,
-            workload=workload,
+            benchmark_key=benchmark_key,
             params=(
                 ("array", dataclasses.asdict(self._array)),
                 ("bandwidth_gbps", self._bandwidth_gbps),
@@ -76,8 +67,15 @@ class EyerissSystem:
         observer: "Observer | None" = None,
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
-        workload = plan.workload
-        ir = benchmark_ir(workload.benchmark, seed=workload.seed)
+        ir = benchmark_ir(benchmark_by_key(plan.benchmark_key))
+        unmappable = unmappable_specs(ir)
+        if unmappable:
+            raise UnsupportedWorkloadError(
+                f"the eyeriss dataflow study cannot map "
+                f"{plan.benchmark_key!r}: IR phases {unmappable} are "
+                f"dependent multi-hop traversals with no dense-matrix "
+                f"equivalent"
+            )
         layers = ir_dense_layers(ir)
         analysis = analyze_network(
             layers, self._array, self._bandwidth_gbps, self._freq_ghz
@@ -95,7 +93,7 @@ class EyerissSystem:
         )
         report = SystemReport(
             system=self.name,
-            benchmark=workload.benchmark_key,
+            benchmark=plan.benchmark_key,
             latency_ms=analysis.latency_ms,
             breakdown=breakdown,
         )

@@ -40,7 +40,7 @@ from repro.exp.cache import DEFAULT_CACHE, config_fingerprint
 from repro.models.workload import BYTES_PER_VALUE
 from repro.partition.methods import DEFAULT_METHOD, validate_method
 from repro.systems.accel import resolve_accel_config, simulated_system_report
-from repro.systems.base import ExecutionPlan, SystemReport, Workload
+from repro.systems.base import ExecutionPlan, SystemReport
 from repro.systems.registry import SystemOptions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -119,16 +119,15 @@ class MultiChipSystem:
         """The partition and link-model configuration."""
         return self._multichip
 
-    def prepare(self, workload: Workload) -> ExecutionPlan:
+    def prepare(self, benchmark_key: str) -> ExecutionPlan:
         return ExecutionPlan(
             system=self.name,
-            workload=workload,
+            benchmark_key=benchmark_key,
             params=(
                 ("config", config_fingerprint(self._config)),
                 ("partition", self._multichip.partition_fingerprint()),
                 ("link", self._multichip.link_fingerprint()),
             ),
-            payload=self._config,
         )
 
     def execute(
@@ -138,7 +137,7 @@ class MultiChipSystem:
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         mc = self._multichip
-        benchmark_key = plan.workload.benchmark_key
+        benchmark_key = plan.benchmark_key
         if mc.chips == 1:
             report = simulated_system_report(
                 self.name, benchmark_key, self._config, cache, observer
@@ -154,7 +153,7 @@ class MultiChipSystem:
             return report
 
         from repro.eval.accelerator import run_config
-        from repro.models.registry import benchmark_workload
+        from repro.models.registry import benchmark_by_key, benchmark_workload
         from repro.partition.comm import aggregation_ops
         from repro.partition.shards import partition_benchmark
 
@@ -177,7 +176,7 @@ class MultiChipSystem:
         comm_bytes = 0
         comm_ms = 0.0
         if halo > 0:
-            workload = benchmark_workload(plan.workload.benchmark)
+            workload = benchmark_workload(benchmark_by_key(benchmark_key))
             for op in aggregation_ops(workload):
                 layer_bytes = halo * op.width * mc.value_bytes * op.count
                 comm_bytes += layer_bytes

@@ -56,19 +56,16 @@ class SystemOptions:
     Each backend reads the options that apply to it and ignores the
     rest: ``config_name``/``noc_backend`` select the accelerator's
     Table VI row and interconnect model, ``clock_ghz`` sets the
-    accelerator tile clock (and the Eyeriss array clock), ``measured``
-    switches the CPU/GPU baselines between the paper's measured
-    Table VII latencies (the default, what Figure 8 normalizes against)
-    and the analytical machine-model prediction.  ``multichip`` carries
-    the partition and inter-chip-link configuration of the ``multichip``
-    system (:class:`repro.systems.multichip.MultiChipConfig`); every
-    other backend ignores it.
+    accelerator tile clock (and the Eyeriss array clock).  ``multichip``
+    carries the partition and inter-chip-link configuration of the
+    ``multichip`` system
+    (:class:`repro.systems.multichip.MultiChipConfig`).  The CPU/GPU
+    baselines take no options.
     """
 
     config_name: str | None = None
     clock_ghz: float | None = None
     noc_backend: str | None = None
-    measured: bool = True
     multichip: "Any | None" = None
 
 
@@ -140,11 +137,11 @@ def _register_builtins() -> None:
         "event-driven GNN accelerator simulation (Table VI rows)",
     )
     register_system(
-        "cpu", lambda options: BaselineSystem(CPU_SYSTEM_NAME, options),
+        "cpu", lambda _options: BaselineSystem(CPU_SYSTEM_NAME),
         "Xeon E5-2680v4 baseline: Table VII measured + roofline model",
     )
     register_system(
-        "gpu", lambda options: BaselineSystem(GPU_SYSTEM_NAME, options),
+        "gpu", lambda _options: BaselineSystem(GPU_SYSTEM_NAME),
         "Titan XP baseline: Table VII measured + roofline model",
     )
     register_system(

@@ -1,8 +1,8 @@
 """Cached cross-system execution: the entry point the drivers use.
 
 :func:`run_system` is the cross-system sibling of
-:func:`repro.eval.accelerator.run_benchmark`: resolve the workload,
-prepare a plan on the named system, and run it through the one
+:func:`repro.eval.accelerator.run_benchmark`: canonicalize the benchmark
+key, prepare a plan on the named system, and run it through the one
 cache-through function (:func:`repro.exp.cache.run_cached` — per-process
 memo, then the persistent :class:`~repro.exp.cache.ResultCache`, else
 execute and store).  The plan's content-hash key always names the
@@ -19,17 +19,30 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.exp.cache import DEFAULT_CACHE, run_cached
-from repro.systems.base import ExecutionPlan, SystemReport, resolve_workload
+from repro.models.registry import resolve_benchmark_key
+from repro.systems.base import ExecutionBackend, ExecutionPlan, SystemReport
 from repro.systems.registry import SystemOptions, create_system
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
 
 
+def _prepare(
+    system: str,
+    benchmark_key: str,
+    options: SystemOptions | None,
+    overrides: dict,
+) -> tuple[ExecutionBackend, ExecutionPlan]:
+    """The named backend and its plan for ``benchmark_key``; shorthands
+    (``"qm9"``) canonicalize first, and unknown keys raise the
+    registry's :class:`KeyError` listing every valid key."""
+    backend = create_system(system, options=options, **overrides)
+    return backend, backend.prepare(resolve_benchmark_key(benchmark_key))
+
+
 def system_plan(
     system: str,
     benchmark_key: str,
-    seed: int = 0,
     options: SystemOptions | None = None,
     **overrides,
 ) -> ExecutionPlan:
@@ -38,14 +51,12 @@ def system_plan(
     The returned plan's :attr:`~repro.systems.base.ExecutionPlan.key`
     is the result-cache key an execution would store under.
     """
-    backend = create_system(system, options=options, **overrides)
-    return backend.prepare(resolve_workload(benchmark_key, seed=seed))
+    return _prepare(system, benchmark_key, options, overrides)[1]
 
 
 def run_system(
     system: str,
     benchmark_key: str,
-    seed: int = 0,
     options: SystemOptions | None = None,
     cache: object = DEFAULT_CACHE,
     observer: "Observer | None" = None,
@@ -57,10 +68,12 @@ def run_system(
     for an execution, so an observed request always executes — but it
     stores its (identical) report under the same cache key a bare run
     would use, exactly like the accelerator path.  ``cache`` also holds
-    the inner simulations of ``accel`` and ``multichip``.
+    the inner simulations of ``accel`` and ``multichip``.  A benchmark
+    the system cannot map raises
+    :class:`~repro.systems.base.UnsupportedWorkloadError` and stores
+    nothing.
     """
-    backend = create_system(system, options=options, **overrides)
-    plan = backend.prepare(resolve_workload(benchmark_key, seed=seed))
+    backend, plan = _prepare(system, benchmark_key, options, overrides)
     return run_cached(
         plan.key,
         lambda observer: backend.execute(plan, observer=observer,

@@ -3,11 +3,15 @@
 import pytest
 
 from repro.baselines import (
+    CPU_MACHINE,
+    GPU_MACHINE,
     TABLE7_MEASURED_MS,
-    baseline_latency_ms,
-    modeled_table7,
+    estimate_latency_ms,
 )
-from repro.models import BENCHMARKS, Benchmark
+from repro.models import BENCHMARKS
+from repro.models.registry import benchmark_by_key, benchmark_workload
+from repro.systems import run_system
+from repro.systems.baseline import BaselineSystem
 
 
 def test_measured_values_match_paper():
@@ -22,14 +26,13 @@ def test_every_benchmark_has_a_row():
 
 
 def test_baseline_latency_measured_lookup():
-    bench = Benchmark("GCN", "pubmed")
-    assert baseline_latency_ms(bench, "cpu") == 30.11
-    assert baseline_latency_ms(bench, "gpu") == 0.893
+    assert run_system("cpu", "gcn-pubmed", cache=None).latency_ms == 30.11
+    assert run_system("gpu", "gcn-pubmed", cache=None).latency_ms == 0.893
 
 
 def test_unknown_system_rejected():
     with pytest.raises(ValueError):
-        baseline_latency_ms(Benchmark("GCN", "cora"), "tpu")
+        BaselineSystem("tpu")
 
 
 def test_gpu_is_faster_than_cpu_everywhere():
@@ -40,12 +43,8 @@ def test_gpu_is_faster_than_cpu_everywhere():
 @pytest.mark.parametrize("key", list(TABLE7_MEASURED_MS))
 def test_model_within_2x_of_measured(key):
     """The calibration contract: every modeled latency is within 2x."""
-    modeled = modeled_table7()
-    for modeled_ms, measured_ms in zip(modeled[key], TABLE7_MEASURED_MS[key]):
+    workload = benchmark_workload(benchmark_by_key(key))
+    modeled = [estimate_latency_ms(workload, machine)
+               for machine in (CPU_MACHINE, GPU_MACHINE)]
+    for modeled_ms, measured_ms in zip(modeled, TABLE7_MEASURED_MS[key]):
         assert 0.5 <= modeled_ms / measured_ms <= 2.0
-
-
-def test_modeled_lookup_via_baseline_latency():
-    bench = Benchmark("GCN", "cora")
-    modeled = baseline_latency_ms(bench, "cpu", measured=False)
-    assert modeled == pytest.approx(modeled_table7()["gcn-cora"][0])

@@ -199,6 +199,26 @@ class TestPointKey:
             "gcn-cora", CPU_ISO_BW
         )
 
+    def test_accelerator_keys_are_pinned(self):
+        """Literal keys of three points: a change to the key document
+        that moved them would orphan every existing cache entry."""
+        from repro.accel.config import GPU_ISO_FLOPS
+        from repro.partition.core import ShardSpec
+
+        cpu = CPU_ISO_BW.with_clock(2.4)
+        gpu = GPU_ISO_FLOPS.with_clock(1.2).with_noc_backend("analytical")
+        shard = ShardSpec(chips=2, index=1)
+        assert (shard.method, shard.seed) == ("metis", 0)
+        assert point_key("gcn-cora", cpu) == (
+            "6f18edaa3c6f9da7a880c92716cfd0596eb1a8e53a2af7b04b36fd7d2ef7e469"
+        )
+        assert point_key("gcn-cora", cpu, shard) == (
+            "be8f56daca97d311b162d8633dd876c397a53eeb9ad065533fe139ebc31ff61f"
+        )
+        assert point_key("pgnn-dblp_1", gpu) == (
+            "84aaedbe1579caafab049e750e8a61b087476c5f5e9f7e3a345d5baf7c434b28"
+        )
+
 
 class TestResultCache:
     @pytest.fixture
@@ -215,6 +235,22 @@ class TestResultCache:
         loaded = cache.get(key)
         assert report_to_dict(loaded) == report_to_dict(report)
         assert loaded.latency_ms == report.latency_ms
+
+    def test_store_and_workers_share_one_encoding(self, cache, key):
+        """A pool worker returns the entry the store writes; a
+        simulation report's entry stays untagged, as it always was."""
+        from repro.exp.cache import decode_report
+        from repro.exp.runner import Point, _resilient_worker
+
+        point = Point("gcn-cora", CPU_ISO_BW, 2.4)
+        shipped = _resilient_worker(point, None)
+        assert shipped["ok"] and "kind" not in shipped
+        report = decode_report(shipped)
+        cache.put(key, report)
+        entry = json.loads(cache.path_for(key).read_text())
+        assert entry == {"schema": SCHEMA_VERSION, "key": key,
+                         "report": shipped["report"]}
+        assert report_to_dict(cache.get(key)) == shipped["report"]
 
     def test_missing_key_is_a_miss(self, cache):
         assert cache.get("0" * 64) is None

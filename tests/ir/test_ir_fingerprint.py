@@ -1,8 +1,8 @@
 """Cache-poisoning regressions for the IR content fingerprint.
 
 Every result-cache key — accelerator points, per-shard points, and the
-cross-system execution plans — now carries the benchmark's layer-IR
-digest in place of ad-hoc model-config fields.  These tests pin the
+cross-system execution plans — carries the benchmark's layer-IR digest
+as its ``ir`` stanza (:func:`repro.exp.cache.key_document`).  These tests pin the
 failure mode the digest exists to prevent: a model re-sized (or an IR
 revision) silently aliasing into stale cached results.
 """
@@ -16,7 +16,7 @@ from repro.exp.cache import point_fingerprint, point_key
 from repro.models import registry
 from repro.models.registry import ModelFamily, benchmark_ir_digest
 from repro.partition.core import ShardSpec
-from repro.systems.base import resolve_workload
+from repro.systems import create_system, system_plan
 
 
 @pytest.fixture(autouse=True)
@@ -48,27 +48,20 @@ def _resize_gcn(monkeypatch, hidden: int) -> None:
 
 class TestWorkloadFingerprint:
     def test_model_stanza_is_the_ir_digest(self):
-        fp = resolve_workload("gcn-cora").fingerprint()
-        assert fp["model"]["family"] == "GCN"
-        assert fp["model"]["ir"] == benchmark_ir_digest("gcn-cora", 0)
-        assert len(fp["model"]["ir"]) == 64
+        fp = system_plan("cpu", "gcn-cora").fingerprint()
+        assert fp["ir"] == benchmark_ir_digest("gcn-cora", 0)
+        assert len(fp["ir"]) == 64
         json.dumps(fp)  # stays plain data
 
     def test_resized_model_changes_every_plan_key(self, monkeypatch):
-        from repro.systems import create_system
-
         before = {
-            system: create_system(system)
-            .prepare(resolve_workload("gcn-cora"))
-            .key
+            system: create_system(system).prepare("gcn-cora").key
             for system in ("cpu", "gpu", "eyeriss", "accel")
         }
         _resize_gcn(monkeypatch, hidden=17)
         benchmark_ir_digest.cache_clear()
         after = {
-            system: create_system(system)
-            .prepare(resolve_workload("gcn-cora"))
-            .key
+            system: create_system(system).prepare("gcn-cora").key
             for system in ("cpu", "gpu", "eyeriss", "accel")
         }
         for system in before:

@@ -13,7 +13,6 @@ from repro.obs.observer import Observer
 from repro.systems import (
     UnsupportedWorkloadError,
     create_system,
-    resolve_workload,
     run_system,
     system_report_from_dict,
     system_report_to_dict,
@@ -36,12 +35,17 @@ class TestBaselineSystems:
     def test_modeled_latency_is_the_roofline_estimate(
         self, system, machine
     ):
-        report = run_system(system, "gcn-cora", measured=False)
-        workload = benchmark_workload(benchmark_by_key("gcn-cora"))
-        assert report.latency_ms == pytest.approx(
-            estimate_latency_ms(workload, machine)
-        )
-        assert report.breakdown["modeled_ms"] == report.latency_ms
+        # Every report carries the machine model's estimate beside the
+        # Table VII row.
+        for key in ("gcn-cora", "sage-cora"):
+            report = run_system(system, key, cache=None)
+            workload = benchmark_workload(benchmark_by_key(key))
+            assert report.breakdown["modeled_ms"] == pytest.approx(
+                estimate_latency_ms(workload, machine)
+            )
+        # sage-cora has no Table VII row, so it reports the estimate.
+        assert "measured_ms" not in report.breakdown
+        assert report.latency_ms == report.breakdown["modeled_ms"]
 
     def test_breakdown_carries_both_numbers(self):
         report = run_system("cpu", "gcn-cora")
@@ -89,9 +93,11 @@ class TestEyerissSystem:
     def test_rejects_traversal_workloads(self):
         # PGNN's dependent multi-hop expansion has no dense-matrix
         # equivalent, so it is the one family eyeriss cannot map.
+        # Every benchmark has a plan; executing this one fails.
         system = create_system("eyeriss")
+        plan = system.prepare("pgnn-dblp_1")
         with pytest.raises(UnsupportedWorkloadError) as excinfo:
-            system.prepare(resolve_workload("pgnn-dblp_1"))
+            system.execute(plan)
         message = str(excinfo.value)
         assert "pgnn-dblp_1" in message
         assert "pgnn0.combine" in message  # names the offending IR phases

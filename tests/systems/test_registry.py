@@ -63,15 +63,13 @@ class TestRegistration:
     def test_options_and_overrides_are_exclusive(self):
         with pytest.raises(TypeError):
             create_system(
-                "cpu",
-                options=SystemOptions(measured=False),
-                measured=True,
+                "eyeriss",
+                options=SystemOptions(clock_ghz=1.2),
+                clock_ghz=2.4,
             )
 
     def test_overrides_build_options(self):
-        system = create_system("cpu", measured=False)
-        # The modeled-only flag reaches the backend: its plans say so.
-        from repro.systems import resolve_workload
-
-        plan = system.prepare(resolve_workload("gcn-cora"))
-        assert dict(plan.params)["measured"] is False
+        system = create_system("eyeriss", clock_ghz=1.2)
+        # The array clock reaches the backend: its plans say so.
+        plan = system.prepare("gcn-cora")
+        assert dict(plan.params)["freq_ghz"] == 1.2

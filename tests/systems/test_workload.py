@@ -1,4 +1,4 @@
-"""Workload resolution, plan fingerprints, and cache-key safety.
+"""Plan preparation, plan fingerprints, and cache-key safety.
 
 The acceptance bar for the systems refactor: every cache fingerprint
 names the system that produced it, so per-system results can never
@@ -8,31 +8,30 @@ poison each other in the shared result cache.
 import pytest
 
 from repro.accel.config import CPU_ISO_BW
-from repro.exp.cache import ResultCache, clear_memo, point_fingerprint
-from repro.systems import resolve_workload, run_system, system_plan
+from repro.exp.cache import (
+    ResultCache,
+    clear_memo,
+    point_fingerprint,
+    point_key,
+)
+from repro.systems import run_system, system_plan
 
 SYSTEMS = ("accel", "cpu", "gpu", "eyeriss", "multichip")
 
 
 class TestResolveWorkload:
-    def test_carries_graph_and_model_statistics(self):
-        workload = resolve_workload("gcn-cora")
-        assert workload.benchmark_key == "gcn-cora"
-        assert workload.family == "GCN"
-        assert workload.dataset == "cora"
-        assert workload.total_nodes == 2708
-        assert dict(workload.model_config)["family"] == "GCN"
+    """A requested benchmark resolves into a plan by its key alone."""
 
     def test_fingerprint_is_plain_data(self):
         import json
 
-        fingerprint = resolve_workload("gcn-cora").fingerprint()
+        fingerprint = system_plan("cpu", "gcn-cora").fingerprint()
         assert fingerprint["benchmark"] == "gcn-cora"
         json.dumps(fingerprint)  # canonicalizable, hence hashable
 
     def test_unknown_benchmark_lists_valid_keys(self):
         with pytest.raises(KeyError) as excinfo:
-            resolve_workload("bert-wikipedia")
+            system_plan("cpu", "bert-wikipedia")
         assert "gcn-cora" in str(excinfo.value)
 
 
@@ -53,6 +52,28 @@ class TestCacheKeySafety:
             system_plan(system, "gcn-cora").key for system in SYSTEMS
         }
         assert len(keys) == len(SYSTEMS)
+
+    def test_accel_plan_never_shares_its_point_entry(self):
+        # run_system("accel") stores a SystemReport under the plan key
+        # and the inner SimulationReport under the point key; the plan's
+        # nested params stanza keeps the two documents apart.
+        plan = system_plan("accel", "gcn-cora")
+        point = point_fingerprint("gcn-cora", CPU_ISO_BW)
+        assert plan.fingerprint()["params"]["config"] == point["config"]
+        assert plan.key != point_key("gcn-cora", CPU_ISO_BW)
+
+    def test_every_benchmark_has_a_plan_on_every_system(self):
+        # Mappability is checked when a plan executes, so even a
+        # benchmark eyeriss cannot map has a plan key.
+        from repro.models.registry import ALL_BENCHMARKS
+
+        for system in SYSTEMS:
+            for benchmark in ALL_BENCHMARKS:
+                assert len(system_plan(system, benchmark.key).key) == 64
+
+    def test_shorthand_and_full_key_share_a_plan(self):
+        assert system_plan("cpu", "qm9") == system_plan("cpu",
+                                                        "mpnn-qm9_1000")
 
     def test_cross_system_entries_round_trip_unmixed(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -313,6 +313,22 @@ class TestCommands:
         assert captured.err.count("\n") == 1
         assert argv[-2].lstrip("-") in captured.err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--system", "cpu", "--benchmarks", "gcn-cora",
+         "--no-cache"],
+        ["dse", "gcn-cora", "--no-cache"],
+        ["partition-sweep", "gcn-cora"],
+        ["serve-sim", "gcn-cora", "--systems", "cpu"],
+    ], ids=["sweep", "dse", "partition-sweep", "serve-sim"])
+    def test_jobs_below_one_exits_2(self, argv, jobs, capsys):
+        """A --jobs count below 1 is refused before any point runs: one
+        line on stderr, nothing on stdout, exit code 2."""
+        assert main(argv + ["--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro {argv[0]}: --jobs must be at least 1\n"
+
     def test_noc_backends_lists_fidelity_notes(self, capsys):
         assert main(["noc-backends"]) == 0
         out = capsys.readouterr().out
