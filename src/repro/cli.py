@@ -923,8 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeout = _shared(
         "--timeout", type=float, default=None, metavar="S",
-        help="per-point wall-clock budget in seconds "
-             "(default: unlimited)",
+        help="wall-clock budget of each attempt at a point, in seconds, "
+             "on any system; a late worker is killed (default: unlimited)",
     )
     retries = _shared(
         "--retries", type=int, default=None, metavar="N",

@@ -15,8 +15,9 @@ of a partitioned input, its shard identity
 system, that system's parameters.  Single runs go through one
 cache-through function (:func:`~repro.exp.cache.run_cached`: look up,
 else execute, then store) under the caller's cache.  On top of that,
-:func:`~repro.exp.runner.run_sweep` fans cache misses out to a
-``ProcessPoolExecutor`` so design-space sweeps use every core.
+:func:`~repro.exp.runner.run_sweep` fans cache misses out to worker
+processes it forks and owns, so design-space sweeps use every core and
+each attempt runs under its own deadline.
 
 See docs/architecture.md ("Experiment harness") for the cache layout and
 invalidation rules.

@@ -8,10 +8,10 @@ as the hierarchy's public root), so callers branch on type or on the
 
 Sweep level:
 
-* :class:`PointTimeout` — the point exceeded its wall-clock budget (the
-  parent killed the worker, or the in-process wall watchdog tripped);
-* :class:`PointCrash` — the worker process died or raised a transient
-  infrastructure error; retried with backoff up to the policy's limit;
+* :class:`PointTimeout` — the worker running the point was still busy at
+  the attempt's wall-clock deadline, and the parent killed it;
+* :class:`PointCrash` — the worker process died (killed, OOM); the point
+  runs again in a fresh worker up to the policy's limit;
 * :class:`SimulationDiverged` — the simulation itself failed
   deterministically (watchdog trip, deadlock, invalid program); never
   retried, because a bit-deterministic simulator fails the same way
@@ -26,8 +26,7 @@ status strings in its report.
 Simulator level — :class:`repro.sim.kernel.SimulationError`,
 :class:`repro.sim.watchdog.WatchdogTrip`, and
 :class:`repro.runtime.engine.SimulationFailure` — joins the same root:
-all deterministic, never retryable, ``status`` ``"diverged"`` except for
-wall-clock watchdog trips, which tag themselves ``"timeout"``.
+all deterministic, never retryable, ``status`` ``"diverged"``.
 
 :func:`classify` maps *any* exception (taxonomy member or foreign) to a
 ``(status, retryable)`` pair; it is how the sweep runner classifies a
@@ -90,14 +89,15 @@ class PointError(SweepError):
 
 
 class PointTimeout(PointError):
-    """The point exceeded its per-point wall-clock budget."""
+    """The point's attempt outlived its wall-clock budget; its worker
+    was killed."""
 
     status = "timeout"
     retryable = False
 
 
 class PointCrash(PointError):
-    """The worker died (killed, OOM, broken pool) — a transient failure."""
+    """The worker died (killed, OOM) — a transient failure."""
 
     status = "crash"
     retryable = True
@@ -150,11 +150,9 @@ class SweepFailed(SweepError):
 def classify(exc: BaseException) -> tuple[str, bool]:
     """Map any exception to its taxonomy ``(status, retryable)`` pair.
 
-    Taxonomy members answer from their own attributes (including the
-    instance-level ``status`` override a wall-clock watchdog trip
-    carries); foreign exceptions classify as a generic non-retryable
-    ``"error"``.  The sweep runner classifies every failed attempt
-    through it.
+    Taxonomy members answer from their class attributes; foreign
+    exceptions classify as a generic non-retryable ``"error"``.  The
+    sweep runner classifies every failed attempt through it.
     """
     if isinstance(exc, ReproError):
         return exc.status, exc.retryable

@@ -3,20 +3,20 @@
 :func:`run_sweep` takes a list of :class:`Point`s — (benchmark, config,
 clock) operating points — answers as many as it can from the caching
 layers (per-process memo, then the on-disk
-:class:`~repro.exp.cache.ResultCache`), and fans the misses out to a
-``ProcessPoolExecutor``.  Simulation is bit-deterministic, so the
+:class:`~repro.exp.cache.ResultCache`), and hands the misses to worker
+processes it forks and owns.  Simulation is bit-deterministic, so the
 parallel path returns results identical to the serial one
 (``tests/exp/test_determinism.py`` asserts this field by field); workers
 hand reports back in the one encoding the persistent store writes
 (:func:`repro.exp.cache.encode_report`).
 
-The executor is *resilient* (``tests/exp/test_resilience.py``):
+The runner is *resilient* (``tests/exp/test_resilience.py``):
 
-* every point runs under a :class:`RetryPolicy` — a per-point wall-clock
-  budget, bounded retries with exponential backoff for transient worker
-  failures, and crash isolation (a killed worker fails or retries *its*
-  point; every other point still completes);
-* a pool that cannot start degrades gracefully to serial execution;
+* every point runs under a :class:`RetryPolicy` — one wall-clock
+  deadline per attempt, enforced by killing that attempt's worker
+  alone, and bounded retries of the point whose worker died; every
+  other point still completes;
+* a worker that cannot start degrades the sweep to inline execution;
 * :func:`run_sweep_detailed` returns a :class:`SweepOutcome` carrying
   per-point status (ok / cached / timeout / crash / diverged) and the
   structured error taxonomy of :mod:`repro.exp.errors`, while the strict
@@ -27,21 +27,19 @@ The executor is *resilient* (``tests/exp/test_resilience.py``):
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import math
+import multiprocessing
 import os
 import time
 import warnings
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.accel.config import AcceleratorConfig
+from repro.errors import ReproError
 from repro.exp.cache import (
     ACCEL_SYSTEM,
     DEFAULT_CACHE,
@@ -53,7 +51,7 @@ from repro.exp.cache import (
     resolve_cache,
     store,
 )
-from repro.exp.errors import STATUS_ERRORS, PointError, SweepFailed
+from repro.exp.errors import STATUS_ERRORS, PointError, SweepFailed, classify
 from repro.runtime.report import SimulationReport
 
 #: Figure 8's (configuration, baseline system) groups, in paper order.
@@ -65,10 +63,6 @@ FIGURE8_GROUPS: tuple[tuple[str, str], ...] = (
 
 #: Tile clocks swept in Figure 8 (GHz).
 FIGURE8_CLOCKS: tuple[float, ...] = (1.2, 2.4)
-
-#: Growth of the delay between retries: each waits this times the last.
-BACKOFF_FACTOR = 2.0
-
 
 @dataclass(frozen=True)
 class Point:
@@ -87,8 +81,8 @@ class Point:
     shard's induced subgraph is compiled and simulated instead of the
     whole graph, under :func:`repro.exp.cache.point_key` with the shard
     stanza.  This is how partition scaling sweeps parallelize — each
-    shard is an independent point flowing through the same pool, retry
-    policy, and cache layers as every whole-graph point.
+    shard is an independent point flowing through the same workers,
+    retry policy, and cache layers as every whole-graph point.
     """
 
     benchmark_key: str
@@ -202,55 +196,34 @@ class Point:
 class RetryPolicy:
     """How hard the sweep runner tries before declaring a point failed.
 
-    ``timeout_s`` is the per-point wall-clock budget: in worker processes
-    it is enforced twice — an in-process wall watchdog (clean trip with a
-    diagnosis) backed by a parent-side deadline that kills the pool if
-    the worker stops responding entirely.  ``retries`` bounds *extra*
-    attempts after a transient failure (a crashed worker); deterministic
-    simulation failures are never retried.
+    ``timeout_s`` is the wall-clock budget of each attempt, on any
+    system: the deadline starts when a worker process receives the
+    point, and a worker still busy at its deadline is killed, alone,
+    ending the point as ``timeout`` (so a budget runs even a serial
+    sweep in a worker).  ``retries`` bounds *extra* attempts after a worker died,
+    each started at once in a fresh worker.  Failures an attempt
+    reports itself are deterministic and never retried.
     """
 
     timeout_s: float | None = None
     retries: int = 2
-    backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive or None")
         if self.retries < 0:
             raise ValueError("retries cannot be negative")
-        if self.backoff_s < 0:
-            raise ValueError("backoff_s cannot be negative")
-
-    def backoff(self, attempt: int) -> float:
-        """Delay before retry number ``attempt`` (1-based), exponential."""
-        return self.backoff_s * BACKOFF_FACTOR ** max(0, attempt - 1)
-
-    @property
-    def deadline_s(self) -> float | None:
-        """Parent-side kill deadline: the budget plus a grace period."""
-        if self.timeout_s is None:
-            return None
-        return self.timeout_s + max(1.0, 0.5 * self.timeout_s)
 
 
 @dataclass
 class PointResult:
-    """Final status of one operating point after all attempts.
-
-    ``metrics`` is the per-point observability snapshot (see
-    :meth:`repro.obs.Observer.snapshot`) collected when the sweep ran
-    with ``collect_metrics=True``.  It is ``None`` for failed points and
-    for cache hits — metrics describe an *execution*, so they are never
-    part of the cached report and never feed the cache fingerprint.
-    """
+    """Final status of one operating point after all attempts."""
 
     point: Point
     status: str  # "ok" | "cached" | "timeout" | "crash" | "diverged" | "error"
     report: Any = None  # SimulationReport | SystemReport | None
     attempts: int = 0
     error: str | None = None
-    metrics: dict[str, Any] | None = None
 
     @property
     def ok(self) -> bool:
@@ -337,33 +310,9 @@ class SweepOutcome:
             raise SweepFailed(self)
 
 
-def _config_with_wall_budget(
-    config: AcceleratorConfig, timeout_s: float | None
-) -> AcceleratorConfig:
-    """Tighten the config's wall-clock watchdog to the sweep budget.
-
-    The watchdog field is excluded from the cache fingerprint, so the
-    tightened config still stores under the original point key.
-    """
-    if timeout_s is None:
-        return config
-    current = config.watchdog.max_wall_s
-    budget = timeout_s if current is None else min(current, timeout_s)
-    return dataclasses.replace(
-        config,
-        watchdog=dataclasses.replace(config.watchdog, max_wall_s=budget),
-    )
-
-
-def simulate_point(
-    point: Point,
-    config: AcceleratorConfig | None = None,
-    observer: Any = None,
-) -> SimulationReport:
+def simulate_point(point: Point, observer: Any = None) -> SimulationReport:
     """Compile (memoized per process) and simulate one accelerator point.
 
-    ``config`` overrides the point's resolved configuration — used to
-    apply execution budgets without changing the cache identity.
     ``observer`` (a :class:`repro.obs.Observer`) attaches metrics
     collection; instrumentation never changes the report.  Shard points
     compile the shard's induced subgraph (memoized the same way)
@@ -372,11 +321,8 @@ def simulate_point(
     from repro.eval.accelerator import program_for
     from repro.runtime.engine import simulate
 
-    return simulate(
-        program_for(point.benchmark_key, point.shard),
-        config if config is not None else point.resolved_config,
-        observer=observer,
-    )
+    return simulate(program_for(point.benchmark_key, point.shard),
+                    point.resolved_config, observer=observer)
 
 
 def execute_point(
@@ -397,84 +343,43 @@ def execute_point(
     return backend.execute(plan, observer=observer, cache=cache)
 
 
-def _sweep_observer() -> Any:
-    """The cheap observer variant the sweep harness attaches per point:
-    registry counters only — no timeline, phase trace, or profiler."""
-    from repro.obs.observer import Observer
+def _attempt(point: Point, cache: ResultCache | None = None) -> PointResult:
+    """One attempt at ``point``, classified instead of propagated.
 
-    return Observer(timeline=False, phases=False, kernel_profile=False)
-
-
-def _classify_failure(exc: BaseException) -> tuple[str, str]:
-    """Map an attempt's exception to a ``(status, message)`` pair.
-
-    Delegates to the shared taxonomy (:func:`repro.exp.errors.classify`),
-    so a watchdog trip, a deadlock, and a foreign exception classify the
-    same in serial and pooled sweeps.
+    The single attempt body, inline or in a worker (:func:`_payload`).
+    A failure maps through the shared taxonomy
+    (:func:`repro.exp.errors.classify`).  ``cache`` is the sweep's
+    resolved store, handed to cross-system points for their inner
+    simulations.
     """
-    from repro.errors import ReproError
-    from repro.exp.errors import classify
-
-    status, _retryable = classify(exc)
-    if isinstance(exc, ReproError):
-        return status, str(exc)
-    return status, f"{type(exc).__name__}: {exc}"
-
-
-def _attempt(
-    point: Point,
-    timeout_s: float | None,
-    collect_metrics: bool = False,
-    cache: ResultCache | None = None,
-) -> PointResult:
-    """One attempt at ``point`` under the wall budget ``timeout_s``,
-    classified instead of propagated.
-
-    The single attempt body: serial sweeps use its result as is, and
-    :func:`_resilient_worker` ships it across the process boundary.
-    ``cache`` is the sweep's resolved store, handed to cross-system
-    points for their inner simulations.
-    """
-    observer = _sweep_observer() if collect_metrics else None
     try:
         if point.system == ACCEL_SYSTEM:
-            config = _config_with_wall_budget(point.resolved_config, timeout_s)
-            if observer is None:
-                report = simulate_point(point, config)
-            else:
-                report = simulate_point(point, config, observer=observer)
+            report = simulate_point(point)
         else:
-            report = execute_point(point, observer=observer, cache=cache)
+            report = execute_point(point, cache=cache)
     except Exception as exc:
-        status, message = _classify_failure(exc)
+        status, _retryable = classify(exc)
+        message = (str(exc) if isinstance(exc, ReproError)
+                   else f"{type(exc).__name__}: {exc}")
         return PointResult(point, status, attempts=1, error=message)
-    metrics = observer.snapshot() if observer is not None else None
-    return PointResult(point, "ok", report, attempts=1, metrics=metrics)
+    return PointResult(point, "ok", report, attempts=1)
 
 
-def _resilient_worker(
-    point: Point,
-    timeout_s: float | None,
-    collect_metrics: bool = False,
-    cache: ResultCache | None = None,
-) -> dict[str, Any]:
-    """Pool worker: :func:`_attempt` as plain data.
-
-    Returning plain data sidesteps exception pickling entirely; only a
-    dead process (crash, kill, OOM) surfaces as a future exception in
-    the parent.  A report crosses the process boundary as
-    :func:`~repro.exp.cache.encode_report` — the entry the persistent
-    cache stores — so a parallel result is byte-for-byte what a cache
-    hit of the same point would yield.  The metrics snapshot is already
-    plain data, so it rides along the same way.
-    """
-    result = _attempt(point, timeout_s, collect_metrics, cache)
+def _payload(point: Point, cache: ResultCache | None = None) -> dict[str, Any]:
+    """:func:`_attempt` as the plain data a worker sends home: a report
+    as :func:`~repro.exp.cache.encode_report`, the entry the persistent
+    cache stores, or a failure's status and message."""
+    result = _attempt(point, cache)
     if not result.ok:
         return {"ok": False, "status": result.status, "error": result.error}
-    payload: dict[str, Any] = {"ok": True, **encode_report(result.report)}
-    if result.metrics is not None:
-        payload["metrics"] = result.metrics
-    return payload
+    return {"ok": True, **encode_report(result.report)}
+
+
+def _serve(conn: Connection, cache: ResultCache | None) -> None:
+    """A worker process: answer each point with its payload until the
+    parent sends ``None``."""
+    for point in iter(conn.recv, None):
+        conn.send(_payload(point, cache))
 
 
 def default_jobs() -> int:
@@ -492,10 +397,10 @@ def run_sweep(
     """Simulate every point, cached and (optionally) in parallel.
 
     Returns one report per input point, in input order; duplicate points
-    are simulated once.  ``jobs <= 1`` runs inline in this process;
-    ``jobs > 1`` distributes cache misses over a process pool.
-    ``progress``, when given, is called as each point completes with
-    ``(point, report, was_cached)``.
+    are simulated once.  ``jobs <= 1`` without a budget runs inline in
+    this process; ``jobs > 1`` distributes cache misses over that many
+    worker processes.  ``progress``, when given, is called as each point
+    completes with ``(point, report, was_cached)``.
 
     This is the strict entry point: if any point ends in failure after
     the retry policy is exhausted it raises
@@ -516,22 +421,14 @@ def run_sweep_detailed(
     cache: object = DEFAULT_CACHE,
     progress: Callable[[Point, Any, bool], None] | None = None,
     policy: RetryPolicy | None = None,
-    collect_metrics: bool = False,
 ) -> SweepOutcome:
     """Like :func:`run_sweep`, returning per-point statuses, never raising
     for point-level failures.
 
-    ``collect_metrics=True`` attaches a registry-only
-    :class:`repro.obs.Observer` to every *simulated* point and stores its
-    snapshot on :attr:`PointResult.metrics`.  Cache hits keep
-    ``metrics=None`` (there was no execution to observe), and the cache
-    keys themselves are untouched — observer attachment is excluded from
-    the point fingerprint exactly like the watchdog budgets.
-
-    ``cache`` also holds the inner simulations of cross-system points
-    (``multichip`` shards).  It is resolved here, in the parent: the
-    :data:`~repro.exp.cache.DEFAULT_CACHE` sentinel does not survive
-    pickling into pool workers, a :class:`ResultCache` or ``None`` does.
+    Misses run inline when the policy sets no budget and either
+    ``jobs <= 1`` or only one point misses, else on worker processes
+    (:func:`_run_workers`).  ``cache`` also holds the inner simulations
+    of cross-system points (``multichip`` shards).
     """
     policy = policy if policy is not None else RetryPolicy()
     cache = resolve_cache(cache)
@@ -560,57 +457,72 @@ def run_sweep_detailed(
                 progress(result.point, result.report, False)
 
     if missing:
-        if jobs <= 1 or len(missing) == 1:
+        if policy.timeout_s is None and (jobs <= 1 or len(missing) == 1):
             for point in missing:
-                finalize(_attempt(point, policy.timeout_s, collect_metrics,
-                                  cache))
+                finalize(_attempt(point, cache))
         else:
-            _run_parallel(missing, jobs, finalize, policy, collect_metrics,
-                          cache)
+            _run_workers(missing, jobs, finalize, policy, cache)
 
     return SweepOutcome([by_key[key] for key in keys])
 
 
 @dataclass
-class _Pending:
-    """Scheduling state of one not-yet-final point."""
+class _Worker:
+    """A forked worker process, the parent's end of its pipe, and the
+    attempt it runs."""
 
-    point: Point
-    attempts: int = 0
-    eligible_at: float = 0.0
+    process: BaseProcess
+    conn: Connection
+    point: Point | None = None  # None while idle
+    deadline: float = math.inf
+
+    def stop(self, kill: bool) -> None:
+        """End the process and reap it.  An idle worker is told to exit:
+        closing the pipe would not do, because every worker forked after
+        it holds a copy of the parent's end, so it would never see EOF."""
+        if kill:
+            self.process.kill()
+        else:
+            with contextlib.suppress(OSError):
+                self.conn.send(None)
+        self.process.join()
+        self.conn.close()
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool whose workers must not be waited on."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        with contextlib.suppress(Exception):
-            process.terminate()
-    with contextlib.suppress(Exception):
-        pool.shutdown(wait=False, cancel_futures=True)
+def _start_worker(context: Any, cache: ResultCache | None) -> _Worker | None:
+    """Fork one worker, or warn and give ``None`` if the OS refuses."""
+    conn, child = context.Pipe()
+    process = context.Process(target=_serve, args=(child, cache), daemon=True)
+    try:
+        process.start()
+    except OSError as exc:
+        conn.close()
+        warnings.warn(f"cannot start a sweep worker ({exc}); running the "
+                      f"remaining points serially, without budgets",
+                      RuntimeWarning, stacklevel=4)
+        return None
+    finally:
+        child.close()
+    return _Worker(process, conn)
 
 
-def _run_parallel(
+def _run_workers(
     missing: Sequence[Point],
     jobs: int,
     finalize: Callable[[PointResult], None],
     policy: RetryPolicy,
-    collect_metrics: bool = False,
-    cache: ResultCache | None = None,
+    cache: ResultCache | None,
 ) -> None:
-    """Fan points out to worker processes; parent persists the results.
+    """Run ``missing`` on at most ``jobs`` forked worker processes.
 
-    The scheduling loop survives worker crashes (the pool is rebuilt and
-    in-flight points resubmitted — the errored ones with an attempt
-    charged, the collateral ones without), enforces per-point deadlines
-    by killing the pool, and falls back to serial execution when a pool
-    cannot be created at all.
+    A worker still busy at its attempt's deadline is killed, alone, and
+    its point ends ``timeout``; a worker that dies charges its point one
+    attempt, and the point runs again while the policy allows.  Fresh
+    workers replace both, and none outlives the call.  If a worker
+    cannot start, the remaining points run inline, without budgets.
     """
-    # Compile each distinct accelerator program (whole graph or
-    # partitioned shard) once in the parent before the pool starts:
-    # fork-based workers inherit the warm program memo instead of all
-    # re-compiling (and re-generating datasets / re-partitioning)
-    # independently.  Cross-system points need no compilation.
+    # Compile each distinct accelerator program (whole graph or shard)
+    # here, so forked workers inherit it instead of all compiling it.
     from repro.eval.accelerator import program_for
 
     for benchmark_key, shard in dict.fromkeys(
@@ -618,179 +530,91 @@ def _run_parallel(
     ):
         program_for(benchmark_key, shard)
 
-    workers = min(jobs, len(missing))
-    queue: deque[_Pending] = deque(_Pending(point) for point in missing)
-    inflight: dict[Future, tuple[_Pending, float | None]] = {}
-    pool: ProcessPoolExecutor | None = None
+    # Fork on every platform: workers must inherit the program memo
+    # above and whatever this process patched into this module.
+    context = multiprocessing.get_context("fork")
+    budget = math.inf if policy.timeout_s is None else policy.timeout_s
+    jobs = max(1, min(jobs, len(missing)))
+    queue = deque(missing)
+    attempts = dict.fromkeys((point.key for point in missing), 0)
+    workers: list[_Worker] = []
+    serial = False
 
-    def run_serially(pending_points: Iterable[_Pending]) -> None:
-        for pending in pending_points:
-            result = _attempt(pending.point, policy.timeout_s,
-                              collect_metrics, cache)
-            result.attempts += pending.attempts
-            finalize(result)
+    def retire(worker: _Worker) -> None:
+        worker.stop(kill=True)
+        workers.remove(worker)
 
-    def abandon_pool() -> None:
-        nonlocal pool
-        if pool is not None:
-            _kill_pool(pool)
-            pool = None
+    def done(point: Point, status: str, report: Any = None,
+             error: str | None = None) -> None:
+        finalize(PointResult(point, status, report, attempts[point.key],
+                             error))
 
-    def requeue(pending: _Pending, charged: bool, now: float) -> None:
-        """Schedule another attempt, or finalize a crash when exhausted."""
-        if not charged:
-            pending.attempts = max(0, pending.attempts - 1)
-            pending.eligible_at = now
-            queue.append(pending)
+    def hand_off(worker: _Worker) -> None:
+        point = queue.popleft()
+        try:
+            worker.conn.send(point)
+        except BrokenPipeError:
+            # The worker died while idle; the point never started.
+            queue.appendleft(point)
+            retire(worker)
             return
-        if pending.attempts <= policy.retries:
-            pending.eligible_at = now + policy.backoff(pending.attempts)
-            queue.append(pending)
-        else:
-            finalize(
-                PointResult(
-                    pending.point,
-                    "crash",
-                    attempts=pending.attempts,
-                    error="worker process died "
-                          f"(retry budget of {policy.retries} exhausted)",
-                )
-            )
+        attempts[point.key] += 1
+        worker.point = point
+        worker.deadline = time.monotonic() + budget
 
     try:
-        while queue or inflight:
-            now = time.monotonic()
-            if pool is None and queue:
-                try:
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                except Exception as exc:
-                    warnings.warn(
-                        f"worker pool unavailable ({exc}); "
-                        f"degrading sweep to serial execution",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    run_serially(queue)
-                    queue.clear()
-                    break
-
-            # Submit every eligible point.
-            deferred: list[_Pending] = []
-            while queue:
-                pending = queue.popleft()
-                if pending.eligible_at > now:
-                    deferred.append(pending)
-                    continue
-                pending.attempts += 1
-                try:
-                    future = pool.submit(
-                        _resilient_worker, pending.point, policy.timeout_s,
-                        collect_metrics, cache,
-                    )
-                except Exception as exc:
-                    if inflight or pending.attempts <= policy.retries + 1:
-                        # Pool refused the job; rebuild it and retry the
-                        # submission without charging the point.
-                        requeue(pending, charged=False, now=now)
-                        abandon_pool()
-                        break
-                    warnings.warn(
-                        f"worker pool cannot accept jobs ({exc}); "
-                        f"degrading sweep to serial execution",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    pending.attempts -= 1
-                    deferred.append(pending)
-                    run_serially(deferred + list(queue))
-                    deferred.clear()
-                    queue.clear()
-                    break
-                deadline = (
-                    None if policy.deadline_s is None
-                    else now + policy.deadline_s
-                )
-                inflight[future] = (pending, deadline)
-            queue.extend(deferred)
-
-            if not inflight:
+        while True:
+            for worker in [w for w in workers if w.point is None]:
                 if queue:
-                    # Everything left is backing off; sleep to eligibility.
-                    wake = min(p.eligible_at for p in queue)
-                    time.sleep(max(0.0, min(wake - time.monotonic(), 5.0)))
-                continue
-
-            # Wait for a completion, the nearest deadline, or the nearest
-            # backoff expiry, whichever comes first.
-            horizons = [d for _, d in inflight.values() if d is not None]
-            horizons += [p.eligible_at for p in queue]
-            wait_s = None
-            if horizons:
-                wait_s = max(0.05, min(horizons) - time.monotonic())
-            done, _ = wait(inflight, timeout=wait_s,
-                           return_when=FIRST_COMPLETED)
-
-            now = time.monotonic()
-            pool_broken = False
-            for future in done:
-                pending, _deadline = inflight.pop(future)
-                error = future.exception()
-                if error is None:
-                    payload = future.result()
-                    if payload["ok"]:
-                        finalize(
-                            PointResult(
-                                pending.point,
-                                "ok",
-                                decode_report(payload),
-                                attempts=pending.attempts,
-                                metrics=payload.get("metrics"),
-                            )
-                        )
-                    else:
-                        finalize(
-                            PointResult(
-                                pending.point,
-                                payload["status"],
-                                attempts=pending.attempts,
-                                error=payload["error"],
-                            )
-                        )
+                    hand_off(worker)
+            while queue and not serial and len(workers) < jobs:
+                worker = _start_worker(context, cache)
+                if worker is None:
+                    serial = True
                 else:
-                    # The worker process died before returning: transient.
-                    pool_broken = True
-                    requeue(pending, charged=True, now=now)
+                    workers.append(worker)
+                    hand_off(worker)
+            while serial and queue:
+                result = _attempt(queue.popleft(), cache)
+                result.attempts += attempts[result.point.key]
+                finalize(result)
 
-            # Deadline sweep: kill the pool out from under any point that
-            # exceeded its wall budget; other in-flight points resubmit
-            # at no charge.
-            expired = [
-                (future, pending)
-                for future, (pending, deadline) in inflight.items()
-                if deadline is not None and deadline <= now
-            ]
-            if expired:
-                for future, pending in expired:
-                    del inflight[future]
-                    finalize(
-                        PointResult(
-                            pending.point,
-                            "timeout",
-                            attempts=pending.attempts,
-                            error=f"exceeded the {policy.timeout_s:g} s "
-                                  f"wall-clock budget (worker killed)",
-                        )
-                    )
-                pool_broken = True
-
-            if pool_broken:
-                for future, (pending, _deadline) in list(inflight.items()):
-                    requeue(pending, charged=False, now=now)
-                inflight.clear()
-                abandon_pool()
+            busy = {w.conn: w for w in workers if w.point is not None}
+            if not busy:  # and so nothing is queued either
+                break
+            left = min(w.deadline for w in busy.values()) - time.monotonic()
+            timeout = None if left == math.inf else max(0.0, left)
+            for conn in wait(list(busy), timeout):
+                worker = busy.pop(conn)
+                point = worker.point
+                try:
+                    payload = conn.recv()
+                except (EOFError, ConnectionResetError):
+                    # The worker died mid-point (a crash, an OOM kill).
+                    retire(worker)
+                    if attempts[point.key] <= policy.retries:
+                        queue.append(point)
+                    else:
+                        done(point, "crash", error="worker process died "
+                             f"(retry budget of {policy.retries} exhausted)")
+                    continue
+                worker.point = None
+                if queue:
+                    hand_off(worker)  # before this process stores the result
+                if payload["ok"]:
+                    done(point, "ok", decode_report(payload))
+                else:
+                    done(point, payload["status"], error=payload["error"])
+            now = time.monotonic()
+            for worker in busy.values():
+                if worker.deadline <= now:
+                    retire(worker)
+                    done(worker.point, "timeout", error=f"exceeded the "
+                         f"{policy.timeout_s:g} s wall-clock budget "
+                         f"(worker killed)")
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        for worker in workers:
+            worker.stop(kill=worker.point is not None)
 
 
 def figure8_points(

@@ -83,10 +83,6 @@ class SimulationFailure(SimulationError):
         self.tasks_remaining = tasks_remaining
         self.suspects = suspects
         self.diagnosis = diagnosis
-        # Taxonomy tag (see repro.exp.errors): a wall-clock watchdog
-        # trip is a host timeout, every other failure is deterministic.
-        if diagnosis is not None and diagnosis.reason == "max_wall":
-            self.status = "timeout"
 
 
 class DeadlockError(SimulationFailure):

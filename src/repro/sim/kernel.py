@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sys
 from heapq import heappop, heappush
-from time import monotonic
 from types import FrameType
 from typing import TYPE_CHECKING, Any, Callable, Protocol
 
@@ -153,18 +152,16 @@ class Simulator:
         """Run events until the queue drains; returns the simulated time.
 
         ``watchdog`` bounds the run: before each event the loop checks the
-        simulated-time, event-count, stall and wall-clock budgets, in that
-        order, and the first one exceeded raises
+        simulated-time, event-count and stall budgets, in that order, and
+        the first one exceeded raises
         :class:`repro.sim.watchdog.WatchdogTrip` with the offending event
         still queued, so the failure can be diagnosed.  ``None`` (or a
-        ``None`` budget) runs unbounded; the wall clock is read per event
-        only while ``max_wall_s`` is set.  ``profiler`` (see
+        ``None`` budget) runs unbounded.  ``profiler`` (see
         :class:`SupportsProfiler`) samples this loop from its own thread.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run)")
         max_time_ns = max_events = stall_events = _INF
-        max_wall_s = None
         if watchdog is not None:
             if watchdog.max_time_ms is not None:
                 max_time_ns = watchdog.max_time_ms * 1e6
@@ -172,7 +169,6 @@ class Simulator:
                 max_events = watchdog.max_events
             if watchdog.stall_events is not None:
                 stall_events = watchdog.stall_events
-            max_wall_s = watchdog.max_wall_s
         queue = self._queue
         pop = heappop
         fired = 0
@@ -181,7 +177,6 @@ class Simulator:
         if profiler is not None:
             profiler.start(self, sys._getframe())
         self._running = True
-        wall_start = monotonic()
         try:
             while queue:
                 entry = pop(queue)
@@ -197,8 +192,6 @@ class Simulator:
                     stall_run += 1
                     if stall_run >= stall_events:
                         raise self._trip(watchdog, "stall", entry, fired)
-                if max_wall_s is not None and monotonic() - wall_start > max_wall_s:
-                    raise self._trip(watchdog, "max_wall", entry, fired)
                 self._now = time
                 callback(*args)
                 fired += 1

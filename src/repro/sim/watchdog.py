@@ -4,7 +4,7 @@ The simulator itself has no opinion about how long a run should take: a
 malformed configuration or an injected hardware fault can schedule events
 arbitrarily far into the future, or spin through millions of events
 without advancing simulated time.  A :class:`WatchdogConfig` passed to
-``Simulator.run`` bounds the run along four independent axes, which the
+``Simulator.run`` bounds the run along three independent axes, which the
 kernel's dispatch loop checks as local variables before each event:
 
 * ``max_time_ms`` — simulated-time ceiling (checked against the *next*
@@ -12,8 +12,7 @@ kernel's dispatch loop checks as local variables before each event:
   before time jumps);
 * ``max_events`` — total events fired by this run;
 * ``stall_events`` — forward-progress window: consecutive events at one
-  simulated timestamp before the run is declared stalled;
-* ``max_wall_s`` — host wall-clock ceiling.
+  simulated timestamp before the run is declared stalled.
 
 On any trip the loop raises :class:`WatchdogTrip`, a
 :class:`~repro.sim.kernel.SimulationError` carrying a structured
@@ -46,7 +45,6 @@ class WatchdogConfig:
 
     max_events: int | None = 50_000_000
     max_time_ms: float | None = 60_000.0  # one minute of simulated time
-    max_wall_s: float | None = None
     stall_events: int | None = 1_000_000
 
     def __post_init__(self) -> None:
@@ -54,10 +52,8 @@ class WatchdogConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive or None")
-        for name in ("max_time_ms", "max_wall_s"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive or None")
+        if self.max_time_ms is not None and self.max_time_ms <= 0:
+            raise ValueError("max_time_ms must be positive or None")
 
     def trip(
         self, reason: str, sim: "Simulator", entry: "QueueEntry",
@@ -70,7 +66,6 @@ class WatchdogConfig:
             "max_time": self.max_time_ms,
             "max_events": self.max_events,
             "stall": self.stall_events,
-            "max_wall": self.max_wall_s,
         }[reason]
         return WatchdogTrip(
             WatchdogDiagnosis(
@@ -89,7 +84,7 @@ class WatchdogConfig:
 class WatchdogDiagnosis:
     """Everything known about the kernel at the moment a budget tripped."""
 
-    reason: str  # "max_events" | "max_time" | "max_wall" | "stall"
+    reason: str  # "max_events" | "max_time" | "stall"
     budget: float
     events_fired: int
     now_ns: float
@@ -104,7 +99,6 @@ class WatchdogDiagnosis:
                 f"next event at {self.next_event_ns:g} ns exceeds the "
                 f"{self.budget:g} ms simulated-time budget"
             ),
-            "max_wall": f"wall-clock budget of {self.budget:g} s exhausted",
             "stall": (
                 f"no forward progress over {self.budget:g} events at "
                 f"t={self.now_ns:g} ns"
@@ -126,16 +120,12 @@ class WatchdogDiagnosis:
 class WatchdogTrip(SimulationError):
     """A watchdog budget was exceeded; carries the full diagnosis.
 
-    Taxonomy: a wall-clock trip (``reason == "max_wall"``) is the host
-    running out of patience — ``status="timeout"`` — while every other
-    budget (events, simulated time, stall window) is the deterministic
-    simulation itself misbehaving, so it stays ``"diverged"``.  Neither
-    is retryable: re-running a bit-deterministic simulation reproduces
-    the same trajectory.
+    Taxonomy: every budget (events, simulated time, stall window) bounds
+    the deterministic simulation itself, so a trip is ``"diverged"`` and
+    never retryable: re-running a bit-deterministic simulation
+    reproduces the same trajectory.
     """
 
     def __init__(self, diagnosis: WatchdogDiagnosis) -> None:
         super().__init__(diagnosis.format())
         self.diagnosis = diagnosis
-        if diagnosis.reason == "max_wall":
-            self.status = "timeout"

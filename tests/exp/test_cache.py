@@ -107,7 +107,7 @@ class TestPointKey:
 
         tightened = dataclasses.replace(
             CPU_ISO_BW,
-            watchdog=WatchdogConfig(max_events=1000, max_wall_s=1.0),
+            watchdog=WatchdogConfig(max_events=1000, stall_events=10),
         )
         assert point_key("gcn-cora", tightened) == point_key(
             "gcn-cora", CPU_ISO_BW
@@ -237,13 +237,13 @@ class TestResultCache:
         assert loaded.latency_ms == report.latency_ms
 
     def test_store_and_workers_share_one_encoding(self, cache, key):
-        """A pool worker returns the entry the store writes; a
+        """A sweep worker returns the entry the store writes; a
         simulation report's entry stays untagged, as it always was."""
         from repro.exp.cache import decode_report
-        from repro.exp.runner import Point, _resilient_worker
+        from repro.exp.runner import Point, _payload
 
         point = Point("gcn-cora", CPU_ISO_BW, 2.4)
-        shipped = _resilient_worker(point, None)
+        shipped = _payload(point, None)
         assert shipped["ok"] and "kind" not in shipped
         report = decode_report(shipped)
         cache.put(key, report)

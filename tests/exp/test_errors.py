@@ -55,13 +55,6 @@ class TestStatusAndRetryability:
         assert not WatchdogTrip(diagnosis("stall")).retryable
         assert not SimulationFailure("wedged").retryable
 
-    def test_wall_clock_trip_reclassifies_as_timeout(self):
-        # max_wall is the *host* running out of patience, not the
-        # simulation diverging — the only instance-level status override.
-        assert WatchdogTrip(diagnosis("max_wall")).status == "timeout"
-        assert WatchdogTrip(diagnosis("max_events")).status == "diverged"
-        assert WatchdogTrip(diagnosis("stall")).status == "diverged"
-
     def test_serve_error_carries_replay_coordinates(self):
         exc = ServeError("too slow", request_id=17, at_ms=42.5, attempts=2)
         assert (exc.request_id, exc.at_ms, exc.attempts) == (17, 42.5, 2)
@@ -79,7 +72,3 @@ class TestClassify:
     ])
     def test_status_pairs(self, exc, expected):
         assert classify(exc) == expected
-
-    def test_classify_honours_instance_level_override(self):
-        assert classify(WatchdogTrip(diagnosis("max_wall"))) \
-            == ("timeout", False)

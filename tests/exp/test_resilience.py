@@ -1,23 +1,26 @@
 """Sweep-layer fault tolerance: crashes, timeouts, retries, degradation.
 
 These tests drive :func:`repro.exp.runner.run_sweep_detailed` through
-every failure mode in the ISSUE's acceptance list.  Worker behaviour is
-steered by monkeypatching ``repro.exp.runner.simulate_point`` in the
-parent; Linux's fork start method propagates the patch into pool
-workers, so a test can make a *worker process* kill itself mid-point.
+every failure mode: crashes, hangs, deadlines, retries and a worker that
+cannot start.  Worker behaviour is steered by monkeypatching
+``repro.exp.runner.simulate_point`` in the parent; the runner forks its
+workers, which carries the patch into them, so a test can make a
+*worker process* kill itself mid-point.
 """
 
 import dataclasses
+import multiprocessing
 import os
 import signal
 import time
+from multiprocessing.process import BaseProcess
 
 import pytest
 
 import repro.eval.accelerator as eval_accel
 import repro.exp.runner as runner_mod
 from repro.accel.config import CPU_ISO_BW
-from repro.exp.cache import ResultCache, store
+from repro.exp.cache import ResultCache, clear_memo, store
 from repro.exp.errors import SimulationDiverged, SweepFailed
 from repro.exp.runner import (
     Point,
@@ -26,7 +29,7 @@ from repro.exp.runner import (
     run_sweep_detailed,
 )
 from repro.runtime.report import LayerReport, SimulationReport
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import SimulationError, Simulator
 
 
 def sample_report(point: Point) -> SimulationReport:
@@ -67,7 +70,7 @@ def fresh_cache(tmp_path):
     return ResultCache(tmp_path)
 
 
-FAST_RETRY = RetryPolicy(retries=2, backoff_s=0.01)
+FAST_RETRY = RetryPolicy(retries=2)
 
 
 class TestSerial:
@@ -79,8 +82,8 @@ class TestSerial:
         calls = []
         monkeypatch.setattr(
             runner_mod, "simulate_point",
-            lambda point, config=None: (calls.append(point.key),
-                                        sample_report(point))[1],
+            lambda point, observer=None: (calls.append(point.key),
+                                          sample_report(point))[1],
         )
         [point] = make_points("dedupe")
         outcome = run_sweep_detailed(
@@ -97,8 +100,8 @@ class TestSerial:
         calls = []
         monkeypatch.setattr(
             runner_mod, "simulate_point",
-            lambda point, config=None: (calls.append(1),
-                                        sample_report(point))[1],
+            lambda point, observer=None: (calls.append(1),
+                                          sample_report(point))[1],
         )
         points = make_points("linear", 5) * 40  # 200 inputs, 5 distinct
         outcome = run_sweep_detailed(points, jobs=1, cache=fresh_cache)
@@ -110,7 +113,7 @@ class TestSerial:
     ):
         calls = []
 
-        def fake(point, config=None):
+        def fake(point, observer=None):
             calls.append(point.resolved_config.clock_ghz)
             if point.resolved_config.clock_ghz == 2.0:
                 raise SimulationError("layer 'l' deadlocked")
@@ -135,7 +138,7 @@ class TestSerial:
     def test_strict_run_sweep_raises_typed_failure(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, config=None):
+        def fake(point, observer=None):
             raise SimulationError("watchdog tripped (max_time)")
 
         monkeypatch.setattr(runner_mod, "simulate_point", fake)
@@ -154,7 +157,37 @@ class TestSerial:
             policy=RetryPolicy(timeout_s=1e-4),
         )
         assert [r.status for r in outcome.results] == ["timeout"]
-        assert "max_wall" in outcome.results[0].error
+        assert "(worker killed)" in outcome.results[0].error
+
+    def test_serial_multichip_point_is_bounded(self, fresh_cache):
+        """The budget bounds every system, not just the accelerator: a
+        serial multichip point runs in a worker and is killed late."""
+        clear_memo()  # the point and its shards must really simulate
+        point = Point("gcn-cora", CPU_ISO_BW, system="multichip")
+        outcome = run_sweep_detailed(
+            [point], jobs=1, cache=fresh_cache,
+            policy=RetryPolicy(timeout_s=0.01),
+        )
+        assert [r.status for r in outcome.results] == ["timeout"]
+        assert "(worker killed)" in outcome.results[0].error
+
+    def test_budget_spans_every_layer(self, monkeypatch, fresh_cache):
+        """One deadline bounds the whole point: four layers that each
+        fit the budget still exceed it together.  The wrapper reaches
+        the worker through fork."""
+        run = Simulator.run
+
+        def slow_run(self, *args, **kwargs):
+            time.sleep(0.05)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", slow_run)
+        [point] = make_points("layers")
+        outcome = run_sweep_detailed(
+            [point], jobs=1, cache=fresh_cache,
+            policy=RetryPolicy(timeout_s=0.15),
+        )
+        assert [r.status for r in outcome.results] == ["timeout"]
 
     def test_cached_point_status(
         self, monkeypatch, fake_compile, fresh_cache
@@ -179,7 +212,7 @@ class TestParallel:
         the point is retried, and every other point's result arrives."""
         sentinel = tmp_path / "already-died"
 
-        def fake(point, config=None):
+        def fake(point, observer=None):
             if (point.resolved_config.clock_ghz == 1.0
                     and not sentinel.exists()):
                 sentinel.touch()
@@ -197,14 +230,15 @@ class TestParallel:
         }
         assert by_clock[1.0].attempts >= 2  # retried after the kill
         assert all(r.report is not None for r in outcome.results)
+        assert multiprocessing.active_children() == []
 
     def test_always_crashing_point_exhausts_retries(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, config=None):
+        def fake(point, observer=None):
             if point.resolved_config.clock_ghz == 1.0:
-                # Let the innocent point's result land before the pool
-                # breaks, so the test observes clean crash isolation.
+                # Let the innocent point's result land before the worker
+                # dies, so the test observes clean crash isolation.
                 time.sleep(0.4)
                 os.kill(os.getpid(), signal.SIGKILL)
             return sample_report(point)
@@ -213,7 +247,7 @@ class TestParallel:
         points = make_points("crashloop", 2)
         outcome = run_sweep_detailed(
             points, jobs=2, cache=fresh_cache,
-            policy=RetryPolicy(retries=1, backoff_s=0.01),
+            policy=RetryPolicy(retries=1),
         )
         statuses = {
             r.point.resolved_config.clock_ghz: r.status
@@ -224,11 +258,12 @@ class TestParallel:
         failed = outcome.failures[0]
         assert failed.attempts == 2  # first try + one retry
         assert "retry budget" in failed.error
+        assert multiprocessing.active_children() == []
 
     def test_hung_worker_killed_at_deadline(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, config=None):
+        def fake(point, observer=None):
             if point.resolved_config.clock_ghz == 1.0:
                 time.sleep(30)
             return sample_report(point)
@@ -238,7 +273,7 @@ class TestParallel:
         start = time.monotonic()
         outcome = run_sweep_detailed(
             points, jobs=2, cache=fresh_cache,
-            policy=RetryPolicy(timeout_s=0.5, retries=0, backoff_s=0.01),
+            policy=RetryPolicy(timeout_s=0.5, retries=0),
         )
         elapsed = time.monotonic() - start
         assert elapsed < 20  # nowhere near the worker's 30 s sleep
@@ -249,20 +284,66 @@ class TestParallel:
         assert statuses[1.0] == "timeout"
         assert statuses[2.0] == "ok"
         assert "wall-clock budget" in outcome.failures[0].error
+        assert multiprocessing.active_children() == []
+
+    def test_deadline_starts_when_the_worker_receives_the_point(
+        self, monkeypatch, fake_compile, fresh_cache
+    ):
+        """Ten 0.5 s points on two workers take 2.5 s, yet none exceeds
+        its 1 s budget: time spent queued is not charged."""
+        def fake(point, observer=None):
+            time.sleep(0.5)
+            return sample_report(point)
+
+        monkeypatch.setattr(runner_mod, "simulate_point", fake)
+        outcome = run_sweep_detailed(
+            make_points("queued", 10), jobs=2, cache=fresh_cache,
+            policy=RetryPolicy(timeout_s=1.0),
+        )
+        assert [r.status for r in outcome.results] == ["ok"] * 10
+
+    def test_deadline_kills_only_the_late_worker(
+        self, monkeypatch, fake_compile, fresh_cache, tmp_path
+    ):
+        """A hung point is killed alone: every other point runs exactly
+        once, and no worker outlives the sweep."""
+        starts = tmp_path / "starts"
+        starts.mkdir()
+
+        def fake(point, observer=None):
+            clock = point.resolved_config.clock_ghz
+            with open(starts / f"{clock:g}", "a") as log:
+                log.write("start\n")
+            time.sleep(60 if clock == 1.0 else 1.2)
+            return sample_report(point)
+
+        monkeypatch.setattr(runner_mod, "simulate_point", fake)
+        points = make_points("onlylate", 5)
+        outcome = run_sweep_detailed(
+            points, jobs=2, cache=fresh_cache,
+            policy=RetryPolicy(timeout_s=2.0),
+        )
+        assert [r.status for r in outcome.results] == [
+            "timeout", "ok", "ok", "ok", "ok"
+        ]
+        assert {
+            path.name: path.read_text().count("start")
+            for path in starts.iterdir()
+        } == {f"{clock:g}": 1 for clock in range(1, 6)}
+        assert multiprocessing.active_children() == []
 
     def test_pool_start_failure_degrades_to_serial(
         self, monkeypatch, fake_compile, fresh_cache
     ):
         monkeypatch.setattr(
             runner_mod, "simulate_point",
-            lambda point, config=None: sample_report(point),
+            lambda point, observer=None: sample_report(point),
         )
 
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes for you")
+        def no_fork(process):
+            raise OSError("no processes for you")
 
-        monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(BaseProcess, "start", no_fork)
         points = make_points("nopool", 3)
         with pytest.warns(RuntimeWarning, match="serial"):
             outcome = run_sweep_detailed(
@@ -274,7 +355,7 @@ class TestParallel:
     def test_parallel_failure_keeps_other_reports(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, config=None):
+        def fake(point, observer=None):
             if point.resolved_config.clock_ghz == 2.0:
                 raise SimulationError("injected divergence")
             return sample_report(point)
@@ -290,21 +371,8 @@ class TestParallel:
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(backoff_s=0.5)
-        assert policy.backoff(1) == 0.5
-        assert policy.backoff(2) == 1.0
-        assert policy.backoff(3) == 2.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(timeout_s=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-0.5)
-
-    def test_deadline_includes_grace(self):
-        assert RetryPolicy().deadline_s is None
-        assert RetryPolicy(timeout_s=10.0).deadline_s == 15.0
-        assert RetryPolicy(timeout_s=0.5).deadline_s == 1.5

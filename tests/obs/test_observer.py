@@ -1,4 +1,4 @@
-"""Observer wiring: registry contents, breakdowns, profiler, sweep metrics."""
+"""Observer wiring: registry contents, breakdowns, profiler."""
 
 import json
 
@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.accel import CPU_ISO_BW, Accelerator
-from repro.exp.cache import ResultCache, clear_memo
-from repro.exp.runner import Point, run_sweep_detailed
 from repro.graphs import citation_graph
 from repro.models import GCN
 from repro.obs import MetricsRegistry, Observer
@@ -165,58 +163,3 @@ class TestCheapObserver:
                             kernel_profile=False)
         RuntimeEngine(Accelerator(CPU_ISO_BW), observer=observer).run(program)
         assert "sim/kernel" not in observer.snapshot()
-
-
-class TestSweepMetrics:
-    def test_inline_sweep_attaches_snapshots(self, tmp_path):
-        clear_memo()
-        cache = ResultCache(tmp_path)
-        outcome = run_sweep_detailed(
-            [Point("pgnn-dblp_1", CPU_ISO_BW)], jobs=1, cache=cache,
-            collect_metrics=True,
-        )
-        result = outcome.results[0]
-        assert result.status == "ok"
-        assert result.metrics is not None
-        assert "tile.0.0/dna" in result.metrics
-        json.dumps(result.metrics)  # plain data, cache/IPC friendly
-        clear_memo()
-
-    def test_cache_hits_have_no_metrics(self, tmp_path):
-        clear_memo()
-        cache = ResultCache(tmp_path)
-        point = Point("pgnn-dblp_1", CPU_ISO_BW)
-        run_sweep_detailed([point], cache=cache, collect_metrics=True)
-        clear_memo()
-        outcome = run_sweep_detailed([point], cache=cache,
-                                     collect_metrics=True)
-        assert outcome.results[0].status == "cached"
-        assert outcome.results[0].metrics is None
-        clear_memo()
-
-    def test_default_sweep_collects_nothing(self, tmp_path):
-        clear_memo()
-        cache = ResultCache(tmp_path)
-        outcome = run_sweep_detailed(
-            [Point("pgnn-dblp_1", CPU_ISO_BW)], cache=cache
-        )
-        assert outcome.results[0].status == "ok"
-        assert outcome.results[0].metrics is None
-        clear_memo()
-
-    def test_parallel_sweep_ships_metrics_home(self, tmp_path):
-        """Metrics snapshots are plain data, so they cross the worker
-        process boundary alongside the serialized reports."""
-        clear_memo()
-        cache = ResultCache(tmp_path)
-        points = [
-            Point("pgnn-dblp_1", CPU_ISO_BW, 2.4),
-            Point("pgnn-dblp_1", CPU_ISO_BW, 1.2),
-        ]
-        outcome = run_sweep_detailed(points, jobs=2, cache=cache,
-                                     collect_metrics=True)
-        assert outcome.ok
-        for result in outcome.results:
-            assert result.metrics is not None
-            assert "tile.0.0/gpe" in result.metrics
-        clear_memo()

@@ -1,7 +1,5 @@
 """Watchdog budget tests: every axis trips with a usable diagnosis."""
 
-import time
-
 import pytest
 
 from repro.sim import (
@@ -22,7 +20,6 @@ class TestConfig:
         assert config.max_events is not None
         assert config.max_time_ms is not None
         assert config.stall_events is not None
-        assert config.max_wall_s is None
 
     def test_all_none_disables(self):
         """An all-None config runs unbounded: the far-future event the
@@ -33,8 +30,7 @@ class TestConfig:
         with pytest.raises(WatchdogTrip):
             run_with(sim, WatchdogConfig())
         run_with(sim, WatchdogConfig(
-            max_events=None, max_time_ms=None, max_wall_s=None,
-            stall_events=None,
+            max_events=None, max_time_ms=None, stall_events=None,
         ))
         assert fired == ["far"]
 
@@ -44,7 +40,6 @@ class TestConfig:
         ("stall_events", 0),
         ("max_time_ms", 0.0),
         ("max_time_ms", -5.0),
-        ("max_wall_s", 0.0),
     ])
     def test_invalid_budgets_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -106,20 +101,6 @@ class TestTrips:
 
         sim.post_at(0.0, burst, 0)
         run_with(sim, WatchdogConfig(stall_events=60))
-
-    def test_max_wall_trips(self):
-        sim = Simulator()
-
-        def sleepy():
-            time.sleep(0.005)
-            sim.post_at(sim.now + 1.0, sleepy)
-
-        sim.post_at(1.0, sleepy)
-        with pytest.raises(WatchdogTrip) as exc:
-            run_with(sim, WatchdogConfig(
-                max_wall_s=0.02, stall_events=None,
-            ))
-        assert exc.value.diagnosis.reason == "max_wall"
 
     def test_trip_is_a_simulation_error(self):
         sim = Simulator()

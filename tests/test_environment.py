@@ -86,8 +86,7 @@ def test_stray_variables_leave_the_defaults_unchanged(monkeypatch, capsys):
     assert fresh.noc_backend == "packet"
     assert resolve_config("CPU iso-BW").noc_backend == "packet"
     assert create_system("accel").config.noc_backend == "packet"
-    assert RetryPolicy() == RetryPolicy(timeout_s=None, retries=2,
-                                        backoff_s=0.5)
+    assert RetryPolicy() == RetryPolicy(timeout_s=None, retries=2)
     assert run_sweep_detailed([], cache=None).ok
     assert main(["systems"]) == 0
     assert "accel (default)" in capsys.readouterr().out
