@@ -1,11 +1,9 @@
 """Accelerator configurations (paper Tables I, IV, VI and Figure 9).
 
-The three Table VI literals below are the frozen identity reference.
-Name resolution now lives in :mod:`repro.space`: every consumer funnels
-through :func:`repro.space.resolve_config`, which derives the same
-three configurations as named points of the default typed parameter
-space (proven field- and cache-key-identical by the identity suite).
-:func:`configuration_by_name` remains for the literals themselves.
+The three Table VI literals below are the one definition of the
+paper's configurations; every consumer resolves a configuration name
+through :func:`resolve_config`.  The default parameter space
+(:mod:`repro.space`) contains the same three rows as ordinary points.
 """
 
 from __future__ import annotations
@@ -14,6 +12,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from repro.dataflow.spatial import EYERISS_CONFIG, SpatialArrayConfig
+from repro.errors import lookup
 from repro.noc.backends import DEFAULT_BACKEND, validate_backend
 from repro.noc.config import NOC_CONFIG, NocConfig
 from repro.noc.topology import Coord
@@ -181,8 +180,8 @@ class AcceleratorConfig:
         """The same configuration on a different NoC backend.
 
         Backend names are validated on construction, so an unknown name
-        raises :class:`repro.noc.backends.UnknownBackendError` listing
-        the registered backends.
+        raises :class:`repro.errors.UnknownNameError` listing the
+        backends.
         """
         return dataclasses.replace(self, noc_backend=noc_backend)
 
@@ -236,13 +235,7 @@ CONFIGURATIONS_BY_NAME: dict[str, AcceleratorConfig] = {
 }
 
 
-def configuration_by_name(name: str) -> AcceleratorConfig:
-    """Resolve a Table VI configuration name; unknown names raise a
-    :class:`KeyError` that lists every valid name."""
-    try:
-        return CONFIGURATIONS_BY_NAME[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown configuration {name!r}; available: "
-            f"{[c.name for c in CONFIGURATIONS]}"
-        ) from None
+def resolve_config(name: str) -> AcceleratorConfig:
+    """Resolve a Table VI configuration name; an unknown name raises
+    :class:`repro.errors.UnknownNameError` listing every valid name."""
+    return lookup(CONFIGURATIONS_BY_NAME, "configuration", name)

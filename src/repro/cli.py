@@ -49,18 +49,19 @@ def _cmd_list(_args) -> None:
           " [--points N] [--seed N] [--jobs N] [--noc-backend NAME]"
           " [--output PATH]")
     print("           systems noc-backends")
+    from repro.accel.config import CONFIGURATIONS
     from repro.dse import driver_names
     from repro.models import ALL_BENCHMARKS
     from repro.noc.backends import backend_names
     from repro.partition import method_names
-    from repro.space import config_names, space_names
+    from repro.space import space_names
     from repro.systems import system_names
 
     print(f"benchmarks: {' '.join(b.key for b in ALL_BENCHMARKS)}")
     print(f"systems: {' '.join(system_names())}")
     print(f"noc backends: {' '.join(backend_names())}")
     print(f"partition methods: {' '.join(method_names())}")
-    print(f"configurations: {' | '.join(config_names())}")
+    print(f"configurations: {' | '.join(c.name for c in CONFIGURATIONS)}")
     print(f"parameter spaces: {' '.join(space_names())}")
     print(f"dse drivers: {' '.join(driver_names())}")
 
@@ -117,22 +118,18 @@ def _resolve_names(
     contract: benchmarks resolve through
     :func:`repro.models.registry.resolve_benchmark_key` (so dataset
     shorthands like ``qm9`` are accepted and ambiguous ones rejected
-    with candidates), configurations through
-    :func:`repro.space.resolve_config` (the space-derived named points),
-    execution systems, NoC backends, partition methods, parameter
-    spaces, and DSE drivers through their registries.  Runs before any
-    simulation or worker spawn, so a typo fails in milliseconds listing
-    the valid names.
+    with candidates), every other kind through its table's resolver.
+    Every unknown name raises :class:`repro.errors.UnknownNameError`, a
+    ``KeyError``.  Runs before any simulation or worker spawn, so a typo
+    fails in milliseconds listing the valid names.
     """
-    from repro.dse import UnknownDriverError, resolve_driver
+    from repro.accel.config import resolve_config
+    from repro.dse import resolve_driver
     from repro.models.registry import resolve_benchmark_key
-    from repro.noc.backends import UnknownBackendError, validate_backend
-    from repro.partition.methods import (
-        UnknownPartitionMethodError,
-        validate_method,
-    )
-    from repro.space import UnknownSpaceError, resolve_config, resolve_space
-    from repro.systems import UnknownSystemError, validate_system
+    from repro.noc.backends import validate_backend
+    from repro.partition.methods import validate_method
+    from repro.space import resolve_space
+    from repro.systems import validate_system
 
     try:
         for key in ([benchmark] if benchmark is not None else []) + list(
@@ -151,9 +148,7 @@ def _resolve_names(
             resolve_space(space)
         if dse_driver is not None:
             resolve_driver(dse_driver)
-    except (KeyError, UnknownSystemError, UnknownBackendError,
-            UnknownPartitionMethodError, UnknownSpaceError,
-            UnknownDriverError) as exc:
+    except KeyError as exc:
         print(f"repro {command}: {exc.args[0]}", file=sys.stderr)
         return 2
     return None
@@ -405,7 +400,8 @@ def _cmd_sweep(args) -> int:
          "DNA util"],
         rows, title="Sweep results",
     ))
-    simulated = len({p.key for p in points}) - hits
+    simulated = len({r.point.key for r in outcome.results
+                     if r.status == "ok"})
     print(f"{len(points)} points ({hits} cached, {simulated} simulated) "
           f"in {elapsed:.2f} s with {jobs} job(s)")
     if not outcome.ok:

@@ -15,7 +15,6 @@ from repro.dse.drivers import (
     DRIVERS,
     DseResult,
     Evaluation,
-    UnknownDriverError,
     driver_names,
     resolve_driver,
     run_dse,
@@ -33,7 +32,6 @@ __all__ = [
     "DseResult",
     "Evaluation",
     "OBJECTIVES",
-    "UnknownDriverError",
     "dominates",
     "driver_names",
     "hypervolume_proxy",

@@ -1,6 +1,6 @@
 """Search drivers over a :class:`~repro.space.space.ConfigSpace`.
 
-Three built-ins, registered by name for the ``repro dse`` CLI:
+Three drivers, named in :data:`DRIVERS` for the ``repro dse`` CLI:
 
 * ``grid`` — the first N points of the deterministic grid enumeration;
 * ``random`` — N distinct seeded samples (the unbiased baseline every
@@ -38,19 +38,9 @@ from repro.dse.pareto import (
     objective_bounds,
     pareto_frontier,
 )
+from repro.errors import lookup
 from repro.exp.cache import DEFAULT_CACHE
 from repro.space import ConfigSpace, SpacePoint, get_default_space
-
-
-class UnknownDriverError(KeyError):
-    """Raised for a search-driver name that is not registered."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(
-            f"unknown search driver {name!r}; "
-            f"valid: {', '.join(driver_names())}"
-        )
 
 
 @dataclass
@@ -338,7 +328,7 @@ def _evolutionary_driver(
     return generations
 
 
-#: Registered drivers, by CLI name.
+#: Search drivers, by CLI name.
 DRIVERS: dict[str, Callable[..., int]] = {
     "grid": _grid_driver,
     "random": _random_driver,
@@ -347,15 +337,14 @@ DRIVERS: dict[str, Callable[..., int]] = {
 
 
 def driver_names() -> tuple[str, ...]:
-    """Registered driver names, registration order."""
+    """Driver names, listing order."""
     return tuple(DRIVERS)
 
 
 def resolve_driver(name: str) -> Callable[..., int]:
-    """The registered driver, or :class:`UnknownDriverError`."""
-    if name not in DRIVERS:
-        raise UnknownDriverError(name)
-    return DRIVERS[name]
+    """The driver named ``name``, or
+    :class:`~repro.errors.UnknownNameError`."""
+    return lookup(DRIVERS, "search driver", name)
 
 
 def run_dse(

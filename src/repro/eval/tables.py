@@ -7,6 +7,7 @@ actually uses.
 
 from __future__ import annotations
 
+from repro.accel.config import CONFIGURATIONS
 from repro.baselines.machines import CPU_MACHINE, GPU_MACHINE
 from repro.dataflow.spatial import EYERISS_CONFIG
 from repro.graphs.datasets import DATASETS, dataset_statistics
@@ -72,11 +73,7 @@ def table5() -> list[tuple[str, int, int, int, int, int, int]]:
 
 
 def table6() -> list[tuple[str, int, int, int, float]]:
-    """Table VI: accelerator configurations, derived from the default
-    parameter space's named points (identical to the historical
-    literals — see the identity suite)."""
-    from repro.space import named_configs
-
+    """Table VI: accelerator configurations."""
     return [
         (
             config.name,
@@ -85,7 +82,7 @@ def table6() -> list[tuple[str, int, int, int, float]]:
             config.total_alus,
             config.total_bandwidth_gbps,
         )
-        for config in named_configs()
+        for config in CONFIGURATIONS
     ]
 
 
@@ -94,10 +91,8 @@ def figure9() -> dict[str, list[str]]:
 
     ``T`` marks a tile, ``M`` a memory node, ``.`` an unused position.
     """
-    from repro.space import named_configs
-
     drawings = {}
-    for config in named_configs():
+    for config in CONFIGURATIONS:
         tiles = set(config.tile_coords)
         memories = set(config.memory_coords)
         rows = []

@@ -31,14 +31,7 @@ from repro.exp.cache import (
     point_key,
     set_default_cache,
 )
-from repro.exp.errors import (
-    PointCrash,
-    PointError,
-    PointTimeout,
-    SimulationDiverged,
-    SweepError,
-    SweepFailed,
-)
+from repro.exp.errors import SweepError, SweepFailed
 from repro.exp.runner import (
     Point,
     PointResult,
@@ -69,8 +62,4 @@ __all__ = [
     "simulate_point",
     "SweepError",
     "SweepFailed",
-    "PointError",
-    "PointTimeout",
-    "PointCrash",
-    "SimulationDiverged",
 ]

@@ -25,10 +25,9 @@ adds ``config`` — every field of the resolved
 shard of a partitioned input, ``shard`` (the
 :class:`~repro.partition.core.ShardSpec` fingerprint).  Space-derived
 configurations (:mod:`repro.space`) enter by their *contents* exactly
-like the frozen literals — named points reproduce the historical keys
-bit-for-bit, anonymous DSE points carry content-derived ``dse-...``
-names — so search drivers ride this cache with no layer in between
-knowing a parameter space exists.  A prepared run of
+like the Table VI literals — DSE points carry content-derived
+``dse-...`` names — so search drivers ride this cache with no layer in
+between knowing a parameter space exists.  A prepared run of
 any system (:class:`~repro.systems.base.ExecutionPlan`) adds its
 parameters under one nested ``params`` stanza instead, so an ``accel``
 plan never shares an entry with the accelerator point it wraps.

@@ -18,8 +18,8 @@ The runner is *resilient* (``tests/exp/test_resilience.py``):
   other point still completes;
 * a worker that cannot start degrades the sweep to inline execution;
 * :func:`run_sweep_detailed` returns a :class:`SweepOutcome` carrying
-  per-point status (ok / cached / timeout / crash / diverged) and the
-  structured error taxonomy of :mod:`repro.exp.errors`, while the strict
+  per-point status (ok / cached / timeout / crash / diverged / error),
+  classified by :mod:`repro.exp.errors`, while the strict
   :func:`run_sweep` raises :class:`~repro.exp.errors.SweepFailed` if any
   point ends in failure.
 """
@@ -38,7 +38,7 @@ from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.accel.config import AcceleratorConfig
+from repro.accel.config import AcceleratorConfig, resolve_config
 from repro.errors import ReproError
 from repro.exp.cache import (
     ACCEL_SYSTEM,
@@ -51,7 +51,7 @@ from repro.exp.cache import (
     resolve_cache,
     store,
 )
-from repro.exp.errors import STATUS_ERRORS, PointError, SweepFailed, classify
+from repro.exp.errors import SweepFailed, classify
 from repro.runtime.report import SimulationReport
 
 #: Figure 8's (configuration, baseline system) groups, in paper order.
@@ -229,23 +229,6 @@ class PointResult:
     def ok(self) -> bool:
         return self.status in ("ok", "cached")
 
-    def to_error(self) -> PointError:
-        """The typed exception equivalent of a failed result."""
-        cls = STATUS_ERRORS.get(self.status, PointError)
-        if self.point.system == ACCEL_SYSTEM:
-            config = self.point.resolved_config
-            config_name, clock = config.name, config.clock_ghz
-        else:
-            config_name, clock = self.point.system, self.point.clock_ghz
-        return cls(
-            f"{self.point.describe()}: {self.error or self.status} "
-            f"(after {self.attempts} attempt(s))",
-            benchmark=self.point.benchmark_key,
-            config_name=config_name,
-            clock_ghz=clock,
-            attempts=self.attempts,
-        )
-
     def describe(self) -> str:
         if self.ok:
             return f"{self.point.describe()}: {self.status}"
@@ -358,10 +341,9 @@ def _attempt(point: Point, cache: ResultCache | None = None) -> PointResult:
         else:
             report = execute_point(point, cache=cache)
     except Exception as exc:
-        status, _retryable = classify(exc)
         message = (str(exc) if isinstance(exc, ReproError)
                    else f"{type(exc).__name__}: {exc}")
-        return PointResult(point, status, attempts=1, error=message)
+        return PointResult(point, classify(exc), attempts=1, error=message)
     return PointResult(point, "ok", report, attempts=1)
 
 
@@ -631,7 +613,6 @@ def figure8_points(
     backends never share entries.
     """
     from repro.models.registry import BENCHMARKS
-    from repro.space import resolve_config
 
     keys = tuple(benchmarks or (b.key for b in BENCHMARKS))
     names = tuple(configs or (group[0] for group in FIGURE8_GROUPS))

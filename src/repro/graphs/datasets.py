@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import lookup
 from repro.graphs.generators import (
     citation_graph,
     collaboration_graph,
@@ -135,12 +136,7 @@ _LOADERS = {
 
 def load_dataset(name: str) -> Graph | GraphSet:
     """Load a dataset by its Table V name (case-insensitive)."""
-    key = name.lower()
-    if key not in _LOADERS:
-        raise KeyError(
-            f"unknown dataset {name!r}; available: {sorted(_LOADERS)}"
-        )
-    return _LOADERS[key]()
+    return lookup(_LOADERS, "dataset", name.lower())()
 
 
 def dataset_statistics(name: str) -> DatasetStats:

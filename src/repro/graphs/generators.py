@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import lookup
 from repro.graphs.graph import Graph, GraphSet
 
 
@@ -246,13 +247,7 @@ STRESS_PRESETS: dict[str, tuple[int, int]] = {
 
 def stress_preset(name: str, seed: int = 0) -> Graph:
     """Build a named :data:`STRESS_PRESETS` graph (deterministic)."""
-    try:
-        num_nodes, num_edges = STRESS_PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown stress preset {name!r}; "
-            f"available: {sorted(STRESS_PRESETS)}"
-        ) from None
+    num_nodes, num_edges = lookup(STRESS_PRESETS, "stress preset", name)
     return stress_graph(num_nodes, num_edges, seed=seed, name=name)
 
 

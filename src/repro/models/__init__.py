@@ -46,13 +46,13 @@ from repro.models.registry import (
     ALL_BENCHMARKS,
     BENCHMARKS,
     EXTENSION_BENCHMARKS,
+    MODEL_FAMILIES,
     Benchmark,
     benchmark_ir,
     benchmark_ir_digest,
     benchmark_model,
     benchmark_workload,
     load_benchmark,
-    register_model_family,
 )
 
 __all__ = [
@@ -85,11 +85,11 @@ __all__ = [
     "ALL_BENCHMARKS",
     "BENCHMARKS",
     "EXTENSION_BENCHMARKS",
+    "MODEL_FAMILIES",
     "Benchmark",
     "benchmark_ir",
     "benchmark_ir_digest",
     "benchmark_model",
     "benchmark_workload",
     "load_benchmark",
-    "register_model_family",
 ]

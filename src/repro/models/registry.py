@@ -20,7 +20,7 @@ execution system accept all rows.
 
 Adding a model family takes one model file under ``src/repro/models/``
 (emitting its :class:`~repro.models.ir.ModelIR`) plus one
-:func:`register_model_family` call and benchmark row here — no edits in
+:data:`MODEL_FAMILIES` entry and benchmark row here — no edits in
 ``runtime/``, ``systems/``, or ``baselines/``.
 """
 
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
+from repro.errors import lookup
 from repro.graphs.datasets import DATASETS, DatasetStats, load_dataset
 from repro.graphs.graph import Graph, GraphSet
 from repro.models.base import GNNModel
@@ -84,15 +85,9 @@ BENCHMARKS_BY_KEY: dict[str, Benchmark] = {b.key: b for b in ALL_BENCHMARKS}
 
 
 def benchmark_by_key(key: str) -> Benchmark:
-    """Resolve a benchmark key (``"gcn-cora"``); unknown keys raise a
-    :class:`KeyError` that lists every valid key."""
-    try:
-        return BENCHMARKS_BY_KEY[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown benchmark {key!r}; available: "
-            f"{[b.key for b in ALL_BENCHMARKS]}"
-        ) from None
+    """Resolve a benchmark key (``"gcn-cora"``); an unknown key raises
+    :class:`~repro.errors.UnknownNameError` listing every valid key."""
+    return lookup(BENCHMARKS_BY_KEY, "benchmark", key)
 
 
 def resolve_benchmark_key(name: str) -> str:
@@ -101,12 +96,13 @@ def resolve_benchmark_key(name: str) -> str:
     Exact keys (``"gcn-cora"``) pass through.  A dataset name —
     ``"pubmed"``, ``"qm9_1000"``, or an underscore-prefix of one like
     ``"qm9"`` / ``"dblp"`` — or a model family name (``"gin"``) resolves
-    to its unique benchmark's key.  Ambiguous shorthands (``"cora"``
-    names the GCN, GAT, *and* SAGE rows) and unknown names raise a
-    :class:`KeyError` listing every colliding candidate, so every CLI
-    path that validates through this function exits 2 with a helpful
-    message.  Callers must use the *returned* canonical key — never the
-    shorthand — for cache fingerprints.
+    to its unique benchmark's key.  An ambiguous shorthand (``"cora"``
+    names the GCN, GAT, *and* SAGE rows) raises a :class:`KeyError`
+    listing every colliding candidate, and an unknown name
+    :class:`~repro.errors.UnknownNameError` listing every key, so every
+    CLI path that validates through this function exits 2 with a
+    helpful message.  Callers must use the *returned* canonical key —
+    never the shorthand — for cache fingerprints.
     """
     if name in BENCHMARKS_BY_KEY:
         return name
@@ -123,97 +119,60 @@ def resolve_benchmark_key(name: str) -> str:
         raise KeyError(
             f"ambiguous benchmark {name!r}; candidates: {matches}"
         )
-    raise KeyError(
-        f"unknown benchmark {name!r}; available: "
-        f"{[b.key for b in ALL_BENCHMARKS]}"
-    )
+    return benchmark_by_key(name).key
 
 
 @dataclass(frozen=True)
 class ModelFamily:
-    """One registered model family: constructor plus per-dataset sizing."""
+    """One model family: constructor plus per-dataset sizing."""
 
     name: str
     cls: type[GNNModel]
     config: Callable[[DatasetStats], dict[str, Any]]
 
 
-#: Model family name -> registration, used by :func:`benchmark_model`.
-MODEL_FAMILIES: dict[str, ModelFamily] = {}
-
-
-def register_model_family(
-    name: str,
-    cls: type[GNNModel],
-    config: Callable[[DatasetStats], dict[str, Any]],
-) -> None:
-    """Register a model family (the one non-``models/`` touchpoint)."""
-    if name in MODEL_FAMILIES:
-        raise ValueError(f"model family {name!r} already registered")
-    MODEL_FAMILIES[name] = ModelFamily(name=name, cls=cls, config=config)
-
-
-register_model_family(
-    "GCN",
-    GCN,
-    lambda stats: {
-        "in_features": stats.vertex_features,
-        "hidden_features": 16,
-        "out_features": stats.output_features,
-    },
-)
-register_model_family(
-    "GAT",
-    GAT,
-    lambda stats: {
-        "in_features": stats.vertex_features,
-        "hidden_features": 8,
-        "out_features": stats.output_features,
-        "num_heads": 8,
-        "normalize": False,
-    },
-)
-register_model_family(
-    "MPNN",
-    MPNN,
-    lambda stats: {
-        "node_features": stats.vertex_features,
-        "edge_features": stats.edge_features,
-        "hidden": stats.output_features,
-        "out_features": stats.output_features,
-        "steps": 3,
-    },
-)
-register_model_family(
-    "PGNN",
-    PGNN,
-    lambda stats: {
-        "in_features": stats.vertex_features,
-        "hidden_features": 8,
-        "out_features": stats.output_features,
-        "num_layers": 3,
-    },
-)
-register_model_family(
-    "SAGE",
-    GraphSAGE,
-    lambda stats: {
-        "in_features": stats.vertex_features,
-        "hidden_features": 32,
-        "out_features": stats.output_features,
-        "sample_size": 10,
-    },
-)
-register_model_family(
-    "GIN",
-    GIN,
-    lambda stats: {
-        "in_features": stats.vertex_features,
-        "hidden_features": 16,
-        "out_features": stats.output_features,
-        "eps": 0.0,
-    },
-)
+#: Model family name -> family, used by :func:`benchmark_model`.
+MODEL_FAMILIES: dict[str, ModelFamily] = {
+    family.name: family for family in (
+        ModelFamily("GCN", GCN, lambda stats: {
+            "in_features": stats.vertex_features,
+            "hidden_features": 16,
+            "out_features": stats.output_features,
+        }),
+        ModelFamily("GAT", GAT, lambda stats: {
+            "in_features": stats.vertex_features,
+            "hidden_features": 8,
+            "out_features": stats.output_features,
+            "num_heads": 8,
+            "normalize": False,
+        }),
+        ModelFamily("MPNN", MPNN, lambda stats: {
+            "node_features": stats.vertex_features,
+            "edge_features": stats.edge_features,
+            "hidden": stats.output_features,
+            "out_features": stats.output_features,
+            "steps": 3,
+        }),
+        ModelFamily("PGNN", PGNN, lambda stats: {
+            "in_features": stats.vertex_features,
+            "hidden_features": 8,
+            "out_features": stats.output_features,
+            "num_layers": 3,
+        }),
+        ModelFamily("SAGE", GraphSAGE, lambda stats: {
+            "in_features": stats.vertex_features,
+            "hidden_features": 32,
+            "out_features": stats.output_features,
+            "sample_size": 10,
+        }),
+        ModelFamily("GIN", GIN, lambda stats: {
+            "in_features": stats.vertex_features,
+            "hidden_features": 16,
+            "out_features": stats.output_features,
+            "eps": 0.0,
+        }),
+    )
+}
 
 
 def benchmark_model_config(benchmark: Benchmark) -> dict[str, Any]:
@@ -223,36 +182,29 @@ def benchmark_model_config(benchmark: Benchmark) -> dict[str, Any]:
     — the single source :func:`benchmark_model` builds from.
     """
     stats = DATASETS[benchmark.dataset.lower()]
-    family = benchmark.model.upper()
-    try:
-        registered = MODEL_FAMILIES[family]
-    except KeyError:
-        raise KeyError(f"unknown model family {benchmark.model!r}") from None
-    return {"family": family, **registered.config(stats)}
+    family = lookup(MODEL_FAMILIES, "model family", benchmark.model.upper())
+    return {"family": family.name, **family.config(stats)}
 
 
-def benchmark_model(benchmark: Benchmark, seed: int = 0) -> GNNModel:
+def benchmark_model(benchmark: Benchmark) -> GNNModel:
     """Construct the model for a benchmark, sized to its dataset."""
     params = benchmark_model_config(benchmark)
-    cls = MODEL_FAMILIES[params.pop("family")].cls
-    return cls(seed=seed, **params)
+    return MODEL_FAMILIES[params.pop("family")].cls(**params)
 
 
-def load_benchmark(
-    benchmark: Benchmark, seed: int = 0
-) -> tuple[GNNModel, Graph | GraphSet]:
+def load_benchmark(benchmark: Benchmark) -> tuple[GNNModel, Graph | GraphSet]:
     """Model plus input data for a benchmark."""
-    return benchmark_model(benchmark, seed=seed), load_dataset(benchmark.dataset)
+    return benchmark_model(benchmark), load_dataset(benchmark.dataset)
 
 
-def benchmark_ir(benchmark: Benchmark, seed: int = 0) -> ModelIR:
+def benchmark_ir(benchmark: Benchmark) -> ModelIR:
     """The per-layer op-stream IR of one benchmark inference pass."""
-    model, data = load_benchmark(benchmark, seed=seed)
+    model, data = load_benchmark(benchmark)
     return model.layer_ir(data)
 
 
 @lru_cache(maxsize=None)
-def benchmark_ir_digest(benchmark_key: str, seed: int = 0) -> str:
+def benchmark_ir_digest(benchmark_key: str) -> str:
     """Content hash of a benchmark's IR, memoized per process.
 
     This digest is the ``model`` half of every cross-system cache
@@ -260,10 +212,10 @@ def benchmark_ir_digest(benchmark_key: str, seed: int = 0) -> str:
     determine the emitted spec stream), so cached results can never
     alias across IR revisions or model-config changes.
     """
-    return benchmark_ir(benchmark_by_key(benchmark_key), seed=seed).digest()
+    return benchmark_ir(benchmark_by_key(benchmark_key)).digest()
 
 
-def benchmark_workload(benchmark: Benchmark, seed: int = 0) -> ModelWorkload:
+def benchmark_workload(benchmark: Benchmark) -> ModelWorkload:
     """Analytical workload of one benchmark inference pass."""
-    model, data = load_benchmark(benchmark, seed=seed)
+    model, data = load_benchmark(benchmark)
     return model.workload(data)

@@ -30,13 +30,12 @@ from repro.noc.fastmodel import PacketNetwork
 from repro.noc.analytical import AnalyticalNetwork
 from repro.noc.flitadapter import FlitNetworkAdapter
 from repro.noc.backends import (
+    BACKENDS,
     DEFAULT_BACKEND,
     BackendInfo,
-    UnknownBackendError,
     available_backends,
     backend_names,
     create_backend,
-    register_backend,
     validate_backend,
 )
 from repro.noc.traffic import (
@@ -62,13 +61,12 @@ __all__ = [
     "PacketNetwork",
     "AnalyticalNetwork",
     "FlitNetworkAdapter",
+    "BACKENDS",
     "DEFAULT_BACKEND",
     "BackendInfo",
-    "UnknownBackendError",
     "available_backends",
     "backend_names",
     "create_backend",
-    "register_backend",
     "validate_backend",
     "uniform_random",
     "hotspot",

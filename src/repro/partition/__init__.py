@@ -33,7 +33,6 @@ from repro.partition.core import (
 from repro.partition.methods import (
     DEFAULT_METHOD,
     PARTITION_METHODS,
-    UnknownPartitionMethodError,
     bfs_assignment,
     method_names,
     metis_assignment,
@@ -50,7 +49,6 @@ __all__ = [
     "Partition",
     "Shard",
     "ShardSpec",
-    "UnknownPartitionMethodError",
     "aggregation_ops",
     "bfs_assignment",
     "clear_partition_memo",

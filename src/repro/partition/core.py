@@ -306,8 +306,8 @@ def partition_graph(
 
     Deterministic for a given ``(data, parts, method, seed)``; the
     returned partition has been :meth:`~Partition.validate`\\ d.  Unknown
-    methods raise :class:`~repro.partition.methods.UnknownPartitionMethodError`
-    listing the valid names.
+    methods raise :class:`~repro.errors.UnknownNameError` listing the
+    valid names.
     """
     validate_method(method)
     if isinstance(data, GraphSet):

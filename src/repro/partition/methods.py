@@ -27,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import lookup
 from repro.graphs.graph import Graph
 
 #: Stop coarsening once the graph is this many vertices per target part.
@@ -40,17 +41,6 @@ _REFINE_PASSES = 4
 
 #: Allowed imbalance: no part may exceed ``(1 + slack) * ideal`` weight.
 _BALANCE_SLACK = 0.10
-
-
-class UnknownPartitionMethodError(ValueError):
-    """Raised for a partition-method name that is not registered."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(
-            f"unknown partition method {name!r}; "
-            f"valid: {', '.join(method_names())}"
-        )
 
 
 def _balanced_sizes(num_items: int, parts: int) -> np.ndarray:
@@ -402,7 +392,7 @@ def _check_parts(num_items: int, parts: int) -> None:
         )
 
 
-#: Registered assignment methods, name -> callable(graph, parts, seed).
+#: Assignment methods, name -> callable(graph, parts, seed).
 PARTITION_METHODS: dict[str, Callable[[Graph, int, int], np.ndarray]] = {
     "bfs": bfs_assignment,
     "metis": metis_assignment,
@@ -413,13 +403,12 @@ DEFAULT_METHOD = "metis"
 
 
 def method_names() -> tuple[str, ...]:
-    """Registered partition-method names, registration order."""
+    """Partition-method names, listing order."""
     return tuple(PARTITION_METHODS)
 
 
 def validate_method(name: str) -> str:
-    """Return ``name`` if registered, else raise
-    :class:`UnknownPartitionMethodError` listing the valid names."""
-    if name not in PARTITION_METHODS:
-        raise UnknownPartitionMethodError(name)
+    """Return ``name`` if it names a method, else raise
+    :class:`~repro.errors.UnknownNameError` listing the valid names."""
+    lookup(PARTITION_METHODS, "partition method", name)
     return name

@@ -44,11 +44,10 @@ class SimulationError(ReproError):
 
     Part of the :mod:`repro.exp.errors` taxonomy: a bit-deterministic
     simulator fails the same way every time, so the whole family is
-    ``status="diverged"`` and never retryable.
+    ``status="diverged"``.
     """
 
     status = "diverged"
-    retryable = False
 
 
 class SupportsProfiler(Protocol):

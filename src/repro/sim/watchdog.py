@@ -121,9 +121,9 @@ class WatchdogTrip(SimulationError):
     """A watchdog budget was exceeded; carries the full diagnosis.
 
     Taxonomy: every budget (events, simulated time, stall window) bounds
-    the deterministic simulation itself, so a trip is ``"diverged"`` and
-    never retryable: re-running a bit-deterministic simulation
-    reproduces the same trajectory.
+    the deterministic simulation itself, so a trip is ``"diverged"``:
+    re-running a bit-deterministic simulation reproduces the same
+    trajectory.
     """
 
     def __init__(self, diagnosis: WatchdogDiagnosis) -> None:

@@ -4,7 +4,7 @@ The paper evaluates exactly three hardware configurations (Table VI);
 the survey literature frames hardware-parameter search — mesh shape,
 buffer widths, bandwidth, clock — as the central co-design question
 those three points only sample.  This package turns the closed world of
-frozen config literals into an open, typed parameter space:
+config literals into an open, typed parameter space:
 
 * :mod:`repro.space.params` — typed descriptors (:class:`IntRange`,
   :class:`FloatRange`, :class:`Categorical`), derived parameters
@@ -14,29 +14,20 @@ frozen config literals into an open, typed parameter space:
   enumeration, seeded sampling, mutation, and :class:`SpacePoint`\\ s
   with canonical-JSON fingerprints that materialize real, validated
   :class:`~repro.accel.config.AcceleratorConfig`\\ s;
-* :mod:`repro.space.hardware` — the default space, the Table VI rows as
-  named points (bit-identical to the seed literals — cache keys and
-  reports — proven by the identity suite), and :func:`resolve_config`,
-  the single configuration-name resolver every consumer shares.
+* :mod:`repro.space.hardware` — the default space, which contains the
+  Table VI rows as ordinary points.
 
-Spaces are registered by name for the CLI (``repro dse --space NAME``);
-unknown names raise :class:`UnknownSpaceError` listing the valid ones.
+:data:`SPACES` names the spaces for the CLI (``repro dse --space
+NAME``); an unknown name raises :class:`~repro.errors.UnknownNameError`
+listing the valid ones.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.space.hardware import (
-    TABLE6_POINT_VALUES,
-    config_names,
-    default_space,
-    get_default_space,
-    mesh_columns,
-    named_configs,
-    resolve_config,
-    table6_point,
-)
+from repro.errors import lookup
+from repro.space.hardware import default_space, get_default_space, mesh_columns
 from repro.space.params import (
     Categorical,
     Constraint,
@@ -45,43 +36,23 @@ from repro.space.params import (
     IntRange,
     Parameter,
 )
-from repro.space.space import ConfigSpace, SpacePoint, UnknownPointError
+from repro.space.space import ConfigSpace, SpacePoint
 
-
-class UnknownSpaceError(KeyError):
-    """Raised for a space name that is not registered."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(
-            f"unknown parameter space {name!r}; "
-            f"valid: {', '.join(space_names())}"
-        )
-
-
-#: Registered space factories, by CLI name.
-_SPACES: dict[str, Callable[[], ConfigSpace]] = {
+#: Space factories, by CLI name.
+SPACES: dict[str, Callable[[], ConfigSpace]] = {
     "default": get_default_space,
 }
 
 
-def register_space(name: str, factory: Callable[[], ConfigSpace]) -> None:
-    """Register ``factory`` under ``name`` (re-registration is an error)."""
-    if name in _SPACES:
-        raise ValueError(f"parameter space {name!r} is already registered")
-    _SPACES[name] = factory
-
-
 def space_names() -> tuple[str, ...]:
-    """Registered space names, registration order."""
-    return tuple(_SPACES)
+    """Space names, listing order."""
+    return tuple(SPACES)
 
 
 def resolve_space(name: str) -> ConfigSpace:
-    """The registered space instance, or :class:`UnknownSpaceError`."""
-    if name not in _SPACES:
-        raise UnknownSpaceError(name)
-    return _SPACES[name]()
+    """The space named ``name``, or
+    :class:`~repro.errors.UnknownNameError`."""
+    return lookup(SPACES, "parameter space", name)()
 
 
 __all__ = [
@@ -92,18 +63,11 @@ __all__ = [
     "FloatRange",
     "IntRange",
     "Parameter",
+    "SPACES",
     "SpacePoint",
-    "TABLE6_POINT_VALUES",
-    "UnknownPointError",
-    "UnknownSpaceError",
-    "config_names",
     "default_space",
     "get_default_space",
     "mesh_columns",
-    "named_configs",
-    "register_space",
-    "resolve_config",
     "resolve_space",
     "space_names",
-    "table6_point",
 ]

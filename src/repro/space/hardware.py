@@ -1,16 +1,9 @@
-"""The default hardware parameter space and the one config resolver.
+"""The default hardware parameter space.
 
-This module closes the closed world of
-:data:`repro.accel.config.CONFIGURATIONS`: the three Table VI rows are
-re-expressed as *named points* of :func:`default_space`, and
-:func:`resolve_config` — the single source of truth every consumer
-(CLI, eval drivers, execution systems, sweep grids) funnels through —
-resolves a name to the space-derived configuration.
-
-The derivation is proven bit-identical to the frozen seed literals by
-``tests/space/test_table6_identity.py``: field-for-field dataclass
-equality, unchanged :func:`repro.exp.cache.point_key` cache keys, and
-field-identical simulation reports on the paper benchmarks.
+The three Table VI rows of :data:`repro.accel.config.CONFIGURATIONS`
+are ordinary points of :func:`default_space`: a search that lands on
+one builds that row field for field, apart from its ``dse-`` name, so
+it simulates exactly that design (``tests/space/test_table6_identity.py``).
 
 Mesh geometry is *derived*, not hand-listed: memory columns sit on the
 mesh edges (split left/right), tile columns fill the middle, and tiles
@@ -32,7 +25,7 @@ from repro.accel.config import (
 )
 from repro.noc.topology import Coord
 from repro.space.params import Categorical, Constraint, Derived, IntRange
-from repro.space.space import ConfigSpace, SpacePoint, UnknownPointError
+from repro.space.space import ConfigSpace
 
 
 def mesh_columns(
@@ -104,38 +97,16 @@ def _build(values: Mapping[str, Any], name: str) -> AcceleratorConfig:
     )
 
 
-#: Searchable values of the three Table VI rows, paper order.  The
-#: derived geometry reproduces the frozen literals exactly — see the
-#: identity suite.
-TABLE6_POINT_VALUES: dict[str, dict[str, Any]] = {
-    "CPU iso-BW": {
-        "tiles_per_row": 1, "mem_per_row": 1, "rows": 1,
-        "bandwidth_gbps": 68.0, "clock_ghz": 2.4,
-        "agg_alus": 16, "gpe_threads": 16,
-    },
-    "GPU iso-BW": {
-        "tiles_per_row": 2, "mem_per_row": 2, "rows": 4,
-        "bandwidth_gbps": 68.0, "clock_ghz": 2.4,
-        "agg_alus": 16, "gpe_threads": 16,
-    },
-    "GPU iso-FLOPS": {
-        "tiles_per_row": 4, "mem_per_row": 2, "rows": 4,
-        "bandwidth_gbps": 68.0, "clock_ghz": 2.4,
-        "agg_alus": 16, "gpe_threads": 16,
-    },
-}
-
-
 def default_space() -> ConfigSpace:
     """The default hardware search space (~2000 valid points).
 
     Searches the co-design axes the GNN-acceleration literature treats
     as central — mesh shape (tile and memory columns x rows), per-node
     memory bandwidth, tile clock, aggregator width, and GPE thread
-    count — with the Table VI rows as named points.  The NoC backend is
+    count — with the Table VI rows among its points.  The NoC backend is
     *not* a space axis: it selects a fidelity model of the same
     hardware, so it stays an argument or CLI option applied with
-    ``with_noc_backend``, exactly like the frozen configurations.
+    ``with_noc_backend``, exactly like the Table VI configurations.
     """
     return ConfigSpace(
         name="default",
@@ -165,17 +136,11 @@ def default_space() -> ConfigSpace:
             ),
         ),
         build=_build,
-        named_values=TABLE6_POINT_VALUES,
     )
 
 
-#: The process-wide default space instance (spaces are stateless; one
-#: instance keeps named-point identity stable).
+#: The process-wide default space instance (spaces are stateless).
 _DEFAULT_SPACE: ConfigSpace | None = None
-
-#: Named-point configs, materialized once, on the default NoC backend
-#: like the frozen literals.
-_NAMED_CONFIGS: dict[str, AcceleratorConfig] | None = None
 
 
 def get_default_space() -> ConfigSpace:
@@ -183,44 +148,3 @@ def get_default_space() -> ConfigSpace:
     if _DEFAULT_SPACE is None:
         _DEFAULT_SPACE = default_space()
     return _DEFAULT_SPACE
-
-
-def _named_configs() -> dict[str, AcceleratorConfig]:
-    global _NAMED_CONFIGS
-    if _NAMED_CONFIGS is None:
-        space = get_default_space()
-        _NAMED_CONFIGS = {
-            name: space.named_point(name).config()
-            for name in space.point_names()
-        }
-    return _NAMED_CONFIGS
-
-
-def config_names() -> tuple[str, ...]:
-    """Every resolvable configuration name, paper order."""
-    return tuple(_named_configs())
-
-
-def named_configs() -> tuple[AcceleratorConfig, ...]:
-    """The Table VI configurations, derived from the default space."""
-    return tuple(_named_configs().values())
-
-
-def resolve_config(name: str) -> AcceleratorConfig:
-    """The single source of truth for configuration-name resolution.
-
-    Resolves ``name`` through the default space's named points; unknown
-    names raise :class:`~repro.space.space.UnknownPointError` (a
-    ``KeyError``) listing every valid name — the same contract the
-    benchmark, system, and backend registries honour, so the CLI's
-    exit-2 paths treat all of them uniformly.
-    """
-    configs = _named_configs()
-    if name not in configs:
-        raise UnknownPointError(name, tuple(configs))
-    return configs[name]
-
-
-def table6_point(name: str) -> SpacePoint:
-    """The named space point behind a Table VI row."""
-    return get_default_space().named_point(name)

@@ -11,8 +11,8 @@ Every point carries a canonical-JSON fingerprint of its searchable
 values (the derived values are a pure function of them), hashed with
 :func:`repro.exp.cache.content_key` — the same convention every cache
 key in the repository uses.  The materialized config's *contents* feed
-:func:`repro.exp.cache.point_fingerprint` exactly as the three frozen
-Table VI configurations always have, so space-derived points ride the
+:func:`repro.exp.cache.point_fingerprint` exactly as the three Table VI
+configurations do, so space-derived points ride the
 memo, the persistent result cache, and the parallel sweep pool without
 any of those layers knowing a space exists.
 """
@@ -27,29 +27,18 @@ from repro.accel.config import AcceleratorConfig
 from repro.space.params import Constraint, Derived, Parameter
 
 
-class UnknownPointError(KeyError):
-    """Raised for a named point the space does not define."""
-
-    def __init__(self, name: str, valid: tuple[str, ...]) -> None:
-        super().__init__(
-            f"unknown configuration {name!r}; available: {list(valid)}"
-        )
-
-
 @dataclass(frozen=True)
 class SpacePoint:
     """One searchable point: a value for every searchable parameter.
 
     ``values`` is ordered by the space's parameter declaration order, so
     two points with the same assignments are equal (and hash equal)
-    regardless of how they were proposed.  ``label`` names the
-    well-known points (the Table VI rows); anonymous points derive a
-    deterministic ``dse-<digest>`` name from their values instead.
+    regardless of how they were proposed.  A point's configuration is
+    named ``dse-<digest>`` after its values.
     """
 
     space: "ConfigSpace" = field(compare=False, repr=False)
     values: tuple[tuple[str, Any], ...] = ()
-    label: str | None = field(default=None, compare=False)
 
     @property
     def value_map(self) -> dict[str, Any]:
@@ -67,9 +56,9 @@ class SpacePoint:
 
     @property
     def config_name(self) -> str:
-        """The materialized config's name: the label for named points,
-        a stable content-derived ``dse-...`` name otherwise."""
-        return self.label if self.label is not None else f"dse-{self.digest[:12]}"
+        """The materialized config's name, derived from the point's
+        contents: ``dse-`` and the digest's first 12 hex digits."""
+        return f"dse-{self.digest[:12]}"
 
     def config(self) -> AcceleratorConfig:
         """Materialize the real (validated) accelerator configuration."""
@@ -96,7 +85,6 @@ class ConfigSpace:
         build: Callable[[Mapping[str, Any], str], AcceleratorConfig],
         derived: tuple[Derived, ...] = (),
         constraints: tuple[Constraint, ...] = (),
-        named_values: Mapping[str, Mapping[str, Any]] | None = None,
     ) -> None:
         if len({p.name for p in params}) != len(params):
             raise ValueError("duplicate parameter names")
@@ -105,30 +93,12 @@ class ConfigSpace:
         self.derived = tuple(derived)
         self.constraints = tuple(constraints)
         self.build = build
-        self.named_values: dict[str, dict[str, Any]] = {
-            label: dict(values)
-            for label, values in (named_values or {}).items()
-        }
-        self._by_name = {p.name: p for p in self.params}
 
     # -- introspection ----------------------------------------------------
 
     @property
     def param_names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
-
-    def param(self, name: str) -> Parameter:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise KeyError(
-                f"space {self.name!r} has no parameter {name!r}; "
-                f"valid: {list(self.param_names)}"
-            ) from None
-
-    def point_names(self) -> tuple[str, ...]:
-        """The well-known point labels, declaration order."""
-        return tuple(self.named_values)
 
     # -- validation and materialization -----------------------------------
 
@@ -169,22 +139,9 @@ class ConfigSpace:
         """Constraint check only (values assumed on-grid)."""
         return all(c.holds(values) for c in self.constraints)
 
-    def point(
-        self, values: Mapping[str, Any], label: str | None = None
-    ) -> SpacePoint:
+    def point(self, values: Mapping[str, Any]) -> SpacePoint:
         """A validated point from a searchable assignment."""
-        ordered = self.check(values)
-        return SpacePoint(self, tuple(ordered.items()), label)
-
-    def named_point(self, name: str) -> SpacePoint:
-        """The well-known point registered under ``name``.
-
-        Unknown names raise :class:`UnknownPointError` (a ``KeyError``)
-        listing every valid name — the CLI's exit-2 contract.
-        """
-        if name not in self.named_values:
-            raise UnknownPointError(name, self.point_names())
-        return self.point(self.named_values[name], label=name)
+        return SpacePoint(self, tuple(self.check(values).items()))
 
     def expand(self, values: Mapping[str, Any]) -> dict[str, Any]:
         """Searchable values plus every derived value, in order."""
@@ -254,7 +211,4 @@ class ConfigSpace:
         return self.sample(rng)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ConfigSpace({self.name!r}, {len(self.params)} params, "
-            f"{len(self.named_values)} named points)"
-        )
+        return f"ConfigSpace({self.name!r}, {len(self.params)} params)"

@@ -4,7 +4,7 @@ The paper's headline claims are cross-system — the simulated GNN
 accelerator against CPU/GPU baselines at matched bandwidth (Table VII,
 Figure 8) and against a dense spatial dataflow accelerator (Section II).
 This package puts all of them behind one :class:`ExecutionBackend`
-protocol with a name-keyed registry, plans keyed by the result cache's
+protocol with a name-keyed table, plans keyed by the result cache's
 one key document (:func:`repro.exp.cache.key_document`), and a uniform
 cached entry point (:func:`run_system`), so the sweep runner, result
 cache, observability bundle, and CLI treat every system the same way::
@@ -24,17 +24,16 @@ from repro.systems.base import (
 )
 from repro.systems.registry import (
     DEFAULT_SYSTEM,
+    SYSTEMS,
     SystemInfo,
     SystemOptions,
-    UnknownSystemError,
     available_systems,
     create_system,
-    register_system,
     system_names,
     validate_system,
 )
-# Imported after the registry so the builtin-registration bootstrap
-# (registry bottom) is what first executes the backend modules.
+# Imported after the registry so building its table (registry bottom)
+# is what first executes the backend modules.
 from repro.systems.multichip import MultiChipConfig, MultiChipSystem
 from repro.systems.serialize import (
     system_report_from_dict,
@@ -50,12 +49,11 @@ __all__ = [
     "MultiChipConfig",
     "MultiChipSystem",
     "DEFAULT_SYSTEM",
+    "SYSTEMS",
     "SystemInfo",
     "SystemOptions",
-    "UnknownSystemError",
     "available_systems",
     "create_system",
-    "register_system",
     "system_names",
     "validate_system",
     "system_report_from_dict",

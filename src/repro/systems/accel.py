@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.accel.config import AcceleratorConfig
+from repro.accel.config import AcceleratorConfig, resolve_config
 from repro.exp.cache import DEFAULT_CACHE, config_fingerprint
-from repro.space import resolve_config
 from repro.systems.base import ExecutionPlan, SystemReport
 from repro.systems.registry import SystemOptions
 
@@ -38,9 +37,9 @@ def resolve_accel_config(
     noc_backend: str | None = None,
 ) -> AcceleratorConfig:
     """The accelerator recipe every caller shares: the Table VI row by
-    name (:func:`repro.space.resolve_config`), then the tile clock, then
-    the NoC backend.  ``None`` keeps the default row, the default clock
-    and the row's own backend (``"packet"``).
+    name (:func:`repro.accel.config.resolve_config`), then the tile
+    clock, then the NoC backend.  ``None`` keeps the default row, the
+    default clock and the row's own backend (``"packet"``).
     """
     config = resolve_config(config_name or DEFAULT_CONFIG_NAME)
     config = config.with_clock(clock_ghz or DEFAULT_CLOCK_GHZ)

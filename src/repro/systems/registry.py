@@ -1,9 +1,9 @@
-"""Named registry of interchangeable :class:`ExecutionBackend` systems.
+"""The table of interchangeable :class:`ExecutionBackend` systems.
 
 The harness selects the execution system by name — ``python -m repro
-sweep --system cpu`` or ``run_system("eyeriss", ...)`` — and this
-module maps the name to a factory, exactly like
-:mod:`repro.noc.backends` does for interconnect models.  The CLI runs
+sweep --system cpu`` or ``run_system("eyeriss", ...)`` — and
+:data:`SYSTEMS` maps the name to a factory, exactly like
+:data:`repro.noc.backends.BACKENDS` does for interconnect models.  The CLI runs
 :data:`DEFAULT_SYSTEM` when no ``--system`` is given.  Five systems
 ship built in:
 
@@ -32,21 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.errors import lookup
 from repro.systems.base import ExecutionBackend
 
 #: The CLI's system when none is named: the paper's proposed accelerator.
 DEFAULT_SYSTEM = "accel"
-
-
-class UnknownSystemError(ValueError):
-    """Raised for a system name that is not registered."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        super().__init__(
-            f"unknown execution system {name!r}; "
-            f"valid: {', '.join(system_names())}"
-        )
 
 
 @dataclass(frozen=True)
@@ -71,41 +61,27 @@ class SystemOptions:
 
 @dataclass(frozen=True)
 class SystemInfo:
-    """One registry entry: the factory plus a one-line summary."""
+    """One system: the factory plus a one-line summary."""
 
     name: str
     factory: Callable[[SystemOptions], ExecutionBackend]
     summary: str
 
 
-_REGISTRY: dict[str, SystemInfo] = {}
-
-
-def register_system(
-    name: str,
-    factory: Callable[[SystemOptions], ExecutionBackend],
-    summary: str,
-) -> None:
-    """Register ``factory`` under ``name`` (re-registration is an error)."""
-    if name in _REGISTRY:
-        raise ValueError(f"execution system {name!r} is already registered")
-    _REGISTRY[name] = SystemInfo(name=name, factory=factory, summary=summary)
-
-
 def system_names() -> tuple[str, ...]:
-    """Registered system names, registration order."""
-    return tuple(_REGISTRY)
+    """System names, listing order."""
+    return tuple(SYSTEMS)
 
 
 def available_systems() -> tuple[SystemInfo, ...]:
-    """Registry entries, registration order."""
-    return tuple(_REGISTRY.values())
+    """System entries, listing order."""
+    return tuple(SYSTEMS.values())
 
 
 def validate_system(name: str) -> str:
-    """Return ``name`` if registered, else raise :class:`UnknownSystemError`."""
-    if name not in _REGISTRY:
-        raise UnknownSystemError(name)
+    """Return ``name`` if it names a system, else raise
+    :class:`~repro.errors.UnknownNameError`."""
+    lookup(SYSTEMS, "execution system", name)
     return name
 
 
@@ -114,7 +90,7 @@ def create_system(
     options: SystemOptions | None = None,
     **overrides,
 ) -> ExecutionBackend:
-    """Instantiate the system registered under ``name``.
+    """Instantiate the system named ``name``.
 
     Keyword overrides build a :class:`SystemOptions` when one is not
     passed explicitly (``create_system("accel", clock_ghz=1.2)``).
@@ -123,36 +99,40 @@ def create_system(
         options = SystemOptions(**overrides)
     elif overrides:
         raise TypeError("pass either options= or keyword overrides, not both")
-    return _REGISTRY[validate_system(name)].factory(options)
+    return lookup(SYSTEMS, "execution system", name).factory(options)
 
 
-def _register_builtins() -> None:
+def _builtin_systems() -> dict[str, SystemInfo]:
+    # The system modules import SystemOptions from this module.
     from repro.systems.accel import AcceleratorSystem
     from repro.systems.baseline import CPU_SYSTEM_NAME, GPU_SYSTEM_NAME, BaselineSystem
     from repro.systems.eyeriss import EyerissSystem
     from repro.systems.multichip import MultiChipSystem
 
-    register_system(
-        "accel", AcceleratorSystem,
-        "event-driven GNN accelerator simulation (Table VI rows)",
-    )
-    register_system(
-        "cpu", lambda _options: BaselineSystem(CPU_SYSTEM_NAME),
-        "Xeon E5-2680v4 baseline: Table VII measured + roofline model",
-    )
-    register_system(
-        "gpu", lambda _options: BaselineSystem(GPU_SYSTEM_NAME),
-        "Titan XP baseline: Table VII measured + roofline model",
-    )
-    register_system(
-        "eyeriss", EyerissSystem,
-        "dense spatial-array dataflow mapper (Section II study; any "
-        "dense-expressible IR)",
-    )
-    register_system(
-        "multichip", MultiChipSystem,
-        "N partitioned accelerator chips with an inter-chip link model",
-    )
+    return {info.name: info for info in (
+        SystemInfo(
+            "accel", AcceleratorSystem,
+            "event-driven GNN accelerator simulation (Table VI rows)",
+        ),
+        SystemInfo(
+            "cpu", lambda _options: BaselineSystem(CPU_SYSTEM_NAME),
+            "Xeon E5-2680v4 baseline: Table VII measured + roofline model",
+        ),
+        SystemInfo(
+            "gpu", lambda _options: BaselineSystem(GPU_SYSTEM_NAME),
+            "Titan XP baseline: Table VII measured + roofline model",
+        ),
+        SystemInfo(
+            "eyeriss", EyerissSystem,
+            "dense spatial-array dataflow mapper (Section II study; any "
+            "dense-expressible IR)",
+        ),
+        SystemInfo(
+            "multichip", MultiChipSystem,
+            "N partitioned accelerator chips with an inter-chip link model",
+        ),
+    )}
 
 
-_register_builtins()
+#: Every system by name, in listing order.
+SYSTEMS: dict[str, SystemInfo] = _builtin_systems()

@@ -163,9 +163,9 @@ class TestAcceleratorConfig:
         assert switched.clock_ghz == CPU_ISO_BW.clock_ghz
 
     def test_with_noc_backend_rejects_unknown_names(self):
-        from repro.noc.backends import UnknownBackendError
+        from repro.errors import UnknownNameError
 
-        with pytest.raises(UnknownBackendError):
+        with pytest.raises(UnknownNameError):
             CPU_ISO_BW.with_noc_backend("booksim")
 
     def test_noc_runs_at_fixed_2p4_ghz(self):

@@ -13,7 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.dse import DRIVERS, UnknownDriverError, driver_names, resolve_driver, run_dse
+from repro.dse import DRIVERS, driver_names, resolve_driver, run_dse
+from repro.errors import UnknownNameError
 from repro.exp import runner as runner_module
 from repro.exp.runner import PointResult
 from repro.space import get_default_space
@@ -57,7 +58,7 @@ class TestRegistry:
         assert resolve_driver("random") is DRIVERS["random"]
 
     def test_unknown_driver_lists_valid_names(self):
-        with pytest.raises(UnknownDriverError, match="evolutionary"):
+        with pytest.raises(UnknownNameError, match="evolutionary"):
             resolve_driver("annealing")
 
 

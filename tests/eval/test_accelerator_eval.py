@@ -109,16 +109,14 @@ class TestConfigContentKeying:
         self, monkeypatch
     ):
         # Regression: run_benchmark used to memoize on the *name* of the
-        # configuration, so replacing a registry entry (as
+        # configuration, so replacing a table entry (as
         # examples/design_sweeps.py encourages) silently returned the old
         # report.  Keys are content hashes of the resolved config now.
-        # Name resolution lives in repro.space since the parameter-space
-        # refactor, so the mutation targets its named-config registry.
         import dataclasses
 
-        from repro.space import hardware
+        from repro.accel.config import CONFIGURATIONS_BY_NAME, resolve_config
 
-        cpu_iso_bw = hardware.resolve_config("CPU iso-BW")
+        cpu_iso_bw = resolve_config("CPU iso-BW")
         baseline = run_benchmark("gcn-cora", "CPU iso-BW", 2.4)
         starved = dataclasses.replace(
             cpu_iso_bw,
@@ -127,9 +125,7 @@ class TestConfigContentKeying:
             ),
         )
         assert starved.name == "CPU iso-BW"  # same name, different hardware
-        monkeypatch.setitem(
-            hardware._named_configs(), "CPU iso-BW", starved
-        )
+        monkeypatch.setitem(CONFIGURATIONS_BY_NAME, "CPU iso-BW", starved)
         report = run_benchmark("gcn-cora", "CPU iso-BW", 2.4)
         assert report is not baseline
         # GCN is bandwidth-bound: a quarter of the memory bandwidth must

@@ -27,6 +27,13 @@ from repro.exp.cache import (
 from repro.runtime.report import LayerReport, SimulationReport
 from repro.runtime.serialize import report_to_dict
 
+#: Searchable values of the GPU iso-BW row in the default space.
+GPU_ISO_BW_VALUES = {
+    "tiles_per_row": 2, "mem_per_row": 2, "rows": 4,
+    "bandwidth_gbps": 68.0, "clock_ghz": 2.4,
+    "agg_alus": 16, "gpe_threads": 16,
+}
+
 
 def sample_report() -> SimulationReport:
     return SimulationReport(
@@ -122,18 +129,13 @@ class TestPointKey:
 
     def test_space_derived_configs_key_by_contents(self):
         # Space-derived points (repro.space) enter the cache by the same
-        # contents-based fingerprint as the literals: the named Table VI
-        # points reproduce the historical keys bit-for-bit, while an
-        # anonymous DSE point with the same searchable values carries a
+        # contents-based fingerprint as the literals: a DSE point with
+        # the GPU iso-BW row's searchable values carries a
         # content-derived dse-... name and therefore its own entry —
-        # anonymous search results can never shadow a named row's report.
-        from repro.space import get_default_space, resolve_config
+        # search results can never shadow a Table VI row's report.
+        from repro.space import get_default_space
 
-        space = get_default_space()
-        assert point_key("gcn-cora", resolve_config("GPU iso-BW")) == (
-            point_key("gcn-cora", GPU_ISO_BW)
-        )
-        anonymous = space.point(space.named_values["GPU iso-BW"])
+        anonymous = get_default_space().point(GPU_ISO_BW_VALUES)
         assert anonymous.config_name.startswith("dse-")
         assert point_key("gcn-cora", anonymous.config()) != point_key(
             "gcn-cora", GPU_ISO_BW

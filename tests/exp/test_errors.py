@@ -1,22 +1,16 @@
 """The unified failure taxonomy: one root, one classification path.
 
-:class:`WatchdogTrip`, :class:`SimulationFailure`, the sweep point
-errors and the serving error all hang off
-:class:`repro.errors.ReproError`, each with ``status``/``retryable``
-attributes, and :func:`classify` is the single exception ->
-``(status, retryable)`` mapping the sweep runner uses.
+:class:`WatchdogTrip`, :class:`SimulationFailure` and the serving error
+all hang off :class:`repro.errors.ReproError`, each with a ``status``
+attribute, and :func:`classify` is the single exception -> status
+mapping the sweep runner uses.
 """
 
 import pytest
 
-from repro.errors import ReproError
-from repro.exp.errors import (
-    PointCrash,
-    PointTimeout,
-    ServeError,
-    SimulationDiverged,
-    classify,
-)
+from repro.accel.config import CPU_ISO_BW, resolve_config
+from repro.errors import ReproError, UnknownNameError
+from repro.exp.errors import ServeError, classify
 from repro.runtime.engine import SimulationFailure
 from repro.sim.kernel import SimulationError
 from repro.sim.watchdog import WatchdogDiagnosis, WatchdogTrip
@@ -30,8 +24,7 @@ def diagnosis(reason: str) -> WatchdogDiagnosis:
 
 class TestOneHierarchy:
     @pytest.mark.parametrize("cls", [
-        SimulationError, SimulationFailure, PointTimeout, PointCrash,
-        SimulationDiverged, ServeError,
+        SimulationError, SimulationFailure, ServeError,
     ])
     def test_everything_descends_from_the_root(self, cls):
         assert issubclass(cls, ReproError)
@@ -45,15 +38,15 @@ class TestStatusAndRetryability:
     def test_serving_retry_semantics(self):
         # The scheduler raises only when it is itself broken (a looping
         # event queue, lost-request accounting): a deterministic replay
-        # breaks the same way again, so it never retries.
-        assert not ServeError.retryable
+        # breaks the same way again.
         assert ServeError.status == "error"
 
     def test_simulator_failures_never_retry(self):
-        # Bit-deterministic simulations fail identically on re-run.
-        assert not SimulationError.retryable
-        assert not WatchdogTrip(diagnosis("stall")).retryable
-        assert not SimulationFailure("wedged").retryable
+        # Bit-deterministic simulations fail identically on re-run, so
+        # they are "diverged", which the sweep runner never retries.
+        assert SimulationError.status == "diverged"
+        assert WatchdogTrip(diagnosis("stall")).status == "diverged"
+        assert SimulationFailure("wedged").status == "diverged"
 
     def test_serve_error_carries_replay_coordinates(self):
         exc = ServeError("too slow", request_id=17, at_ms=42.5, attempts=2)
@@ -62,13 +55,26 @@ class TestStatusAndRetryability:
 
 class TestClassify:
     @pytest.mark.parametrize("exc, expected", [
-        (ServeError("x"), ("error", False)),
-        (PointCrash("x"), ("crash", True)),
-        (PointTimeout("x"), ("timeout", False)),
-        (SimulationError("x"), ("diverged", False)),
-        (SimulationFailure("x"), ("diverged", False)),
-        (ValueError("foreign"), ("error", False)),
-        (KeyboardInterrupt(), ("error", False)),
+        (ServeError("x"), "error"),
+        (SimulationError("x"), "diverged"),
+        (SimulationFailure("x"), "diverged"),
+        (ValueError("foreign"), "error"),
+        (KeyboardInterrupt(), "error"),
     ])
     def test_status_pairs(self, exc, expected):
         assert classify(exc) == expected
+
+
+class TestUnknownName:
+    def test_caught_as_key_error_and_as_value_error(self):
+        with pytest.raises(KeyError) as lookup_error:
+            resolve_config("x")
+        with pytest.raises(ValueError) as argument_error:
+            CPU_ISO_BW.with_noc_backend("booksim")
+        for exc in (lookup_error.value, argument_error.value):
+            assert isinstance(exc, UnknownNameError)
+        assert (lookup_error.value.kind, lookup_error.value.name) == (
+            "configuration", "x")
+        assert str(argument_error.value) == (
+            "unknown NoC backend 'booksim'; valid: packet, flit, analytical"
+        )

@@ -21,7 +21,7 @@ import repro.eval.accelerator as eval_accel
 import repro.exp.runner as runner_mod
 from repro.accel.config import CPU_ISO_BW
 from repro.exp.cache import ResultCache, clear_memo, store
-from repro.exp.errors import SimulationDiverged, SweepFailed
+from repro.exp.errors import SweepFailed
 from repro.exp.runner import (
     Point,
     RetryPolicy,
@@ -145,7 +145,7 @@ class TestSerial:
         with pytest.raises(SweepFailed) as exc:
             run_sweep(make_points("strict"), jobs=1, cache=fresh_cache)
         outcome = exc.value.outcome
-        assert isinstance(outcome.failures[0].to_error(), SimulationDiverged)
+        assert outcome.failures[0].status == "diverged"
         assert "watchdog" in str(exc.value)
 
     def test_serial_wall_budget_trips_as_timeout(self, fresh_cache):

@@ -49,7 +49,7 @@ def _resize_gcn(monkeypatch, hidden: int) -> None:
 class TestWorkloadFingerprint:
     def test_model_stanza_is_the_ir_digest(self):
         fp = system_plan("cpu", "gcn-cora").fingerprint()
-        assert fp["ir"] == benchmark_ir_digest("gcn-cora", 0)
+        assert fp["ir"] == benchmark_ir_digest("gcn-cora")
         assert len(fp["ir"]) == 64
         json.dumps(fp)  # stays plain data
 
@@ -71,7 +71,7 @@ class TestWorkloadFingerprint:
 class TestPointFingerprint:
     def test_carries_the_ir_digest(self):
         doc = point_fingerprint("gcn-cora", CPU_ISO_BW)
-        assert doc["ir"] == benchmark_ir_digest("gcn-cora", 0)
+        assert doc["ir"] == benchmark_ir_digest("gcn-cora")
         json.dumps(doc)
 
     def test_resized_model_changes_the_point_key(self, monkeypatch):
@@ -93,7 +93,7 @@ class TestShardFingerprint:
     def test_carries_the_ir_digest(self):
         spec = ShardSpec(chips=2, index=0, method="bfs", seed=0)
         doc = point_fingerprint("gcn-cora", CPU_ISO_BW, shard=spec)
-        assert doc["ir"] == benchmark_ir_digest("gcn-cora", 0)
+        assert doc["ir"] == benchmark_ir_digest("gcn-cora")
         assert doc["shard"] == spec.fingerprint()
         json.dumps(doc)
 

@@ -16,7 +16,6 @@ from repro.models import (
     benchmark_model,
     benchmark_workload,
     load_benchmark,
-    register_model_family,
 )
 from repro.models.registry import resolve_benchmark_key
 
@@ -101,10 +100,6 @@ class TestExtensionRows:
         work = benchmark_workload(bench)
         assert work.total_flops > 0
         assert work.total_bytes > 0
-
-    def test_duplicate_family_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_model_family("GIN", GIN, lambda stats: {})
 
 
 class TestShorthandResolution:

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.accel.config import CPU_ISO_BW, AcceleratorConfig
+from repro.errors import UnknownNameError
 from repro.exp.cache import point_key
 from repro.noc import (
     AnalyticalNetwork,
@@ -24,11 +25,9 @@ from repro.noc import (
     PacketNetwork,
 )
 from repro.noc.backends import (
-    UnknownBackendError,
     available_backends,
     backend_names,
     create_backend,
-    register_backend,
     validate_backend,
 )
 from repro.noc.config import NocConfig
@@ -66,17 +65,13 @@ class TestRegistry:
             assert info.fidelity.strip()
 
     def test_unknown_name_lists_the_valid_ones(self):
-        with pytest.raises(UnknownBackendError) as excinfo:
+        with pytest.raises(UnknownNameError) as excinfo:
             validate_backend("booksim")
         message = str(excinfo.value)
         assert "booksim" in message
         for name in BACKENDS:
             assert name in message
         assert isinstance(excinfo.value, ValueError)  # caller-friendly base
-
-    def test_duplicate_registration_is_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("packet", PacketNetwork, "duplicate")
 
 
 class TestCacheKeys:

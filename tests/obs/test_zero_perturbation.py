@@ -16,13 +16,13 @@ import tracemalloc
 import pytest
 
 from benchmarks.suite.digests import digest
+from repro.accel.config import resolve_config
 from repro.eval.accelerator import _compiled_program, run_config
 from repro.exp.cache import ResultCache, clear_memo, lookup, point_key
 from repro.obs import Observer
 from repro.runtime.engine import simulate
 from repro.runtime.serialize import report_to_dict
 from repro.sim.kernel import Simulator
-from repro.space import resolve_config
 
 from tests.test_golden_digests import accel_key, golden
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import UnknownNameError
 from repro.graphs.generators import (
     STRESS_PRESETS,
     citation_graph,
@@ -29,7 +30,6 @@ from repro.models.workload import BYTES_PER_VALUE, EdgeAggregation, ModelWorkloa
 from repro.partition import (
     PARTITION_METHODS,
     ShardSpec,
-    UnknownPartitionMethodError,
     communication_volume_bytes,
     edge_volume_bytes,
     halo_volume_bytes,
@@ -185,9 +185,9 @@ def test_induced_subgraphs_slice_features():
 
 def test_unknown_method_raises_with_valid_names():
     graph = citation_graph(20, 30, seed=0)
-    with pytest.raises(UnknownPartitionMethodError, match="bfs"):
+    with pytest.raises(UnknownNameError, match="bfs"):
         partition_graph(graph, 2, method="kaffpa")
-    with pytest.raises(UnknownPartitionMethodError):
+    with pytest.raises(UnknownNameError):
         validate_method("kaffpa")
     assert set(method_names()) == set(METHODS)
 
@@ -207,7 +207,7 @@ def test_shard_spec_validation_and_fingerprint():
         ShardSpec(chips=2, index=2)
     with pytest.raises(ValueError):
         ShardSpec(chips=0, index=0)
-    with pytest.raises(UnknownPartitionMethodError):
+    with pytest.raises(UnknownNameError):
         ShardSpec(chips=2, index=0, method="kaffpa")
 
 

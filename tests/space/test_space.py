@@ -5,15 +5,23 @@ import random
 import pytest
 
 from repro.accel.config import AcceleratorConfig
+from repro.errors import UnknownNameError
 from repro.exp.cache import point_key
 from repro.space import (
-    UnknownPointError,
-    UnknownSpaceError,
     get_default_space,
     mesh_columns,
     resolve_space,
     space_names,
 )
+
+#: Searchable values of the CPU iso-BW and GPU iso-BW rows.
+CPU_ISO_BW_VALUES = {
+    "tiles_per_row": 1, "mem_per_row": 1, "rows": 1,
+    "bandwidth_gbps": 68.0, "clock_ghz": 2.4,
+    "agg_alus": 16, "gpe_threads": 16,
+}
+GPU_ISO_BW_VALUES = dict(CPU_ISO_BW_VALUES, tiles_per_row=2, mem_per_row=2,
+                         rows=4)
 
 
 @pytest.fixture(scope="module")
@@ -64,13 +72,13 @@ class TestGridEnumeration:
         assert count == space.size > 1000
 
     def test_off_grid_value_rejected(self, space):
-        values = dict(space.named_values["CPU iso-BW"])
+        values = dict(CPU_ISO_BW_VALUES)
         values["rows"] = 99
         with pytest.raises(ValueError, match="not a grid value"):
             space.point(values)
 
     def test_missing_and_unknown_parameters_rejected(self, space):
-        values = dict(space.named_values["CPU iso-BW"])
+        values = dict(CPU_ISO_BW_VALUES)
         del values["rows"]
         with pytest.raises(ValueError, match="missing value"):
             space.point(values)
@@ -80,7 +88,7 @@ class TestGridEnumeration:
             space.point(values)
 
     def test_constraint_violation_rejected_by_name(self, space):
-        values = dict(space.named_values["CPU iso-BW"])
+        values = dict(CPU_ISO_BW_VALUES)
         values["mem_per_row"] = 2  # > tiles_per_row = 1
         with pytest.raises(ValueError, match="mem-needs-client-tiles"):
             space.point(values)
@@ -99,7 +107,7 @@ class TestSamplingAndMutation:
 
     def test_mutate_changes_at_most_one_parameter(self, space):
         rng = random.Random(5)
-        point = space.named_point("GPU iso-BW")
+        point = space.point(GPU_ISO_BW_VALUES)
         for _ in range(32):
             child = space.mutate(point, rng)
             changed = [
@@ -110,7 +118,7 @@ class TestSamplingAndMutation:
             assert space.satisfies(child.value_map)
 
     def test_mutate_is_seeded(self, space):
-        point = space.named_point("GPU iso-BW")
+        point = space.point(GPU_ISO_BW_VALUES)
         a = space.mutate(point, random.Random(9)).values
         b = space.mutate(point, random.Random(9)).values
         assert a == b
@@ -118,11 +126,11 @@ class TestSamplingAndMutation:
 
 class TestPointIdentity:
     def test_equal_values_mean_equal_points(self, space):
-        values = space.named_values["CPU iso-BW"]
+        values = CPU_ISO_BW_VALUES
         assert space.point(values) == space.point(dict(values))
 
     def test_anonymous_points_get_stable_content_names(self, space):
-        values = dict(space.named_values["CPU iso-BW"])
+        values = dict(CPU_ISO_BW_VALUES)
         values["rows"] = 2
         name = space.point(values).config_name
         assert name.startswith("dse-")
@@ -132,7 +140,7 @@ class TestPointIdentity:
         """Poisoning regression: varying any single searchable parameter
         must change the materialized config's cache key — a collision
         would serve one design point another's report."""
-        base_values = dict(space.named_values["GPU iso-BW"])
+        base_values = dict(GPU_ISO_BW_VALUES)
         base_key = point_key("gcn-cora", space.point(base_values).config())
         varied = {
             "tiles_per_row": 3, "mem_per_row": 1, "rows": 2,
@@ -151,7 +159,7 @@ class TestPointIdentity:
         from repro.partition.core import ShardSpec
 
         spec = ShardSpec(chips=2, index=0)
-        values = dict(space.named_values["CPU iso-BW"])
+        values = dict(CPU_ISO_BW_VALUES)
         a = point_key("gcn-cora", space.point(values).config(), shard=spec)
         values["bandwidth_gbps"] = 136.0
         b = point_key("gcn-cora", space.point(values).config(), shard=spec)
@@ -164,9 +172,5 @@ class TestRegistry:
         assert resolve_space("default").name == "default"
 
     def test_unknown_space_lists_valid_names(self):
-        with pytest.raises(UnknownSpaceError, match="default"):
+        with pytest.raises(UnknownNameError, match="default"):
             resolve_space("hyper")
-
-    def test_unknown_named_point_lists_valid_names(self, space):
-        with pytest.raises(UnknownPointError, match="CPU iso-BW"):
-            space.named_point("TPU iso-BW")

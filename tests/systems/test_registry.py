@@ -2,14 +2,13 @@
 
 import pytest
 
+from repro.errors import UnknownNameError
 from repro.systems import (
     DEFAULT_SYSTEM,
     ExecutionBackend,
     SystemOptions,
-    UnknownSystemError,
     available_systems,
     create_system,
-    register_system,
     system_names,
     validate_system,
 )
@@ -34,7 +33,7 @@ class TestLookup:
             assert system.name == name
 
     def test_unknown_system_error_lists_valid_names(self):
-        with pytest.raises(UnknownSystemError) as excinfo:
+        with pytest.raises(UnknownNameError) as excinfo:
             create_system("tpu")
         message = str(excinfo.value)
         assert "tpu" in message
@@ -43,7 +42,7 @@ class TestLookup:
 
     def test_validate_is_a_cheap_preflight(self):
         validate_system("cpu")  # no instantiation, no error
-        with pytest.raises(UnknownSystemError):
+        with pytest.raises(UnknownNameError):
             validate_system("npu")
 
 
@@ -54,12 +53,6 @@ class TestDefaults:
 
 
 class TestRegistration:
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError):
-            register_system(
-                "accel", lambda options: None, "an impostor"
-            )
-
     def test_options_and_overrides_are_exclusive(self):
         with pytest.raises(TypeError):
             create_system(

@@ -473,6 +473,20 @@ class TestCommands:
         assert "npu" in err
         assert "eyeriss" in err
 
+    def test_sweep_counts_failed_points_as_not_simulated(self, capsys):
+        """Only points that simulated count as simulated: eyeriss cannot
+        map pgnn-dblp_1, so one of the two points fails."""
+        from repro.exp.cache import clear_memo
+
+        clear_memo()  # other tests may have run gcn-cora on eyeriss
+        code = main(["sweep", "--system", "eyeriss", "--benchmarks",
+                     "pgnn-dblp_1", "gcn-cora", "--no-cache", "--jobs", "1"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "2 points (0 cached, 1 simulated)" in captured.out
+        assert "repro sweep: 1 point(s) failed:" in captured.err
+        assert "pgnn-dblp_1 on eyeriss: ERROR" in captured.err
+
     def test_sweep_failure_exits_1(self, capsys, monkeypatch):
         """A sweep with failed points prints their summary and exits 1."""
         import repro.exp.runner as runner_mod
@@ -690,9 +704,8 @@ class TestUnknownNameContract:
         ["sweep", "--configs", "CPU iso-BW", "TPU iso-BW"],
     ])
     def test_unknown_config_exits_2_everywhere(self, argv, capsys):
-        # Config names resolve through repro.space.resolve_config — the
-        # same single resolver — so the sweep's historical bespoke
-        # validator and the one-config commands now share one message.
+        # Config names resolve through repro.accel.config.resolve_config,
+        # so the sweep and the one-config commands share one message.
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "TPU iso-BW" in err
@@ -710,6 +723,36 @@ class TestUnknownNameContract:
         err = capsys.readouterr().err
         assert "annealing" in err
         assert "evolutionary" in err  # lists the valid names
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "bert-wikipedia"],
+         "repro simulate: unknown benchmark 'bert-wikipedia'; valid: "
+         "gcn-cora, gcn-citeseer, gcn-pubmed, gat-cora, mpnn-qm9_1000, "
+         "pgnn-dblp_1, sage-cora, sage-pubmed, gin-citeseer"),
+        (["simulate", "gcn-cora", "--config", "TPU"],
+         "repro simulate: unknown configuration 'TPU'; valid: "
+         "CPU iso-BW, GPU iso-BW, GPU iso-FLOPS"),
+        (["compare", "gcn-cora", "--systems", "tpu"],
+         "repro compare: unknown execution system 'tpu'; valid: "
+         "accel, cpu, gpu, eyeriss, multichip"),
+        (["sweep", "--noc-backend", "booksim"],
+         "repro sweep: unknown NoC backend 'booksim'; valid: "
+         "packet, flit, analytical"),
+        (["partition-sweep", "gcn-cora", "--method", "kaffpa"],
+         "repro partition-sweep: unknown partition method 'kaffpa'; "
+         "valid: bfs, metis"),
+        (["dse", "gcn-cora", "--space", "hyper"],
+         "repro dse: unknown parameter space 'hyper'; valid: default"),
+        (["dse", "gcn-cora", "--driver", "annealing"],
+         "repro dse: unknown search driver 'annealing'; valid: "
+         "grid, random, evolutionary"),
+    ], ids=["benchmark", "configuration", "system", "noc-backend",
+            "partition-method", "space", "driver"])
+    def test_every_kind_prints_one_message(self, argv, line, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
     def test_every_benchmark_taking_subcommand_is_covered(self, capsys):
         """Introspect the argparse tree so *future* subcommands inherit

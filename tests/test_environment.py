@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.accel.config import AcceleratorConfig
+from repro.accel.config import AcceleratorConfig, resolve_config
 from repro.cli import main
 from repro.exp.runner import RetryPolicy, run_sweep_detailed
-from repro.space import resolve_config
 from repro.systems import create_system
 
 PACKAGE = Path(repro.__file__).resolve().parent
