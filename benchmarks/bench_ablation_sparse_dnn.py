@@ -7,11 +7,12 @@ scheduler with a 16-wide lookahead, and the paper's GNN accelerator) and
 checks the argument quantitatively.
 """
 
-from repro.dataflow import EYERISS_CONFIG, analyze_network, gcn_dense_layers
+from repro.dataflow import EYERISS_CONFIG, analyze_network, ir_dense_layers
 from repro.dataflow.sparse_accel import analyze_network_sparse
 from repro.eval.accelerator import run_benchmark
 from repro.eval.report import format_table
-from repro.graphs import DATASETS, load_dataset
+from repro.graphs import DATASETS
+from repro.models.registry import benchmark_by_key, benchmark_ir
 
 GRAPHS = ("cora", "citeseer", "pubmed")
 
@@ -20,10 +21,8 @@ def test_bench_sparse_dnn(benchmark, fresh_simulations):
     def run():
         rows = []
         for name in GRAPHS:
-            graph = load_dataset(name)
-            layers = gcn_dense_layers(
-                graph, hidden=16,
-                out_features=DATASETS[name].output_features,
+            layers = ir_dense_layers(
+                benchmark_ir(benchmark_by_key(f"gcn-{name}"))
             )
             dense = analyze_network(layers, EYERISS_CONFIG, 68.0)
             sparse = analyze_network_sparse(layers)

@@ -14,19 +14,24 @@ import dataclasses
 
 from repro.dataflow import (
     EYERISS_CONFIG,
+    MatmulLayer,
     analyze_network,
-    gcn_dense_layers,
+    ir_dense_layers,
 )
 from repro.eval.section2 import TABLE2_PAPER_MS
 from repro.graphs import DATASETS, load_dataset
+from repro.models.registry import benchmark_by_key, benchmark_ir
+
+
+def gcn_layers(name: str) -> list[MatmulLayer]:
+    """The GCN benchmark on graph ``name`` as dense matmul layers."""
+    return ir_dense_layers(benchmark_ir(benchmark_by_key(f"gcn-{name}")))
 
 
 def study_graph(name: str) -> None:
     graph = load_dataset(name)
     stats = DATASETS[name]
-    layers = gcn_dense_layers(
-        graph, hidden=16, out_features=stats.output_features
-    )
+    layers = gcn_layers(name)
     print(f"\n=== GCN on {stats.name} "
           f"({graph.sparsity(with_self_loops=True):.3%} sparse) ===")
     analysis = analyze_network(layers, EYERISS_CONFIG, bandwidth_gbps=68.0)
@@ -50,8 +55,7 @@ def study_graph(name: str) -> None:
 
 def buffer_sweep() -> None:
     print("\n=== Global buffer sweep (Pubmed, 68 GBps) ===")
-    graph = load_dataset("pubmed")
-    layers = gcn_dense_layers(graph, hidden=16, out_features=3)
+    layers = gcn_layers("pubmed")
     print("buffer      latency   traffic")
     for kilobytes in (54, 108, 216, 432):
         config = dataclasses.replace(

@@ -6,7 +6,8 @@ adjacency matrix as weights — onto an Eyeriss-like 182-PE array using
 NN-Dataflow.  This package reimplements that flow analytically:
 
 * :mod:`repro.dataflow.layers` — matmul/FC layer descriptors with optional
-  operand sparsity annotations,
+  operand sparsity annotations, and the lowering of any model's layer IR
+  to them,
 * :mod:`repro.dataflow.spatial` — the Table I array configuration,
 * :mod:`repro.dataflow.mapper` — a tiling search over the buffer hierarchy
   that reports latency, off-chip traffic, and PE utilization (total and
@@ -18,7 +19,7 @@ onto a Eyeriss-like single-tile spatial array").
 """
 
 from repro.dataflow.conv import ConvLayer, pointwise_conv
-from repro.dataflow.layers import MatmulLayer, gcn_dense_layers
+from repro.dataflow.layers import MatmulLayer, ir_dense_layers
 from repro.dataflow.spatial import EYERISS_CONFIG, SpatialArrayConfig
 from repro.dataflow.mapper import (
     LayerAnalysis,
@@ -33,7 +34,7 @@ __all__ = [
     "ConvLayer",
     "pointwise_conv",
     "MatmulLayer",
-    "gcn_dense_layers",
+    "ir_dense_layers",
     "SpatialArrayConfig",
     "EYERISS_CONFIG",
     "Mapping",

@@ -6,14 +6,16 @@ graph convolution "implemented as a convolution with the adjacency matrix
 as the weights".  Sparsity annotations (``a_nnz``) record how many entries
 of the A operand are nonzero so useful-work fractions can be reported; the
 dense scheduler itself ignores them, exactly like a dense DNN accelerator.
+
+:func:`ir_dense_layers` lowers any model's layer IR to that sequence;
+the Section II study (:mod:`repro.eval.section2`) and the ``eyeriss``
+execution system both run it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from repro.graphs.graph import Graph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.models.ir import ModelIR
@@ -69,35 +71,6 @@ class MatmulLayer:
         return self.a_nnz / (self.m * self.k)
 
 
-def gcn_dense_layers(
-    graph: Graph, hidden: int = 16, out_features: int = 7
-) -> list[MatmulLayer]:
-    """The GCN network as the dense layer sequence of the Section II study.
-
-    Project-then-propagate per layer (the cheaper order every
-    implementation uses):
-
-    1. ``H0 = X W0``           — dense FC,
-    2. ``H1 = Ahat H0``        — "convolution" with the adjacency weights,
-    3. ``H2 = H1 W1``          — dense FC,
-    4. ``Y  = Ahat H2``        — adjacency again.
-
-    The adjacency operand is ``A + I`` normalized, so its nonzero count is
-    the stored directed edges plus one self loop per vertex.
-    """
-    n = graph.num_nodes
-    features = graph.num_node_features
-    if features < 1:
-        raise ValueError("graph must carry node features")
-    adj_nnz = graph.nnz + n
-    return [
-        MatmulLayer("project0", m=n, k=features, n=hidden),
-        MatmulLayer("propagate0", m=n, k=n, n=hidden, a_nnz=adj_nnz),
-        MatmulLayer("project1", m=n, k=hidden, n=out_features),
-        MatmulLayer("propagate1", m=n, k=n, n=out_features, a_nnz=adj_nnz),
-    ]
-
-
 class UnmappableSpecError(ValueError):
     """The IR contains a phase with no dense-matrix equivalent (e.g. a
     dependent multi-hop traversal), so it cannot be forced through a
@@ -122,8 +95,11 @@ def ir_dense_layers(ir: "ModelIR") -> list[MatmulLayer]:
     ``m``); every gather/reduce phase becomes a "convolution with the
     adjacency matrix as the weights" whose nonzero count is the phase's
     true input count.  Elementwise phases vanish into the streaming
-    math, exactly as a dense DNN mapping would fuse them.  For the GCN
-    benchmarks the result is :func:`gcn_dense_layers`, layer for layer.
+    math, exactly as a dense DNN mapping would fuse them.  A GCN becomes
+    Section II's four layers, project then propagate per layer
+    (``project0``, ``propagate0``, ``project1``, ``propagate1``), whose
+    adjacency operand ``A + I`` has one nonzero per stored directed edge
+    plus one self loop per vertex.
 
     Raises :class:`UnmappableSpecError` for phases with no dense
     equivalent (PGNN's dependent multi-hop expansion).

@@ -1,4 +1,4 @@
-"""Design-space exploration over typed hardware parameter spaces.
+"""Design-space exploration over hardware parameter spaces.
 
 The ``repro dse`` subcommand's engine: search drivers
 (:mod:`repro.dse.drivers` — grid, seeded random, (μ+λ) evolutionary)

@@ -33,6 +33,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+from repro.exp.cache import DEFAULT_CACHE
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.accel.config import AcceleratorConfig
 
@@ -192,7 +194,7 @@ ACCEL_APPROX_BACKEND = "analytical"
 def measure_service_times(
     system: str,
     benchmarks: Sequence[str],
-    cache: object = None,
+    cache: object = DEFAULT_CACHE,
     noc_backend: str | None = None,
 ) -> ServiceTimes:
     """Price every benchmark on ``system`` through the cached run path.
@@ -202,13 +204,10 @@ def measure_service_times(
     mirrors the exact column untagged when that is the same config.
     Results come from :func:`repro.systems.run_system`, so repeated
     serving experiments are cache hits and bit-identical across
-    processes and ``--jobs`` settings.
+    processes and ``--jobs`` settings; ``cache=None`` stores nothing.
     """
-    from repro.exp.cache import DEFAULT_CACHE
     from repro.systems import run_system
 
-    if cache is None:
-        cache = DEFAULT_CACHE
     exact: dict[str, float] = {}
     approx: dict[str, float] = {}
     for key in dict.fromkeys(benchmarks):
@@ -234,7 +233,7 @@ def warm_service_cache(
     systems: Sequence[str],
     benchmarks: Sequence[str],
     jobs: int = 1,
-    cache: object = None,
+    cache: object = DEFAULT_CACHE,
     noc_backend: str | None = None,
 ) -> None:
     """Pre-fill the result cache for every (system, benchmark) pair.
@@ -257,12 +256,9 @@ def warm_service_cache(
     (system, benchmark) pairs fail their warm-up point quietly here and
     loudly later in :func:`measure_service_times` if actually used.
     """
-    from repro.exp.cache import DEFAULT_CACHE
     from repro.exp.runner import Point, run_sweep_detailed
     from repro.systems import create_system
 
-    if cache is None:
-        cache = DEFAULT_CACHE
     accel_configs = _accel_configs(noc_backend) if "accel" in systems else []
     chip_config = (create_system("multichip", noc_backend=noc_backend).config
                    if "multichip" in systems else None)

@@ -555,9 +555,8 @@ def saturation_qps(
         high *= 2.0
     else:
         return low  # never saturated within the doubling budget
-    if low == 0.0 and not attained(high):
-        # Even the starting rate fails; bisect down from it.
-        low = 0.0
+    # Bisect between the last attained rate (0 when even the offered
+    # rate fails) and the first failing one.
     for _ in range(iterations):
         mid = (low + high) / 2.0
         if attained(mid):

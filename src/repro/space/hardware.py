@@ -1,30 +1,26 @@
 """The default hardware parameter space.
 
 The three Table VI rows of :data:`repro.accel.config.CONFIGURATIONS`
-are ordinary points of :func:`default_space`: a search that lands on
-one builds that row field for field, apart from its ``dse-`` name, so
-it simulates exactly that design (``tests/space/test_table6_identity.py``).
+are ordinary points of the default space: a search that lands on one
+builds that row field for field, apart from its ``dse-`` name, so it
+simulates exactly that design (``tests/space/test_table6_identity.py``).
 
-Mesh geometry is *derived*, not hand-listed: memory columns sit on the
-mesh edges (split left/right), tile columns fill the middle, and tiles
-enumerate nearest-to-memory columns first — the placement Figure 9
-depicts, generalized to any (tiles_per_row, mem_per_row, rows) the
-constraints admit.  Every materialized point re-runs
-``AcceleratorConfig.__post_init__`` validation, so a buggy derivation
-fails loudly instead of simulating a malformed mesh.
+The space is plain data: seven ``(name, grid)`` axes, one named rule
+and a builder.  The builder derives the mesh instead of hand-listing
+it: memory columns sit on the mesh edges (split left/right), tile
+columns fill the middle, and tiles enumerate nearest-to-memory columns
+first — the placement Figure 9 depicts, generalized to any
+(tiles_per_row, mem_per_row, rows) the rule admits.  Every
+materialized point re-runs ``AcceleratorConfig.__post_init__``
+validation, so a buggy derivation fails loudly instead of simulating a
+malformed mesh.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.accel.config import (
-    AcceleratorConfig,
-    MemoryConfig,
-    TileConfig,
-)
-from repro.noc.topology import Coord
-from repro.space.params import Categorical, Constraint, Derived, IntRange
+from repro.accel.config import AcceleratorConfig, MemoryConfig, TileConfig
 from repro.space.space import ConfigSpace
 
 
@@ -60,34 +56,22 @@ def mesh_columns(
     return ordered, mem_cols
 
 
-def _tile_coords(values: Mapping[str, Any]) -> tuple[Coord, ...]:
-    groups, _ = mesh_columns(
-        values["tiles_per_row"], values["mem_per_row"]
-    )
-    return tuple(
-        (x, y)
-        for group in groups
-        for y in range(values["rows"])
-        for x in group
-    )
-
-
-def _memory_coords(values: Mapping[str, Any]) -> tuple[Coord, ...]:
-    _, mem_cols = mesh_columns(
-        values["tiles_per_row"], values["mem_per_row"]
-    )
-    return tuple((x, y) for y in range(values["rows"]) for x in mem_cols)
-
-
 def _build(values: Mapping[str, Any], name: str) -> AcceleratorConfig:
-    """Materialize one point; tile/memory sub-configs keep their seed
-    defaults for every knob the space does not search."""
+    """Materialize one point: the mesh comes from ``tiles_per_row``,
+    ``mem_per_row`` and ``rows``, and the tile/memory sub-configs keep
+    their seed defaults for every knob the space does not search."""
+    rows = values["rows"]
+    groups, mem_cols = mesh_columns(
+        values["tiles_per_row"], values["mem_per_row"]
+    )
     return AcceleratorConfig(
         name=name,
-        mesh_width=values["mesh_width"],
-        mesh_height=values["mesh_height"],
-        tile_coords=values["tile_coords"],
-        memory_coords=values["memory_coords"],
+        mesh_width=values["tiles_per_row"] + values["mem_per_row"],
+        mesh_height=rows,
+        tile_coords=tuple(
+            (x, y) for group in groups for y in range(rows) for x in group
+        ),
+        memory_coords=tuple((x, y) for y in range(rows) for x in mem_cols),
         tile=TileConfig(
             agg_alus=values["agg_alus"],
             gpe_threads=values["gpe_threads"],
@@ -97,54 +81,37 @@ def _build(values: Mapping[str, Any], name: str) -> AcceleratorConfig:
     )
 
 
-def default_space() -> ConfigSpace:
-    """The default hardware search space (~2000 valid points).
-
-    Searches the co-design axes the GNN-acceleration literature treats
-    as central — mesh shape (tile and memory columns x rows), per-node
-    memory bandwidth, tile clock, aggregator width, and GPE thread
-    count — with the Table VI rows among its points.  The NoC backend is
-    *not* a space axis: it selects a fidelity model of the same
-    hardware, so it stays an argument or CLI option applied with
-    ``with_noc_backend``, exactly like the Table VI configurations.
-    """
-    return ConfigSpace(
-        name="default",
-        params=(
-            IntRange("tiles_per_row", 1, 4),
-            IntRange("mem_per_row", 1, 2),
-            IntRange("rows", 1, 4),
-            Categorical("bandwidth_gbps", (34.0, 68.0, 136.0)),
-            Categorical("clock_ghz", (1.2, 2.4, 3.6)),
-            Categorical("agg_alus", (8, 16, 32)),
-            Categorical("gpe_threads", (8, 16, 32)),
-        ),
-        derived=(
-            Derived("mesh_width",
-                    lambda v: v["tiles_per_row"] + v["mem_per_row"]),
-            Derived("mesh_height", lambda v: v["rows"]),
-            Derived("tile_coords", _tile_coords),
-            Derived("memory_coords", _memory_coords),
-        ),
-        constraints=(
-            # A memory column needs at least one client tile column:
-            # more memory than tile columns starves the mesh of compute
-            # and breaks the row-local placement the geometry targets.
-            Constraint(
-                "mem-needs-client-tiles",
-                lambda v: v["mem_per_row"] <= v["tiles_per_row"],
-            ),
-        ),
-        build=_build,
-    )
-
-
-#: The process-wide default space instance (spaces are stateless).
-_DEFAULT_SPACE: ConfigSpace | None = None
+#: The default hardware search space (2,268 valid points).
+#:
+#: It searches the co-design axes the GNN-acceleration literature treats
+#: as central — mesh shape (tile and memory columns x rows), per-node
+#: memory bandwidth, tile clock, aggregator width, and GPE thread count
+#: — with the Table VI rows among its points.  The NoC backend is *not*
+#: an axis: it selects a fidelity model of the same hardware, so it
+#: stays an argument or CLI option applied with ``with_noc_backend``,
+#: exactly like the Table VI configurations.
+_DEFAULT_SPACE = ConfigSpace(
+    name="default",
+    axes=(
+        ("tiles_per_row", (1, 2, 3, 4)),
+        ("mem_per_row", (1, 2)),
+        ("rows", (1, 2, 3, 4)),
+        ("bandwidth_gbps", (34.0, 68.0, 136.0)),
+        ("clock_ghz", (1.2, 2.4, 3.6)),
+        ("agg_alus", (8, 16, 32)),
+        ("gpe_threads", (8, 16, 32)),
+    ),
+    rules=(
+        # A memory column needs at least one client tile column: more
+        # memory than tile columns starves the mesh of compute and
+        # breaks the row-local placement the geometry targets.
+        ("mem-needs-client-tiles",
+         lambda v: v["mem_per_row"] <= v["tiles_per_row"]),
+    ),
+    build=_build,
+)
 
 
 def get_default_space() -> ConfigSpace:
-    global _DEFAULT_SPACE
-    if _DEFAULT_SPACE is None:
-        _DEFAULT_SPACE = default_space()
+    """The default hardware space (spaces are stateless)."""
     return _DEFAULT_SPACE

@@ -1,14 +1,13 @@
-"""`ConfigSpace`: typed descriptors composed into a searchable space.
+"""`ConfigSpace`: grids, named rules and a builder, searched as one space.
 
 A space is the contract between search drivers (:mod:`repro.dse`) and
-the simulator: drivers propose *searchable values*, the space validates
-them against each parameter's grid and every :class:`Constraint`, fills
-in the :class:`Derived` values (mesh geometry, coordinate lists), and a
-builder materializes a real — and really validated —
-:class:`~repro.accel.config.AcceleratorConfig`.
+the simulator: drivers propose one value per axis from that axis's
+finite, ordered grid, the space checks the values against the grids
+and every named rule, and its builder materializes a real — and really
+validated — :class:`~repro.accel.config.AcceleratorConfig`.
 
-Every point carries a canonical-JSON fingerprint of its searchable
-values (the derived values are a pure function of them), hashed with
+Every point carries a canonical-JSON fingerprint of its values (the
+builder is a pure function of them), hashed with
 :func:`repro.exp.cache.content_key` — the same convention every cache
 key in the repository uses.  The materialized config's *contents* feed
 :func:`repro.exp.cache.point_fingerprint` exactly as the three Table VI
@@ -24,17 +23,22 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.accel.config import AcceleratorConfig
-from repro.space.params import Constraint, Derived, Parameter
+
+#: One searchable axis: its name and its finite, ordered grid.
+Axis = tuple[str, tuple[Any, ...]]
+
+#: One named validity rule over a complete assignment.
+Rule = tuple[str, Callable[[Mapping[str, Any]], bool]]
 
 
 @dataclass(frozen=True)
 class SpacePoint:
-    """One searchable point: a value for every searchable parameter.
+    """One searchable point: a value for every axis.
 
-    ``values`` is ordered by the space's parameter declaration order, so
-    two points with the same assignments are equal (and hash equal)
-    regardless of how they were proposed.  A point's configuration is
-    named ``dse-<digest>`` after its values.
+    ``values`` is ordered by the space's axes, so two points with the
+    same assignments are equal (and hash equal) regardless of how they
+    were proposed.  A point's configuration is named ``dse-<digest>``
+    after its values.
     """
 
     space: "ConfigSpace" = field(compare=False, repr=False)
@@ -45,7 +49,7 @@ class SpacePoint:
         return dict(self.values)
 
     def fingerprint(self) -> dict[str, Any]:
-        """Canonical plain-data identity: space name + searchable values."""
+        """Canonical plain-data identity: space name + values."""
         return {"space": self.space.name, "values": self.value_map}
 
     @property
@@ -61,52 +65,40 @@ class SpacePoint:
         return f"dse-{self.digest[:12]}"
 
     def config(self) -> AcceleratorConfig:
-        """Materialize the real (validated) accelerator configuration."""
-        return self.space.materialize(self)
+        """Materialize the real accelerator configuration (validated by
+        the dataclass itself — coordinates inside the mesh, disjoint,
+        non-empty)."""
+        return self.space.build(self.value_map, self.config_name)
 
     def describe(self) -> str:
         assignments = " ".join(f"{k}={v}" for k, v in self.values)
         return f"{self.config_name} ({assignments})"
 
 
+@dataclass(frozen=True)
 class ConfigSpace:
-    """Typed searchable parameters + derivations + constraints + builder.
+    """Ordered ``(name, grid)`` axes, named ``(name, predicate)`` rules
+    and a builder.
 
-    ``build`` receives the full value mapping (searchable and derived)
-    plus the point's config name and returns an
-    :class:`AcceleratorConfig`; its ``__post_init__`` validation is the
-    final word on whether a point is buildable.
+    ``build`` receives a point's value mapping and its config name and
+    returns an :class:`AcceleratorConfig`, whose ``__post_init__``
+    validation is the final word on whether a point is buildable.
     """
 
-    def __init__(
-        self,
-        name: str,
-        params: tuple[Parameter, ...],
-        build: Callable[[Mapping[str, Any], str], AcceleratorConfig],
-        derived: tuple[Derived, ...] = (),
-        constraints: tuple[Constraint, ...] = (),
-    ) -> None:
-        if len({p.name for p in params}) != len(params):
-            raise ValueError("duplicate parameter names")
-        self.name = name
-        self.params = tuple(params)
-        self.derived = tuple(derived)
-        self.constraints = tuple(constraints)
-        self.build = build
-
-    # -- introspection ----------------------------------------------------
+    name: str
+    axes: tuple[Axis, ...]
+    build: Callable[[Mapping[str, Any], str], AcceleratorConfig]
+    rules: tuple[Rule, ...] = ()
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
-    # -- validation and materialization -----------------------------------
+        return tuple(name for name, _ in self.axes)
 
     def check(self, values: Mapping[str, Any]) -> dict[str, Any]:
-        """Validate a complete searchable assignment; return it ordered.
+        """Validate a complete assignment; return it in axis order.
 
         Raises ``ValueError`` naming the offending parameter (missing,
-        unknown, off-grid) or the violated constraint.
+        unknown, off-grid) or the rule it breaks.
         """
         unknown = set(values) - set(self.param_names)
         if unknown:
@@ -115,68 +107,50 @@ class ConfigSpace:
                 f"{sorted(unknown)}; valid: {list(self.param_names)}"
             )
         ordered: dict[str, Any] = {}
-        for param in self.params:
-            if param.name not in values:
+        for name, grid in self.axes:
+            if name not in values:
+                raise ValueError(f"missing value for parameter {name!r}")
+            if values[name] not in grid:
                 raise ValueError(
-                    f"missing value for parameter {param.name!r}"
+                    f"{values[name]!r} is not a grid value of parameter "
+                    f"{name!r}; valid: {grid}"
                 )
-            value = values[param.name]
-            if value not in param:
-                raise ValueError(
-                    f"{value!r} is not a grid value of parameter "
-                    f"{param.name!r}; valid: {param.values()}"
-                )
-            ordered[param.name] = value
-        for constraint in self.constraints:
-            if not constraint.holds(ordered):
-                raise ValueError(
-                    f"constraint {constraint.name!r} rejects "
-                    f"{dict(ordered)}"
-                )
+            ordered[name] = values[name]
+        for rule, holds in self.rules:
+            if not holds(ordered):
+                raise ValueError(f"constraint {rule!r} rejects {ordered}")
         return ordered
 
     def satisfies(self, values: Mapping[str, Any]) -> bool:
-        """Constraint check only (values assumed on-grid)."""
-        return all(c.holds(values) for c in self.constraints)
+        """Rule check only (values assumed on-grid)."""
+        return all(holds(values) for _, holds in self.rules)
 
     def point(self, values: Mapping[str, Any]) -> SpacePoint:
-        """A validated point from a searchable assignment."""
+        """A validated point from an assignment."""
         return SpacePoint(self, tuple(self.check(values).items()))
 
-    def expand(self, values: Mapping[str, Any]) -> dict[str, Any]:
-        """Searchable values plus every derived value, in order."""
-        full = dict(values)
-        for derived in self.derived:
-            full[derived.name] = derived.compute(full)
-        return full
-
-    def materialize(self, point: SpacePoint) -> AcceleratorConfig:
-        """Build the point's :class:`AcceleratorConfig` (validated by
-        the dataclass itself — coordinates inside the mesh, disjoint,
-        non-empty — not by hand-listing)."""
-        return self.build(self.expand(point.value_map), point.config_name)
-
-    # -- enumeration and sampling -----------------------------------------
-
     def grid(self) -> Iterator[SpacePoint]:
-        """Every constraint-satisfying point, deterministic declaration
-        order (first parameter varies slowest)."""
-        domains = [p.values() for p in self.params]
+        """Every valid point, in axis order (the first axis varies
+        slowest)."""
         names = self.param_names
-        for combo in itertools.product(*domains):
+        for combo in itertools.product(*(grid for _, grid in self.axes)):
             values = dict(zip(names, combo))
             if self.satisfies(values):
-                yield SpacePoint(self, tuple(zip(names, combo)))
+                yield SpacePoint(self, tuple(values.items()))
 
     @property
     def size(self) -> int:
-        """Number of valid grid points (constraints applied)."""
+        """Number of valid grid points (rules applied)."""
         return sum(1 for _ in self.grid())
 
     def sample(self, rng, max_attempts: int = 10_000) -> SpacePoint:
-        """One seeded, constraint-satisfying random point (rejection)."""
+        """One seeded valid point: one uniform draw per axis, in axis
+        order, retried until every rule holds."""
         for _ in range(max_attempts):
-            values = {p.name: p.sample(rng) for p in self.params}
+            values = {
+                name: grid[rng.randrange(len(grid))]
+                for name, grid in self.axes
+            }
             if self.satisfies(values):
                 return SpacePoint(self, tuple(values.items()))
         raise RuntimeError(
@@ -187,28 +161,24 @@ class ConfigSpace:
     def mutate(
         self, point: SpacePoint, rng, max_attempts: int = 100
     ) -> SpacePoint:
-        """A neighbouring valid point: one parameter nudged to an
-        adjacent grid value (ranges) or resampled (categoricals).
+        """A neighbouring valid point: one axis moved to an adjacent
+        grid value (an axis with a single value never moves).
 
-        Falls back to a fresh :meth:`sample` when no single-parameter
-        move satisfies the constraints.
+        Falls back to a fresh :meth:`sample` when no single-axis move
+        satisfies the rules.
         """
         values = point.value_map
         for _ in range(max_attempts):
-            param = self.params[rng.randrange(len(self.params))]
-            current = values[param.name]
-            moves = [v for v in param.neighbors(current)]
-            if not moves:
-                moves = [v for v in param.values() if v != current]
+            name, grid = self.axes[rng.randrange(len(self.axes))]
+            index = grid.index(values[name])
+            moves = [grid[j] for j in (index - 1, index + 1)
+                     if 0 <= j < len(grid)]
             if not moves:
                 continue
             candidate = dict(values)
-            candidate[param.name] = moves[rng.randrange(len(moves))]
+            candidate[name] = moves[rng.randrange(len(moves))]
             if self.satisfies(candidate):
                 return SpacePoint(self, tuple(
-                    (name, candidate[name]) for name in self.param_names
+                    (key, candidate[key]) for key in self.param_names
                 ))
         return self.sample(rng)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ConfigSpace({self.name!r}, {len(self.params)} params)"

@@ -1,10 +1,10 @@
 """Tests for matmul layer descriptors."""
 
-import numpy as np
 import pytest
 
-from repro.dataflow import MatmulLayer, gcn_dense_layers
+from repro.dataflow import MatmulLayer, ir_dense_layers
 from repro.graphs import citation_graph
+from repro.models import GCN
 
 
 def test_total_macs():
@@ -39,32 +39,25 @@ def test_nnz_out_of_range_rejected():
 class TestGCNDenseLayers:
     @pytest.fixture
     def graph(self):
-        g = citation_graph(100, 240, seed=0)
-        g.node_features = np.zeros((100, 50), dtype=np.float32)
-        return g
+        return citation_graph(100, 240, seed=0)
 
-    def test_four_layers_project_propagate(self, graph):
-        layers = gcn_dense_layers(graph, hidden=16, out_features=7)
+    @pytest.fixture
+    def layers(self, graph):
+        return ir_dense_layers(GCN(50, 16, 7).layer_ir(graph))
+
+    def test_four_layers_project_propagate(self, layers):
         assert [l.name for l in layers] == [
             "project0", "propagate0", "project1", "propagate1",
         ]
 
-    def test_projection_dimensions(self, graph):
-        layers = gcn_dense_layers(graph, hidden=16, out_features=7)
+    def test_projection_dimensions(self, layers):
         assert (layers[0].m, layers[0].k, layers[0].n) == (100, 50, 16)
         assert (layers[2].m, layers[2].k, layers[2].n) == (100, 16, 7)
 
-    def test_propagation_uses_square_adjacency(self, graph):
-        layers = gcn_dense_layers(graph, hidden=16, out_features=7)
+    def test_propagation_uses_square_adjacency(self, graph, layers):
         assert (layers[1].m, layers[1].k) == (100, 100)
         assert layers[1].a_nnz == graph.nnz + graph.num_nodes
 
-    def test_projection_layers_are_dense(self, graph):
-        layers = gcn_dense_layers(graph, hidden=16, out_features=7)
+    def test_projection_layers_are_dense(self, layers):
         assert layers[0].a_nnz is None
         assert layers[2].a_nnz is None
-
-    def test_featureless_graph_rejected(self):
-        g = citation_graph(50, 100, seed=1)
-        with pytest.raises(ValueError):
-            gcn_dense_layers(g)

@@ -65,10 +65,10 @@ class TestPaperArgument:
     at graph-adjacency sparsity."""
 
     def _pubmed_layers(self):
-        from repro.dataflow import gcn_dense_layers
-        from repro.graphs import pubmed
+        from repro.dataflow import ir_dense_layers
+        from repro.models.registry import benchmark_by_key, benchmark_ir
 
-        return gcn_dense_layers(pubmed(), hidden=16, out_features=3)
+        return ir_dense_layers(benchmark_ir(benchmark_by_key("gcn-pubmed")))
 
     def test_beats_the_dense_mapping(self):
         from repro.dataflow import EYERISS_CONFIG, analyze_network

@@ -70,6 +70,20 @@ def test_required_bandwidth_exceeds_dram(rows):
         assert row.required_bandwidth_gbps > 68.0
 
 
+@pytest.mark.parametrize("name", SECTION2_GRAPHS)
+def test_bandwidth_limited_column_is_the_eyeriss_report(rows, name):
+    """Section II and the ``eyeriss`` system lower GCN the same way, so
+    Table II's 68 GBps column is that system's report, bit for bit."""
+    from repro.systems import run_system
+
+    row = rows[SECTION2_GRAPHS.index(name)]
+    report = run_system("eyeriss", f"gcn-{name}", cache=None)
+    assert row.limited_ms == report.latency_ms
+    assert row.useful_compute_fraction == (
+        report.breakdown["useful_compute_fraction"]
+    )
+
+
 def test_figure2_reuses_table2():
     assert figure2()[0] == table2()[0]
 

@@ -103,6 +103,23 @@ class TestMeasureServiceTimes:
         )
         assert list(table.exact_ms) == ["gcn-cora"]
 
+    def test_no_cache_persists_nothing(self, tmp_path):
+        """``cache=None`` stores nothing, as it does for ``run_system``:
+        the process-default store stays empty."""
+        from repro.exp import cache as result_cache
+
+        previous = result_cache.default_cache()
+        store = ResultCache(tmp_path)
+        result_cache.set_default_cache(store)
+        clear_memo()
+        try:
+            measure_service_times("cpu", ["gcn-cora"], cache=None)
+            warm_service_cache(["cpu"], ["gcn-cora"], jobs=1, cache=None)
+        finally:
+            clear_memo()
+            result_cache.set_default_cache(previous)
+        assert len(store) == 0
+
     def test_warming_feeds_measurement(self, tmp_path):
         """After warm_service_cache, pricing is pure cache lookup: the
         tables agree exactly with an unwarmed measurement."""

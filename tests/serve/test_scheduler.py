@@ -223,6 +223,28 @@ class TestGracefulDegradation:
                                       instances=1, policy=policy)
         assert with_degrade > exact_only
 
+    def test_failing_offered_rate_is_replayed_once(self, monkeypatch):
+        """When the offered rate already misses the SLO, the bracket's
+        one probe is followed straight by the bisection: 1 + 10
+        replays, none of them a repeat of the offered rate."""
+        import repro.serve.scheduler as scheduler
+
+        rates = []
+
+        def counting(trace, *args, arrival, **kwargs):
+            rates.append(arrival.rate_qps)
+            return simulate_serving(trace, *args, arrival=arrival, **kwargs)
+
+        monkeypatch.setattr(scheduler, "simulate_serving", counting)
+        table = ServiceTimes(system="slow", exact_ms={"bench": 40.0},
+                             approx_ms={"bench": 40.0})
+        spec = ArrivalSpec(rate_qps=400, duration_ms=500, seed=0)
+        qps = saturation_qps(table, ["bench"], spec, instances=1,
+                             policy=ServePolicy(slo_ms=50.0))
+        assert qps == 9.765625
+        assert len(rates) == 11
+        assert rates.count(400) == 1
+
 
 @settings(max_examples=25, deadline=None)
 @given(

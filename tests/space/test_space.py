@@ -6,7 +6,7 @@ import pytest
 
 from repro.accel.config import AcceleratorConfig
 from repro.errors import UnknownNameError
-from repro.exp.cache import point_key
+from repro.exp.cache import config_fingerprint, content_key, point_key
 from repro.space import (
     get_default_space,
     mesh_columns,
@@ -164,6 +164,61 @@ class TestPointIdentity:
         values["bandwidth_gbps"] = 136.0
         b = point_key("gcn-cora", space.point(values).config(), shard=spec)
         assert a != b
+
+
+class TestPinnedProposals:
+    """Literal digests of every proposal the space can make.
+
+    The search drivers only read :meth:`ConfigSpace.grid`,
+    :meth:`~ConfigSpace.sample` and :meth:`~ConfigSpace.mutate`, so
+    these four sequences fix every point ``repro dse`` proposes, its
+    name and its materialized configuration.  Each digest is
+    :func:`repro.exp.cache.content_key` of the listed document; a
+    refactor of the space must leave all four unchanged.
+    """
+
+    @pytest.fixture(scope="class")
+    def grid(self, space):
+        return list(space.grid())
+
+    def test_grid_order_and_size(self, space, grid):
+        assert space.size == len(grid) == 2268
+        document = {"grid": [p.values for p in grid], "size": space.size}
+        assert content_key(document) == (
+            "c317f9cb23dd7e5d2823b4007b8ab185ac20df4871f370bdbf9bc87cfe377ca8"
+        )
+
+    def test_every_materialized_config(self, grid):
+        document = {"configs": [config_fingerprint(p.config()) for p in grid]}
+        assert content_key(document) == (
+            "3154f1f3df86e3df19b5b23959178dd1c6f19037e64e71757d1448339a7a7b87"
+        )
+
+    def test_seeded_samples(self, space):
+        samples = {}
+        for seed in range(40):
+            rng = random.Random(seed)
+            samples[str(seed)] = [space.sample(rng).values for _ in range(20)]
+        assert content_key({"samples": samples}) == (
+            "f02f71900aaefd8f02f371b6f2bb245dcffc156ae5f5039c555175a3ae667fca"
+        )
+
+    def test_mutation_walks(self, space, grid):
+        # 25 chained mutations from every 40th grid point, each walk
+        # seeded by its start index.
+        walks = {}
+        for index in range(0, len(grid), 40):
+            rng = random.Random(index)
+            point = grid[index]
+            walk = []
+            for _ in range(25):
+                point = space.mutate(point, rng)
+                walk.append(point.values)
+            walks[str(index)] = walk
+        assert len(walks) == 57
+        assert content_key({"walks": walks}) == (
+            "097bc3a74c4a7648a929c3c6982e82c72c3470fe9d2df64f0b2608e7192fa200"
+        )
 
 
 class TestRegistry:
