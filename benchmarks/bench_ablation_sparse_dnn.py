@@ -9,10 +9,11 @@ checks the argument quantitatively.
 
 from repro.dataflow import EYERISS_CONFIG, analyze_network, ir_dense_layers
 from repro.dataflow.sparse_accel import analyze_network_sparse
-from repro.eval.accelerator import run_benchmark
+from repro.eval.accelerator import run_config
 from repro.eval.report import format_table
 from repro.graphs import DATASETS
 from repro.models.registry import benchmark_by_key, benchmark_ir
+from repro.systems.accel import resolve_accel_config
 
 GRAPHS = ("cora", "citeseer", "pubmed")
 
@@ -31,7 +32,8 @@ def test_bench_sparse_dnn(benchmark, fresh_simulations):
                 a.useful_pe_utilization for a in sparse
                 if a.layer.a_nnz is not None
             )
-            gnna = run_benchmark(f"gcn-{name}", "CPU iso-BW", 2.4)
+            gnna = run_config(f"gcn-{name}",
+                              resolve_accel_config("CPU iso-BW", 2.4))
             rows.append(
                 (DATASETS[name].name, dense.latency_ms, sparse_ms,
                  gnna.latency_ms, sparse_util)

@@ -24,7 +24,7 @@ def main() -> None:
     model = benchmark_model(Benchmark("GAT", "cora"))
     program = compile_model(model, graph)
 
-    observer = Observer(timeline=False, kernel_profile=False)
+    observer = Observer()
     engine = RuntimeEngine(Accelerator(CPU_ISO_BW), observer=observer)
     report = engine.run(program)
     tracer = observer.tracer

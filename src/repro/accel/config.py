@@ -9,6 +9,7 @@ through :func:`resolve_config`.  The default parameter space
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from repro.dataflow.spatial import EYERISS_CONFIG, SpatialArrayConfig
@@ -17,6 +18,16 @@ from repro.noc.backends import DEFAULT_BACKEND, validate_backend
 from repro.noc.config import NOC_CONFIG, NocConfig
 from repro.noc.topology import Coord
 from repro.sim.watchdog import WatchdogConfig
+
+
+def check_clock_ghz(clock_ghz: float) -> float:
+    """``clock_ghz`` if it is a usable clock, positive and finite; else a
+    ``ValueError`` naming it."""
+    if not (clock_ghz > 0 and math.isfinite(clock_ghz)):
+        raise ValueError(
+            f"clock_ghz must be positive and finite, got {clock_ghz!r}"
+        )
+    return clock_ghz
 
 
 @dataclass(frozen=True)
@@ -153,6 +164,7 @@ class AcceleratorConfig:
             if not (0 <= x < self.mesh_width and 0 <= y < self.mesh_height):
                 raise ValueError(f"coordinate ({x},{y}) outside mesh")
         validate_backend(self.noc_backend)
+        check_clock_ghz(self.clock_ghz)
 
     @property
     def num_tiles(self) -> int:

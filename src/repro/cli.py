@@ -111,8 +111,10 @@ def _resolve_names(
     partition_method: str | None = None,
     space: str | None = None,
     dse_driver: str | None = None,
+    clocks: "tuple[float, ...] | list[float]" = (),
 ) -> int | None:
-    """Print a one-line error and return 2 for any unknown name.
+    """Print a one-line error and return 2 for any unknown name or any
+    tile clock that is not positive and finite.
 
     The single source of truth for the CLI's "unknown name -> exit 2"
     contract: benchmarks resolve through
@@ -120,10 +122,12 @@ def _resolve_names(
     shorthands like ``qm9`` are accepted and ambiguous ones rejected
     with candidates), every other kind through its table's resolver.
     Every unknown name raises :class:`repro.errors.UnknownNameError`, a
-    ``KeyError``.  Runs before any simulation or worker spawn, so a typo
-    fails in milliseconds listing the valid names.
+    ``KeyError``; a bad clock raises
+    :func:`repro.accel.config.check_clock_ghz`'s ``ValueError``.  Runs
+    before any simulation or worker spawn, so a typo fails in
+    milliseconds listing the valid names.
     """
-    from repro.accel.config import resolve_config
+    from repro.accel.config import check_clock_ghz, resolve_config
     from repro.dse import resolve_driver
     from repro.models.registry import resolve_benchmark_key
     from repro.noc.backends import validate_backend
@@ -148,8 +152,13 @@ def _resolve_names(
             resolve_space(space)
         if dse_driver is not None:
             resolve_driver(dse_driver)
+        for clock in clocks:
+            check_clock_ghz(clock)
     except KeyError as exc:
         print(f"repro {command}: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
         return 2
     return None
 
@@ -333,7 +342,7 @@ def _cmd_sweep(args) -> int:
     code = _resolve_names("sweep", system=system,
                           noc_backend=args.noc_backend,
                           benchmarks=args.benchmarks,
-                          configs=args.configs)
+                          configs=args.configs, clocks=args.clocks)
     if code is not None:
         return code
     policy = _retry_policy("sweep", args)
@@ -489,8 +498,7 @@ def _cmd_dse(args) -> int:
     return 0 if not result.failures else 1
 
 
-def _run_on_system(command: str, system: str, args,
-                   observe: bool = False) -> int:
+def _run_on_system(command: str, system: str, args) -> int:
     """Execute one benchmark on a non-accel backend and print its report.
 
     The accelerator options go along: ``multichip`` simulates its chips
@@ -498,17 +506,10 @@ def _run_on_system(command: str, system: str, args,
     """
     from repro.systems import UnsupportedWorkloadError, run_system
 
-    observer = None
-    if observe:
-        from repro.obs import Observer
-
-        observer = Observer(timeline=False, phases=False,
-                           kernel_profile=False)
     try:
         report = run_system(
             system, args.benchmark, config_name=args.config,
             clock_ghz=args.clock, noc_backend=args.noc_backend,
-            observer=observer,
         )
     except UnsupportedWorkloadError as exc:
         print(f"repro {command}: {exc}", file=sys.stderr)
@@ -529,21 +530,26 @@ def _cmd_profile(args) -> int:
     system = args.system or DEFAULT_SYSTEM
     code = _resolve_names("profile", benchmark=args.benchmark,
                           config=args.config, system=system,
-                          noc_backend=args.noc_backend)
+                          noc_backend=args.noc_backend, clocks=[args.clock])
     if code is not None:
         return code
     from repro.models.registry import resolve_benchmark_key
 
     args.benchmark = resolve_benchmark_key(args.benchmark)
     if system != "accel":
-        return _run_on_system("profile", system, args, observe=True)
+        return _run_on_system("profile", system, args)
 
-    from repro.eval.accelerator import run_benchmark
+    from repro.eval.accelerator import program_for
+    from repro.runtime.engine import simulate
+    from repro.systems.accel import resolve_accel_config
 
+    # The observer watches this one simulation, which bypasses the
+    # result cache: a profile always simulates and stores nothing.
     observer = Observer()
-    report = run_benchmark(
-        args.benchmark, args.config, args.clock, observer=observer,
-        noc_backend=args.noc_backend,
+    report = simulate(
+        program_for(args.benchmark),
+        resolve_accel_config(args.config, args.clock, args.noc_backend),
+        observer=observer,
     )
     print(f"{report.benchmark} on {report.config_name} @ "
           f"{report.clock_ghz} GHz: {report.latency_ms:.3f} ms")
@@ -590,7 +596,7 @@ def _cmd_simulate(args) -> int:
     system = args.system or DEFAULT_SYSTEM
     code = _resolve_names("simulate", benchmark=args.benchmark,
                           config=args.config, system=system,
-                          noc_backend=args.noc_backend)
+                          noc_backend=args.noc_backend, clocks=[args.clock])
     if code is not None:
         return code
     from repro.models.registry import resolve_benchmark_key
@@ -599,10 +605,13 @@ def _cmd_simulate(args) -> int:
     if system != "accel":
         return _run_on_system("simulate", system, args)
 
-    from repro.eval.accelerator import run_benchmark
+    from repro.eval.accelerator import run_config
+    from repro.systems.accel import resolve_accel_config
 
-    report = run_benchmark(args.benchmark, args.config, args.clock,
-                           noc_backend=args.noc_backend)
+    report = run_config(
+        args.benchmark,
+        resolve_accel_config(args.config, args.clock, args.noc_backend),
+    )
     print(f"{report.benchmark} on {report.config_name} @ "
           f"{report.clock_ghz} GHz")
     print(f"  latency: {report.latency_ms:.3f} ms")
@@ -628,7 +637,7 @@ def _cmd_compare(args) -> int:
     code = _resolve_names("compare", benchmark=args.benchmark,
                           config=args.config,
                           noc_backend=args.noc_backend,
-                          systems=systems)
+                          systems=systems, clocks=[args.clock])
     if code is not None:
         return code
     from repro.models.registry import resolve_benchmark_key
@@ -709,6 +718,8 @@ def _cmd_serve_sim(args) -> int:
     keys = [resolve_benchmark_key(b) for b in args.benchmarks]
 
     try:
+        if args.instances < 1:
+            raise ValueError("--instances must be at least 1")
         faults = [parse_instance_fault(text) for text in args.fault]
         spec = ArrivalSpec(
             kind=args.arrival,
@@ -784,6 +795,7 @@ def _cmd_partition_sweep(args) -> int:
     code = _resolve_names(
         "partition-sweep", benchmark=args.benchmark, config=args.config,
         noc_backend=args.noc_backend, partition_method=args.method,
+        clocks=[args.clock],
     )
     if code is not None:
         return code

@@ -18,7 +18,6 @@ Figure 10   :func:`repro.eval.utilization.figure10`
 """
 
 from repro.eval.section2 import Section2Row, figure2, table2
-from repro.eval.accelerator import run_benchmark
 from repro.eval.speedups import Figure8Cell, figure8
 from repro.eval.utilization import Figure10Row, figure10
 from repro.eval.baseline_tables import table7
@@ -50,7 +49,6 @@ __all__ = [
     "Section2Row",
     "table2",
     "figure2",
-    "run_benchmark",
     "Figure8Cell",
     "figure8",
     "Figure10Row",

@@ -16,10 +16,11 @@ from repro.accel.energy import (
     baseline_energy_uj,
     estimate_energy,
 )
+from repro.accel.system import Accelerator
 from repro.baselines.table7 import TABLE7_MEASURED_MS
 from repro.eval.accelerator import _compiled_program
 from repro.models.registry import BENCHMARKS
-from repro.runtime.engine import simulate_detailed
+from repro.runtime.engine import RuntimeEngine
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,10 @@ def energy_table(
     config = resolve_accel_config(config_name, clock_ghz)
     rows = []
     for benchmark in BENCHMARKS:
-        program = _compiled_program(benchmark.key)
-        _, accel = simulate_detailed(program, config)
+        # The energy model prices the accelerator's own activity
+        # counters, so it needs the instance the program ran on.
+        accel = Accelerator(config)
+        RuntimeEngine(accel).run(_compiled_program(benchmark.key))
         energy = estimate_energy(accel)
         cpu_ms, gpu_ms = TABLE7_MEASURED_MS[benchmark.key]
         rows.append(

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.eval.accelerator import run_benchmark
+from repro.eval.accelerator import run_config
 from repro.models.registry import BENCHMARKS
+from repro.systems.accel import resolve_accel_config
 
 
 @dataclass(frozen=True)
@@ -26,9 +27,10 @@ def figure10(clock_ghz: float = 2.4) -> list[Figure10Row]:
     GPE utilization is included because it explains the PGNN row (near
     zero DNA utilization, GPE saturated — Section VI-A).
     """
+    config = resolve_accel_config("CPU iso-BW", clock_ghz)
     rows = []
     for benchmark in BENCHMARKS:
-        report = run_benchmark(benchmark.key, "CPU iso-BW", clock_ghz)
+        report = run_config(benchmark.key, config)
         rows.append(
             Figure10Row(
                 benchmark=benchmark.key,

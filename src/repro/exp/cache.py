@@ -33,8 +33,7 @@ parameters under one nested ``params`` stanza instead, so an ``accel``
 plan never shares an entry with the accelerator point it wraps.
 
 Every cached run goes through one function, :func:`run_cached`: look
-up, else execute, then store.  An observed run always executes and
-stores under the key an unobserved run would use.
+up, else execute, then store.
 
 Keyword-argument order, environment variables, dict iteration order, and
 anything else outside those inputs do not affect the key (canonical JSON:
@@ -84,7 +83,6 @@ DEFAULT_CACHE = object()
 ACCEL_SYSTEM = "accel"
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Observer
     from repro.partition.core import ShardSpec
     from repro.systems.base import SystemReport
 
@@ -363,23 +361,14 @@ def store(
 
 def run_cached(
     key: str,
-    execute: Callable[["Observer | None"], Any],
+    execute: Callable[[], Any],
     cache: object = DEFAULT_CACHE,
-    observer: "Observer | None" = None,
 ) -> Any:
-    """The one cache-through run: look up ``key``, else execute, then
-    store.
-
-    ``execute(observer)`` produces the report.  Metrics only exist for a
-    run that actually executes, so an observed request always executes —
-    but it stores its (bit-identical) report under the same ``key`` a
-    bare run would use: observer attachment is excluded from every
-    cache fingerprint, like the watchdog budgets.
-    """
-    if observer is None:
-        report = lookup(key, cache)
-        if report is not None:
-            return report
-    report = execute(observer)
+    """The one cache-through run: look up ``key``, else ``execute()``,
+    then store."""
+    report = lookup(key, cache)
+    if report is not None:
+        return report
+    report = execute()
     store(key, report, cache)
     return report

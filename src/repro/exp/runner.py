@@ -293,24 +293,20 @@ class SweepOutcome:
             raise SweepFailed(self)
 
 
-def simulate_point(point: Point, observer: Any = None) -> SimulationReport:
+def simulate_point(point: Point) -> SimulationReport:
     """Compile (memoized per process) and simulate one accelerator point.
 
-    ``observer`` (a :class:`repro.obs.Observer`) attaches metrics
-    collection; instrumentation never changes the report.  Shard points
-    compile the shard's induced subgraph (memoized the same way)
-    instead of the whole benchmark input.
+    Shard points compile the shard's induced subgraph (memoized the same
+    way) instead of the whole benchmark input.
     """
     from repro.eval.accelerator import program_for
     from repro.runtime.engine import simulate
 
     return simulate(program_for(point.benchmark_key, point.shard),
-                    point.resolved_config, observer=observer)
+                    point.resolved_config)
 
 
-def execute_point(
-    point: Point, observer: Any = None, cache: object = DEFAULT_CACHE
-) -> Any:
+def execute_point(point: Point, cache: object = DEFAULT_CACHE) -> Any:
     """Run one point on its execution system (no point caching, no
     budgets).
 
@@ -320,10 +316,10 @@ def execute_point(
     shards) read and store through ``cache``.
     """
     if point.system == ACCEL_SYSTEM:
-        return simulate_point(point, observer=observer)
+        return simulate_point(point)
     backend = point.backend()
     plan = backend.prepare(point.benchmark_key)
-    return backend.execute(plan, observer=observer, cache=cache)
+    return backend.execute(plan, cache=cache)
 
 
 def _attempt(point: Point, cache: ResultCache | None = None) -> PointResult:

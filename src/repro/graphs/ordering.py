@@ -6,7 +6,8 @@ scheduling knob.  This module provides the classic orderings:
 
 * :func:`degree_order` — hubs first (or last),
 * :func:`bfs_order` — breadth-first from a seed, clustering neighbourhoods
-  into contiguous id ranges,
+  into contiguous id ranges (:func:`csr_bfs_order` on raw CSR arrays,
+  which the partitioners use too),
 * :func:`relabel` — rebuild a graph under a new numbering, so orderings
   compose with :class:`~repro.accel.placement.RangePlacement`.
 """
@@ -36,28 +37,35 @@ def bfs_order(graph: Graph, seed: int = 0) -> np.ndarray:
     """
     if not 0 <= seed < graph.num_nodes:
         raise ValueError(f"seed {seed} outside graph")
-    visited = np.zeros(graph.num_nodes, dtype=bool)
-    order = []
-    queue: deque[int] = deque()
+    return csr_bfs_order(graph.indptr, graph.indices, seed)
 
-    def visit(v: int) -> None:
-        visited[v] = True
-        order.append(v)
-        queue.append(v)
 
-    visit(seed)
-    next_unvisited = 0
-    while len(order) < graph.num_nodes:
+def csr_bfs_order(
+    indptr: np.ndarray, indices: np.ndarray, start: int
+) -> np.ndarray:
+    """:func:`bfs_order` of the CSR adjacency ``(indptr, indices)``:
+    every vertex, from ``start``, restarting at the lowest unvisited
+    vertex when a component is exhausted."""
+    num_nodes = len(indptr) - 1
+    order = np.empty(num_nodes, dtype=np.int64)
+    visited = np.zeros(num_nodes, dtype=bool)
+    visited[start] = True
+    queue: deque[int] = deque([start])
+    pos = next_restart = 0
+    while pos < num_nodes:
         if not queue:
-            while visited[next_unvisited]:
-                next_unvisited += 1
-            visit(next_unvisited)
-            continue
+            while visited[next_restart]:
+                next_restart += 1
+            visited[next_restart] = True
+            queue.append(next_restart)
         v = queue.popleft()
-        for u in graph.neighbors(v):
-            if not visited[u]:
-                visit(int(u))
-    return np.asarray(order, dtype=np.int64)
+        order[pos] = v
+        pos += 1
+        for w in indices[indptr[v]: indptr[v + 1]]:
+            if not visited[w]:
+                visited[w] = True
+                queue.append(int(w))
+    return order
 
 
 def relabel(graph: Graph, order: np.ndarray) -> Graph:

@@ -12,9 +12,10 @@ them behind one interface:
   exported as Chrome ``trace_event`` JSON (Perfetto-loadable);
 * :class:`KernelProfiler` — wall-clock sampling of the event kernel
   itself (events/sec, handler attribution, queue-depth histogram);
-* :class:`Observer` — the bundle of all of the above for one run,
-  accepted by ``RuntimeEngine``, ``simulate``, ``run_benchmark``, and
-  the sweep harness.
+* :class:`Observer` — the bundle of all of the above for one
+  simulation, accepted by ``RuntimeEngine`` and ``simulate`` only; the
+  result cache, the execution systems and the sweep runner never see
+  one (``repro profile`` simulates its point directly).
 
 Contract: instrumentation is zero-cost when no observer is attached and
 never perturbs simulated results (``tests/obs/`` proves both).

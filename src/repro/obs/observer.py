@@ -1,9 +1,10 @@
 """The unified run observer: registry + timeline + tracer + profiler.
 
-One :class:`Observer` attached to a run (via
+One :class:`Observer` attached to one simulation (via
 ``RuntimeEngine(accel, observer=...)`` or
-``run_benchmark(..., observer=...)``) wires every accelerator unit into
-a :class:`~repro.obs.registry.MetricsRegistry`, feeds every busy ledger
+``simulate(program, config, observer=...)``, the only attach points)
+wires every accelerator unit into a
+:class:`~repro.obs.registry.MetricsRegistry`, feeds every busy ledger
 into a :class:`~repro.obs.timeline.Timeline`, records vertex-program
 phases through the existing :class:`~repro.runtime.trace.Tracer`, and
 samples the event kernel's loop from a background thread with a
@@ -41,28 +42,19 @@ def _coord_label(coord: "Coord") -> str:
 
 
 class Observer:
-    """Collects every observability signal of one simulated run.
-
-    Parameters switch individual layers off — ``Observer(timeline=False,
-    phases=False, kernel_profile=False)`` is the cheapest configuration,
-    collecting only the registry snapshot (what the sweep harness
-    attaches to its per-point results).
+    """Collects every observability signal of one simulated run: the
+    metrics registry, the busy-span timeline, the phase tracer and the
+    kernel profiler.
 
     An observer binds to exactly one accelerator (and therefore one
     run); build a fresh one per run.
     """
 
-    def __init__(
-        self,
-        *,
-        timeline: bool = True,
-        phases: bool = True,
-        kernel_profile: bool = True,
-    ) -> None:
+    def __init__(self) -> None:
         self.registry = MetricsRegistry()
-        self.timeline = Timeline() if timeline else None
-        self.tracer = Tracer() if phases else None
-        self.profiler = KernelProfiler() if kernel_profile else None
+        self.timeline = Timeline()
+        self.tracer = Tracer()
+        self.profiler = KernelProfiler()
         self.report: "SimulationReport | None" = None
         self._accel: "Accelerator | None" = None
 
@@ -100,7 +92,7 @@ class Observer:
         self, name: str, stats: Any, tracker: BusyTracker | None
     ) -> None:
         self.registry.register(name, stats=stats, tracker=tracker)
-        if self.timeline is not None and tracker is not None:
+        if tracker is not None:
             tracker.attach_span_sink(self.timeline.track(name))
 
     def _register_link(
@@ -117,10 +109,6 @@ class Observer:
     # -- views --------------------------------------------------------------
 
     @property
-    def attached(self) -> bool:
-        return self._accel is not None
-
-    @property
     def elapsed_ns(self) -> float | None:
         """The observed run's end-to-end latency (None before finalize)."""
         if self.report is None:
@@ -131,19 +119,15 @@ class Observer:
         """One flat, JSON-serializable metrics view of the run.
 
         Hardware units appear under their hierarchical names; the kernel
-        profile (when collected) merges in under ``sim/kernel``.
+        profile merges in under ``sim/kernel``.
         """
-        view = self.registry.snapshot(self.elapsed_ns)
-        if self.profiler is not None:
-            view = merge_snapshots(
-                view, {"sim/kernel": self.profiler.profile().as_dict()}
-            )
-        return view
+        return merge_snapshots(
+            self.registry.snapshot(self.elapsed_ns),
+            {"sim/kernel": self.profiler.profile().as_dict()},
+        )
 
     def accounting(self, name: str) -> TrackAccounting:
         """Busy/stalled/idle partition of one track over the run."""
-        if self.timeline is None:
-            raise RuntimeError("observer was built without a timeline")
         if self.elapsed_ns is None:
             raise RuntimeError("run not finalized yet")
         return self.timeline.accounting(name, self.elapsed_ns)

@@ -22,13 +22,13 @@ content-addressed cache keys.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import lookup
 from repro.graphs.graph import Graph
+from repro.graphs.ordering import csr_bfs_order
 
 #: Stop coarsening once the graph is this many vertices per target part.
 _COARSEN_TARGET_PER_PART = 16
@@ -50,37 +50,6 @@ def _balanced_sizes(num_items: int, parts: int) -> np.ndarray:
     return sizes
 
 
-def _bfs_order(indptr: np.ndarray, indices: np.ndarray, num_nodes: int,
-               start: int) -> np.ndarray:
-    """Every vertex in BFS order from ``start``, restarting at the lowest
-    unvisited vertex per component (deterministic)."""
-    order = np.empty(num_nodes, dtype=np.int64)
-    visited = np.zeros(num_nodes, dtype=bool)
-    pos = 0
-    queue: deque[int] = deque()
-    next_restart = 0
-    seed_vertex = start
-    while pos < num_nodes:
-        if not queue:
-            if seed_vertex is not None and not visited[seed_vertex]:
-                root = seed_vertex
-            else:
-                while visited[next_restart]:
-                    next_restart += 1
-                root = next_restart
-            seed_vertex = None
-            visited[root] = True
-            queue.append(root)
-        v = queue.popleft()
-        order[pos] = v
-        pos += 1
-        for w in indices[indptr[v]: indptr[v + 1]]:
-            if not visited[w]:
-                visited[w] = True
-                queue.append(int(w))
-    return order
-
-
 def bfs_assignment(graph: Graph, parts: int, seed: int = 0) -> np.ndarray:
     """Greedy BFS/level-order partition into balanced contiguous blocks.
 
@@ -91,7 +60,7 @@ def bfs_assignment(graph: Graph, parts: int, seed: int = 0) -> np.ndarray:
     _check_parts(graph.num_nodes, parts)
     rng = np.random.default_rng(seed)
     start = int(rng.integers(graph.num_nodes))
-    order = _bfs_order(graph.indptr, graph.indices, graph.num_nodes, start)
+    order = csr_bfs_order(graph.indptr, graph.indices, start)
     bounds = np.concatenate([[0], np.cumsum(_balanced_sizes(
         graph.num_nodes, parts))])
     assignment = np.empty(graph.num_nodes, dtype=np.int64)
@@ -191,7 +160,7 @@ def _grow_initial(
     total = int(node_weights.sum())
     targets = _balanced_sizes(total, parts)
     start = int(rng.integers(num_nodes))
-    order = _bfs_order(indptr, indices, num_nodes, start)
+    order = csr_bfs_order(indptr, indices, start)
     assignment = np.empty(num_nodes, dtype=np.int64)
     part = 0
     filled = 0

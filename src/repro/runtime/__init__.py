@@ -22,7 +22,6 @@ from repro.runtime.engine import (
     RuntimeEngine,
     SimulationFailure,
     simulate,
-    simulate_detailed,
 )
 from repro.runtime.report import LayerReport, SimulationReport
 from repro.runtime.trace import TraceEvent, Tracer
@@ -41,7 +40,6 @@ __all__ = [
     "SimulationFailure",
     "DeadlockError",
     "simulate",
-    "simulate_detailed",
     "LayerReport",
     "SimulationReport",
     "ValidationIssue",

@@ -147,10 +147,9 @@ class RuntimeEngine:
     ``observer`` — a :class:`repro.obs.Observer` — attaches the unified
     observability layer: the accelerator's units register into its
     metrics registry (busy ledgers feeding its timeline), the kernel
-    runs under its profiler, and phase transitions go to its tracer
-    (``Observer(timeline=False, kernel_profile=False)`` traces phases
-    alone).  Observation never perturbs simulated results
-    (``tests/obs/test_zero_perturbation.py``).
+    runs under its profiler, and phase transitions go to its tracer.
+    This is the one place an observer attaches.  Observation never
+    perturbs simulated results (``tests/obs/test_zero_perturbation.py``).
     """
 
     def __init__(
@@ -626,20 +625,4 @@ def simulate(
     ``observer`` attaches the :mod:`repro.obs` observability layer for
     this run; the report is bit-identical with or without one.
     """
-    return simulate_detailed(program, config, observer=observer)[0]
-
-
-def simulate_detailed(
-    program: AcceleratorProgram,
-    config: AcceleratorConfig,
-    observer: "Observer | None" = None,
-) -> tuple[SimulationReport, Accelerator]:
-    """Like :func:`simulate`, also returning the accelerator instance.
-
-    The instance carries the raw activity counters (per-unit stats,
-    per-link NoC occupancy) that post-processing such as
-    :func:`repro.accel.energy.estimate_energy` consumes.
-    """
-    accel = Accelerator(config)
-    report = RuntimeEngine(accel, observer=observer).run(program)
-    return report, accel
+    return RuntimeEngine(Accelerator(config), observer=observer).run(program)

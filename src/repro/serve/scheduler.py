@@ -2,7 +2,7 @@
 
 One :func:`simulate_serving` call replays a request trace against ``N``
 simulated accelerator instances.  Each instance serves a dispatched
-batch in ``dispatch_overhead_ms + sum(per-request service time)`` — the
+batch in ``DISPATCH_OVERHEAD_MS + sum(per-request service time)`` — the
 service times being the cached single-run latencies of
 :class:`~repro.serve.cluster.ServiceTimes` — so the loop advances in
 microseconds of host time per request while remaining faithful to the
@@ -17,11 +17,11 @@ Robustness machinery, in the order a request meets it:
    instance takes up to ``max_batch`` requests per dispatch.
 3. **Timeout / retry with backoff** — a request that waited past
    ``timeout_ms`` when its dispatch finally comes is not serviced;
-   it re-enters the queue after ``retry_backoff_ms`` until its attempt
+   it re-enters the queue after ``RETRY_BACKOFF_MS`` until its attempt
    budget is spent, then fails as ``request-timeout``.
 4. **Fault injection + failover** — a ``crash`` fault drops the
    victim's in-flight batch; the health checker notices after
-   ``health_check_ms`` and requeues the batch onto the survivors
+   ``HEALTH_CHECK_MS`` and requeues the batch onto the survivors
    (``instance-down``, retryable).  A ``degrade`` fault multiplies the
    victim's service times for its window.  If every instance is down
    with no recovery scheduled, queued and future requests fail fast
@@ -66,6 +66,15 @@ _PRI_REQUEUE = 3
 _PRI_FINISH = 4
 _PRI_ARRIVE = 5
 
+#: Fixed cost of dispatching one batch to an instance (ms).
+DISPATCH_OVERHEAD_MS = 0.05
+
+#: Wait before a timed-out request re-enters the queue (ms).
+RETRY_BACKOFF_MS = 1.0
+
+#: Time the health checker takes to notice a crashed instance (ms).
+HEALTH_CHECK_MS = 5.0
+
 
 @dataclass(frozen=True)
 class ServePolicy:
@@ -80,11 +89,8 @@ class ServePolicy:
     queue_bound: int = 64
     degrade_queue: int | None = None
     max_batch: int = 8
-    dispatch_overhead_ms: float = 0.05
     timeout_ms: float | None = None
     max_retries: int = 1
-    retry_backoff_ms: float = 1.0
-    health_check_ms: float = 5.0
 
     def __post_init__(self) -> None:
         if self.slo_ms <= 0:
@@ -95,16 +101,10 @@ class ServePolicy:
             raise ValueError("degrade_queue must be at least 1 or None")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.dispatch_overhead_ms < 0:
-            raise ValueError("dispatch_overhead_ms cannot be negative")
         if self.timeout_ms is not None and self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be positive or None")
         if self.max_retries < 0:
             raise ValueError("max_retries cannot be negative")
-        if self.retry_backoff_ms < 0:
-            raise ValueError("retry_backoff_ms cannot be negative")
-        if self.health_check_ms <= 0:
-            raise ValueError("health_check_ms must be positive")
 
     @property
     def degrade_bound(self) -> int:
@@ -119,11 +119,11 @@ class ServePolicy:
             "queue_bound": self.queue_bound,
             "degrade_queue": self.degrade_bound,
             "max_batch": self.max_batch,
-            "dispatch_overhead_ms": self.dispatch_overhead_ms,
+            "dispatch_overhead_ms": DISPATCH_OVERHEAD_MS,
             "timeout_ms": self.timeout_ms,
             "max_retries": self.max_retries,
-            "retry_backoff_ms": self.retry_backoff_ms,
-            "health_check_ms": self.health_check_ms,
+            "retry_backoff_ms": RETRY_BACKOFF_MS,
+            "health_check_ms": HEALTH_CHECK_MS,
         }
 
 
@@ -299,7 +299,7 @@ class _ServingSimulation:
             return
         self.retries += 1
         self.sched_stats.add("retries")
-        self.events.push(now + self.policy.retry_backoff_ms,
+        self.events.push(now + RETRY_BACKOFF_MS,
                          _PRI_REQUEUE, "requeue", job)
 
     # -- event handlers ----------------------------------------------------
@@ -388,7 +388,7 @@ class _ServingSimulation:
         if instance.batch:
             # The health checker discovers the loss one interval later
             # and fails the batch over to the survivors.
-            self.events.push(now + self.policy.health_check_ms,
+            self.events.push(now + HEALTH_CHECK_MS,
                              _PRI_DETECT, "detect", list(instance.batch))
             instance.batch = []
         if self.cluster_dead():
@@ -430,7 +430,7 @@ class _ServingSimulation:
                 self.table.has_approximate
                 and len(self.queue) + len(batch) > self.policy.degrade_bound
             )
-            service = self.policy.dispatch_overhead_ms
+            service = DISPATCH_OVERHEAD_MS
             for job in batch:
                 service += (
                     self.table.service_ms(job.request.benchmark_key,

@@ -4,27 +4,20 @@ A thin protocol adapter over the existing compile-and-simulate path:
 construction resolves the Table VI configuration (clock and NoC backend
 applied), ``prepare`` keys it, and ``execute`` delegates to
 :func:`repro.eval.accelerator.run_config` through
-:func:`simulated_system_report`, so reports are bit-identical to the
-``run_benchmark`` path — same compiler memo, same simulation-report
-cache keys, same observer semantics.  The inner simulation honours the
-caller's ``cache``: ``run_system("accel", ..., cache=None)`` persists
-nothing.
+:func:`simulated_system_report`, so reports are bit-identical to a
+direct ``run_config`` — same compiler memo, same simulation-report
+cache keys.  The inner simulation honours the caller's ``cache``:
+``run_system("accel", ..., cache=None)`` persists nothing.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from repro.accel.config import AcceleratorConfig, resolve_config
 from repro.exp.cache import DEFAULT_CACHE, config_fingerprint
 from repro.systems.base import ExecutionPlan, SystemReport
 from repro.systems.registry import SystemOptions
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Observer
-
-#: Table VI row used when the caller does not pick one (matches
-#: ``run_benchmark``'s default).
+#: Table VI row used when the caller does not pick one.
 DEFAULT_CONFIG_NAME = "CPU iso-BW"
 
 #: Default tile clock in GHz (the paper's 2.4 GHz design point).
@@ -39,10 +32,13 @@ def resolve_accel_config(
     """The accelerator recipe every caller shares: the Table VI row by
     name (:func:`repro.accel.config.resolve_config`), then the tile
     clock, then the NoC backend.  ``None`` keeps the default row, the
-    default clock and the row's own backend (``"packet"``).
+    default clock and the row's own backend (``"packet"``); any other
+    clock that is not positive and finite raises ``ValueError``.
     """
     config = resolve_config(config_name or DEFAULT_CONFIG_NAME)
-    config = config.with_clock(clock_ghz or DEFAULT_CLOCK_GHZ)
+    config = config.with_clock(
+        DEFAULT_CLOCK_GHZ if clock_ghz is None else clock_ghz
+    )
     if noc_backend is not None:
         config = config.with_noc_backend(noc_backend)
     return config
@@ -73,11 +69,10 @@ class AcceleratorSystem:
     def execute(
         self,
         plan: ExecutionPlan,
-        observer: "Observer | None" = None,
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         return simulated_system_report(
-            self.name, plan.benchmark_key, self._config, cache, observer
+            self.name, plan.benchmark_key, self._config, cache
         )
 
 
@@ -86,7 +81,6 @@ def simulated_system_report(
     benchmark_key: str,
     config: AcceleratorConfig,
     cache: object = DEFAULT_CACHE,
-    observer: "Observer | None" = None,
 ) -> SystemReport:
     """One whole-graph accelerator simulation as a :class:`SystemReport`
     named ``system``, carrying the full
@@ -98,8 +92,7 @@ def simulated_system_report(
     """
     from repro.eval.accelerator import run_config
 
-    report = run_config(benchmark_key, config, cache=cache,
-                        observer=observer)
+    report = run_config(benchmark_key, config, cache=cache)
     return SystemReport(
         system=system,
         benchmark=benchmark_key,

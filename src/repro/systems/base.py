@@ -16,7 +16,7 @@ shared vocabulary that lets all of them flow through one harness:
   :class:`~repro.runtime.report.SimulationReport` for simulated systems.
 * :class:`ExecutionBackend` — the protocol every system implements:
   ``prepare(benchmark_key) -> ExecutionPlan`` then
-  ``execute(plan, observer=None, cache=DEFAULT_CACHE) -> SystemReport``.
+  ``execute(plan, cache=DEFAULT_CACHE) -> SystemReport``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 from repro.exp.cache import DEFAULT_CACHE, content_key, key_document
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Observer
     from repro.runtime.report import SimulationReport
 
 
@@ -102,9 +101,7 @@ class ExecutionBackend(Protocol):
     benchmark has a plan on every system.  ``execute`` runs the plan and
     returns a :class:`SystemReport`, raising
     :class:`UnsupportedWorkloadError` for a benchmark the system cannot
-    map.  ``observer`` attaches the :mod:`repro.obs` layer — executing
-    with one never changes the report.  ``cache`` is the result cache
-    the caller chose (see :func:`repro.exp.cache.resolve_cache`);
+    map.  ``cache`` is the result cache the caller chose (see :func:`repro.exp.cache.resolve_cache`);
     systems that run inner simulations (``accel``, ``multichip``) read
     and store them there, the analytical systems ignore it.
     """
@@ -117,7 +114,6 @@ class ExecutionBackend(Protocol):
     def execute(
         self,
         plan: ExecutionPlan,
-        observer: "Observer | None" = None,
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         ...  # pragma: no cover - protocol

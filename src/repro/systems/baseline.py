@@ -14,7 +14,6 @@ records which one a benchmark reports.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
 from repro.baselines.machines import CPU_MACHINE, GPU_MACHINE, MachineModel
 from repro.baselines.roofline import workload_breakdown
@@ -22,9 +21,6 @@ from repro.baselines.table7 import TABLE7_MEASURED_MS
 from repro.exp.cache import DEFAULT_CACHE
 from repro.models.registry import benchmark_by_key, benchmark_workload
 from repro.systems.base import ExecutionPlan, SystemReport
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Observer
 
 CPU_SYSTEM_NAME = "cpu"
 GPU_SYSTEM_NAME = "gpu"
@@ -64,7 +60,6 @@ class BaselineSystem:
     def execute(
         self,
         plan: ExecutionPlan,
-        observer: "Observer | None" = None,
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         workload = benchmark_workload(benchmark_by_key(plan.benchmark_key))
@@ -76,28 +71,9 @@ class BaselineSystem:
             breakdown["measured_ms"] = (
                 measured[0] if self.name == CPU_SYSTEM_NAME else measured[1]
             )
-        report = SystemReport(
+        return SystemReport(
             system=self.name,
             benchmark=plan.benchmark_key,
             latency_ms=breakdown.get("measured_ms", breakdown["modeled_ms"]),
             breakdown=breakdown,
         )
-        if observer is not None:
-            observe_breakdown(observer, report)
-        return report
-
-
-def observe_breakdown(observer: "Observer", report: SystemReport) -> None:
-    """Register the report's terms as counters on the observer.
-
-    Analytical systems have no event kernel to instrument, so their
-    observability story is the registry snapshot: one
-    ``system/<name>`` entry carrying the latency breakdown.
-    """
-    from repro.sim.stats import StatSet
-
-    stats = StatSet()
-    stats.add("latency_ms", report.latency_ms)
-    for term, value in report.breakdown.items():
-        stats.add(term, value)
-    observer.registry.register(f"system/{report.system}", stats=stats)

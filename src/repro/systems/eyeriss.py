@@ -15,8 +15,8 @@ offending IR phases.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
+from repro.accel.config import check_clock_ghz
 from repro.dataflow.layers import ir_dense_layers, unmappable_specs
 from repro.dataflow.mapper import analyze_network
 from repro.dataflow.spatial import EYERISS_CONFIG, SpatialArrayConfig
@@ -28,9 +28,6 @@ from repro.systems.base import (
     UnsupportedWorkloadError,
 )
 from repro.systems.registry import SystemOptions
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Observer
 
 #: Off-chip bandwidth of the Section II study (GBps) — the Table II
 #: "68 GBps" column, matching the CPU iso-BW operating point.
@@ -48,7 +45,8 @@ class EyerissSystem:
     def __init__(self, options: SystemOptions = SystemOptions()) -> None:
         self._array: SpatialArrayConfig = EYERISS_CONFIG
         self._bandwidth_gbps = SECTION2_BANDWIDTH_GBPS
-        self._freq_ghz = options.clock_ghz or DEFAULT_FREQ_GHZ
+        self._freq_ghz = (DEFAULT_FREQ_GHZ if options.clock_ghz is None
+                          else check_clock_ghz(options.clock_ghz))
 
     def prepare(self, benchmark_key: str) -> ExecutionPlan:
         return ExecutionPlan(
@@ -64,7 +62,6 @@ class EyerissSystem:
     def execute(
         self,
         plan: ExecutionPlan,
-        observer: "Observer | None" = None,
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         ir = benchmark_ir(benchmark_by_key(plan.benchmark_key))
@@ -91,14 +88,9 @@ class EyerissSystem:
             useful_traffic_fraction=analysis.useful_traffic_fraction,
             useful_compute_fraction=analysis.useful_compute_fraction,
         )
-        report = SystemReport(
+        return SystemReport(
             system=self.name,
             benchmark=plan.benchmark_key,
             latency_ms=analysis.latency_ms,
             breakdown=breakdown,
         )
-        if observer is not None:
-            from repro.systems.baseline import observe_breakdown
-
-            observe_breakdown(observer, report)
-        return report

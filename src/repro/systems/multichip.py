@@ -25,7 +25,9 @@ never drift from the multi-chip system's N=1 point
 field).  Every shard simulation honours the caller's ``cache``.
 
 The plan fingerprint names the partition (chips, method, seed) and the
-link model (bandwidth, latency, value bytes) alongside the accelerator
+link model (bandwidth, latency, and the fixed
+:data:`~repro.models.workload.BYTES_PER_VALUE` per exchanged value)
+alongside the accelerator
 configuration, so two multi-chip operating points that differ in any of
 these never share a cached report.
 """
@@ -33,7 +35,7 @@ these never share a cached report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.accel.config import AcceleratorConfig
 from repro.exp.cache import DEFAULT_CACHE, config_fingerprint
@@ -42,9 +44,6 @@ from repro.partition.methods import DEFAULT_METHOD, validate_method
 from repro.systems.accel import resolve_accel_config, simulated_system_report
 from repro.systems.base import ExecutionPlan, SystemReport
 from repro.systems.registry import SystemOptions
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Observer
 
 #: Chip count when the caller does not pick one.
 DEFAULT_CHIPS = 2
@@ -71,7 +70,6 @@ class MultiChipConfig:
     seed: int = 0
     link_bandwidth_gbps: float = DEFAULT_LINK_BANDWIDTH_GBPS
     link_latency_us: float = DEFAULT_LINK_LATENCY_US
-    value_bytes: int = BYTES_PER_VALUE
 
     def __post_init__(self) -> None:
         if self.chips < 1:
@@ -81,8 +79,6 @@ class MultiChipConfig:
             raise ValueError("link_bandwidth_gbps must be positive")
         if self.link_latency_us < 0:
             raise ValueError("link_latency_us cannot be negative")
-        if self.value_bytes < 1:
-            raise ValueError("value_bytes must be >= 1")
 
     def partition_fingerprint(self) -> dict[str, Any]:
         """The partition stanza of the plan fingerprint (plain data)."""
@@ -94,7 +90,7 @@ class MultiChipConfig:
         return {
             "bandwidth_gbps": self.link_bandwidth_gbps,
             "latency_us": self.link_latency_us,
-            "value_bytes": self.value_bytes,
+            "value_bytes": BYTES_PER_VALUE,
         }
 
 
@@ -133,14 +129,13 @@ class MultiChipSystem:
     def execute(
         self,
         plan: ExecutionPlan,
-        observer: "Observer | None" = None,
         cache: object = DEFAULT_CACHE,
     ) -> SystemReport:
         mc = self._multichip
         benchmark_key = plan.benchmark_key
         if mc.chips == 1:
             report = simulated_system_report(
-                self.name, benchmark_key, self._config, cache, observer
+                self.name, benchmark_key, self._config, cache
             )
             report.breakdown.update(
                 chips=1.0,
@@ -160,14 +155,9 @@ class MultiChipSystem:
         partition = partition_benchmark(
             benchmark_key, mc.chips, mc.method, mc.seed
         )
-        # The observer (when given) watches shard 0; every shard runs the
-        # same engine, so one shard's timeline is the representative one.
         reports = [
-            run_config(
-                benchmark_key, self._config, cache=cache,
-                observer=observer if index == 0 else None,
-                shard=partition.spec(index),
-            )
+            run_config(benchmark_key, self._config, cache=cache,
+                       shard=partition.spec(index))
             for index in range(mc.chips)
         ]
         compute_ms = max(report.latency_ms for report in reports)
@@ -178,7 +168,7 @@ class MultiChipSystem:
         if halo > 0:
             workload = benchmark_workload(benchmark_by_key(benchmark_key))
             for op in aggregation_ops(workload):
-                layer_bytes = halo * op.width * mc.value_bytes * op.count
+                layer_bytes = halo * op.width * BYTES_PER_VALUE * op.count
                 comm_bytes += layer_bytes
                 comm_ms += (
                     layer_bytes / (mc.link_bandwidth_gbps * 1e9) * 1e3

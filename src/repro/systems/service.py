@@ -1,7 +1,7 @@
 """Cached cross-system execution: the entry point the drivers use.
 
 :func:`run_system` is the cross-system sibling of
-:func:`repro.eval.accelerator.run_benchmark`: canonicalize the benchmark
+:func:`repro.eval.accelerator.run_config`: canonicalize the benchmark
 key, prepare a plan on the named system, and run it through the one
 cache-through function (:func:`repro.exp.cache.run_cached` — per-process
 memo, then the persistent :class:`~repro.exp.cache.ResultCache`, else
@@ -16,15 +16,10 @@ simulations where the caller asked (nowhere, for ``cache=None``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.exp.cache import DEFAULT_CACHE, run_cached
 from repro.models.registry import resolve_benchmark_key
 from repro.systems.base import ExecutionBackend, ExecutionPlan, SystemReport
 from repro.systems.registry import SystemOptions, create_system
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.observer import Observer
 
 
 def _prepare(
@@ -59,25 +54,17 @@ def run_system(
     benchmark_key: str,
     options: SystemOptions | None = None,
     cache: object = DEFAULT_CACHE,
-    observer: "Observer | None" = None,
     **overrides,
 ) -> SystemReport:
     """Execute one benchmark on one system, through the caching layers.
 
-    ``observer`` attaches the :mod:`repro.obs` layer; metrics only exist
-    for an execution, so an observed request always executes — but it
-    stores its (identical) report under the same cache key a bare run
-    would use, exactly like the accelerator path.  ``cache`` also holds
-    the inner simulations of ``accel`` and ``multichip``.  A benchmark
+    ``cache`` also holds the inner simulations of ``accel`` and
+    ``multichip``.  A benchmark
     the system cannot map raises
     :class:`~repro.systems.base.UnsupportedWorkloadError` and stores
     nothing.
     """
     backend, plan = _prepare(system, benchmark_key, options, overrides)
     return run_cached(
-        plan.key,
-        lambda observer: backend.execute(plan, observer=observer,
-                                         cache=cache),
-        cache,
-        observer,
+        plan.key, lambda: backend.execute(plan, cache=cache), cache
     )

@@ -107,6 +107,18 @@ class TestAcceleratorConfig:
         assert slow.tile_coords == GPU_ISO_BW.tile_coords
         assert slow.total_bandwidth_gbps == GPU_ISO_BW.total_bandwidth_gbps
 
+    @pytest.mark.parametrize("clock", [0.0, -1.0, float("nan"),
+                                       float("inf")])
+    def test_unusable_clock_rejected(self, clock):
+        with pytest.raises(ValueError, match="clock_ghz"):
+            AcceleratorConfig(
+                name="bad", mesh_width=2, mesh_height=1,
+                tile_coords=((0, 0),), memory_coords=((1, 0),),
+                clock_ghz=clock,
+            )
+        with pytest.raises(ValueError, match="clock_ghz"):
+            CPU_ISO_BW.with_clock(clock)
+
     def test_overlapping_coordinates_rejected(self):
         with pytest.raises(ValueError):
             AcceleratorConfig(

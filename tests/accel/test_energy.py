@@ -5,6 +5,7 @@ import pytest
 
 from repro.accel import (
     CPU_ISO_BW,
+    Accelerator,
     EnergyModel,
     EnergyReport,
     baseline_energy_uj,
@@ -13,7 +14,7 @@ from repro.accel import (
 )
 from repro.graphs import citation_graph
 from repro.models import GCN
-from repro.runtime import compile_model, simulate_detailed
+from repro.runtime import RuntimeEngine, compile_model
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,8 @@ def run():
     graph = citation_graph(60, 150, seed=4)
     graph.node_features = np.zeros((60, 24), dtype=np.float32)
     program = compile_model(GCN(24, 8, 4), graph)
-    return simulate_detailed(program, CPU_ISO_BW)
+    accel = Accelerator(CPU_ISO_BW)
+    return RuntimeEngine(accel).run(program), accel
 
 
 class TestEstimate:

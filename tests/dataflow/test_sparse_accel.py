@@ -86,13 +86,15 @@ class TestPaperArgument:
                 assert analysis.useful_pe_utilization < 0.01
 
     def test_and_the_gnn_accelerator_still_wins(self):
-        from repro.eval.accelerator import run_benchmark
+        from repro.eval.accelerator import run_config
+        from repro.systems.accel import resolve_accel_config
 
         layers = self._pubmed_layers()
         sparse_total_ms = sum(
             a.latency_ns for a in analyze_network_sparse(layers)
         ) * 1e-6
-        gnna = run_benchmark("gcn-pubmed", "CPU iso-BW", 2.4)
+        gnna = run_config("gcn-pubmed",
+                          resolve_accel_config("CPU iso-BW", 2.4))
         assert gnna.latency_ms < sparse_total_ms
 
     def test_empty_network_rejected(self):

@@ -8,27 +8,29 @@ stays fast while still validating the paper's headline behaviours.
 
 import pytest
 
-from repro.eval.accelerator import run_benchmark
+from repro.eval.accelerator import run_config
 from repro.eval.speedups import Figure8Cell, figure8, mean_speedup
 from repro.eval.utilization import figure10
+from repro.systems.accel import resolve_accel_config
 
 
 class TestRunBenchmark:
     def test_results_are_cached(self):
-        a = run_benchmark("gcn-cora", "CPU iso-BW", 2.4)
-        b = run_benchmark("gcn-cora", "CPU iso-BW", 2.4)
+        a = run_config("gcn-cora", resolve_accel_config("CPU iso-BW", 2.4))
+        b = run_config("gcn-cora", resolve_accel_config("CPU iso-BW", 2.4))
         assert a is b
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(KeyError):
-            run_benchmark("transformer-wikipedia")
+            run_config("transformer-wikipedia", resolve_accel_config())
 
     def test_unknown_config_rejected(self):
         with pytest.raises(KeyError):
-            run_benchmark("gcn-cora", "TPU iso-carbon")
+            run_config("gcn-cora", resolve_accel_config("TPU iso-carbon"))
 
     def test_report_is_tagged(self):
-        report = run_benchmark("pgnn-dblp_1", "CPU iso-BW", 2.4)
+        report = run_config("pgnn-dblp_1",
+                            resolve_accel_config("CPU iso-BW", 2.4))
         assert report.benchmark == "PGNN"
         assert report.config_name == "CPU iso-BW"
 
@@ -108,8 +110,8 @@ class TestConfigContentKeying:
     def test_mutated_configurations_entry_is_not_served_stale(
         self, monkeypatch
     ):
-        # Regression: run_benchmark used to memoize on the *name* of the
-        # configuration, so replacing a table entry (as
+        # Regression: the name-based entry point used to memoize on the
+        # *name* of the configuration, so replacing a table entry (as
         # examples/design_sweeps.py encourages) silently returned the old
         # report.  Keys are content hashes of the resolved config now.
         import dataclasses
@@ -117,7 +119,8 @@ class TestConfigContentKeying:
         from repro.accel.config import CONFIGURATIONS_BY_NAME, resolve_config
 
         cpu_iso_bw = resolve_config("CPU iso-BW")
-        baseline = run_benchmark("gcn-cora", "CPU iso-BW", 2.4)
+        baseline = run_config("gcn-cora",
+                              resolve_accel_config("CPU iso-BW", 2.4))
         starved = dataclasses.replace(
             cpu_iso_bw,
             memory=dataclasses.replace(
@@ -126,13 +129,16 @@ class TestConfigContentKeying:
         )
         assert starved.name == "CPU iso-BW"  # same name, different hardware
         monkeypatch.setitem(CONFIGURATIONS_BY_NAME, "CPU iso-BW", starved)
-        report = run_benchmark("gcn-cora", "CPU iso-BW", 2.4)
+        report = run_config("gcn-cora",
+                            resolve_accel_config("CPU iso-BW", 2.4))
         assert report is not baseline
         # GCN is bandwidth-bound: a quarter of the memory bandwidth must
         # show up as a real slowdown, not a stale cache hit.
         assert report.latency_ms > 1.5 * baseline.latency_ms
         # The untouched operating point is still served from the cache.
-        assert run_benchmark("gcn-cora", "CPU iso-BW", 2.4) is report
+        assert run_config(
+            "gcn-cora", resolve_accel_config("CPU iso-BW", 2.4)
+        ) is report
 
 
 @pytest.mark.slow

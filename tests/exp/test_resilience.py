@@ -82,7 +82,7 @@ class TestSerial:
         calls = []
         monkeypatch.setattr(
             runner_mod, "simulate_point",
-            lambda point, observer=None: (calls.append(point.key),
+            lambda point: (calls.append(point.key),
                                           sample_report(point))[1],
         )
         [point] = make_points("dedupe")
@@ -100,7 +100,7 @@ class TestSerial:
         calls = []
         monkeypatch.setattr(
             runner_mod, "simulate_point",
-            lambda point, observer=None: (calls.append(1),
+            lambda point: (calls.append(1),
                                           sample_report(point))[1],
         )
         points = make_points("linear", 5) * 40  # 200 inputs, 5 distinct
@@ -113,7 +113,7 @@ class TestSerial:
     ):
         calls = []
 
-        def fake(point, observer=None):
+        def fake(point):
             calls.append(point.resolved_config.clock_ghz)
             if point.resolved_config.clock_ghz == 2.0:
                 raise SimulationError("layer 'l' deadlocked")
@@ -138,7 +138,7 @@ class TestSerial:
     def test_strict_run_sweep_raises_typed_failure(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, observer=None):
+        def fake(point):
             raise SimulationError("watchdog tripped (max_time)")
 
         monkeypatch.setattr(runner_mod, "simulate_point", fake)
@@ -212,7 +212,7 @@ class TestParallel:
         the point is retried, and every other point's result arrives."""
         sentinel = tmp_path / "already-died"
 
-        def fake(point, observer=None):
+        def fake(point):
             if (point.resolved_config.clock_ghz == 1.0
                     and not sentinel.exists()):
                 sentinel.touch()
@@ -235,7 +235,7 @@ class TestParallel:
     def test_always_crashing_point_exhausts_retries(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, observer=None):
+        def fake(point):
             if point.resolved_config.clock_ghz == 1.0:
                 # Let the innocent point's result land before the worker
                 # dies, so the test observes clean crash isolation.
@@ -263,7 +263,7 @@ class TestParallel:
     def test_hung_worker_killed_at_deadline(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, observer=None):
+        def fake(point):
             if point.resolved_config.clock_ghz == 1.0:
                 time.sleep(30)
             return sample_report(point)
@@ -291,7 +291,7 @@ class TestParallel:
     ):
         """Ten 0.5 s points on two workers take 2.5 s, yet none exceeds
         its 1 s budget: time spent queued is not charged."""
-        def fake(point, observer=None):
+        def fake(point):
             time.sleep(0.5)
             return sample_report(point)
 
@@ -310,7 +310,7 @@ class TestParallel:
         starts = tmp_path / "starts"
         starts.mkdir()
 
-        def fake(point, observer=None):
+        def fake(point):
             clock = point.resolved_config.clock_ghz
             with open(starts / f"{clock:g}", "a") as log:
                 log.write("start\n")
@@ -337,7 +337,7 @@ class TestParallel:
     ):
         monkeypatch.setattr(
             runner_mod, "simulate_point",
-            lambda point, observer=None: sample_report(point),
+            lambda point: sample_report(point),
         )
 
         def no_fork(process):
@@ -355,7 +355,7 @@ class TestParallel:
     def test_parallel_failure_keeps_other_reports(
         self, monkeypatch, fake_compile, fresh_cache
     ):
-        def fake(point, observer=None):
+        def fake(point):
             if point.resolved_config.clock_ghz == 2.0:
                 raise SimulationError("injected divergence")
             return sample_report(point)

@@ -120,7 +120,7 @@ def kernel_profile():
     from repro.eval.accelerator import _compiled_program
     from repro.runtime.engine import simulate
 
-    observer = Observer(timeline=False, phases=False)
+    observer = Observer()
     simulate(_compiled_program("gcn-cora"), CPU_ISO_BW, observer=observer)
     return observer.profiler.profile()
 
@@ -145,21 +145,3 @@ class TestKernelProfile:
         for owner, wall_s, samples in hottest:
             assert isinstance(owner, str) and owner
             assert wall_s >= 0 and samples > 0
-
-
-class TestCheapObserver:
-    def test_disabled_layers_absent(self):
-        observer = Observer(timeline=False, phases=False,
-                            kernel_profile=False)
-        assert observer.timeline is None
-        assert observer.tracer is None
-        assert observer.profiler is None
-
-    def test_snapshot_has_no_kernel_section(self):
-        graph = citation_graph(16, 30, seed=3)
-        graph.node_features = np.zeros((16, 8), dtype=np.float32)
-        program = compile_model(GCN(8, 8, 4), graph)
-        observer = Observer(timeline=False, phases=False,
-                            kernel_profile=False)
-        RuntimeEngine(Accelerator(CPU_ISO_BW), observer=observer).run(program)
-        assert "sim/kernel" not in observer.snapshot()

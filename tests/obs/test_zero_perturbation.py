@@ -3,8 +3,7 @@
 Attaching an :class:`~repro.obs.Observer` must never change what the
 simulator computes: every benchmark, on both primary configurations,
 produces under instrumentation the report pinned in
-``tests/golden_digests.json`` for its NoC backend, and the cache key of
-an observed run is the key a bare run would use.  The checks at the
+``tests/golden_digests.json`` for its NoC backend.  The checks at the
 bottom pin the "zero-cost when unattached" half of the contract: no
 per-event allocation in the bare loop, and no per-event call into an
 attached profiler.
@@ -17,11 +16,9 @@ import pytest
 
 from benchmarks.suite.digests import digest
 from repro.accel.config import resolve_config
-from repro.eval.accelerator import _compiled_program, run_config
-from repro.exp.cache import ResultCache, clear_memo, lookup, point_key
+from repro.eval.accelerator import _compiled_program
 from repro.obs import Observer
 from repro.runtime.engine import simulate
-from repro.runtime.serialize import report_to_dict
 from repro.sim.kernel import Simulator
 
 from tests.test_golden_digests import accel_key, golden
@@ -48,47 +45,6 @@ def test_observed_report_bit_identical(benchmark_key, config_name):
     observed = simulate(_compiled_program(benchmark_key), config,
                         observer=Observer())
     assert digest(observed) == golden(accel_key(benchmark_key, config))
-
-
-def test_observer_leaves_cache_key_unchanged(tmp_path):
-    """An observed run stores under the exact key a bare run would use,
-    so later bare lookups hit — observer attachment is invisible to the
-    cache fingerprint."""
-    benchmark = "pgnn-dblp_1"
-    config = resolve_config("CPU iso-BW")
-    bare_key = point_key(benchmark, config)
-    cache = ResultCache(tmp_path)
-    clear_memo()
-    observer = Observer(timeline=False, phases=False, kernel_profile=False)
-    observed = run_config(benchmark, config, cache=cache, observer=observer)
-    clear_memo()  # force the lookup to the persistent layer
-    hit = lookup(bare_key, cache)
-    assert hit is not None
-    assert report_to_dict(hit) == report_to_dict(observed)
-    clear_memo()
-
-
-def test_observed_run_key_matches_bare_run_key(tmp_path):
-    """Both run styles populate exactly one (shared) cache entry."""
-    benchmark = "pgnn-dblp_1"
-    config = resolve_config("CPU iso-BW")
-    clear_memo()
-    bare_cache = ResultCache(tmp_path / "bare")
-    observed_cache = ResultCache(tmp_path / "observed")
-    run_config(benchmark, config, cache=bare_cache)
-    clear_memo()
-    run_config(
-        benchmark, config, cache=observed_cache,
-        observer=Observer(timeline=False, phases=False,
-                          kernel_profile=False),
-    )
-    clear_memo()
-    bare_files = sorted(p.name for p in (tmp_path / "bare").rglob("*.json"))
-    observed_files = sorted(
-        p.name for p in (tmp_path / "observed").rglob("*.json")
-    )
-    assert bare_files == observed_files
-    assert len(bare_files) == 1
 
 
 # -- zero-cost-when-unattached checks -------------------------------------

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.accelerator import resolve_benchmark_config
 from repro.eval.partition_sweep import partition_scaling
 from repro.exp.cache import point_fingerprint, point_key
 from repro.partition import ShardSpec
 from repro.systems import SystemOptions, system_plan
+from repro.systems.accel import resolve_accel_config
 from repro.systems.multichip import MultiChipConfig
 
 GOLDEN = json.loads(
@@ -109,7 +109,7 @@ class TestCachePoisoning:
         assert len(set(keys.values())) == len(keys), keys
 
     def test_shard_fingerprint_varies_with_every_spec_field(self):
-        _, config = resolve_benchmark_config("gcn-cora", "CPU iso-BW", 2.4)
+        config = resolve_accel_config("CPU iso-BW", 2.4)
         base = ShardSpec(chips=4, index=1, method="metis", seed=0)
         variants = (
             ShardSpec(chips=8, index=1, method="metis", seed=0),
@@ -127,7 +127,7 @@ class TestCachePoisoning:
         assert doc["system"] == "accel"
 
     def test_shard_keys_never_collide_with_whole_graph_points(self):
-        _, config = resolve_benchmark_config("gcn-cora", "CPU iso-BW", 2.4)
+        config = resolve_accel_config("CPU iso-BW", 2.4)
         whole = point_fingerprint("gcn-cora", config)
         spec = ShardSpec(chips=2, index=0)
         sharded = point_fingerprint("gcn-cora", config, shard=spec)

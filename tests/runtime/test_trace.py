@@ -17,7 +17,7 @@ def traced_run():
     graph = citation_graph(24, 50, seed=5)
     graph.node_features = np.zeros((24, 8), dtype=np.float32)
     program = compile_model(GCN(8, 8, 4), graph)
-    observer = Observer(timeline=False, kernel_profile=False)
+    observer = Observer()
     engine = RuntimeEngine(Accelerator(CPU_ISO_BW), observer=observer)
     report = engine.run(program)
     return program, observer.tracer, report

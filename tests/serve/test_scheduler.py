@@ -50,11 +50,8 @@ class TestPolicyValidation:
         ("queue_bound", 0),
         ("degrade_queue", 0),
         ("max_batch", 0),
-        ("dispatch_overhead_ms", -1.0),
         ("timeout_ms", 0.0),
         ("max_retries", -1),
-        ("retry_backoff_ms", -0.5),
-        ("health_check_ms", 0.0),
     ])
     def test_bad_knobs_rejected(self, field, value):
         with pytest.raises(ValueError):

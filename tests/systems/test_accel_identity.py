@@ -1,17 +1,19 @@
 """Differential tests: the ``accel`` backend is the simulator, exactly.
 
-The refactor moved ``run_benchmark`` behind the :class:`ExecutionBackend`
-protocol; these tests pin that the reports coming out of the backend are
-bit-identical to direct ``simulate`` calls — same event counts, same
+The ``accel`` backend wraps :func:`repro.eval.accelerator.run_config`
+behind the :class:`ExecutionBackend` protocol; these tests pin that the
+reports coming out of the backend are bit-identical to direct
+``simulate`` calls — same event counts, same
 latencies, same utilizations — not merely close.
 """
 
 import pytest
 
-from repro.eval.accelerator import run_benchmark
+from repro.eval.accelerator import run_config
 from repro.exp import cache as cache_mod
 from repro.models.registry import BENCHMARKS
 from repro.systems import run_system
+from repro.systems.accel import resolve_accel_config
 
 FAST_BENCHMARKS = ("gcn-cora", "pgnn-dblp_1")
 
@@ -20,7 +22,7 @@ FAST_BENCHMARKS = ("gcn-cora", "pgnn-dblp_1")
 def test_fresh_backend_execution_is_bit_identical(benchmark_key):
     """Re-executing from scratch (memo dropped, caches off) reproduces
     the direct simulation report field for field."""
-    direct = run_benchmark(benchmark_key, "CPU iso-BW", 2.4)
+    direct = run_config(benchmark_key, resolve_accel_config("CPU iso-BW", 2.4))
     with cache_mod.disabled():
         cache_mod.clear_memo()
         report = run_system("accel", benchmark_key, cache=None)
@@ -34,10 +36,12 @@ def test_fresh_backend_execution_is_bit_identical(benchmark_key):
 @pytest.mark.parametrize(
     "benchmark_key", [b.key for b in BENCHMARKS]
 )
-def test_backend_matches_run_benchmark_on_every_benchmark(benchmark_key):
+def test_backend_matches_run_config_on_every_benchmark(benchmark_key):
     """Full six-benchmark differential (shared cache keeps it viable)."""
     report = run_system("accel", benchmark_key)
-    assert report.detail == run_benchmark(benchmark_key, "CPU iso-BW", 2.4)
+    assert report.detail == run_config(
+        benchmark_key, resolve_accel_config("CPU iso-BW", 2.4)
+    )
     assert report.latency_ms == report.detail.latency_ms
 
 

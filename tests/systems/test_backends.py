@@ -9,7 +9,6 @@ from repro.baselines import (
     estimate_latency_ms,
 )
 from repro.models.registry import benchmark_by_key, benchmark_workload
-from repro.obs.observer import Observer
 from repro.systems import (
     UnsupportedWorkloadError,
     create_system,
@@ -54,16 +53,6 @@ class TestBaselineSystems:
         # Roofline terms ride along for the Table VII driver.
         for term in ("dense_ms", "sparse_ms", "memory_ms"):
             assert term in report.breakdown
-
-    def test_observer_snapshots_the_breakdown(self):
-        observer = Observer(
-            timeline=False, phases=False, kernel_profile=False
-        )
-        run_system("cpu", "gcn-cora", observer=observer, cache=None)
-        snapshot = observer.snapshot()
-        assert "system/cpu" in snapshot
-        counters = snapshot["system/cpu"]["counters"]
-        assert counters["latency_ms"] == TABLE7_MEASURED_MS["gcn-cora"][0]
 
 
 class TestEyerissSystem:

@@ -51,6 +51,19 @@ class TestDefaults:
         assert DEFAULT_SYSTEM == "accel"
         assert create_system(DEFAULT_SYSTEM).name == "accel"
 
+    def test_only_none_selects_the_default_clock(self):
+        """A clock of 0 is a bad value, not an unset one: both clock
+        resolvers raise instead of falling back to 2.4 GHz."""
+        from repro.systems.accel import resolve_accel_config
+
+        assert resolve_accel_config().clock_ghz == 2.4
+        assert resolve_accel_config(clock_ghz=None).clock_ghz == 2.4
+        for system in ("accel", "eyeriss", "multichip"):
+            with pytest.raises(ValueError, match="clock_ghz"):
+                create_system(system, clock_ghz=0)
+        with pytest.raises(ValueError, match="clock_ghz"):
+            resolve_accel_config(clock_ghz=0)
+
 
 class TestRegistration:
     def test_options_and_overrides_are_exclusive(self):

@@ -329,6 +329,46 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == f"repro {argv[0]}: --jobs must be at least 1\n"
 
+    @pytest.mark.parametrize("clock", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "gcn-cora"], "--clock"),
+        (["profile", "gcn-cora"], "--clock"),
+        (["compare", "gcn-cora", "--systems", "cpu", "accel"], "--clock"),
+        (["partition-sweep", "gcn-cora", "--chips", "1"], "--clock"),
+        (["sweep", "--benchmarks", "gcn-cora", "--configs", "CPU iso-BW",
+          "--no-cache"], "--clocks"),
+    ], ids=["simulate", "profile", "compare", "partition-sweep", "sweep"])
+    def test_bad_clock_exits_2(self, argv, flag, clock, capsys):
+        """A tile clock that is not positive and finite is refused before
+        any simulation: one line on stderr, nothing on stdout, exit code
+        2 — never silently replaced by the default."""
+        assert main(argv + [flag, clock]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro {argv[0]}: clock_ghz must be positive and finite, "
+            f"got {float(clock)!r}\n"
+        )
+
+    def test_profile_stores_nothing(self, capsys, tmp_path, monkeypatch):
+        """``repro profile`` simulates its point directly with the
+        observer attached: an empty ``$REPRO_CACHE_DIR`` stays empty."""
+        from repro.exp import cache as result_cache
+
+        session_default = result_cache.default_cache()
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        result_cache.reset_default_cache()
+        result_cache.clear_memo()
+        try:
+            assert main(["profile", "gcn-cora",
+                         "--noc-backend", "analytical"]) == 0
+        finally:
+            result_cache.clear_memo()
+            result_cache.set_default_cache(session_default)
+        assert "Utilization by unit class" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
     def test_noc_backends_lists_fidelity_notes(self, capsys):
         assert main(["noc-backends"]) == 0
         out = capsys.readouterr().out
@@ -625,6 +665,25 @@ class TestServeSimCommand:
         code = main(["serve-sim", "gcn-cora", "--fault", "meltdown:0@1"])
         assert code == 2
         assert "KIND:INSTANCE@MS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_instances_below_one_exits_2(self, instances, capsys,
+                                         monkeypatch):
+        """An instance count below 1 is refused before any benchmark is
+        priced: one line on stderr, nothing on stdout, exit code 2."""
+        import repro.serve
+
+        def no_pricing(*args, **kwargs):
+            raise AssertionError("priced a benchmark")
+
+        monkeypatch.setattr(repro.serve, "measure_service_times", no_pricing)
+        assert main(["serve-sim", "gcn-cora", "--instances", instances,
+                     "--no-saturation"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro serve-sim: --instances must be at least 1\n"
+        )
 
     def test_bad_policy_value_exits_2(self, capsys):
         code = main(["serve-sim", "gcn-cora", "--slo-ms", "0"])

@@ -76,11 +76,9 @@ def accel_key(benchmark_key: str, config) -> str:
 
 
 def _accel_cell(benchmark_key: str, config_name: str, backend: str) -> Cell:
-    from repro.eval.accelerator import resolve_benchmark_config
+    from repro.systems.accel import resolve_accel_config
 
-    _, config = resolve_benchmark_config(
-        benchmark_key, config_name, CLOCK_GHZ, backend
-    )
+    config = resolve_accel_config(config_name, CLOCK_GHZ, backend)
 
     def compute() -> str:
         from repro.eval.accelerator import _compiled_program
@@ -206,17 +204,15 @@ def test_lowered_program_simulates_to_the_pinned_report(backend):
     # The program and report cells pin one lowering: gcn-cora, lowered
     # afresh, hashes to its program cell, and that very program simulates
     # to its CPU iso-BW report cell under both interconnect fidelities.
-    from repro.eval.accelerator import resolve_benchmark_config
     from repro.models.registry import benchmark_by_key, load_benchmark
     from repro.runtime.compiler import compile_model
     from repro.runtime.engine import simulate
+    from repro.systems.accel import resolve_accel_config
 
     model, data = load_benchmark(benchmark_by_key("gcn-cora"))
     program = compile_model(model, data)
     assert program_digest(program) == golden("program/gcn-cora")
-    _, config = resolve_benchmark_config(
-        "gcn-cora", "CPU iso-BW", CLOCK_GHZ, backend
-    )
+    config = resolve_accel_config("CPU iso-BW", CLOCK_GHZ, backend)
     assert digest(simulate(program, config)) == golden(
         accel_key("gcn-cora", config)
     )
