@@ -1,5 +1,10 @@
 """Command-line interface: regenerate paper artifacts from the shell.
 
+:func:`main` refuses every bad argument in one place: it resolves each
+argument that names something before the command runs, and prints any
+usage error as one ``repro <command>: <message>`` line on stderr and
+exits 2.
+
 Usage::
 
     python -m repro list                 # available artifacts
@@ -22,33 +27,77 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
+from repro.accel.config import check_clock_ghz, resolve_config
+from repro.dse import resolve_driver
 from repro.eval.report import format_table
+from repro.models.registry import resolve_benchmark_key
+from repro.noc.backends import validate_backend
+from repro.partition.methods import validate_method
+from repro.space import resolve_space
+from repro.systems import DEFAULT_SYSTEM, validate_system
 
 if TYPE_CHECKING:
     from repro.exp.runner import RetryPolicy
 
+#: The paper's tables and figures, each a subcommand of its own.
+_ARTIFACTS = ("table1", "table2", "figure2", "table3", "table4", "table5",
+              "table6", "table7", "figure8", "figure9", "figure10", "energy")
+
+#: Every argument, by its parsed name, that names something or sets a
+#: clock, in checking order, and its resolver; a plural argument holds a
+#: list.  An unknown name raises a ``KeyError``
+#: (:class:`repro.errors.UnknownNameError`, or the ambiguous-shorthand
+#: error), a bad clock a ``ValueError``.
+_RESOLVERS = {
+    "benchmark": resolve_benchmark_key,
+    "benchmarks": resolve_benchmark_key,
+    "config": resolve_config,
+    "configs": resolve_config,
+    "system": validate_system,
+    "systems": validate_system,
+    "noc_backend": validate_backend,
+    "method": validate_method,
+    "space": resolve_space,
+    "driver": resolve_driver,
+    "clock": check_clock_ghz,
+    "clocks": check_clock_ghz,
+}
+
+
+class _UsageError(Exception):
+    """A bad command-line argument: :func:`main` prints it as one line
+    and exits 2."""
+
+
+def _resolve_arguments(args: argparse.Namespace) -> None:
+    """Check every argument of ``args`` that :data:`_RESOLVERS` names.
+
+    Runs before any simulation or worker spawn, so a typo fails in
+    milliseconds listing the valid names.  Benchmark names are written
+    back as canonical keys (dataset shorthands like ``qm9`` resolve,
+    ambiguous ones are refused with their candidates), and an absent
+    ``--system`` becomes :data:`repro.systems.DEFAULT_SYSTEM`.
+    """
+    if "system" in vars(args) and args.system is None:
+        args.system = DEFAULT_SYSTEM
+    for name, resolve in _RESOLVERS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            continue
+        try:
+            if isinstance(value, (list, tuple)):
+                resolved = [resolve(item) for item in value]
+            else:
+                resolved = resolve(value)
+        except KeyError as exc:
+            raise _UsageError(exc.args[0]) from None
+        except ValueError as exc:
+            raise _UsageError(exc) from None
+        if name in ("benchmark", "benchmarks"):
+            setattr(args, name, resolved)
+
 
 def _cmd_list(_args) -> None:
-    print("artifacts: table1 table2 figure2 table3 table4 table5 table6 "
-          "table7 figure8 figure9 figure10 energy")
-    print("commands:  simulate <benchmark> [--system NAME] [--config NAME]"
-          " [--clock GHZ] [--noc-backend NAME]")
-    print("           profile <benchmark> [CONFIG] [--system NAME]"
-          " [--clock GHZ] [--trace PATH] [--noc-backend NAME]")
-    print("           sweep [--jobs N] [--system NAME] [--benchmarks ...]"
-          " [--configs ...] [--clocks ...] [--noc-backend NAME]")
-    print("           compare <benchmark> [--systems ...] [--clock GHZ]"
-          " [--output PATH]")
-    print("           serve-sim <benchmark ...> [--systems ...]"
-          " [--instances N] [--arrival poisson|bursty] [--rate QPS]"
-          " [--slo-ms MS] [--seed N] [--fault SPEC]")
-    print("           partition-sweep <benchmark> [--chips 1 2 4 8]"
-          " [--method metis|bfs] [--link-bandwidth-gbps GBPS]"
-          " [--jobs N] [--output PATH]")
-    print("           dse <benchmark> [--space NAME] [--driver NAME]"
-          " [--points N] [--seed N] [--jobs N] [--noc-backend NAME]"
-          " [--output PATH]")
-    print("           systems noc-backends")
     from repro.accel.config import CONFIGURATIONS
     from repro.dse import driver_names
     from repro.models import ALL_BENCHMARKS
@@ -57,6 +106,13 @@ def _cmd_list(_args) -> None:
     from repro.space import space_names
     from repro.systems import system_names
 
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    commands = [name for name in subcommands
+                if name != "list" and name not in _ARTIFACTS]
+    print(f"artifacts: {' '.join(_ARTIFACTS)}")
+    print(f"commands:  {' '.join(commands)}")
+    print("           (flags: repro COMMAND --help)")
     print(f"benchmarks: {' '.join(b.key for b in ALL_BENCHMARKS)}")
     print(f"systems: {' '.join(system_names())}")
     print(f"noc backends: {' '.join(backend_names())}")
@@ -84,7 +140,7 @@ def _cmd_noc_backends(_args) -> None:
 
 
 def _cmd_systems(_args) -> None:
-    from repro.systems import DEFAULT_SYSTEM, available_systems
+    from repro.systems import available_systems
 
     print(format_table(
         ["System", "Model"],
@@ -97,70 +153,6 @@ def _cmd_systems(_args) -> None:
         title="Execution systems",
     ))
     print("select with --system NAME or run_system(NAME, ...)")
-
-
-def _resolve_names(
-    command: str,
-    benchmark: str | None = None,
-    config: str | None = None,
-    system: str | None = None,
-    noc_backend: str | None = None,
-    benchmarks: "tuple[str, ...] | list[str]" = (),
-    systems: "tuple[str, ...] | list[str]" = (),
-    configs: "tuple[str, ...] | list[str]" = (),
-    partition_method: str | None = None,
-    space: str | None = None,
-    dse_driver: str | None = None,
-    clocks: "tuple[float, ...] | list[float]" = (),
-) -> int | None:
-    """Print a one-line error and return 2 for any unknown name or any
-    tile clock that is not positive and finite.
-
-    The single source of truth for the CLI's "unknown name -> exit 2"
-    contract: benchmarks resolve through
-    :func:`repro.models.registry.resolve_benchmark_key` (so dataset
-    shorthands like ``qm9`` are accepted and ambiguous ones rejected
-    with candidates), every other kind through its table's resolver.
-    Every unknown name raises :class:`repro.errors.UnknownNameError`, a
-    ``KeyError``; a bad clock raises
-    :func:`repro.accel.config.check_clock_ghz`'s ``ValueError``.  Runs
-    before any simulation or worker spawn, so a typo fails in
-    milliseconds listing the valid names.
-    """
-    from repro.accel.config import check_clock_ghz, resolve_config
-    from repro.dse import resolve_driver
-    from repro.models.registry import resolve_benchmark_key
-    from repro.noc.backends import validate_backend
-    from repro.partition.methods import validate_method
-    from repro.space import resolve_space
-    from repro.systems import validate_system
-
-    try:
-        for key in ([benchmark] if benchmark is not None else []) + list(
-            benchmarks
-        ):
-            resolve_benchmark_key(key)
-        for name in ([config] if config is not None else []) + list(configs):
-            resolve_config(name)
-        for name in ([system] if system is not None else []) + list(systems):
-            validate_system(name)
-        if noc_backend is not None:
-            validate_backend(noc_backend)
-        if partition_method is not None:
-            validate_method(partition_method)
-        if space is not None:
-            resolve_space(space)
-        if dse_driver is not None:
-            resolve_driver(dse_driver)
-        for clock in clocks:
-            check_clock_ghz(clock)
-    except KeyError as exc:
-        print(f"repro {command}: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        return 2
-    return None
 
 
 def _cmd_config_table(name: str) -> None:
@@ -296,10 +288,10 @@ def _cache_from_args(args) -> object:
     return DEFAULT_CACHE
 
 
-def _retry_policy(command: str, args) -> "RetryPolicy | None":
+def _retry_policy(args) -> RetryPolicy:
     """The sweep retry policy of ``--timeout`` and ``--retries``; a flag
-    left unset keeps the :class:`~repro.exp.runner.RetryPolicy` default.
-    An invalid value prints one line and gives ``None``."""
+    left unset keeps the :class:`~repro.exp.runner.RetryPolicy` default,
+    and an invalid value is a usage error."""
     from repro.exp.runner import RetryPolicy
 
     flags = {"timeout_s": args.timeout, "retries": args.retries}
@@ -307,20 +299,18 @@ def _retry_policy(command: str, args) -> "RetryPolicy | None":
         return RetryPolicy(**{k: v for k, v in flags.items()
                               if v is not None})
     except ValueError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        return None
+        raise _UsageError(exc) from None
 
 
-def _jobs(command: str, args) -> int | None:
+def _jobs(args) -> int:
     """The worker count of ``--jobs``, or the host's core count when the
-    flag is unset.  A count below 1 prints one line and gives ``None``."""
+    flag is unset; a count below 1 is a usage error."""
     from repro.exp.runner import default_jobs
 
     if args.jobs is None:
         return default_jobs()
     if args.jobs < 1:
-        print(f"repro {command}: --jobs must be at least 1", file=sys.stderr)
-        return None
+        raise _UsageError("--jobs must be at least 1")
     return args.jobs
 
 
@@ -336,27 +326,11 @@ def _cmd_sweep(args) -> int:
     import time
 
     from repro.exp.runner import Point, figure8_points, run_sweep_detailed
-    from repro.systems import DEFAULT_SYSTEM
 
-    system = args.system or DEFAULT_SYSTEM
-    code = _resolve_names("sweep", system=system,
-                          noc_backend=args.noc_backend,
-                          benchmarks=args.benchmarks,
-                          configs=args.configs, clocks=args.clocks)
-    if code is not None:
-        return code
-    policy = _retry_policy("sweep", args)
-    if policy is None:
-        return 2
-    jobs = _jobs("sweep", args)
-    if jobs is None:
-        return 2
-    from repro.models.registry import resolve_benchmark_key
-
-    args.benchmarks = [resolve_benchmark_key(b) for b in args.benchmarks]
-
+    policy = _retry_policy(args)
+    jobs = _jobs(args)
     cache = _cache_from_args(args)
-    if system == "accel":
+    if args.system == "accel":
         points = figure8_points(
             benchmarks=tuple(args.benchmarks) or None,
             clocks=tuple(args.clocks),
@@ -371,8 +345,8 @@ def _cmd_sweep(args) -> int:
         # Multichip chips take the accelerator options; cpu, gpu and
         # eyeriss take none.
         config = (resolve_accel_config(noc_backend=args.noc_backend)
-                  if system == "multichip" else None)
-        points = [Point(key, config, system=system) for key in keys]
+                  if args.system == "multichip" else None)
+        points = [Point(key, config, system=args.system) for key in keys]
     hits = 0
 
     def progress(point, report, was_cached) -> None:
@@ -427,23 +401,11 @@ def _cmd_dse(args) -> int:
     import time
 
     from repro.dse import run_dse
-    from repro.space import resolve_space
 
-    code = _resolve_names("dse", benchmark=args.benchmark,
-                          noc_backend=args.noc_backend,
-                          space=args.space, dse_driver=args.driver)
-    if code is not None:
-        return code
     if args.points < 1:
-        print("repro dse: --points must be >= 1", file=sys.stderr)
-        return 2
-    policy = _retry_policy("dse", args)
-    if policy is None:
-        return 2
-    jobs = _jobs("dse", args)
-    if jobs is None:
-        return 2
-
+        raise _UsageError("--points must be >= 1")
+    policy = _retry_policy(args)
+    jobs = _jobs(args)
     cache = _cache_from_args(args)
 
     def progress(evaluation) -> None:
@@ -498,7 +460,7 @@ def _cmd_dse(args) -> int:
     return 0 if not result.failures else 1
 
 
-def _run_on_system(command: str, system: str, args) -> int:
+def _run_on_system(args) -> int:
     """Execute one benchmark on a non-accel backend and print its report.
 
     The accelerator options go along: ``multichip`` simulates its chips
@@ -508,36 +470,25 @@ def _run_on_system(command: str, system: str, args) -> int:
 
     try:
         report = run_system(
-            system, args.benchmark, config_name=args.config,
+            args.system, args.benchmark, config_name=args.config,
             clock_ghz=args.clock, noc_backend=args.noc_backend,
         )
     except UnsupportedWorkloadError as exc:
-        print(f"repro {command}: {exc}", file=sys.stderr)
-        return 2
-    print(f"{args.benchmark} on {system}: {report.latency_ms:.3f} ms")
+        raise _UsageError(exc) from None
+    print(f"{args.benchmark} on {args.system}: {report.latency_ms:.3f} ms")
     print(format_table(
         ["Term", "Value"],
         sorted(report.breakdown.items()),
-        title=f"{system} breakdown",
+        title=f"{args.system} breakdown",
     ))
     return 0
 
 
 def _cmd_profile(args) -> int:
     from repro.obs import Observer, write_chrome_trace
-    from repro.systems import DEFAULT_SYSTEM
 
-    system = args.system or DEFAULT_SYSTEM
-    code = _resolve_names("profile", benchmark=args.benchmark,
-                          config=args.config, system=system,
-                          noc_backend=args.noc_backend, clocks=[args.clock])
-    if code is not None:
-        return code
-    from repro.models.registry import resolve_benchmark_key
-
-    args.benchmark = resolve_benchmark_key(args.benchmark)
-    if system != "accel":
-        return _run_on_system("profile", system, args)
+    if args.system != "accel":
+        return _run_on_system(args)
 
     from repro.eval.accelerator import program_for
     from repro.runtime.engine import simulate
@@ -591,19 +542,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.systems import DEFAULT_SYSTEM
-
-    system = args.system or DEFAULT_SYSTEM
-    code = _resolve_names("simulate", benchmark=args.benchmark,
-                          config=args.config, system=system,
-                          noc_backend=args.noc_backend, clocks=[args.clock])
-    if code is not None:
-        return code
-    from repro.models.registry import resolve_benchmark_key
-
-    args.benchmark = resolve_benchmark_key(args.benchmark)
-    if system != "accel":
-        return _run_on_system("simulate", system, args)
+    if args.system != "accel":
+        return _run_on_system(args)
 
     from repro.eval.accelerator import run_config
     from repro.systems.accel import resolve_accel_config
@@ -634,16 +574,6 @@ def _cmd_compare(args) -> int:
     )
 
     systems = tuple(args.systems) or system_names()
-    code = _resolve_names("compare", benchmark=args.benchmark,
-                          config=args.config,
-                          noc_backend=args.noc_backend,
-                          systems=systems, clocks=[args.clock])
-    if code is not None:
-        return code
-    from repro.models.registry import resolve_benchmark_key
-
-    args.benchmark = resolve_benchmark_key(args.benchmark)
-
     reports = {}
     skipped = {}
     for name in systems:
@@ -694,7 +624,6 @@ def _cmd_serve_sim(args) -> int:
     as a service".  Deterministic for a given seed at any ``--jobs``."""
     import json
 
-    from repro.models.registry import resolve_benchmark_key
     from repro.obs import MetricsRegistry
     from repro.serve import (
         ArrivalSpec,
@@ -709,17 +638,11 @@ def _cmd_serve_sim(args) -> int:
     from repro.systems import UnsupportedWorkloadError
 
     systems = tuple(args.systems) or ("accel",)
-    code = _resolve_names("serve-sim", benchmarks=args.benchmarks,
-                          systems=systems, noc_backend=args.noc_backend)
-    if code is not None:
-        return code
-    if _jobs("serve-sim", args) is None:
-        return 2
-    keys = [resolve_benchmark_key(b) for b in args.benchmarks]
-
+    keys = args.benchmarks
+    _jobs(args)
+    if args.instances < 1:
+        raise _UsageError("--instances must be at least 1")
     try:
-        if args.instances < 1:
-            raise ValueError("--instances must be at least 1")
         faults = [parse_instance_fault(text) for text in args.fault]
         spec = ArrivalSpec(
             kind=args.arrival,
@@ -735,8 +658,7 @@ def _cmd_serve_sim(args) -> int:
             max_retries=args.retries,
         )
     except ValueError as exc:
-        print(f"repro serve-sim: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
 
     cache = _cache_from_args(args)
     if args.jobs is not None and args.jobs > 1:
@@ -792,23 +714,12 @@ def _cmd_partition_sweep(args) -> int:
     price compute (max shard) plus inter-chip communication per count."""
     import json
 
-    code = _resolve_names(
-        "partition-sweep", benchmark=args.benchmark, config=args.config,
-        noc_backend=args.noc_backend, partition_method=args.method,
-        clocks=[args.clock],
-    )
-    if code is not None:
-        return code
     from repro.eval.partition_sweep import (
         partition_scaling,
         scaling_document,
     )
-    from repro.models.registry import resolve_benchmark_key
 
-    jobs = _jobs("partition-sweep", args)
-    if jobs is None:
-        return 2
-    benchmark_key = resolve_benchmark_key(args.benchmark)
+    jobs = _jobs(args)
     cache = _cache_from_args(args)
 
     def progress(point, report, was_cached) -> None:
@@ -818,7 +729,7 @@ def _cmd_partition_sweep(args) -> int:
 
     try:
         curve = partition_scaling(
-            benchmark_key,
+            args.benchmark,
             chip_counts=args.chips,
             method=args.method,
             seed=args.seed,
@@ -832,8 +743,7 @@ def _cmd_partition_sweep(args) -> int:
             progress=progress,
         )
     except ValueError as exc:
-        print(f"repro partition-sweep: {exc}", file=sys.stderr)
-        return 2
+        raise _UsageError(exc) from None
     print(format_table(
         ["Chips", "Latency (ms)", "Speedup", "Compute (ms)", "Comm (ms)",
          "Comm (MB)", "Cut edges", "Halo nodes", "Balance"],
@@ -843,12 +753,12 @@ def _cmd_partition_sweep(args) -> int:
              p.halo_nodes, f"{p.balance:.2f}")
             for p in curve
         ],
-        title=(f"{benchmark_key} scaling ({args.method}, "
+        title=(f"{args.benchmark} scaling ({args.method}, "
                f"{args.config} @ {args.clock:g} GHz)"),
     ))
     if args.output is not None:
         document = scaling_document(
-            benchmark_key, curve, args.method, args.seed, args.config,
+            args.benchmark, curve, args.method, args.seed, args.config,
             args.clock, args.noc_backend,
             link_bandwidth_gbps=args.link_bandwidth_gbps,
             link_latency_us=args.link_latency_us,
@@ -1147,7 +1057,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("table1", "table3", "table4", "table5", "table6"):
         _cmd_config_table(args.command)
         return 0
-    code = handlers[args.command](args)
+    try:
+        _resolve_arguments(args)
+        code = handlers[args.command](args)
+    except _UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
     return 0 if code is None else code
 
 

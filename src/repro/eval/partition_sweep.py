@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.accel.config import AcceleratorConfig
-from repro.exp.cache import DEFAULT_CACHE
+from repro.exp.cache import DEFAULT_CACHE, lookup
 from repro.exp.runner import Point, run_sweep
 from repro.partition.methods import DEFAULT_METHOD, validate_method
 from repro.systems.accel import (
@@ -115,9 +115,14 @@ def partition_scaling(
 
     Chip counts are swept in ascending order after deduplication;
     ``chips=1`` (whether or not requested) anchors ``speedup = 1.0``.
-    ``jobs > 1`` parallelizes the underlying shard simulations.
+    ``jobs > 1`` parallelizes the underlying shard simulations.  Every
+    chip count's :class:`~repro.systems.multichip.MultiChipConfig`, and
+    the partition of every count with a shard left to simulate, is built
+    before any simulation, so a bad seed, link or chip count raises
+    ``ValueError`` at any ``jobs``.
     """
     from repro.models.registry import resolve_benchmark_key
+    from repro.partition.shards import partition_benchmark
     from repro.systems import run_system
     from repro.systems.multichip import MultiChipConfig
     from repro.systems.registry import SystemOptions
@@ -130,26 +135,34 @@ def partition_scaling(
     if counts[0] < 1:
         raise ValueError(f"chip counts must be >= 1, got {counts[0]}")
     config = resolve_sweep_config(config_name, clock_ghz, noc_backend)
-
-    # Warm every needed simulation through the harness (parallel-safe).
-    run_sweep(
-        scaling_points(benchmark_key, config, counts, method, seed),
-        jobs=jobs, cache=cache, progress=progress,
-    )
-
     link_overrides = {}
     if link_bandwidth_gbps is not None:
         link_overrides["link_bandwidth_gbps"] = link_bandwidth_gbps
     if link_latency_us is not None:
         link_overrides["link_latency_us"] = link_latency_us
+    multichips = {
+        chips: MultiChipConfig(chips=chips, method=method, seed=seed,
+                               **link_overrides)
+        for chips in {1, *counts}
+    }
+    points = scaling_points(benchmark_key, config, counts, method, seed)
+    # The sweep's shard points reuse these memoized partitions.  A chip
+    # count whose shards are all cached was partitioned when they were
+    # stored, so a warm rerun partitions nothing.
+    for chips in sorted({point.shard.chips for point in points
+                         if point.shard is not None
+                         and lookup(point.key, cache) is None}):
+        partition_benchmark(benchmark_key, chips, method, seed)
+
+    # Warm every needed simulation through the harness (parallel-safe).
+    run_sweep(points, jobs=jobs, cache=cache, progress=progress)
 
     def report_for(chips: int) -> SystemReport:
         options = SystemOptions(
             config_name=config_name,
             clock_ghz=clock_ghz,
             noc_backend=noc_backend,
-            multichip=MultiChipConfig(chips=chips, method=method, seed=seed,
-                                      **link_overrides),
+            multichip=multichips[chips],
         )
         return run_system("multichip", benchmark_key, options=options,
                           cache=cache)

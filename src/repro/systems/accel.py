@@ -33,9 +33,13 @@ def resolve_accel_config(
     name (:func:`repro.accel.config.resolve_config`), then the tile
     clock, then the NoC backend.  ``None`` keeps the default row, the
     default clock and the row's own backend (``"packet"``); any other
-    clock that is not positive and finite raises ``ValueError``.
+    name that is not a row raises
+    :class:`~repro.errors.UnknownNameError`, and any other clock that is
+    not positive and finite ``ValueError``.
     """
-    config = resolve_config(config_name or DEFAULT_CONFIG_NAME)
+    config = resolve_config(
+        DEFAULT_CONFIG_NAME if config_name is None else config_name
+    )
     config = config.with_clock(
         DEFAULT_CLOCK_GHZ if clock_ghz is None else clock_ghz
     )

@@ -75,6 +75,8 @@ class MultiChipConfig:
         if self.chips < 1:
             raise ValueError(f"chips must be >= 1, got {self.chips}")
         validate_method(self.method)
+        if self.seed < 0:
+            raise ValueError(f"seed cannot be negative, got {self.seed}")
         if self.link_bandwidth_gbps <= 0:
             raise ValueError("link_bandwidth_gbps must be positive")
         if self.link_latency_us < 0:

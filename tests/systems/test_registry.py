@@ -64,6 +64,18 @@ class TestDefaults:
         with pytest.raises(ValueError, match="clock_ghz"):
             resolve_accel_config(clock_ghz=0)
 
+    def test_only_none_selects_the_default_configuration(self):
+        """An empty configuration name is an unknown row, not an unset
+        one: it never falls back to CPU iso-BW."""
+        from repro.systems.accel import resolve_accel_config
+
+        assert resolve_accel_config(config_name=None).name == "CPU iso-BW"
+        with pytest.raises(UnknownNameError, match="configuration ''"):
+            resolve_accel_config("")
+        for system in ("accel", "multichip"):
+            with pytest.raises(UnknownNameError, match="configuration ''"):
+                create_system(system, config_name="")
+
 
 class TestRegistration:
     def test_options_and_overrides_are_exclusive(self):

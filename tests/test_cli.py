@@ -702,8 +702,8 @@ class TestServeSimCommand:
 
 
 class TestUnknownNameContract:
-    """Satellite regression: every name-taking subcommand resolves
-    through ``_resolve_names`` and exits 2 on an unknown name."""
+    """Satellite regression: ``main`` resolves every named argument of
+    every subcommand, and an unknown name exits 2."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "bert-wikipedia"],
@@ -805,8 +805,19 @@ class TestUnknownNameContract:
         (["dse", "gcn-cora", "--driver", "annealing"],
          "repro dse: unknown search driver 'annealing'; valid: "
          "grid, random, evolutionary"),
+        # Only an absent --system selects accel; an empty one is unknown.
+        (["simulate", "gcn-cora", "--system", ""],
+         "repro simulate: unknown execution system ''; valid: "
+         "accel, cpu, gpu, eyeriss, multichip"),
+        (["profile", "gcn-cora", "--system", ""],
+         "repro profile: unknown execution system ''; valid: "
+         "accel, cpu, gpu, eyeriss, multichip"),
+        (["sweep", "--system", ""],
+         "repro sweep: unknown execution system ''; valid: "
+         "accel, cpu, gpu, eyeriss, multichip"),
     ], ids=["benchmark", "configuration", "system", "noc-backend",
-            "partition-method", "space", "driver"])
+            "partition-method", "space", "driver", "empty-system-simulate",
+            "empty-system-profile", "empty-system-sweep"])
     def test_every_kind_prints_one_message(self, argv, line, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -815,37 +826,68 @@ class TestUnknownNameContract:
 
     def test_every_benchmark_taking_subcommand_is_covered(self, capsys):
         """Introspect the argparse tree so *future* subcommands inherit
-        the contract automatically: every subcommand with a benchmark
-        argument (positional or ``--benchmarks``) must route unknown
-        names through ``_resolve_names`` and exit 2."""
+        the contract automatically: every argument that ``main``
+        resolves — a benchmark, configuration, system, NoC backend,
+        partition method, space, driver or clock — exits 2 with one
+        line naming the bad value, on every subcommand that takes it."""
         import argparse
+
+        from repro.cli import _RESOLVERS
 
         parser = build_parser()
         subparsers = next(
             action for action in parser._actions
             if isinstance(action, argparse._SubParsersAction)
         )
-        covered = []
+        covered = set()
         for name, sub in subparsers.choices.items():
+            positionals = [a for a in sub._actions if not a.option_strings]
+            required = [a for a in positionals if a.nargs in (None, "+")]
             for action in sub._actions:
-                if action.dest not in ("benchmark", "benchmarks"):
+                if action.dest not in _RESOLVERS:
                     continue
+                clock = action.dest.startswith("clock")
+                bad = "nan" if clock else "bert-wikipedia"
+                # Every positional before the one under test, and every
+                # required one otherwise, names a benchmark.
                 if action.option_strings:
-                    argv = [name, action.option_strings[0], "bert-wikipedia"]
+                    argv = [name, *["gcn-cora"] * len(required),
+                            action.option_strings[0], bad]
                 else:
-                    argv = [name, "bert-wikipedia"]
-                assert main(argv) == 2, f"{name} must exit 2"
-                err = capsys.readouterr().err
-                assert "bert-wikipedia" in err, f"{name} must name the typo"
-                assert "gcn-cora" in err, f"{name} must list valid names"
-                assert "sage-pubmed" in err, (
-                    f"{name} must list extension rows"
-                )
-                covered.append(name)
-                break
-        # The known name-taking subcommands must all have been walked.
-        assert {"simulate", "profile", "compare", "sweep", "serve-sim",
-                "partition-sweep", "dse"} <= set(covered)
+                    argv = [name, *["gcn-cora"] * positionals.index(action),
+                            bad]
+                assert main(argv) == 2, f"{argv} must exit 2"
+                captured = capsys.readouterr()
+                assert captured.out == "", f"{argv} must print nothing"
+                assert captured.err.startswith(f"repro {name}: ")
+                assert captured.err.count("\n") == 1, f"{argv}: one line"
+                assert bad in captured.err, f"{argv} must name the value"
+                if not clock:
+                    assert "; valid: " in captured.err, (
+                        f"{argv} must list valid names"
+                    )
+                if action.dest.startswith("benchmark"):
+                    assert "sage-pubmed" in captured.err, (
+                        f"{argv} must list extension rows"
+                    )
+                covered.add((name, action.dest))
+        # Every named argument of the known subcommands was walked.
+        expected = {
+            "simulate": ("benchmark", "config", "system", "noc_backend",
+                         "clock"),
+            "profile": ("benchmark", "config", "system", "noc_backend",
+                        "clock"),
+            "sweep": ("benchmarks", "configs", "system", "noc_backend",
+                      "clocks"),
+            "compare": ("benchmark", "config", "systems", "noc_backend",
+                        "clock"),
+            "serve-sim": ("benchmarks", "systems", "noc_backend"),
+            "partition-sweep": ("benchmark", "config", "method",
+                                "noc_backend", "clock"),
+            "dse": ("benchmark", "space", "driver", "noc_backend"),
+        }
+        assert {(name, dest) for name, dests in expected.items()
+                for dest in dests} <= covered
 
 
 class TestPartitionSweepCommand:
@@ -873,6 +915,33 @@ class TestPartitionSweepCommand:
     def test_bad_chip_count_exits_2(self, capsys):
         assert main(["partition-sweep", "gcn-cora", "--chips", "0"]) == 2
         assert "chip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("option", [
+        ["--link-bandwidth-gbps", "0"],
+        ["--link-latency-us", "-1"],
+        ["--seed", "-1"],
+        ["--chips", "1", "5000"],  # cora has 2,708 vertices
+    ], ids=["link-bandwidth", "link-latency", "seed", "chips"])
+    def test_bad_partition_or_link_argument_exits_2_before_simulating(
+        self, option, jobs, capsys, monkeypatch
+    ):
+        """A seed, link or chip count that the partition or the link
+        model refuses exits 2 in one line before any point is simulated,
+        inline or on workers."""
+        import repro.eval.partition_sweep
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("simulated a point")
+
+        monkeypatch.setattr(repro.eval.partition_sweep, "run_sweep", no_sweep)
+        assert main(["partition-sweep", "gcn-cora", "--chips", "1", "2",
+                     "--noc-backend", "analytical", "--jobs", jobs,
+                     *option]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro partition-sweep: ")
+        assert captured.err.count("\n") == 1
 
     def test_accepts_dataset_shorthand(self, capsys):
         # Resolution errors (ambiguous "cora") reuse the exit-2 path.
