@@ -14,7 +14,11 @@ recomputes one cell with the current code:
   system report (default partition: METIS, seed 0) at 1, 2 and 4 chips;
 * ``program/<benchmark>`` — the compiled accelerator program, field for
   field (:func:`repro.runtime.serialize.program_to_dict`), for every
-  registered benchmark plus the normalized-attention GAT.
+  registered benchmark plus the normalized-attention GAT;
+* ``partition/<method>/<dataset>/parts<n>/seed<s>`` — a partition
+  method's ``node -> shard`` assignment, hashed as its little-endian
+  int64 bytes: ``metis`` and ``bfs`` on four Table V graphs, a stress
+  graph and a directed copy of it.
 
 The table records the :data:`repro.exp.cache.SCHEMA_VERSION` it was
 generated under.  Cached reports are keyed by configuration and schema
@@ -60,6 +64,17 @@ FLIT_BENCHMARKS = ("gcn-cora", "pgnn-dblp_1")
 
 #: The accel cells ``benchmarks/suite/digests.json`` pins as well.
 SUITE_OVERLAP = 15
+
+PARTITIONERS = ("metis", "bfs")
+PARTITION_DATASETS = ("cora", "citeseer", "pubmed", "dblp_1")
+PARTITION_PARTS = (2, 4, 8)
+#: The seeds a partition accepts: zero, one and the largest.
+PARTITION_SEEDS = (0, 1, 2**32 - 1)
+#: ``stress_graph(20_000, 120_000, seed=0)``, partitioned into 4 parts.
+STRESS_DATASET = "stress_20000x120000"
+#: The same graph keeping only its entries from a lower to a higher id: a
+#: directed input, where a vertex's in- and out-neighbours differ.
+FORWARD_DATASET = "forward_20000x120000"
 
 
 class Cell(NamedTuple):
@@ -139,6 +154,41 @@ def _normalized_gat_cell() -> Cell:
     return Cell("program/gat-cora+normalize", "gat-cora", compute)
 
 
+@functools.lru_cache(maxsize=None)
+def _partition_graph(dataset: str):
+    from repro.graphs.datasets import load_dataset
+    from repro.graphs.generators import stress_graph
+
+    if dataset == FORWARD_DATASET:
+        import numpy as np
+
+        from repro.graphs.graph import Graph
+
+        graph = _partition_graph(STRESS_DATASET)
+        rows = np.repeat(np.arange(graph.num_nodes), np.diff(graph.indptr))
+        forward = rows < graph.indices
+        edges = np.stack([rows[forward], graph.indices[forward]], axis=1)
+        return Graph.from_edge_list(graph.num_nodes, edges, undirected=False)
+    if dataset == STRESS_DATASET:
+        return stress_graph(20_000, 120_000, seed=0)
+    return load_dataset(dataset)
+
+
+def _partition_cell(method: str, dataset: str, parts: int, seed: int) -> Cell:
+    def compute() -> str:
+        import numpy as np
+
+        from repro.partition.methods import PARTITION_METHODS
+
+        assignment = PARTITION_METHODS[method](_partition_graph(dataset),
+                                               parts, seed)
+        data = np.asarray(assignment, dtype="<i8").tobytes()
+        return hashlib.sha256(data).hexdigest()
+
+    return Cell(f"partition/{method}/{dataset}/parts{parts}/seed{seed}",
+                dataset, compute)
+
+
 def cells() -> list[Cell]:
     from repro.models.registry import ALL_BENCHMARKS
 
@@ -165,6 +215,19 @@ def cells() -> list[Cell]:
     ]
     table += [_program_cell(b.key) for b in ALL_BENCHMARKS]
     table.append(_normalized_gat_cell())
+    table += [
+        _partition_cell(method, dataset, parts, seed)
+        for method in PARTITIONERS
+        for dataset in PARTITION_DATASETS
+        for parts in PARTITION_PARTS
+        for seed in PARTITION_SEEDS
+    ]
+    table += [
+        _partition_cell(method, dataset, 4, seed)
+        for method in PARTITIONERS
+        for dataset in (STRESS_DATASET, FORWARD_DATASET)
+        for seed in PARTITION_SEEDS
+    ]
     return table
 
 
