@@ -337,10 +337,16 @@ def _attempt(point: Point, cache: ResultCache | None = None) -> PointResult:
         else:
             report = execute_point(point, cache=cache)
     except Exception as exc:
-        message = (str(exc) if isinstance(exc, ReproError)
-                   else f"{type(exc).__name__}: {exc}")
-        return PointResult(point, classify(exc), attempts=1, error=message)
+        return _failed(point, exc)
     return PointResult(point, "ok", report, attempts=1)
+
+
+def _failed(point: Point, exc: Exception) -> PointResult:
+    """One attempt at ``point`` that raised ``exc``, with the status the
+    shared taxonomy gives it (:func:`repro.exp.errors.classify`)."""
+    message = (str(exc) if isinstance(exc, ReproError)
+               else f"{type(exc).__name__}: {exc}")
+    return PointResult(point, classify(exc), attempts=1, error=message)
 
 
 def _payload(point: Point, cache: ResultCache | None = None) -> dict[str, Any]:
@@ -500,21 +506,35 @@ def _run_workers(
     cannot start, the remaining points run inline, without budgets.
     """
     # Compile each distinct accelerator program (whole graph or shard)
-    # here, so forked workers inherit it instead of all compiling it.
+    # here, so forked workers inherit it instead of all compiling it.  A
+    # program that cannot be built fails each of its points, as the
+    # attempt would have.
     from repro.eval.accelerator import program_for
 
-    for benchmark_key, shard in dict.fromkeys(
+    unbuilt: dict[tuple[str, Any], Exception] = {}
+    for program in dict.fromkeys(
         (p.benchmark_key, p.shard) for p in missing if p.system == ACCEL_SYSTEM
     ):
-        program_for(benchmark_key, shard)
+        try:
+            program_for(*program)
+        except Exception as exc:
+            unbuilt[program] = exc
+    runnable = []
+    for point in missing:
+        exc = (unbuilt.get((point.benchmark_key, point.shard))
+               if point.system == ACCEL_SYSTEM else None)
+        if exc is None:
+            runnable.append(point)
+        else:
+            finalize(_failed(point, exc))
 
     # Fork on every platform: workers must inherit the program memo
     # above and whatever this process patched into this module.
     context = multiprocessing.get_context("fork")
     budget = math.inf if policy.timeout_s is None else policy.timeout_s
-    jobs = max(1, min(jobs, len(missing)))
-    queue = deque(missing)
-    attempts = dict.fromkeys((point.key for point in missing), 0)
+    jobs = max(1, min(jobs, len(runnable)))
+    queue = deque(runnable)
+    attempts = dict.fromkeys((point.key for point in runnable), 0)
     workers: list[_Worker] = []
     serial = False
 

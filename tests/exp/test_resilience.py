@@ -28,6 +28,7 @@ from repro.exp.runner import (
     run_sweep,
     run_sweep_detailed,
 )
+from repro.partition.core import ShardSpec
 from repro.runtime.report import LayerReport, SimulationReport
 from repro.sim.kernel import SimulationError, Simulator
 
@@ -368,6 +369,31 @@ class TestParallel:
         statuses = [r.status for r in outcome.results]
         assert statuses.count("diverged") == 1
         assert statuses.count("ok") == 3
+
+
+class TestUnbuildableProgram:
+    @pytest.mark.parametrize("jobs, policy", [
+        (1, RetryPolicy()),
+        (2, RetryPolicy()),
+        (1, RetryPolicy(timeout_s=60.0)),
+    ], ids=["serial", "parallel", "serial-with-budget"])
+    def test_each_point_fails_alone(self, jobs, policy, fresh_cache):
+        # More shards than cora has vertices: the programs cannot be
+        # built, before or after forking, and the sweep still finishes.
+        config = dataclasses.replace(CPU_ISO_BW, name="resilience-unbuilt")
+        points = [Point("gcn-cora", config, shard=ShardSpec(5000, index))
+                  for index in range(2)]
+        points.append(Point("gcn-cora", system="cpu"))
+        outcome = run_sweep_detailed(points, jobs=jobs, cache=fresh_cache,
+                                     policy=policy)
+        unbuilt, runs = outcome.results[:2], outcome.results[2]
+        assert [r.status for r in unbuilt] == ["error", "error"]
+        assert {r.error for r in unbuilt} == {
+            "ValueError: cannot split 2708 items into 5000 non-empty parts"
+        }
+        assert [r.attempts for r in unbuilt] == [1, 1]
+        assert runs.ok
+        assert multiprocessing.active_children() == []
 
 
 class TestRetryPolicy:

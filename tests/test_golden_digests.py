@@ -68,7 +68,7 @@ SUITE_OVERLAP = 15
 PARTITIONERS = ("metis", "bfs")
 PARTITION_DATASETS = ("cora", "citeseer", "pubmed", "dblp_1")
 PARTITION_PARTS = (2, 4, 8)
-#: The seeds a partition accepts: zero, one and the largest.
+#: Zero, one and the largest seed the benchmark passes (seeds are mod 2**32).
 PARTITION_SEEDS = (0, 1, 2**32 - 1)
 #: ``stress_graph(20_000, 120_000, seed=0)``, partitioned into 4 parts.
 STRESS_DATASET = "stress_20000x120000"
