@@ -41,12 +41,14 @@ class GpeCostModel:
     than the CPU baseline at 2.4 GHz because the runtime spends
     ``instructions_per_visit`` cycles sequencing every dependent traversal
     step, and the GCN benchmarks land at the Figure 10 bandwidth
-    utilizations because ``instructions_per_destination`` cycles are spent
-    filling each DNQ destination entry.  See EXPERIMENTS.md.
+    utilizations because every vertex costs ``instructions_per_vertex``
+    cycles of control (the compiler's per-task budget) and the engine
+    charges ``instructions_per_load`` for each memory request it issues
+    (one per gathered neighbour) and ``instructions_per_alloc`` for each
+    AGG entry and DNQ slot.  See EXPERIMENTS.md.
     """
 
     instructions_per_vertex: int = 16  # dequeue, bookkeeping, re-enqueue
-    instructions_per_destination: int = 15  # fill one DNQ/AGG destination
     instructions_per_load: int = 6  # compose one async memory request
     instructions_per_visit: int = 130  # sequence one dependent traversal step
     instructions_per_alloc: int = 8  # allocation-bus transaction
@@ -55,7 +57,6 @@ class GpeCostModel:
     def __post_init__(self) -> None:
         for name in (
             "instructions_per_vertex",
-            "instructions_per_destination",
             "instructions_per_load",
             "instructions_per_visit",
             "instructions_per_alloc",
@@ -74,11 +75,9 @@ class TileConfig:
     agg_control_bytes: int = 2 * 1024
     agg_metadata_bytes: int = 16  # per-aggregation control record
     dnq_data_bytes: int = 62 * 1024
-    dnq_dest_bytes: int = 2 * 1024
     dnq_idle_switch_cycles: int = 16  # lazy virtual-queue switching
     gpe_threads: int = 16
     gpe_costs: GpeCostModel = field(default_factory=GpeCostModel)
-    flit_buffer_bytes: int = 2 * 1024
 
     def __post_init__(self) -> None:
         if self.agg_alus < 1:

@@ -8,8 +8,8 @@ pluggable on :class:`~repro.accel.system.Accelerator`:
 
 * :class:`RoundRobinPlacement` — the paper-style modulo interleave; the
   ``memory_offset`` knob deliberately misaligns tiles and memory nodes to
-  quantify what placement-blind allocation costs
-  (``benchmarks/bench_ablation_placement.py``).
+  quantify what placement-blind allocation costs (the placement
+  ablation, ``tests/accel/test_placement.py``).
 * :class:`RangePlacement` — contiguous vertex blocks per tile; balanced
   in vertex count but not in edge count on skewed graphs.
 """

@@ -71,29 +71,19 @@ def compute_cycles(layer: MatmulLayer, config: SpatialArrayConfig) -> int:
     return row_passes * col_passes * layer.k
 
 
-def _combine_latency(
-    compute_ns: float,
-    mem_ns: float,
-    overlap: bool,
-) -> float:
-    """Combine compute and memory time.
-
-    ``overlap=False`` (default) serializes the two phases, which matches
-    the limited overlap NN-Dataflow reports for these bandwidth-starved
-    layers (the Table II ratios between unlimited and 68 GBps latency);
-    ``overlap=True`` models perfect double buffering.
-    """
-    return max(compute_ns, mem_ns) if overlap else compute_ns + mem_ns
-
-
 def search_mapping(
     layer: MatmulLayer,
     config: SpatialArrayConfig,
     bandwidth_gbps: float | None = None,
     freq_ghz: float = 2.4,
-    overlap: bool = False,
 ) -> Mapping:
-    """Find the lowest-latency (then lowest-traffic) feasible tiling."""
+    """Find the lowest-latency (then lowest-traffic) feasible tiling.
+
+    Compute and memory time add: the two phases are serialized, which
+    matches the limited overlap NN-Dataflow reports for these
+    bandwidth-starved layers (the Table II ratios between unlimited and
+    68 GBps latency).
+    """
     words = config.buffer_words
     cycles = compute_cycles(layer, config)
     compute_ns = cycles / freq_ghz
@@ -113,7 +103,7 @@ def search_mapping(
                 latency = compute_ns
             else:
                 mem_ns = traffic * config.bytes_per_value / bandwidth_gbps
-                latency = _combine_latency(compute_ns, mem_ns, overlap)
+                latency = compute_ns + mem_ns
             key = (latency, traffic)
             if best_key is None or key < best_key:
                 best_key = key
@@ -171,19 +161,16 @@ def analyze_layer(
     config: SpatialArrayConfig,
     bandwidth_gbps: float | None = None,
     freq_ghz: float = 2.4,
-    overlap: bool = False,
 ) -> LayerAnalysis:
     """Map one layer and report its latency, traffic, and utilization."""
-    mapping = search_mapping(layer, config, bandwidth_gbps, freq_ghz, overlap)
+    mapping = search_mapping(layer, config, bandwidth_gbps, freq_ghz)
     cycles = compute_cycles(layer, config)
     compute_ns = cycles / freq_ghz
     traffic_bytes = mapping.traffic_words * config.bytes_per_value
     if bandwidth_gbps is None:
         latency = compute_ns
     else:
-        latency = _combine_latency(
-            compute_ns, traffic_bytes / bandwidth_gbps, overlap
-        )
+        latency = compute_ns + traffic_bytes / bandwidth_gbps
     useful = (
         mapping.reads_a * layer.a_density
         + mapping.reads_b
@@ -275,13 +262,12 @@ def analyze_network(
     config: SpatialArrayConfig,
     bandwidth_gbps: float | None = None,
     freq_ghz: float = 2.4,
-    overlap: bool = False,
 ) -> NetworkAnalysis:
     """Map a layer sequence and aggregate the per-layer analyses."""
     if not layers:
         raise ValueError("network must contain at least one layer")
     analyses = tuple(
-        analyze_layer(layer, config, bandwidth_gbps, freq_ghz, overlap)
+        analyze_layer(layer, config, bandwidth_gbps, freq_ghz)
         for layer in layers
     )
     return NetworkAnalysis(

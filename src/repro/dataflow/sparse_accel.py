@@ -17,7 +17,8 @@ nonzeros it finds, so
 * the sparse operand streams compressed (value + index per nonzero);
 * dense layers behave exactly as on the dense accelerator.
 
-Result (see ``bench_ablation_sparse_dnn.py``): on GCN Pubmed the sparse
+Result (``tests/dataflow/test_sparse_accel.py`` asserts it for every
+Section II graph and prints the table): on GCN Pubmed the sparse
 machine beats the dense mapping by an order of magnitude in latency yet
 still runs its PEs at well under 1% useful utilization, and remains
 slower than the GNN accelerator — the paper's claim, with numbers.

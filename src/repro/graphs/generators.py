@@ -192,8 +192,8 @@ def stress_graph(
     Table V scale but not at the 100k–1M-node scale the partitioning
     layer targets.  Here endpoints are drawn Chung-Lu style through an
     inverse-CDF lookup (``searchsorted`` over the cumulative weight
-    distribution), pairs are deduplicated with ``np.unique`` on packed
-    64-bit codes, and the exact edge budget is met by a seeded
+    distribution), pairs are deduplicated by sorting packed 64-bit codes
+    and dropping repeats, and the exact edge budget is met by a seeded
     without-replacement draw from the collected unique pairs — every
     step array-at-a-time, so a million-edge graph builds in seconds.
 
@@ -220,9 +220,15 @@ def stress_graph(
         lo = np.minimum(us, vs)
         hi = np.maximum(us, vs)
         valid = lo != hi
-        codes = np.unique(
+        codes = np.sort(
             np.concatenate([codes, lo[valid] * num_nodes + hi[valid]])
         )
+        # The sorted distinct codes: what np.unique returns, without its
+        # hash-based pass.
+        keep = np.empty(len(codes), dtype=bool)
+        keep[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+        codes = codes[keep]
     codes = rng.choice(codes, size=num_edges, replace=False)
     edges = np.stack([codes // num_nodes, codes % num_nodes], axis=1)
     node_features = None

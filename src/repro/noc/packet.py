@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
 
 _ids = itertools.count()
 
@@ -13,15 +12,12 @@ _ids = itertools.count()
 class Packet:
     """A message between two mesh nodes.
 
-    ``src``/``dst`` are mesh coordinates ``(x, y)``.  ``payload`` is opaque
-    to the network and carried to the destination (the accelerator model
-    uses it for message metadata).
+    ``src``/``dst`` are mesh coordinates ``(x, y)``.
     """
 
     src: tuple[int, int]
     dst: tuple[int, int]
     size_bytes: int
-    payload: Any = None
     pid: int = field(default_factory=lambda: next(_ids))
     injected_cycle: int | float | None = None
     delivered_cycle: int | float | None = None

@@ -1,10 +1,12 @@
 """Tests for the DNN queue (delayed enqueue, lazy switching)."""
 
+import numpy as np
 import pytest
 
-from repro.accel.config import TileConfig
+from repro.accel.config import CPU_ISO_BW, TileConfig
 from repro.accel.dna import DnaUnit
 from repro.accel.dnq import DnnQueue
+from repro.runtime import AcceleratorProgram, LayerProgram, TaskTable, simulate
 from repro.sim import Clock, Simulator
 
 
@@ -108,3 +110,45 @@ class TestDispatch:
         dnq.reserve(lambda: None)
         with pytest.raises(ValueError):
             fill(dnq, 0.0, macs=1, queue_id=5)
+
+
+def dual_model_program(interleaved: bool, tasks_per_model: int = 64):
+    """Two DNN models sharing one layer, their queue ids alternating
+    task by task or batched per queue."""
+    n = 2 * tasks_per_model
+    if interleaved:
+        queues = np.tile([0, 1], tasks_per_model)
+    else:
+        queues = np.repeat([0, 1], tasks_per_model)
+    tasks = TaskTable(
+        n,
+        vertex=np.arange(n),
+        control_instructions=4,
+        feature_bytes=256,
+        dna_macs=182 * 8,
+        output_bytes=64,
+        dnq_queue=queues,
+    )
+    return AcceleratorProgram(
+        name="dual-model",
+        layers=[LayerProgram(name="shared", tasks=tasks,
+                             dnq_entry_bytes=256)],
+    )
+
+
+class TestSwitchingAblation:
+    """DESIGN.md section 5: the DNQ's two virtual queues share one
+    dequeue interface, so a two-model workload that interleaves its
+    queue ids pays the idle switch window that batching avoids."""
+
+    def test_interleaving_pays_the_switch_window(self):
+        interleaved = simulate(dual_model_program(True), CPU_ISO_BW)
+        batched = simulate(dual_model_program(False), CPU_ISO_BW)
+        print(
+            f"\nDNQ dual-queue ablation: "
+            f"interleaved={interleaved.latency_ns:.0f}ns "
+            f"batched={batched.latency_ns:.0f}ns "
+            f"(penalty {interleaved.latency_ns / batched.latency_ns:.2f}x)"
+        )
+        # Interleaving pays the 16-idle-cycle switch window per entry pair.
+        assert interleaved.latency_ns > 1.3 * batched.latency_ns

@@ -1,9 +1,12 @@
 """Tests for the GraphPE issue server and thread pool."""
 
+import dataclasses
+
 import pytest
 
-from repro.accel.config import GpeCostModel, TileConfig
+from repro.accel.config import CPU_ISO_BW, GpeCostModel, TileConfig
 from repro.accel.gpe import GraphPE
+from repro.eval.accelerator import run_config
 from repro.sim import Clock, Simulator
 
 
@@ -91,3 +94,24 @@ class TestReporting:
     def test_cost_model_attached(self):
         gpe = make()
         assert isinstance(gpe.costs, GpeCostModel)
+
+
+class TestThreadPoolAblation:
+    """DESIGN.md section 5: the GPE hides memory latency by switching
+    between software threads in one cycle; a pool of one thread exposes
+    every memory round trip."""
+
+    def test_more_threads_hide_more_memory_latency(self):
+        reports = {}
+        for threads in (1, 4, 16):
+            tile = dataclasses.replace(CPU_ISO_BW.tile, gpe_threads=threads)
+            reports[threads] = run_config(
+                "gcn-cora", dataclasses.replace(CPU_ISO_BW, tile=tile)
+            )
+        print("\nGPE thread-pool ablation (GCN Cora, CPU iso-BW):")
+        for threads, report in reports.items():
+            print(f"  {threads:2d} threads: {report.latency_ms:.3f} ms")
+        assert reports[1].latency_ns > reports[4].latency_ns
+        assert reports[4].latency_ns >= reports[16].latency_ns
+        # A single thread serializes round trips: at least 2x slower.
+        assert reports[1].latency_ns > 2 * reports[16].latency_ns

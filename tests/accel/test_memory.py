@@ -1,9 +1,12 @@
 """Tests for the bandwidth-latency memory controller."""
 
+import dataclasses
+
 import pytest
 
-from repro.accel.config import MemoryConfig
+from repro.accel.config import CPU_ISO_BW, MemoryConfig
 from repro.accel.memory import MemoryController
+from repro.eval.accelerator import run_config
 from repro.sim import Simulator
 
 
@@ -126,3 +129,29 @@ class TestReporting:
         mem = make(bandwidth_gbps=34.0)
         completion = mem.request_scatter(1, 3400, now=0.0)
         assert completion == pytest.approx(100.0 + 20.0, rel=0.02)
+
+
+class TestGranularityAblation:
+    """Section V: requests that are not multiples of the DRAM burst waste
+    bandwidth.  PGNN's 4B traversal reads are the worst case, but PGNN is
+    GPE-bound, so coarser bursts cost it traffic, not latency."""
+
+    def test_coarser_bursts_waste_traffic_not_latency(self):
+        reports = {}
+        for granularity in (32, 64, 128):
+            memory = dataclasses.replace(
+                CPU_ISO_BW.memory, access_granularity_bytes=granularity
+            )
+            reports[granularity] = run_config(
+                "pgnn-dblp_1", dataclasses.replace(CPU_ISO_BW, memory=memory)
+            )
+        print("\nMemory access granularity ablation (PGNN DBLP_1):")
+        for granularity, report in reports.items():
+            waste = report.dram_wasted_bytes / report.dram_bytes
+            print(
+                f"  {granularity:4d}B bursts: {report.latency_ms:.3f} ms, "
+                f"DRAM {report.dram_bytes / 1e6:.2f} MB ({waste:.0%} wasted)"
+            )
+        assert reports[128].dram_bytes > reports[64].dram_bytes
+        assert reports[64].dram_bytes > reports[32].dram_bytes
+        assert reports[128].latency_ns < 1.2 * reports[32].latency_ns

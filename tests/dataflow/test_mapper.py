@@ -97,12 +97,6 @@ class TestAnalyzeLayer:
         limited = analyze_layer(layer, EYERISS_CONFIG, 68.0)
         assert limited.latency_ns > unlimited.latency_ns
 
-    def test_overlap_mode_is_faster_than_serial(self):
-        layer = MatmulLayer("l", m=1300, k=1000, n=16)
-        serial = analyze_layer(layer, EYERISS_CONFIG, 68.0, overlap=False)
-        overlapped = analyze_layer(layer, EYERISS_CONFIG, 68.0, overlap=True)
-        assert overlapped.latency_ns < serial.latency_ns
-
     def test_pe_utilization_bounded(self):
         layer = MatmulLayer("l", m=1300, k=200, n=28)
         analysis = analyze_layer(layer, EYERISS_CONFIG, None)

@@ -100,3 +100,56 @@ class TestPaperArgument:
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError):
             analyze_network_sparse([])
+
+
+def three_machines(name):
+    """GCN on one graph at 2.4 GHz and 68 GBps: the dense DNN mapping,
+    the sparse DNN (16-wide lookahead) and the GNN accelerator, with the
+    sparse machine's best adjacency-layer useful PE utilization."""
+    from repro.dataflow import EYERISS_CONFIG, analyze_network, ir_dense_layers
+    from repro.eval.accelerator import run_config
+    from repro.models.registry import benchmark_by_key, benchmark_ir
+    from repro.systems.accel import resolve_accel_config
+
+    layers = ir_dense_layers(benchmark_ir(benchmark_by_key(f"gcn-{name}")))
+    dense = analyze_network(layers, EYERISS_CONFIG, 68.0)
+    sparse = analyze_network_sparse(layers)
+    gnna = run_config(f"gcn-{name}", resolve_accel_config("CPU iso-BW", 2.4))
+    return (
+        dense.latency_ms,
+        sum(a.latency_ns for a in sparse) * 1e-6,
+        gnna.latency_ms,
+        max(a.useful_pe_utilization for a in sparse
+            if a.layer.a_nnz is not None),
+    )
+
+
+class TestThreeMachines:
+    """The sparse-DNN ablation on every Section II graph: sparsity
+    support closes most of the dense mapping's latency gap, the GNN
+    accelerator still matches or beats it, and the sparse machine's
+    adjacency-layer PEs stay almost idle.  ``TestPaperArgument`` holds
+    Pubmed's row to tighter bounds."""
+
+    @pytest.mark.parametrize("name", ["cora", "citeseer"])
+    def test_row(self, name):
+        dense_ms, sparse_ms, gnna_ms, sparse_util = three_machines(name)
+        assert sparse_ms < dense_ms
+        assert gnna_ms <= sparse_ms * 1.02
+        assert sparse_util < 0.05
+
+    @pytest.mark.slow
+    def test_pubmed_wastes_the_most(self):
+        from repro.eval.report import format_table
+        from repro.graphs import DATASETS
+
+        rows = {name: three_machines(name)
+                for name in ("cora", "citeseer", "pubmed")}
+        print()
+        print(format_table(
+            ["Graph", "Dense DNN (ms)", "Sparse DNN (ms)", "GNN accel (ms)",
+             "sparse adj. PE util"],
+            [(DATASETS[name].name,) + row for name, row in rows.items()],
+            title="Three machines on GCN @ 2.4 GHz, 68 GBps",
+        ))
+        assert rows["pubmed"][3] < rows["cora"][3]

@@ -1,15 +1,21 @@
-"""Tests for the cached simulation entry point and the fast Figure 8/10
-paths.
+"""Tests for the cached simulation entry point and the Figure 8/10
+drivers.
 
-Full six-benchmark sweeps live in ``benchmarks/``; here we exercise the
-drivers on the quick benchmarks (GCN Cora, PGNN DBLP) so the test suite
-stays fast while still validating the paper's headline behaviours.
+The fast paths exercise the drivers on the quick benchmarks (GCN Cora,
+PGNN DBLP); the ``slow`` classes check Section VI's claims over all six
+benchmarks, sharing their simulations with the other eval tests through
+the process-wide cache.
 """
 
 import pytest
 
 from repro.eval.accelerator import run_config
-from repro.eval.speedups import Figure8Cell, figure8, mean_speedup
+from repro.eval.speedups import (
+    FIGURE8_GROUPS,
+    Figure8Cell,
+    figure8,
+    mean_speedup,
+)
 from repro.eval.utilization import figure10
 from repro.systems.accel import resolve_accel_config
 
@@ -106,6 +112,51 @@ class TestFigure8FastPath:
         assert cell.speedup == 5.0
 
 
+def speedups(config, clock_ghz, benchmarks=None):
+    """One Figure 8 group's speedups at one clock, by benchmark."""
+    group = next(g for g in FIGURE8_GROUPS if g[0] == config)
+    cells = figure8(clocks=(clock_ghz,), groups=(group,),
+                    benchmarks=benchmarks)
+    return {cell.benchmark: cell.speedup for cell in cells}
+
+
+@pytest.mark.slow
+class TestFigure8:
+    """Section VI's Figure 8 claims over all six benchmarks."""
+
+    def test_cpu_iso_bw_speeds_up_all_but_pgnn(self):
+        speedup = speedups("CPU iso-BW", 2.4)
+        for key in ("gcn-cora", "gcn-citeseer", "gcn-pubmed", "gat-cora",
+                    "mpnn-qm9_1000"):
+            assert speedup[key] > 1.0, key
+
+    def test_gat_and_mpnn_among_the_best_at_cpu_iso_bw(self):
+        # They have the most computation executing on the DNA.
+        speedup = speedups("CPU iso-BW", 2.4)
+        ranked = sorted(speedup, key=speedup.get, reverse=True)
+        assert set(ranked[:3]) >= {"gat-cora", "mpnn-qm9_1000"}
+
+    def test_citeseer_barely_moves_with_clock_at_cpu_iso_bw(self):
+        slow = speedups("CPU iso-BW", 1.2, ("gcn-citeseer",))
+        fast = speedups("CPU iso-BW", 2.4, ("gcn-citeseer",))
+        assert slow["gcn-citeseer"] > 0.6 * fast["gcn-citeseer"]
+
+    def test_gpu_iso_bw_speeds_up_everything(self):
+        # Section VI-B: speedups across all benchmarks.
+        for key, speedup in speedups("GPU iso-BW", 2.4).items():
+            assert speedup > 1.0, key
+
+    def test_mpnn_scales_with_clock_more_than_gcn_at_iso_flops(self):
+        # MPNN is compute-bound, GCN Citeseer memory-bound.
+        keys = ("gcn-citeseer", "mpnn-qm9_1000")
+        slow = speedups("GPU iso-FLOPS", 1.2, keys)
+        fast = speedups("GPU iso-FLOPS", 2.4, keys)
+        assert (
+            fast["mpnn-qm9_1000"] / slow["mpnn-qm9_1000"]
+            > fast["gcn-citeseer"] / slow["gcn-citeseer"]
+        )
+
+
 class TestConfigContentKeying:
     def test_mutated_configurations_entry_is_not_served_stale(
         self, monkeypatch
@@ -165,6 +216,16 @@ class TestFigure10:
             rows["gcn-cora"].bandwidth_utilization
             > rows["gcn-pubmed"].bandwidth_utilization
         )
+
+    def test_gcn_cora_sustains_the_bandwidth(self):
+        rows = {r.benchmark: r for r in figure10()}
+        assert rows["gcn-cora"].bandwidth_utilization > 0.4
+
+    def test_gat_and_mpnn_keep_the_dna_busy(self):
+        # GAT and MPNN have the most computation executing on the DNA.
+        rows = {r.benchmark: r for r in figure10()}
+        assert rows["gat-cora"].dna_utilization > 0.5
+        assert rows["mpnn-qm9_1000"].dna_utilization > 0.5
 
     def test_utilizations_bounded(self):
         for row in figure10():

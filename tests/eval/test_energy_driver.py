@@ -37,6 +37,20 @@ def test_gcn_is_dram_dominated(rows):
     assert by_key["gcn-cora"].dominant == "dram"
 
 
+def test_mpnn_is_dram_dominated_too(rows):
+    # Its per-step re-reads of the edge matrices cost more energy than
+    # the 18 GMAC of compute they feed.
+    by_key = {r.benchmark: r for r in rows}
+    assert by_key["mpnn-qm9_1000"].dominant == "dram"
+
+
+def test_mpnn_spends_a_larger_share_on_the_dna(rows):
+    by_key = {r.benchmark: r for r in rows}
+    mpnn = by_key["mpnn-qm9_1000"].breakdown
+    gcn = by_key["gcn-cora"].breakdown
+    assert mpnn.dna_uj / mpnn.total_uj > 1.5 * gcn.dna_uj / gcn.total_uj
+
+
 def test_pgnn_spends_on_the_gpe(rows):
     by_key = {r.benchmark: r for r in rows}
     pgnn = by_key["pgnn-dblp_1"].breakdown

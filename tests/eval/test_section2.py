@@ -58,9 +58,10 @@ def test_waste_grows_with_sparsity(rows):
 
 
 def test_useful_metrics_bounded(rows):
+    # The useful series always sits below the total series.
     for row in rows:
-        assert 0 < row.useful_pe_utilization <= row.pe_utilization <= 1
-        assert 0 < row.useful_bandwidth_gbps <= row.required_bandwidth_gbps
+        assert 0 < row.useful_pe_utilization < row.pe_utilization <= 1
+        assert 0 < row.useful_bandwidth_gbps < row.required_bandwidth_gbps
 
 
 def test_required_bandwidth_exceeds_dram(rows):

@@ -52,6 +52,24 @@ class TestTileSweep:
         points = tile_sweep("gcn-cora", tile_counts=(1, 4))
         assert points[1].latency_ms < points[0].latency_ms
 
+    @pytest.mark.slow
+    def test_pubmed_scales_beyond_table_vi(self):
+        """DESIGN.md section 5: 1/2/4/8 tile+memory pairs, each adding
+        68 GBps and 198 ALUs, on the largest single-graph benchmark."""
+        points = tile_sweep("gcn-pubmed", tile_counts=(1, 2, 4, 8))
+        base = points[0].report.latency_ns
+        print("\nTile scaling ablation (GCN Pubmed):")
+        for point in points:
+            pairs = int(point.value)
+            scaling = base / point.report.latency_ns
+            print(
+                f"  {pairs} tile(s): {point.latency_ms:.3f} ms "
+                f"({scaling:.2f}x, {scaling / pairs:.0%} efficiency)"
+            )
+        latencies = [point.report.latency_ns for point in points]
+        assert latencies == sorted(latencies, reverse=True)
+        assert base / latencies[-1] > 3.0
+
 
 class TestBoundAnalysis:
     def test_needs_two_points(self):

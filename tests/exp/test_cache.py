@@ -212,13 +212,13 @@ class TestPointKey:
         shard = ShardSpec(chips=2, index=1)
         assert (shard.method, shard.seed) == ("metis", 0)
         assert point_key("gcn-cora", cpu) == (
-            "6f18edaa3c6f9da7a880c92716cfd0596eb1a8e53a2af7b04b36fd7d2ef7e469"
+            "9ff593b01748a41234290ecf675bb6f71cc88e0beae8b626f126a3e45cdc0172"
         )
         assert point_key("gcn-cora", cpu, shard) == (
-            "be8f56daca97d311b162d8633dd876c397a53eeb9ad065533fe139ebc31ff61f"
+            "66cc100d45b922c51586aff26f095ea77a4fcf2e955d75bc61d7a9292f6bc3ca"
         )
         assert point_key("pgnn-dblp_1", gpu) == (
-            "84aaedbe1579caafab049e750e8a61b087476c5f5e9f7e3a345d5baf7c434b28"
+            "7f53983b6502803a709237b2813c06e06f0d37f9e3524e3eca5619fd28ca4857"
         )
 
 

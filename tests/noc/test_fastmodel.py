@@ -1,5 +1,6 @@
 """Tests for the packet-level contention model."""
 
+import numpy as np
 import pytest
 
 from repro.noc import Mesh, NocConfig, PacketNetwork
@@ -80,6 +81,68 @@ class TestAgainstFlitLevel:
         # switching (1 cycle) that the fast model folds away; allow that
         # constant.
         assert abs(pkt.latency - fast_latency) <= 2.0
+
+
+class TestFidelityAblation:
+    """DESIGN.md sections 2 and 5: one timed trace through both models.
+
+    At the moderate loads the accelerator's memory system produces, the
+    packet model tracks the flit model's mean latency for an order of
+    magnitude less simulated work: the flit model steps every router
+    every cycle, the packet model reserves each link of a route once per
+    packet.  (Under saturating loads the packet model is optimistic: it
+    ignores buffer backpressure, which is why the flit model exists.)
+    """
+
+    SPACING_CYCLES = 10
+
+    def trace(self, num_packets=200, seed=7):
+        rng = np.random.default_rng(seed)
+        nodes = Mesh(4, 4).nodes()
+        trace = []
+        for i in range(num_packets):
+            src, dst = rng.choice(len(nodes), size=2, replace=False)
+            size = int(rng.choice([64, 128, 256, 512]))
+            trace.append(
+                (nodes[src], nodes[dst], size, i * self.SPACING_CYCLES)
+            )
+        return trace
+
+    def test_tracks_the_flit_model_for_a_tenth_of_the_work(self):
+        from repro.noc import FlitNetwork, Packet
+
+        trace = self.trace()
+        flit_net = FlitNetwork(4, 4, NocConfig())  # 1 GHz: cycles == ns
+        packets = []
+        for src, dst, size, start in trace:
+            while flit_net.cycle < start:
+                flit_net.step()
+            packets.append(Packet(src=src, dst=dst, size_bytes=size))
+            flit_net.inject(packets[-1])
+        flit_net.run()
+        flit_mean = float(np.mean([p.latency for p in packets]))
+        router_cycles = flit_net.cycle * len(flit_net.routers)
+
+        fast = PacketNetwork(Mesh(4, 4), NocConfig())
+        packet_mean = float(np.mean([
+            fast.delivery_time(src, dst, size, start) - start
+            for src, dst, size, start in trace
+        ]))
+        reservations = sum(
+            len(fast.mesh.route_links(src, dst)) for src, dst, _, _ in trace
+        )
+        ratio = packet_mean / flit_mean
+        print(
+            f"\nNoC fidelity ablation (200 packets, 4x4 mesh, 1 packet per "
+            f"{self.SPACING_CYCLES} cycles): flit mean latency "
+            f"{flit_mean:.1f} cycles over {router_cycles} router-cycles; "
+            f"packet model {packet_mean:.1f} cycles over {reservations} "
+            f"link reservations ({ratio:.2f}x latency ratio)"
+        )
+        # It folds away the constant injection and ejection cycles, so it
+        # sits slightly below 1.0.
+        assert 0.4 <= ratio <= 1.2
+        assert 10 * reservations <= router_cycles
 
 
 class TestReporting:

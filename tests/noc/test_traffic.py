@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.eval.report import format_table
 from repro.noc import Mesh
 from repro.noc.traffic import (
     hotspot,
@@ -99,3 +100,25 @@ def test_load_sweep_produces_monotone_curve():
     )
     latencies = [point["mean_latency"] for point in curve]
     assert latencies[0] <= latencies[1] <= latencies[2] * 1.01
+
+
+def test_load_sweep_on_the_4x4_mesh():
+    """The Booksim-style characterization of the flit model: flat latency
+    at low load, super-linear growth approaching saturation, delivered
+    throughput tracking offered load below it."""
+    curve = load_sweep(
+        4, 4, uniform_random, rates=(0.02, 0.05, 0.1, 0.2, 0.35),
+        warmup_cycles=100, measure_cycles=400,
+    )
+    print()
+    print(format_table(
+        ["offered (pkt/node/cyc)", "delivered", "mean latency (cyc)"],
+        [(p["offered"], p["delivered"], p["mean_latency"]) for p in curve],
+        title="NoC load sweep: uniform random, 4x4 mesh, 128B packets",
+    ))
+    latencies = [point["mean_latency"] for point in curve]
+    assert all(a <= b * 1.05 for a, b in zip(latencies, latencies[1:]))
+    assert latencies[0] < 20
+    assert latencies[-1] > 3 * latencies[0]
+    for point in curve[:2]:
+        assert point["delivered"] >= 0.7 * point["offered"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.eval.report import format_table
 from repro.noc import FlitNetwork, NocConfig, Packet
 from repro.noc.traffic import run_load_point, uniform_random
 
@@ -64,20 +65,42 @@ class TestConservation:
 
 class TestHeadOfLineBlocking:
     """The reason VCs exist: under load, one stalled packet must not
-    freeze unrelated traffic sharing its input port."""
+    freeze unrelated traffic sharing its input port.  Table IV gives one
+    4-flit buffer per port; adding VC lanes is this reproduction's
+    virtual-channel ablation."""
 
-    def _latency_at(self, vcs: int, rate: float = 0.35) -> float:
-        return run_load_point(
-            4, 4, uniform_random, rate,
-            config=NocConfig(num_vcs=vcs),
-            warmup_cycles=100, measure_cycles=400,
-        )["mean_latency"]
+    LOADS = (0.1, 0.25, 0.35)
 
-    def test_two_vcs_cut_high_load_latency(self):
-        assert self._latency_at(2) < 0.5 * self._latency_at(1)
+    @pytest.fixture(scope="class")
+    def latency(self):
+        """Mean latency in cycles by VC count, then uniform-random load."""
+        return {
+            vcs: {
+                rate: run_load_point(
+                    4, 4, uniform_random, rate,
+                    config=NocConfig(num_vcs=vcs),
+                    warmup_cycles=100, measure_cycles=400,
+                )["mean_latency"]
+                for rate in self.LOADS
+            }
+            for vcs in (1, 2, 4)
+        }
 
-    def test_more_vcs_never_hurt(self):
-        assert self._latency_at(4) <= self._latency_at(2) * 1.1
+    def test_two_vcs_cut_high_load_latency(self, latency):
+        assert latency[2][0.35] < 0.5 * latency[1][0.35]
+
+    def test_more_vcs_never_hurt(self, latency):
+        assert latency[4][0.35] <= latency[2][0.35] * 1.1
+
+    def test_moderate_load_untouched(self, latency):
+        print()
+        print(format_table(
+            ["Channels"] + [f"load {rate}" for rate in self.LOADS],
+            [[f"{vcs} VC"] + list(row.values())
+             for vcs, row in latency.items()],
+            title="Mean packet latency (cycles), uniform random on 4x4",
+        ))
+        assert latency[4][0.1] < 1.1 * latency[1][0.1]
 
     def test_low_load_unaffected(self):
         single = run_load_point(

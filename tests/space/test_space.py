@@ -191,7 +191,7 @@ class TestPinnedProposals:
     def test_every_materialized_config(self, grid):
         document = {"configs": [config_fingerprint(p.config()) for p in grid]}
         assert content_key(document) == (
-            "3154f1f3df86e3df19b5b23959178dd1c6f19037e64e71757d1448339a7a7b87"
+            "5c81ec9a4fbf363fcc640f49b48877941f02385b4d82b129640af03c1376d6b7"
         )
 
     def test_seeded_samples(self, space):
