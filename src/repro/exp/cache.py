@@ -21,7 +21,7 @@ result:
 plus what the run itself adds.  An accelerator point (:func:`point_key`)
 adds ``config`` — every field of the resolved
 :class:`~repro.accel.config.AcceleratorConfig`, recursively
-(:func:`dataclasses.asdict`), including the swept clock — and, for one
+(:func:`config_fingerprint`), including the swept clock — and, for one
 shard of a partitioned input, ``shard`` (the
 :class:`~repro.partition.core.ShardSpec` fingerprint).  Space-derived
 configurations (:mod:`repro.space`) enter by their *contents* exactly
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -93,16 +94,35 @@ def content_key(document: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The field names of a dataclass type; ``None`` for any other type."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as JSON-ready plain data: a dataclass as the dict of its
+    fields, a tuple or list as a list, anything else as itself."""
+    names = _field_names(type(value))
+    if names is not None:
+        return {name: _plain(getattr(value, name)) for name in names}
+    if isinstance(value, (tuple, list)):
+        return [_plain(item) for item in value]
+    return value
+
+
 def config_fingerprint(config: AcceleratorConfig) -> dict[str, Any]:
-    """Every *result-affecting* field of a configuration as plain data.
+    """Every *result-affecting* field of a configuration as plain data
+    (the document :func:`dataclasses.asdict` would give, tuples as lists).
 
     The ``watchdog`` budgets are excluded: they bound whether a run
     terminates, never what a completed run reports, so two sweeps that
     differ only in their timeout budgets share cache entries.
     """
-    data = dataclasses.asdict(config)
-    data.pop("watchdog", None)
-    return data
+    return {name: _plain(getattr(config, name))
+            for name in _field_names(type(config)) if name != "watchdog"}
 
 
 def key_document(

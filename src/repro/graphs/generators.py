@@ -19,10 +19,50 @@ All generators are deterministic for a given seed.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.errors import lookup
 from repro.graphs.graph import Graph, GraphSet
+
+
+def _coverage_pairs(order: np.ndarray) -> np.ndarray:
+    """Consecutive vertices of the permutation ``order`` paired up as
+    ``(low, high)`` rows, so covering every vertex costs few edges (the
+    odd one out, if any, is left to the caller)."""
+    return np.sort(order[: len(order) // 2 * 2].reshape(-1, 2), axis=1)
+
+
+def _fill_pairs(
+    pairs: np.ndarray,
+    num_nodes: int,
+    num_edges: int,
+    draw_batch: Callable[[int], tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Extend the distinct ``(low, high)`` rows ``pairs`` to ``num_edges``.
+
+    ``draw_batch(missing)`` draws one batch of candidate endpoints
+    ``(us, vs, usable)``; of its usable pairs, the first occurrences not
+    accepted yet join in draw order until the budget is met, and the
+    next batch is drawn only while pairs are missing.  That is the
+    outcome of accepting the candidates one by one, batch after batch.
+    """
+    chunks = [pairs]
+    accepted = np.sort(pairs[:, 0] * num_nodes + pairs[:, 1])
+    missing = num_edges - len(pairs)
+    while missing > 0:
+        us, vs, usable = draw_batch(missing)
+        low = np.minimum(us, vs)[usable]
+        high = np.maximum(us, vs)[usable]
+        codes = low * num_nodes + high
+        distinct, first = np.unique(codes, return_index=True)
+        first = first[~np.isin(distinct, accepted, assume_unique=True)]
+        first = np.sort(first)[:missing]
+        chunks.append(np.stack([low[first], high[first]], axis=1))
+        accepted = np.sort(np.concatenate([accepted, codes[first]]))
+        missing -= len(first)
+    return np.concatenate(chunks)
 
 
 def _sample_unique_pairs(
@@ -51,43 +91,26 @@ def _sample_unique_pairs(
             f"{num_edges} edges cannot cover all {num_nodes} nodes"
         )
     prob = weights / weights.sum()
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    pairs = np.empty((0, 2), dtype=np.int64)
 
     if ensure_covered:
         uncovered = rng.permutation(num_nodes)
-        # Pair uncovered vertices together first so coverage costs few edges.
-        for i in range(0, num_nodes - 1, 2):
-            u, v = int(uncovered[i]), int(uncovered[i + 1])
-            key = (min(u, v), max(u, v))
-            seen.add(key)
-            edges.append(key)
+        pairs = _coverage_pairs(uncovered)
         if num_nodes % 2 == 1:
+            # The odd vertex is in no pair yet, so its pair is new.
             u = int(uncovered[-1])
             v = int(rng.choice(num_nodes, p=prob))
             while v == u:
                 v = int(rng.choice(num_nodes, p=prob))
-            key = (min(u, v), max(u, v))
-            if key not in seen:
-                seen.add(key)
-                edges.append(key)
+            pairs = np.concatenate([pairs, [[min(u, v), max(u, v)]]])
 
-    # Fill the remaining budget in batches, rejecting loops and duplicates.
-    while len(edges) < num_edges:
-        batch = max(1024, 2 * (num_edges - len(edges)))
+    def draw_batch(missing: int):
+        batch = max(1024, 2 * missing)
         us = rng.choice(num_nodes, size=batch, p=prob)
         vs = rng.choice(num_nodes, size=batch, p=prob)
-        for u, v in zip(us, vs):
-            if u == v:
-                continue
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(key)
-            if len(edges) == num_edges:
-                break
-    return np.asarray(edges[:num_edges], dtype=np.int64)
+        return us, vs, us != vs
+
+    return _fill_pairs(pairs, num_nodes, num_edges, draw_batch)
 
 
 def _power_law_weights(
@@ -136,45 +159,26 @@ def collaboration_graph(
     community = rng.integers(0, num_communities, size=num_nodes)
     base = _power_law_weights(rng, num_nodes, exponent=2.2, max_ratio=20.0)
 
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
     prob = base / base.sum()
     # Cover every vertex first (no isolated authors in the extract).
     uncovered = rng.permutation(num_nodes)
-    for i in range(0, num_nodes - 1, 2):
-        u, v = int(uncovered[i]), int(uncovered[i + 1])
-        key = (min(u, v), max(u, v))
-        seen.add(key)
-        edges.append(key)
+    pairs = _coverage_pairs(uncovered)
     if num_nodes % 2 == 1:
         u = int(uncovered[-1])
         v = (u + 1) % num_nodes
-        key = (min(u, v), max(u, v))
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
-    while len(edges) < num_edges:
-        batch = max(1024, 4 * (num_edges - len(edges)))
+        pairs = np.concatenate([pairs, [[min(u, v), max(u, v)]]])
+
+    def draw_batch(missing: int):
+        batch = max(1024, 4 * missing)
         us = rng.choice(num_nodes, size=batch, p=prob)
         vs = rng.choice(num_nodes, size=batch, p=prob)
         keep = rng.random(batch)
-        for u, v, k in zip(us, vs, keep):
-            if u == v:
-                continue
-            # Thin cross-community pairs to create clustering.
-            if community[u] != community[v] and k * intra_boost > 1.0:
-                continue
-            key = (min(int(u), int(v)), max(int(u), int(v)))
-            if key in seen:
-                continue
-            seen.add(key)
-            edges.append(key)
-            if len(edges) == num_edges:
-                break
-    graph = Graph.from_edge_list(
-        num_nodes, np.asarray(edges, dtype=np.int64), undirected=True, name=name
-    )
-    return graph
+        # Thin cross-community pairs to create clustering.
+        thinned = (community[us] != community[vs]) & (keep * intra_boost > 1.0)
+        return us, vs, (us != vs) & ~thinned
+
+    edges = _fill_pairs(pairs, num_nodes, num_edges, draw_batch)
+    return Graph.from_edge_list(num_nodes, edges, undirected=True, name=name)
 
 
 def stress_graph(
@@ -188,12 +192,11 @@ def stress_graph(
 ) -> Graph:
     """A large power-law graph with exact counts, built fully vectorized.
 
-    The per-pair python loops of :func:`citation_graph` are fine at
-    Table V scale but not at the 100k–1M-node scale the partitioning
-    layer targets.  Here endpoints are drawn Chung-Lu style through an
-    inverse-CDF lookup (``searchsorted`` over the cumulative weight
-    distribution), pairs are deduplicated by sorting packed 64-bit codes
-    and dropping repeats, and the exact edge budget is met by a seeded
+    Sized for the 100k–1M-node scale the partitioning layer targets:
+    endpoints are drawn Chung-Lu style through an inverse-CDF lookup
+    (``searchsorted`` over the cumulative weight distribution), pairs
+    are deduplicated by sorting packed 64-bit codes and dropping
+    repeats, and the exact edge budget is met by a seeded
     without-replacement draw from the collected unique pairs — every
     step array-at-a-time, so a million-edge graph builds in seconds.
 
@@ -301,15 +304,18 @@ def molecule_graph_set(
             rings[g] += 1
             ring_budget -= 1
 
-    graphs = []
+    # Draw each molecule in turn (tree, rings, node then edge features);
+    # the graphs are built afterwards, all from one sorted edge list.
+    pairs: list[tuple[int, int]] = []
+    node_features = []
+    edge_features = []
     for g in range(num_graphs):
         n = int(sizes[g])
-        edges: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for v in range(1, n):
-            u = int(rng.integers(v))
-            edges.append((u, v))
-            seen.add((u, v))
+        # Vertex v attaches to a parent below it: one draw per vertex,
+        # the same stream as a scalar rng.integers(v) call each.
+        children = np.arange(1, n)
+        edges = list(zip(rng.integers(children).tolist(), children.tolist()))
+        seen = set(edges)
         placed = 0
         while placed < rings[g]:
             u = int(rng.integers(n))
@@ -322,14 +328,33 @@ def molecule_graph_set(
             seen.add(key)
             edges.append(key)
             placed += 1
-        node_features = rng.standard_normal((n, node_feature_dim)).astype(np.float32)
-        graph = Graph.from_edge_list(
-            n, np.asarray(edges, dtype=np.int64), undirected=True,
-            node_features=node_features, name=f"{name}[{g}]",
+        pairs += edges
+        node_features.append(
+            rng.standard_normal((n, node_feature_dim)).astype(np.float32)
         )
-        if edge_feature_dim > 0:
-            graph.edge_features = rng.standard_normal(
-                (graph.nnz, edge_feature_dim)
-            ).astype(np.float32)
-        graphs.append(graph)
+        edge_features.append(
+            rng.standard_normal((2 * len(edges), edge_feature_dim))
+            .astype(np.float32) if edge_feature_dim > 0 else None
+        )
+
+    # Molecule g owns the contiguous vertex ids from first[g], so the
+    # union's CSR rows of a molecule are that molecule's own CSR.
+    first = np.concatenate([[0], np.cumsum(sizes)])
+    edge_counts = sizes - 1 + rings
+    union = Graph.from_edge_list(
+        int(first[-1]),
+        np.asarray(pairs, dtype=np.int64)
+        + np.repeat(first[:-1], edge_counts)[:, None],
+        undirected=True,
+    )
+    graphs = []
+    for g in range(num_graphs):
+        lo, hi = int(first[g]), int(first[g + 1])
+        indptr = union.indptr[lo : hi + 1]
+        graphs.append(Graph(
+            indptr - indptr[0], union.indices[indptr[0] : indptr[-1]] - lo,
+            hi - lo, node_features=node_features[g],
+            edge_features=edge_features[g],
+            undirected_edge_count=int(edge_counts[g]), name=f"{name}[{g}]",
+        ))
     return GraphSet(graphs, name=name)

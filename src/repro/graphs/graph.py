@@ -4,14 +4,21 @@
 edge directions) plus optional node and edge features.  :class:`GraphSet`
 groups many small graphs (the QM9 workload) while exposing the aggregate
 statistics Table V reports.
+
+Only the models' functional ``forward`` passes need scipy's sparse
+matrices (:meth:`Graph.adjacency`), so those two methods import it and
+nothing that builds, compiles or simulates a graph loads it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import scipy.sparse as sp
 
 
 def random_node_features(num_nodes: int, width: int, seed: int) -> np.ndarray:
@@ -111,7 +118,9 @@ class Graph:
             edges = np.concatenate([edges, non_loops[:, ::-1]], axis=0)
         src = edges[:, 0]
         dst = edges[:, 1]
-        order = np.lexsort((dst, src))
+        # One stable sort by (src, dst): the order np.lexsort((dst, src))
+        # gives, in about half its time.
+        order = np.argsort(src * num_nodes + dst, kind="stable")
         src, dst = src[order], dst[order]
         counts = np.bincount(src, minlength=num_nodes)
         indptr = np.concatenate([[0], np.cumsum(counts)])
@@ -239,6 +248,8 @@ class Graph:
 
     def adjacency(self) -> sp.csr_matrix:
         """The stored adjacency as a scipy CSR matrix of float32 ones."""
+        import scipy.sparse as sp
+
         data = np.ones(self.nnz, dtype=np.float32)
         return sp.csr_matrix(
             (data, self.indices, self.indptr),
@@ -251,6 +262,8 @@ class Graph:
         This is the matrix the paper maps onto the DNN accelerator as dense
         convolution weights in Section II.
         """
+        import scipy.sparse as sp
+
         adj = self.adjacency()
         if add_self_loops:
             adj = adj + sp.identity(self.num_nodes, dtype=np.float32, format="csr")

@@ -42,6 +42,8 @@ class Flit:
     index: int
     is_head: bool
     is_tail: bool
+    #: The VC its packet enters at the source router.
+    injection_vc: int
 
 
 class _VirtualChannel:
@@ -138,6 +140,7 @@ class FlitNetwork:
         self._in_flight: list[tuple[int, Coord, str, int, Flit]] = []
         self.link_flits: dict[tuple[Coord, Coord], int] = {}
         self.total_flits = 0
+        self.injected_packets = 0
 
     # -- public API -------------------------------------------------------
 
@@ -148,6 +151,9 @@ class FlitNetwork:
         packet.injected_cycle = self.cycle
         num_flits = self.config.flits_for(packet.size_bytes)
         queue = self.injection[packet.src]
+        # Lanes go round in this network's own injection order, so a run
+        # does not depend on how many packets the process built before.
+        injection_vc = self.injected_packets % self.config.num_vcs
         for i in range(num_flits):
             queue.append(
                 Flit(
@@ -155,8 +161,10 @@ class FlitNetwork:
                     index=i,
                     is_head=(i == 0),
                     is_tail=(i == num_flits - 1),
+                    injection_vc=injection_vc,
                 )
             )
+        self.injected_packets += 1
         self.total_flits += num_flits
 
     def idle(self) -> bool:
@@ -318,13 +326,11 @@ class FlitNetwork:
         # Source injection is FIFO: one flit per node per cycle, into the
         # packet's injection VC.  Queue order keeps each packet's flits
         # contiguous within its VC automatically.
-        num_vcs = self.config.num_vcs
         for coord, queue in self.injection.items():
             if not queue:
                 continue
             port = self.routers[coord].inputs["L"]
-            flit = queue[0]
-            vc = port.vcs[flit.packet.pid % num_vcs]
+            vc = port.vcs[queue[0].injection_vc]
             if vc.free_slots > 0:
                 vc.reserve()
                 vc.deliver(queue.popleft())

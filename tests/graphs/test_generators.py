@@ -4,6 +4,55 @@ import numpy as np
 import pytest
 
 from repro.graphs import citation_graph, collaboration_graph, molecule_graph_set
+from repro.graphs.generators import _fill_pairs
+
+
+class TestFillPairs:
+    """Each batch keeps what accepting its pairs one by one would keep."""
+
+    def test_first_new_pairs_in_draw_order_up_to_the_budget(self):
+        batches = [
+            # (1, 0) is accepted already, (2, 3) repeats, (3, 3) is a
+            # loop; the budget is met at (4, 2), so (3, 1) is dropped.
+            ([1, 2, 2, 3, 0, 4, 3], [0, 3, 3, 3, 4, 2, 1]),
+        ]
+        asked = []
+
+        def draw_batch(missing):
+            asked.append(missing)
+            us, vs = map(np.array, batches.pop(0))
+            return us, vs, us != vs
+
+        pairs = _fill_pairs(np.array([[0, 1]]), 5, 4, draw_batch)
+        assert pairs.tolist() == [[0, 1], [2, 3], [0, 4], [2, 4]]
+        assert asked == [3]
+
+    def test_draws_again_only_while_pairs_are_missing(self):
+        batches = [([0, 1, 0], [1, 0, 1]), ([2, 0, 1], [0, 2, 2])]
+        asked = []
+
+        def draw_batch(missing):
+            asked.append(missing)
+            us, vs = map(np.array, batches.pop(0))
+            return us, vs, np.ones(len(us), dtype=bool)
+
+        pairs = _fill_pairs(np.empty((0, 2), dtype=np.int64), 3, 3,
+                            draw_batch)
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert asked == [3, 2] and not batches
+
+
+def test_one_call_draws_what_scalar_tree_draws_would():
+    # molecule_graph_set draws every vertex's parent below it in one
+    # rng.integers(np.arange(1, n)) call; its digest cell relies on that
+    # call taking the stream exactly as n - 1 scalar draws do.
+    for seed in range(50):
+        batch = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        parents = batch.integers(np.arange(1, 30))
+        assert parents.tolist() == [int(scalar.integers(v))
+                                    for v in range(1, 30)]
+        assert batch.random() == scalar.random()
 
 
 class TestCitationGraph:

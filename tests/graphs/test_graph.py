@@ -1,8 +1,16 @@
 """Tests for the CSR graph data structure."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import repro
 from repro.graphs import Graph, GraphSet
 
 
@@ -110,8 +118,42 @@ class TestMatrixViews:
         v = np.sqrt(deg)
         assert np.allclose(norm @ v, v, atol=1e-5)
 
+    def test_matrix_views_are_scipy_csr(self):
+        g = triangle()
+        for matrix in (g.adjacency(), g.normalized_adjacency()):
+            assert sp.issparse(matrix) and matrix.format == "csr"
+            assert matrix.dtype == np.float32 and matrix.shape == (3, 3)
+
     def test_validate_accepts_clean_graph(self):
         triangle().validate()
+
+
+def test_compiling_and_simulating_loads_no_scipy():
+    # Only the models' functional forward passes need scipy's sparse
+    # matrices; importing it costs a process that compiles, simulates
+    # and keys a point about 0.14 s and 13 MB (2-core host).
+    script = textwrap.dedent("""
+        import sys
+        import repro.cli
+        from repro.accel.config import CPU_ISO_BW
+        from repro.exp.cache import point_key
+        from repro.models.registry import benchmark_by_key, load_benchmark
+        from repro.runtime.compiler import compile_model
+        from repro.runtime.engine import simulate
+
+        model, data = load_benchmark(benchmark_by_key("gcn-cora"))
+        simulate(compile_model(model, data), CPU_ISO_BW)
+        point_key("gcn-cora", CPU_ISO_BW)
+        print(sorted(name for name in sys.modules
+                     if name.partition(".")[0] == "scipy"))
+    """)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestGraphSet:

@@ -47,20 +47,18 @@ class TestConservation:
         delivered = net.run(max_cycles=50_000)
         assert len(delivered) == len(packets)
 
-    def test_determinism_with_vcs(self):
+    def test_lanes_ignore_packets_built_elsewhere(self):
+        # Packet ids come from a process-wide counter; injection lanes
+        # must not, or a run's latency would depend on what ran before.
         def run():
-            net = FlitNetwork(3, 3, NocConfig(num_vcs=2))
-            pkts = [
-                Packet(src=(0, 0), dst=(2, 2), size_bytes=192),
-                Packet(src=(2, 0), dst=(0, 2), size_bytes=128),
-                Packet(src=(0, 2), dst=(2, 0), size_bytes=256),
-            ]
-            for pkt in pkts:
-                net.inject(pkt)
-            net.run()
-            return [p.delivered_cycle for p in pkts]
+            return run_load_point(
+                4, 4, uniform_random, 0.35, config=NocConfig(num_vcs=4),
+                warmup_cycles=100, measure_cycles=400,
+            )["mean_latency"]
 
-        assert run() == run()
+        first = run()
+        Packet(src=(0, 0), dst=(1, 1), size_bytes=64)
+        assert run() == first
 
 
 class TestHeadOfLineBlocking:
