@@ -1,12 +1,13 @@
 """Regenerate every table and figure of the paper in one run.
 
-Prints Tables I-VII, the Figure 2 waste analysis, the Figure 8 speedup
-sweep, the Figure 9 topologies, and the Figure 10 utilizations, each next
-to the paper's reported values where the paper gives them.  This is the
-script whose output EXPERIMENTS.md records.
+Prints what ``python -m repro NAME`` prints for every artifact of
+:data:`repro.cli.ARTIFACTS`, in its order: Tables I-VII and Figures 2, 8,
+9 and 10, next to the paper's values where the paper gives them, and the
+energy extension.  Then it draws Figures 8 and 10 as bar charts.  This is
+the script whose output EXPERIMENTS.md records.
 
-Run:  python examples/reproduce_paper.py          (~3 minutes cold)
-      python examples/reproduce_paper.py --fast   (skip MPNN, ~40 s)
+Run:  python examples/reproduce_paper.py          (~30 s cold, 2 cores)
+      python examples/reproduce_paper.py --fast   (skip MPNN in Figure 8)
       python examples/reproduce_paper.py --jobs 8 (parallel Figure 8)
 
 Repeat runs are served from the persistent result cache (~/.cache/repro)
@@ -15,150 +16,37 @@ and complete in seconds.
 
 import argparse
 
-from repro.baselines import TABLE7_MEASURED_MS
-from repro.eval import (
-    figure8,
-    figure9,
-    figure10,
-    format_table,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-)
-from repro.eval.section2 import TABLE2_PAPER_MS
-from repro.eval.speedups import mean_speedup
-from repro.models import BENCHMARKS
+from repro import cli
+from repro.eval import figure8_chart, figure10, figure10_chart
+from repro.eval.speedups import FIGURE8_GROUPS
 
 
-def print_config_tables() -> None:
-    print(format_table(["Parameter", "Value"], table1(),
-                       title="Table I: spatial array (DNA)"))
-    print()
-    print(format_table(["Parameter", "Value"], table3(),
-                       title="Table III: baseline machines"))
-    print()
-    print(format_table(["Parameter", "Value"], table4(),
-                       title="Table IV: NoC parameters"))
-    print()
-    print(format_table(
-        ["Dataset", "Graphs", "Nodes", "Edges", "V.F.", "E.F.", "O.F."],
-        table5(), title="Table V: datasets (generated)"))
-    print()
-    print(format_table(
-        ["Configuration", "Tiles", "Mem", "ALUs", "BW (GB/s)"],
-        table6(), title="Table VI: accelerator configurations"))
-    print()
-    print("Figure 9: topologies (T = tile, M = memory node)")
-    for name, rows in figure9().items():
-        print(f"  {name}:")
-        for row in rows:
-            print(f"    {row}")
-
-
-def print_section2() -> None:
-    rows = table2()
-    print(format_table(
-        ["Graph", "Unlimited (ms)", "paper", "68GBps (ms)", "paper",
-         "useful mem", "useful compute"],
-        [
-            (r.graph,
-             r.unlimited_ms, TABLE2_PAPER_MS[r.graph.lower()][0],
-             r.limited_ms, TABLE2_PAPER_MS[r.graph.lower()][1],
-             f"{r.useful_traffic_fraction:.1%}",
-             f"{r.useful_compute_fraction:.1%}")
-            for r in rows
-        ],
-        title="Table II + Figure 2: GCN on the dense DNN accelerator",
-    ))
-
-
-def print_table7() -> None:
-    print(format_table(
-        ["Benchmark", "Graph", "CPU modeled", "CPU measured",
-         "GPU modeled", "GPU measured"],
-        [
-            (r.benchmark, r.input_graph, r.cpu_modeled_ms,
-             r.cpu_measured_ms, r.gpu_modeled_ms, r.gpu_measured_ms)
-            for r in table7()
-        ],
-        title="Table VII: baseline latencies (ms)",
-    ))
-
-
-def print_figure8(benchmarks, jobs=1) -> None:
-    from repro.eval import figure8_chart
-
-    cells = figure8(benchmarks=benchmarks, jobs=jobs)
-    for config in ("CPU iso-BW", "GPU iso-BW", "GPU iso-FLOPS"):
-        rows = []
-        for key in benchmarks:
-            row = [key]
-            for clock in (1.2, 2.4):
-                cell = next(
-                    c for c in cells
-                    if c.config == config and c.benchmark == key
-                    and c.clock_ghz == clock
-                )
-                row.append(f"{cell.speedup:.2f}x")
-            rows.append(row)
-        print(format_table(
-            ["Benchmark", "@1.2GHz", "@2.4GHz"], rows,
-            title=f"Figure 8 — {config} speedups",
-        ))
-        print(f"  mean @2.4GHz: {mean_speedup(cells, config, 2.4):.1f}x")
-        print()
-        print(figure8_chart(cells, config))
-        print()
-
-
-def print_figure10() -> None:
-    from repro.eval import figure10_chart
-
-    rows = figure10()
-    print(format_table(
-        ["Benchmark", "BW (GB/s)", "BW util", "DNA util", "GPE util"],
-        [
-            (r.benchmark, r.mean_bandwidth_gbps,
-             f"{r.bandwidth_utilization:.0%}", f"{r.dna_utilization:.0%}",
-             f"{r.gpe_utilization:.0%}")
-            for r in rows
-        ],
-        title="Figure 10: CPU iso-BW utilizations @ 2.4 GHz",
-    ))
-    print()
-    print(figure10_chart(rows))
-
-
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--fast", action="store_true",
-        help="skip the MPNN benchmark (the slowest simulation)",
+        help="skip the MPNN benchmark (the slowest simulation) in Figure 8",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the Figure 8 sweep (results are "
              "bit-identical to the serial run)",
     )
-    args = parser.parse_args()
-    benchmarks = tuple(
-        b.key for b in BENCHMARKS
-        if not (args.fast and b.key == "mpnn-qm9_1000")
-    )
-    print_config_tables()
-    print()
-    print_section2()
-    print()
-    print_table7()
-    print()
-    print_figure8(benchmarks, jobs=args.jobs)
-    print_figure10()
-    cpu_measured = {k: v[0] for k, v in TABLE7_MEASURED_MS.items()}
-    print(f"\n(Reference CPU baselines: {cpu_measured})")
+    args = parser.parse_args(argv)
+    # Simulate the Figure 8 grid on --jobs workers; `repro figure8` below
+    # then reads every cell from the result cache.
+    cells = cli.figure8_cells(args.fast, jobs=args.jobs)
+    for artifact in cli.ARTIFACTS:
+        command = [artifact.name]
+        if args.fast and artifact.fast:
+            command.append("--fast")
+        print(f"$ python -m repro {' '.join(command)}")
+        cli.main(command)
+        print()
+    for config, _ in FIGURE8_GROUPS:
+        print(figure8_chart(cells, config))
+        print()
+    print(figure10_chart(figure10()))
 
 
 if __name__ == "__main__":

@@ -25,23 +25,29 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.accel.config import check_clock_ghz, resolve_config
 from repro.dse import resolve_driver
+from repro.eval import (
+    baseline_tables,
+    energy,
+    section2,
+    speedups,
+    tables,
+    utilization,
+)
 from repro.eval.report import format_table
-from repro.models.registry import resolve_benchmark_key
+from repro.models.registry import BENCHMARKS, resolve_benchmark_key
 from repro.noc.backends import validate_backend
 from repro.partition.methods import validate_method
 from repro.space import resolve_space
-from repro.systems import DEFAULT_SYSTEM, validate_system
+from repro.systems import DEFAULT_SYSTEM, available_systems, validate_system
 
 if TYPE_CHECKING:
     from repro.exp.runner import RetryPolicy
-
-#: The paper's tables and figures, each a subcommand of its own.
-_ARTIFACTS = ("table1", "table2", "figure2", "table3", "table4", "table5",
-              "table6", "table7", "figure8", "figure9", "figure10", "energy")
 
 #: Every argument, by its parsed name, that names something or sets a
 #: clock, in checking order, and its resolver; a plural argument holds a
@@ -108,9 +114,10 @@ def _cmd_list(_args) -> None:
 
     subcommands = next(action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
+    artifacts = [artifact.name for artifact in ARTIFACTS]
     commands = [name for name in subcommands
-                if name != "list" and name not in _ARTIFACTS]
-    print(f"artifacts: {' '.join(_ARTIFACTS)}")
+                if name != "list" and name not in artifacts]
+    print(f"artifacts: {' '.join(artifacts)}")
     print(f"commands:  {' '.join(commands)}")
     print("           (flags: repro COMMAND --help)")
     print(f"benchmarks: {' '.join(b.key for b in ALL_BENCHMARKS)}")
@@ -122,154 +129,160 @@ def _cmd_list(_args) -> None:
     print(f"dse drivers: {' '.join(driver_names())}")
 
 
+def _print_registry(title: str, headers: list[str],
+                    entries: Iterable[tuple[str, str]], default: str,
+                    hint: str) -> None:
+    """Print a registry's ``(name, note)`` entries, marking the default
+    one, and then ``hint``: how to select an entry."""
+    print(format_table(
+        headers,
+        [(name + (" (default)" if name == default else ""), note)
+         for name, note in entries],
+        title=title,
+    ))
+    print(hint)
+
+
 def _cmd_noc_backends(_args) -> None:
     from repro.noc.backends import DEFAULT_BACKEND, available_backends
 
-    print(format_table(
-        ["Backend", "Fidelity"],
-        [
-            (info.name + (" (default)" if info.name == DEFAULT_BACKEND
-                          else ""),
-             info.fidelity)
-            for info in available_backends()
-        ],
-        title="NoC backends",
-    ))
-    print("select with --noc-backend NAME or "
-          "AcceleratorConfig(noc_backend=...)")
+    _print_registry(
+        "NoC backends", ["Backend", "Fidelity"],
+        [(info.name, info.fidelity) for info in available_backends()],
+        DEFAULT_BACKEND, "select with --noc-backend NAME or "
+                         "AcceleratorConfig(noc_backend=...)",
+    )
 
 
 def _cmd_systems(_args) -> None:
-    from repro.systems import available_systems
-
-    print(format_table(
-        ["System", "Model"],
-        [
-            (info.name + (" (default)" if info.name == DEFAULT_SYSTEM
-                          else ""),
-             info.summary)
-            for info in available_systems()
-        ],
-        title="Execution systems",
-    ))
-    print("select with --system NAME or run_system(NAME, ...)")
-
-
-def _cmd_config_table(name: str) -> None:
-    from repro.eval import tables
-
-    rows = getattr(tables, name)()
-    if name == "table5":
-        print(format_table(
-            ["Dataset", "Graphs", "Nodes", "Edges", "V.F.", "E.F.", "O.F."],
-            rows, title="Table V"))
-    elif name == "table6":
-        print(format_table(
-            ["Configuration", "Tiles", "Mem", "ALUs", "BW (GB/s)"],
-            rows, title="Table VI"))
-    else:
-        print(format_table(["Parameter", "Value"], rows, title=name))
-
-
-def _cmd_table2(_args) -> None:
-    from repro.eval.section2 import TABLE2_PAPER_MS, table2
-
-    rows = table2()
-    print(format_table(
-        ["Graph", "Unlimited (ms)", "paper", "68GBps (ms)", "paper"],
-        [
-            (r.graph, r.unlimited_ms, TABLE2_PAPER_MS[r.graph.lower()][0],
-             r.limited_ms, TABLE2_PAPER_MS[r.graph.lower()][1])
-            for r in rows
-        ],
-        title="Table II",
-    ))
-
-
-def _cmd_figure2(_args) -> None:
-    from repro.eval.section2 import figure2
-
-    print(format_table(
-        ["Graph", "BW (GB/s)", "Useful BW", "PE util", "Useful util"],
-        [
-            (r.graph, r.required_bandwidth_gbps, r.useful_bandwidth_gbps,
-             r.pe_utilization, r.useful_pe_utilization)
-            for r in figure2()
-        ],
-        title="Figure 2",
-    ))
-
-
-def _cmd_table7(_args) -> None:
-    from repro.eval.baseline_tables import table7
-
-    print(format_table(
-        ["Benchmark", "Graph", "CPU model", "CPU meas", "GPU model",
-         "GPU meas"],
-        [
-            (r.benchmark, r.input_graph, r.cpu_modeled_ms,
-             r.cpu_measured_ms, r.gpu_modeled_ms, r.gpu_measured_ms)
-            for r in table7()
-        ],
-        title="Table VII (ms)",
-    ))
-
-
-def _cmd_figure8(args) -> None:
-    from repro.eval.speedups import figure8
-    from repro.models import BENCHMARKS
-
-    keys = tuple(
-        b.key for b in BENCHMARKS
-        if not (args.fast and b.key == "mpnn-qm9_1000")
+    _print_registry(
+        "Execution systems", ["System", "Model"],
+        [(info.name, info.summary) for info in available_systems()],
+        DEFAULT_SYSTEM, "select with --system NAME or run_system(NAME, ...)",
     )
-    cells = figure8(benchmarks=keys)
-    rows = [
-        (c.config, c.benchmark, c.clock_ghz, c.latency_ms,
-         f"{c.speedup:.2f}x")
-        for c in cells
-    ]
+
+
+def figure8_cells(fast: bool = False,
+                  jobs: int = 1) -> list[speedups.Figure8Cell]:
+    """The Figure 8 cells ``repro figure8`` prints: every benchmark, or
+    every one but MPNN, the slowest to simulate, when ``fast`` is set.
+    ``jobs`` changes only the wall time (:func:`repro.eval.figure8`)."""
+    keys = tuple(b.key for b in BENCHMARKS
+                 if not (fast and b.key == "mpnn-qm9_1000"))
+    return speedups.figure8(benchmarks=keys, jobs=jobs)
+
+
+def _print_figure8(args) -> None:
+    cells = figure8_cells(args.fast)
     print(format_table(
         ["Config", "Benchmark", "Clock (GHz)", "Latency (ms)", "Speedup"],
-        rows, title="Figure 8",
+        [(c.config, c.benchmark, c.clock_ghz, c.latency_ms,
+          f"{c.speedup:.2f}x") for c in cells],
+        title="Figure 8",
     ))
+    for config, _ in speedups.FIGURE8_GROUPS:
+        for clock in speedups.FIGURE8_CLOCKS:
+            print(f"mean speedup {config} @ {clock:g} GHz: "
+                  f"{speedups.mean_speedup(cells, config, clock):.2f}x")
 
 
-def _cmd_figure9(_args) -> None:
-    from repro.eval.tables import figure9
-
-    for name, rows in figure9().items():
+def _print_figure9(_args) -> None:
+    for name, rows in tables.figure9().items():
         print(f"{name}:")
         for row in rows:
             print(f"  {row}")
 
 
-def _cmd_figure10(_args) -> None:
-    from repro.eval.utilization import figure10
+@dataclass(frozen=True)
+class Artifact:
+    """A paper artifact and its subcommand: ``repro NAME`` prints a table
+    of ``row(r)`` for each ``r`` of ``driver()`` under ``headers`` and
+    ``title``, or calls ``printer`` with the parsed arguments if set."""
 
-    print(format_table(
-        ["Benchmark", "BW (GB/s)", "BW util", "DNA util", "GPE util"],
-        [
-            (r.benchmark, r.mean_bandwidth_gbps, r.bandwidth_utilization,
-             r.dna_utilization, r.gpe_utilization)
-            for r in figure10()
-        ],
-        title="Figure 10",
-    ))
+    name: str
+    help: str
+    title: str = ""
+    headers: tuple[str, ...] = ()
+    driver: Callable[[], Iterable[Any]] = tuple
+    row: Callable[[Any], Sequence[object]] = tuple
+    printer: Callable[[argparse.Namespace], None] | None = None
+    #: Whether the subcommand takes ``--fast``, which skips MPNN.
+    fast: bool = False
+
+    def show(self, args: argparse.Namespace) -> None:
+        """Print the artifact as ``repro NAME`` does."""
+        if self.printer is not None:
+            self.printer(args)
+        else:
+            print(format_table(self.headers,
+                               [self.row(r) for r in self.driver()],
+                               title=self.title))
 
 
-def _cmd_energy(_args) -> None:
-    from repro.eval.energy import energy_table
-
-    print(format_table(
-        ["Benchmark", "Accel (uJ)", "dominant", "vs CPU", "vs GPU"],
-        [
-            (r.benchmark, r.accel_uj, r.dominant, f"{r.vs_cpu:.0f}x",
-             f"{r.vs_gpu:.0f}x")
-            for r in energy_table()
-        ],
-        title="Energy (extension)",
-    ))
+#: The paper's tables and figures in the paper's order, and the energy
+#: extension: the only definition of their subcommands, of what each
+#: prints, and of the order ``examples/reproduce_paper.py`` prints them.
+ARTIFACTS: tuple[Artifact, ...] = (
+    Artifact("table1", "print table1", "table1", ("Parameter", "Value"),
+             tables.table1),
+    Artifact(
+        "table2", "Section II latencies", "Table II",
+        ("Graph", "Unlimited (ms)", "paper", "68GBps (ms)", "paper"),
+        section2.table2,
+        lambda r: (r.graph, r.unlimited_ms,
+                   section2.TABLE2_PAPER_MS[r.graph.lower()][0], r.limited_ms,
+                   section2.TABLE2_PAPER_MS[r.graph.lower()][1]),
+    ),
+    Artifact(
+        "figure2", "Section II waste analysis", "Figure 2",
+        ("Graph", "BW (GB/s)", "Useful BW", "PE util", "Useful util",
+         "Useful mem", "Useful compute"), section2.figure2,
+        lambda r: (r.graph, r.required_bandwidth_gbps,
+                   r.useful_bandwidth_gbps, r.pe_utilization,
+                   r.useful_pe_utilization,
+                   f"{r.useful_traffic_fraction:.1%}",
+                   f"{r.useful_compute_fraction:.1%}"),
+    ),
+    Artifact("table3", "print table3", "table3", ("Parameter", "Value"),
+             tables.table3),
+    Artifact("table4", "print table4", "table4", ("Parameter", "Value"),
+             tables.table4),
+    Artifact(
+        "table5", "print table5", "Table V",
+        ("Dataset", "Graphs", "Nodes", "Edges", "V.F.", "E.F.", "O.F."),
+        tables.table5,
+    ),
+    Artifact(
+        "table6", "print table6", "Table VI",
+        ("Configuration", "Tiles", "Mem", "ALUs", "BW (GB/s)"),
+        tables.table6,
+    ),
+    Artifact(
+        "table7", "baseline latencies", "Table VII (ms)",
+        ("Benchmark", "Graph", "CPU model", "CPU meas", "GPU model",
+         "GPU meas"), baseline_tables.table7,
+        lambda r: (r.benchmark, r.input_graph, r.cpu_modeled_ms,
+                   r.cpu_measured_ms, r.gpu_modeled_ms, r.gpu_measured_ms),
+    ),
+    Artifact("figure8", "speedup sweep (slow)", printer=_print_figure8,
+             fast=True),
+    Artifact("figure9", "mesh topologies", printer=_print_figure9),
+    Artifact(
+        "figure10", "utilizations", "Figure 10",
+        ("Benchmark", "BW (GB/s)", "BW util", "DNA util", "GPE util"),
+        utilization.figure10,
+        lambda r: (r.benchmark, r.mean_bandwidth_gbps,
+                   r.bandwidth_utilization, r.dna_utilization,
+                   r.gpe_utilization),
+    ),
+    Artifact(
+        "energy", "energy extension table", "Energy (extension)",
+        ("Benchmark", "Accel (uJ)", "dominant", "vs CPU", "vs GPU"),
+        energy.energy_table,
+        lambda r: (r.benchmark, r.accel_uj, r.dominant, f"{r.vs_cpu:.0f}x",
+                   f"{r.vs_gpu:.0f}x"),
+    ),
+)
 
 
 def _cache_from_args(args) -> object:
@@ -784,16 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list artifacts and benchmarks")
-    for name in ("table1", "table3", "table4", "table5", "table6"):
-        sub.add_parser(name, help=f"print {name}")
-    sub.add_parser("table2", help="Section II latencies")
-    sub.add_parser("figure2", help="Section II waste analysis")
-    sub.add_parser("table7", help="baseline latencies")
-    fig8 = sub.add_parser("figure8", help="speedup sweep (slow)")
-    fig8.add_argument("--fast", action="store_true", help="skip MPNN")
-    sub.add_parser("figure9", help="mesh topologies")
-    sub.add_parser("figure10", help="utilizations")
-    sub.add_parser("energy", help="energy extension table")
+    for artifact in ARTIFACTS:
+        command = sub.add_parser(artifact.name, help=artifact.help)
+        if artifact.fast:
+            command.add_argument("--fast", action="store_true",
+                                 help="skip MPNN")
     sub.add_parser(
         "noc-backends",
         help="list registered NoC backends with fidelity notes",
@@ -1040,23 +1048,14 @@ def main(argv: list[str] | None = None) -> int:
         "noc-backends": _cmd_noc_backends,
         "systems": _cmd_systems,
         "compare": _cmd_compare,
-        "table2": _cmd_table2,
-        "figure2": _cmd_figure2,
-        "table7": _cmd_table7,
-        "figure8": _cmd_figure8,
-        "figure9": _cmd_figure9,
-        "figure10": _cmd_figure10,
-        "energy": _cmd_energy,
         "simulate": _cmd_simulate,
         "profile": _cmd_profile,
         "sweep": _cmd_sweep,
         "dse": _cmd_dse,
         "serve-sim": _cmd_serve_sim,
         "partition-sweep": _cmd_partition_sweep,
+        **{artifact.name: artifact.show for artifact in ARTIFACTS},
     }
-    if args.command in ("table1", "table3", "table4", "table5", "table6"):
-        _cmd_config_table(args.command)
-        return 0
     try:
         _resolve_arguments(args)
         code = handlers[args.command](args)

@@ -1,20 +1,25 @@
 """Experiment drivers: one entry point per paper table / figure.
 
-=========== =================================================
-Artifact    Function
-=========== =================================================
-Table I     :func:`repro.eval.tables.table1`
-Table II    :func:`repro.eval.section2.table2`
-Figure 2    :func:`repro.eval.section2.figure2`
-Table III   :func:`repro.eval.tables.table3`
-Table IV    :func:`repro.eval.tables.table4`
-Table V     :func:`repro.eval.tables.table5`
-Table VI    :func:`repro.eval.tables.table6`
-Table VII   :func:`repro.eval.baseline_tables.table7`
-Figure 8    :func:`repro.eval.speedups.figure8`
-Figure 9    :func:`repro.eval.tables.figure9`
-Figure 10   :func:`repro.eval.utilization.figure10`
-=========== =================================================
+``repro NAME`` prints each artifact as its entry in
+:data:`repro.cli.ARTIFACTS` says; ``examples/reproduce_paper.py`` prints
+them all in this order.
+
+=========== ================== ==========================================
+Artifact    Command            Function
+=========== ================== ==========================================
+Table I     ``repro table1``   :func:`repro.eval.tables.table1`
+Table II    ``repro table2``   :func:`repro.eval.section2.table2`
+Figure 2    ``repro figure2``  :func:`repro.eval.section2.figure2`
+Table III   ``repro table3``   :func:`repro.eval.tables.table3`
+Table IV    ``repro table4``   :func:`repro.eval.tables.table4`
+Table V     ``repro table5``   :func:`repro.eval.tables.table5`
+Table VI    ``repro table6``   :func:`repro.eval.tables.table6`
+Table VII   ``repro table7``   :func:`repro.eval.baseline_tables.table7`
+Figure 8    ``repro figure8``  :func:`repro.eval.speedups.figure8`
+Figure 9    ``repro figure9``  :func:`repro.eval.tables.figure9`
+Figure 10   ``repro figure10`` :func:`repro.eval.utilization.figure10`
+Energy      ``repro energy``   :func:`repro.eval.energy.energy_table`
+=========== ================== ==========================================
 """
 
 from repro.eval.section2 import Section2Row, figure2, table2

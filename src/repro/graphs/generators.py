@@ -65,6 +65,24 @@ def _fill_pairs(
     return np.concatenate(chunks)
 
 
+def _check_edge_budget(
+    num_nodes: int, num_edges: int, ensure_covered: bool
+) -> None:
+    """Refuse an edge budget no simple undirected graph on ``num_nodes``
+    vertices meets: more edges than distinct pairs, or, when every vertex
+    must be ``ensure_covered``, fewer edges than covering takes."""
+    max_edges = num_nodes * (num_nodes - 1) // 2
+    if num_edges > max_edges:
+        raise ValueError(
+            f"cannot place {num_edges} unique edges among {num_nodes} nodes "
+            f"(max {max_edges})"
+        )
+    if ensure_covered and num_edges < (num_nodes + 1) // 2:
+        raise ValueError(
+            f"{num_edges} edges cannot cover all {num_nodes} nodes"
+        )
+
+
 def _sample_unique_pairs(
     rng: np.random.Generator,
     weights: np.ndarray,
@@ -80,16 +98,7 @@ def _sample_unique_pairs(
     no isolated papers).
     """
     num_nodes = len(weights)
-    max_edges = num_nodes * (num_nodes - 1) // 2
-    if num_edges > max_edges:
-        raise ValueError(
-            f"cannot place {num_edges} unique edges among {num_nodes} nodes "
-            f"(max {max_edges})"
-        )
-    if ensure_covered and num_edges < (num_nodes + 1) // 2:
-        raise ValueError(
-            f"{num_edges} edges cannot cover all {num_nodes} nodes"
-        )
+    _check_edge_budget(num_nodes, num_edges, ensure_covered)
     prob = weights / weights.sum()
     pairs = np.empty((0, 2), dtype=np.int64)
 
@@ -155,6 +164,7 @@ def collaboration_graph(
     ``intra_boost`` times more likely, which yields the clustered, dense
     structure of co-authorship graphs (mean degree ~9.7 for DBLP_1).
     """
+    _check_edge_budget(num_nodes, num_edges, ensure_covered=True)
     rng = np.random.default_rng(seed)
     community = rng.integers(0, num_communities, size=num_nodes)
     base = _power_law_weights(rng, num_nodes, exponent=2.2, max_ratio=20.0)
@@ -204,12 +214,7 @@ def stress_graph(
     a handful of isolated vertices is representative of web-scale
     inputs, and every partition method handles them.
     """
-    max_edges = num_nodes * (num_nodes - 1) // 2
-    if num_edges > max_edges:
-        raise ValueError(
-            f"cannot place {num_edges} unique edges among {num_nodes} nodes "
-            f"(max {max_edges})"
-        )
+    _check_edge_budget(num_nodes, num_edges, ensure_covered=False)
     rng = np.random.default_rng(seed)
     weights = _power_law_weights(rng, num_nodes, exponent, max_degree_ratio)
     cdf = np.cumsum(weights)
@@ -298,6 +303,11 @@ def molecule_graph_set(
         )
     rings = np.zeros(num_graphs, dtype=np.int64)
     capacity = sizes * (sizes - 1) // 2 - (sizes - 1)
+    if ring_budget > capacity.sum():
+        raise ValueError(
+            f"total_edges={total_edges} above the {tree_edges} tree edges "
+            f"plus the {int(capacity.sum())} ring edges the molecules hold"
+        )
     while ring_budget > 0:
         g = int(rng.integers(num_graphs))
         if rings[g] < capacity[g]:

@@ -151,7 +151,7 @@ class MultiChipSystem:
 
         from repro.eval.accelerator import run_config
         from repro.models.registry import benchmark_by_key, benchmark_workload
-        from repro.partition.comm import aggregation_ops
+        from repro.partition.comm import aggregation_ops, halo_volume_bytes
         from repro.partition.shards import partition_benchmark
 
         partition = partition_benchmark(
@@ -170,7 +170,7 @@ class MultiChipSystem:
         if halo > 0:
             workload = benchmark_workload(benchmark_by_key(benchmark_key))
             for op in aggregation_ops(workload):
-                layer_bytes = halo * op.width * BYTES_PER_VALUE * op.count
+                layer_bytes = halo_volume_bytes(partition, op.width) * op.count
                 comm_bytes += layer_bytes
                 comm_ms += (
                     layer_bytes / (mc.link_bandwidth_gbps * 1e9) * 1e3

@@ -118,6 +118,20 @@ class TestCollaborationGraph:
         b = collaboration_graph(100, 400, seed=4)
         assert np.array_equal(a.indices, b.indices)
 
+    @pytest.mark.parametrize("num_nodes, num_edges", [(5, 11), (10, 2)],
+                             ids=["above-max", "below-cover"])
+    def test_impossible_budget_rejected_before_any_draw(
+        self, num_nodes, num_edges, monkeypatch
+    ):
+        """As in citation_graph: 5 nodes have only 10 distinct pairs, and
+        2 edges cannot cover 10 nodes."""
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the edge budget")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError):
+            collaboration_graph(num_nodes, num_edges, seed=0)
+
 
 class TestMoleculeGraphSet:
     def test_exact_aggregate_counts(self):
@@ -154,6 +168,20 @@ class TestMoleculeGraphSet:
         with pytest.raises(ValueError):
             molecule_graph_set(
                 num_graphs=10, total_nodes=100, total_edges=50,
+                node_feature_dim=1, edge_feature_dim=0, seed=0,
+            )
+
+    def test_ring_budget_above_capacity_rejected(self):
+        # Ten 3-atom molecules hold 20 tree edges and one ring edge each.
+        kwargs = dict(num_graphs=10, total_nodes=30, node_feature_dim=1,
+                      edge_feature_dim=0, seed=0)
+        assert molecule_graph_set(total_edges=30, **kwargs).total_edges == 30
+        with pytest.raises(ValueError, match="ring"):
+            molecule_graph_set(total_edges=31, **kwargs)
+        # Ten 2-atom molecules have no room for a ring at all.
+        with pytest.raises(ValueError, match="ring"):
+            molecule_graph_set(
+                num_graphs=10, total_nodes=20, total_edges=25,
                 node_feature_dim=1, edge_feature_dim=0, seed=0,
             )
 

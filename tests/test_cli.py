@@ -27,7 +27,7 @@ OUTPUT_SHA256 = {
     "table2":
         "53af8bf3d988c068ab811e01ec84de7282e68d7c67abe0662449b2731014450d",
     "figure2":
-        "fed6a1e4d4a0976722eaf62b4089e51ffe332082df0c94d7b11c18efa92b3f2c",
+        "49e5f178e4bb4775cc980db3f3e0e5664e8cada9d088f925086370cf4c5f3374",
     "table3":
         "b137e11df5339c5e8d8f4342be0727d0f2fae44ceabdbbb1a095137589712572",
     "table4":
@@ -213,6 +213,27 @@ class TestCommands:
         assert main([command]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_SHA256[command]
+
+    @pytest.mark.slow
+    def test_figure8_ends_with_one_mean_per_group_and_clock(self, capsys):
+        """After one table row per cell, ``repro figure8`` prints the mean
+        speedup of each configuration at each clock."""
+        from repro.cli import figure8_cells
+        from repro.eval.speedups import (
+            FIGURE8_CLOCKS,
+            FIGURE8_GROUPS,
+            mean_speedup,
+        )
+
+        assert main(["figure8", "--fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = figure8_cells(fast=True)
+        means = [f"mean speedup {config} @ {clock:g} GHz: "
+                 f"{mean_speedup(cells, config, clock):.2f}x"
+                 for config, _ in FIGURE8_GROUPS for clock in FIGURE8_CLOCKS]
+        assert lines[0] == "Figure 8"
+        assert len(lines) == 3 + len(cells) + len(means)
+        assert lines[-len(means):] == means
 
     def test_simulate_fast_benchmark(self, capsys):
         assert main(["simulate", "pgnn-dblp_1"]) == 0

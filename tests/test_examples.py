@@ -2,9 +2,11 @@
 
 The examples are the public face of the library; these tests import each
 script and run its ``main()``, asserting it produces output and raises
-nothing.  The two multi-minute scripts (``reproduce_paper`` and
-``design_sweeps``) are exercised through their building blocks in
-``tests/eval`` instead; here we only check they parse and expose main().
+nothing.  ``reproduce_paper --fast`` runs as a slow test that checks it
+prints exactly what ``repro NAME`` prints for every artifact.  The one
+multi-minute script, ``design_sweeps``, is exercised through its building
+blocks in ``tests/eval`` instead; here we only check it parses and
+exposes main().
 """
 
 import importlib.util
@@ -63,6 +65,30 @@ def test_dnn_study_reports_pubmed_waste(capsys):
     out = capsys.readouterr().out
     assert "Pubmed" in out
     assert "Global buffer sweep" in out
+
+
+@pytest.mark.slow
+def test_reproduce_paper_prints_every_artifact(capsys):
+    """``reproduce_paper.py --fast`` prints each artifact's ``repro NAME``
+    output verbatim, in :data:`repro.cli.ARTIFACTS` order, and then the
+    Figure 8 and Figure 10 bar charts."""
+    from repro.cli import ARTIFACTS, figure8_cells, main
+    from repro.eval import figure8_chart, figure10, figure10_chart
+    from repro.eval.speedups import FIGURE8_GROUPS
+
+    load_example("reproduce_paper").main(["--fast"])
+    out = capsys.readouterr().out
+    expected = []
+    for artifact in ARTIFACTS:
+        command = [artifact.name] + (["--fast"] if artifact.fast else [])
+        assert main(command) == 0
+        expected.append(f"$ python -m repro {' '.join(command)}\n"
+                        f"{capsys.readouterr().out}\n")
+    cells = figure8_cells(fast=True)
+    expected += [figure8_chart(cells, config) + "\n\n"
+                 for config, _ in FIGURE8_GROUPS]
+    expected.append(figure10_chart(figure10()) + "\n")
+    assert out == "".join(expected)
 
 
 @pytest.mark.parametrize(
